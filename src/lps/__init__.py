@@ -29,16 +29,11 @@ from .quaternions import (
     build_generator_set,
     enumerate_representatives,
     jacobi_count,
-    quaternion_conjugate,
-    quaternion_multiply,
 )
 from .sphere import (
-    HarmonicBasis,
     KoopmanBlock,
     RamanujanReport,
     block_spectrum,
-    gram_matrix,
-    harmonic_basis,
     koopman_block,
     sphere_discrepancy_estimate,
     verify_ramanujan,
@@ -72,7 +67,6 @@ __all__ = [
     "ExactRotation",
     "FreenessReport",
     "GeneratorSet",
-    "HarmonicBasis",
     "HeckePolynomial",
     "KoopmanBlock",
     "LatticeWindow",
@@ -91,18 +85,14 @@ __all__ = [
     "enumerate_representatives",
     "enumerate_sphere",
     "evaluate_word",
-    "gram_matrix",
     "harish_chandra",
     "harish_chandra_boundary_sum",
-    "harmonic_basis",
     "hecke_polynomial",
     "hecke_sup",
     "jacobi_count",
     "koopman_block",
     "lps_discrepancy",
     "operator_norm_estimate",
-    "quaternion_conjugate",
-    "quaternion_multiply",
     "regular_norm",
     "sphere_discrepancy_estimate",
     "torus_discrepancy_check",

@@ -1,110 +1,21 @@
-"""Fraction-free integer linear algebra for the exact operator blocks."""
+"""Exact integer identities checked on the operator blocks."""
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
 
-def fraction_free_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form over the integers via cross-multiplication.
+def trace_moments(mat) -> tuple[int, int]:
+    """tr(A) and tr(A^2) of a square integer matrix, in exact arithmetic."""
+    a = np.asarray(mat, dtype=object)
+    return int(a.trace()), int((a * a.T).sum())
 
-    Each elimination step replaces row_i by piv * row_i - f * row_piv and
-    then divides out the row content, so entries stay integers of modest
-    size.  Returns the nonzero echelon rows and their pivot columns.
+
+def is_weighted_symmetric(mat, weights) -> bool:
+    """Whether A[i][j] * w[j] == A[j][i] * w[i] for all i, j, exactly.
+
+    For a diagonal pairing with weights 1/w this is self-adjointness of a
+    real matrix A.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            if f == 0:
-                continue
-            row = [piv * a - f * b for a, b in zip(m[i], m[r])]
-            content = 0
-            for v in row:
-                content = gcd(content, v)
-                if content == 1:
-                    break
-            if content > 1:
-                row = [v // content for v in row]
-            m[i] = row
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], piv_cols
-
-
-def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of the right kernel as content-free integer vectors.
-
-    One vector per free column, found by back substitution over Fractions
-    and then cleared of denominators; the leading nonzero entry of each
-    vector is positive, so the output is deterministic.
-    """
-    return kernel_with_free_columns(rows, ncols)[0]
-
-
-def kernel_with_free_columns(
-    rows: list[list[int]], ncols: int
-) -> tuple[list[list[int]], list[int]]:
-    """Kernel basis plus, per vector, the free column it is attached to.
-
-    Vector i is the unique basis vector with a nonzero entry at free
-    column free_cols[i], which makes reading off coordinates of a vector
-    in the span a single division per component.
-    """
-    ech, piv_cols = fraction_free_echelon(rows, ncols)
-    pivot_set = set(piv_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[list[int]] = []
-    for fc in free_cols:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for ri in reversed(range(len(piv_cols))):
-            pc = piv_cols[ri]
-            s = Fraction(0)
-            row = ech[ri]
-            for j in range(pc + 1, ncols):
-                if row[j] and x[j]:
-                    s += row[j] * x[j]
-            x[pc] = -s / row[pc]
-        den = 1
-        for xi in x:
-            den = den * xi.denominator // gcd(den, xi.denominator)
-        v = [int(xi * den) for xi in x]
-        content = 0
-        for vi in v:
-            content = gcd(content, vi)
-        v = [vi // content for vi in v]
-        lead = next(vi for vi in v if vi)
-        if lead < 0:
-            v = [-vi for vi in v]
-        basis.append(v)
-    return basis, free_cols
-
-
-def object_matmul(a, b):
-    """Exact matrix product using numpy dispatch over Python integers."""
-    return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
-
-
-def double_factorial(n: int) -> int:
-    """Product n * (n-2) * ...; both (-1)!! and 0!! are 1."""
-    if n < -1:
-        raise ValueError(f"double factorial undefined for {n}")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    a = np.asarray(mat, dtype=object) * np.asarray(weights, dtype=object)[None, :]
+    return bool((a == a.T).all())

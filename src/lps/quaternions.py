@@ -68,15 +68,6 @@ class LipschitzQuaternion:
         return (self.x1, self.x2, self.x3)
 
 
-def quaternion_multiply(a: LipschitzQuaternion, b: LipschitzQuaternion) -> LipschitzQuaternion:
-    """Hamilton product of two integer quaternions."""
-    return a * b
-
-
-def quaternion_conjugate(a: LipschitzQuaternion) -> LipschitzQuaternion:
-    return a.conjugate()
-
-
 def jacobi_count(n: int) -> int:
     """Number of integer 4-tuples with x0^2 + x1^2 + x2^2 + x3^2 = n.
 
@@ -206,17 +197,6 @@ class ExactRotation:
         t = tuple(tuple(self.num[j][i] for j in range(3)) for i in range(3))
         return ExactRotation.create(t, self.den_base, self.den_exp)
 
-    def trace_float(self) -> float:
-        s = self.den_base ** self.den_exp
-        return (self.num[0][0] + self.num[1][1] + self.num[2][2]) / s
-
-    def to_float(self):
-        """Matrix as a 3x3 numpy float array."""
-        import numpy as np
-
-        s = float(self.den_base ** self.den_exp)
-        return np.array(self.num, dtype=float) / s
-
 
 def adjoint_rotation(q: LipschitzQuaternion) -> ExactRotation:
     """Conjugation action of q on the imaginary units, cleared of denominators.
@@ -265,9 +245,6 @@ class GeneratorSet:
     @property
     def identity(self) -> ExactRotation:
         return ExactRotation.identity()
-
-    def describe(self) -> str:
-        return f"norm-{self.p} quaternion rotations"
 
 
 def build_generator_set(p: int) -> GeneratorSet:

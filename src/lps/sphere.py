@@ -1,16 +1,22 @@
 """Exact finite-dimensional blocks of the rotation action on the sphere.
 
-Degree-l homogeneous harmonic polynomials in three variables form a
-(2l+1)-dimensional invariant subspace for any rotation.  For the norm-p
-quaternion generators every rotation matrix is integral over p, so the
-summed substitution operator restricted to such a subspace is an exact
-rational matrix.  Its eigenvalues are what the tempered bound
-[-2*sqrt(p), 2*sqrt(p)] constrains, and scanning degrees gives certified
-lower bounds on averaging discrepancies.
+As a representation of SU(2), the degree-l spherical harmonics V_l are the
+symmetric power Sym^{2l}(C^2): binary forms of degree 2l in x and y.  A
+norm-p quaternion a + bi + cj + dk acts through the Gaussian-integer
+matrix [[a + bi, c + di], [-c + di, a - bi]], so the Hecke operator
+sum_g rho(g) on V_l is the sum of the generators' 2l-th symmetric powers
+over p^l.  In the monomial basis x^(2l-k) y^k that block is a
+(2l+1)x(2l+1) matrix of integers over p^l, and its eigenvalues are what
+the tempered bound [-2*sqrt(p), 2*sqrt(p)] constrains; scanning degrees
+gives certified lower bounds on averaging discrepancies.
 
-Arithmetic stays in integers and Fractions until the final eigenvalue
-extraction, which runs in floats through a Cholesky congruence and a
-hand-rolled cyclic Jacobi sweep.
+Every block is checked exactly before any float appears: the imaginary
+parts cancel (the representative set is closed under the sign flip of
+(b, d), which conjugates the matrix entrywise), and the block is
+self-adjoint for the invariant pairing, which is diagonal with weights
+1/binom(2l, k).  Rescaling by sqrt(binom(2l, k)) then gives a symmetric
+matrix in plain float64, whose spectrum a hand-rolled cyclic Jacobi sweep
+computes and which must reproduce the exact tr(T) and tr(T^2).
 """
 
 from __future__ import annotations
@@ -18,407 +24,153 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exact import double_factorial, kernel_with_free_columns, object_matmul
+from .exact import is_weighted_symmetric, trace_moments
 from .formulas import ConsistencyError, hecke_polynomial
-from .quaternions import ExactRotation, GeneratorSet, build_generator_set
+from .quaternions import GeneratorSet, LipschitzQuaternion, build_generator_set
 from .words import word_counts
 
-# ---------------------------------------------------------------------------
-# Monomial bookkeeping
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _monomials(degree: int) -> tuple[tuple[int, int, int], ...]:
-    """Exponent triples of total degree `degree`, lexicographically descending."""
-    return tuple(
-        (a, b, degree - a - b)
-        for a in range(degree, -1, -1)
-        for b in range(degree - a, -1, -1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _monomial_index(degree: int) -> dict[tuple[int, int, int], int]:
-    return {m: i for i, m in enumerate(_monomials(degree))}
-
-
-@lru_cache(maxsize=None)
-def _step_tables(degree: int):
-    """Index plumbing for passing monomial images from degree-1 up to degree.
-
-    Returns per-axis lists of (child monomial index, parent monomial index)
-    pairs plus, for each axis, the map sending a degree-1 monomial index to
-    the index of the same monomial with that exponent raised by one.
-    """
-    monos = _monomials(degree)
-    idx_prev = _monomial_index(degree - 1)
-    idx_cur = _monomial_index(degree)
-    by_axis: list[tuple[np.ndarray, np.ndarray]] = []
-    for axis in range(3):
-        children = []
-        parents = []
-        for t, m in enumerate(monos):
-            first = 0 if m[0] else (1 if m[1] else 2)
-            if first != axis:
-                continue
-            parent = list(m)
-            parent[axis] -= 1
-            children.append(t)
-            parents.append(idx_prev[tuple(parent)])
-        by_axis.append((np.array(children, dtype=np.intp), np.array(parents, dtype=np.intp)))
-    shifts = []
-    for axis in range(3):
-        table = []
-        for m in _monomials(degree - 1):
-            raised = list(m)
-            raised[axis] += 1
-            table.append(idx_cur[tuple(raised)])
-        shifts.append(np.array(table, dtype=np.intp))
-    return by_axis, shifts
-
-
-def _advance_images(prev: np.ndarray, degree: int, sub_rows) -> np.ndarray:
-    """Images of degree-`degree` monomials given those one degree down.
-
-    `prev` has one row per degree-1 source monomial holding the expansion
-    of its substituted image, and `sub_rows[i]` is the linear form that the
-    variable of axis i is replaced by.
-    """
-    by_axis, shifts = _step_tables(degree)
-    size = len(_monomials(degree))
-    out = np.zeros((size, size), dtype=object)
-    for axis in range(3):
-        children, parents = by_axis[axis]
-        if len(children) == 0:
-            continue
-        block = np.zeros((len(children), size), dtype=object)
-        parent_rows = prev[parents]
-        for var in range(3):
-            coeff = sub_rows[axis][var]
-            if coeff:
-                block[:, shifts[var]] += coeff * parent_rows
-        out[children] = block
-    return out
-
-
-def monomial_substitution_matrix(sub_rows, degree: int) -> np.ndarray:
-    """Matrix of a linear substitution on degree-`degree` monomials.
-
-    Row s holds the coefficients, over the degree-`degree` monomial list,
-    of the image of source monomial s.  Entries are exact integers.
-    """
-    mat = np.ones((1, 1), dtype=object)
-    for d in range(1, degree + 1):
-        mat = _advance_images(mat, d, sub_rows)
-    return mat
-
-
-def _laplacian_image(vec, degree: int) -> list[int]:
-    """Apply the flat Laplacian to a degree-`degree` coefficient vector."""
-    if degree < 2:
-        return []
-    idx_lower = _monomial_index(degree - 2)
-    out = [0] * len(_monomials(degree - 2))
-    for (a, b, c), v in zip(_monomials(degree), vec):
-        if not v:
-            continue
-        if a >= 2:
-            out[idx_lower[(a - 2, b, c)]] += a * (a - 1) * v
-        if b >= 2:
-            out[idx_lower[(a, b - 2, c)]] += b * (b - 1) * v
-        if c >= 2:
-            out[idx_lower[(a, b, c - 2)]] += c * (c - 1) * v
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Harmonic basis and Gram matrix
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HarmonicBasis:
-    """Integer basis of the degree-`degree` harmonic polynomials.
-
-    Each row of `polynomials` lists coefficients over `monomials`.  The
-    vectors come out of a kernel elimination, one per free column, so row
-    j is the only basis vector with a nonzero entry at monomial index
-    pivots[j]; coordinates in this basis can therefore be read off
-    directly from those positions.
-    """
-
-    degree: int
-    monomials: tuple[tuple[int, int, int], ...]
-    polynomials: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.polynomials)
-
-    def coordinates(self, vec) -> list[Fraction]:
-        """Coordinates of a vector known to lie in the span of the basis."""
-        return [
-            Fraction(int(vec[piv]), row[piv])
-            for piv, row in zip(self.pivots, self.polynomials)
-        ]
-
-
-@lru_cache(maxsize=None)
-def harmonic_basis(degree: int) -> HarmonicBasis:
-    """Kernel of the Laplacian on degree-`degree` monomial coefficients.
-
-    The Laplacian preserves exponent parities, so the elimination runs on
-    each of the four parity classes separately; this keeps the integer
-    entries small and the kernel vectors supported on a single class.
-    """
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    monos = _monomials(degree)
-    if degree < 2:
-        dim = len(monos)
-        polys = tuple(
-            tuple(int(i == j) for j in range(dim)) for i in range(dim)
-        )
-        return HarmonicBasis(degree, monos, polys, tuple(range(dim)))
-
-    idx_lower = _monomial_index(degree - 2)
-    classes: dict[tuple[int, int, int], list[int]] = {}
-    for i, (a, b, c) in enumerate(monos):
-        classes.setdefault((a & 1, b & 1, c & 1), []).append(i)
-
-    vectors: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    for _, cols in sorted(classes.items(), key=lambda kv: kv[1][0]):
-        rows_present = sorted(
-            {
-                idx_lower[target]
-                for ci in cols
-                for target in _lowerings(monos[ci])
-            }
-        )
-        row_pos = {r: i for i, r in enumerate(rows_present)}
-        mat = [[0] * len(cols) for _ in rows_present]
-        for j, ci in enumerate(cols):
-            a, b, c = monos[ci]
-            if a >= 2:
-                mat[row_pos[idx_lower[(a - 2, b, c)]]][j] += a * (a - 1)
-            if b >= 2:
-                mat[row_pos[idx_lower[(a, b - 2, c)]]][j] += b * (b - 1)
-            if c >= 2:
-                mat[row_pos[idx_lower[(a, b, c - 2)]]][j] += c * (c - 1)
-        local_kernel, free_local = kernel_with_free_columns(mat, len(cols))
-        for vec, fc in zip(local_kernel, free_local):
-            full = [0] * len(monos)
-            for j, ci in enumerate(cols):
-                full[ci] = vec[j]
-            vectors.append(tuple(full))
-            pivots.append(cols[fc])
-
-    if len(vectors) != 2 * degree + 1:
-        raise ConsistencyError(
-            f"harmonic space at degree {degree} has dimension {len(vectors)}, "
-            f"expected {2 * degree + 1}"
-        )
-    for vec in vectors:
-        if any(_laplacian_image(vec, degree)):
-            raise ConsistencyError("kernel vector is not annihilated by the Laplacian")
-    return HarmonicBasis(degree, monos, tuple(vectors), tuple(pivots))
-
-
-def _lowerings(m: tuple[int, int, int]):
-    a, b, c = m
-    if a >= 2:
-        yield (a - 2, b, c)
-    if b >= 2:
-        yield (a, b - 2, c)
-    if c >= 2:
-        yield (a, b, c - 2)
-
-
-@lru_cache(maxsize=None)
-def gram_matrix(basis: HarmonicBasis) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact pairwise integrals of the basis against the uniform sphere measure.
-
-    The monomial moment of x^a y^b z^c is
-    (a-1)!! (b-1)!! (c-1)!! / (a+b+c+1)!! when a, b, c are all even and 0
-    otherwise, so the whole matrix shares denominator (2*degree+1)!!.
-    """
-    l = basis.degree
-    denom = double_factorial(2 * l + 1)
-    monos = basis.monomials
-    k = basis.dimension
-    bmat = np.array(basis.polynomials, dtype=object)
-
-    classes: dict[tuple[int, int, int], list[int]] = {}
-    for i, (a, b, c) in enumerate(monos):
-        classes.setdefault((a & 1, b & 1, c & 1), []).append(i)
-
-    total = np.zeros((k, k), dtype=object)
-    for cols in classes.values():
-        moment = np.zeros((len(cols), len(cols)), dtype=object)
-        for i, ci in enumerate(cols):
-            a1, b1, c1 = monos[ci]
-            for j in range(i, len(cols)):
-                a2, b2, c2 = monos[cols[j]]
-                a, b, c = a1 + a2, b1 + b2, c1 + c2
-                if a & 1 or b & 1 or c & 1:
-                    continue
-                val = (
-                    double_factorial(a - 1)
-                    * double_factorial(b - 1)
-                    * double_factorial(c - 1)
-                )
-                moment[i, j] = val
-                moment[j, i] = val
-        sub = bmat[:, cols]
-        total = total + object_matmul(object_matmul(sub, moment), sub.T)
-
-    gram = tuple(
-        tuple(Fraction(int(total[i, j]), denom) for j in range(k)) for i in range(k)
-    )
-    for i in range(k):
-        if gram[i][i] <= 0:
-            raise ConsistencyError("Gram matrix has a nonpositive diagonal entry")
-    return gram
-
+# Largest admissible |sum(eig) - tr T| relative to sum|eig|, and likewise
+# for the squares; Jacobi rounding leaves under 4e-15 for p = 5, 13, 17, 29
+# through l = 32, 20, 12, 8.
+TRACE_TOLERANCE = 1e-9
 
 # ---------------------------------------------------------------------------
 # Koopman blocks
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KoopmanBlock:
-    """Exact matrix of the summed generator action on one harmonic degree."""
+    """Summed generator action on the degree-`degree` harmonics.
 
+    `numerators` holds p^degree times the block, as integers; rows and
+    columns follow the monomials x^(2l-k) y^k of Sym^{2l}(C^2), and column
+    k is the image of monomial k.  Blocks compare and hash by identity, so
+    caches keyed by a block never hash its entries.
+    """
+
+    p: int
     degree: int
-    matrix: tuple[tuple[Fraction, ...], ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.matrix)
+        return len(self.numerators)
+
+    @property
+    def scale(self) -> int:
+        return self.p ** self.degree
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The block itself, as exact rationals."""
+        s = self.scale
+        return tuple(tuple(Fraction(x, s) for x in row) for row in self.numerators)
 
 
-class _GeneratorImages:
-    """Per-generator monomial image matrices, advanced degree by degree.
+def _quaternion_matrix(q: LipschitzQuaternion) -> tuple[tuple[int, int], ...]:
+    """[[a+bi, c+di], [-c+di, a-bi]] as (real, imaginary) pairs, row by row."""
+    return ((q.x0, q.x1), (q.x2, q.x3), (-q.x2, q.x3), (q.x0, -q.x1))
+
+
+def _times_form(re: np.ndarray, im: np.ndarray, alpha, beta):
+    """Multiply every column, a form over x^(n-1-i) y^i, by alpha*x + beta*y."""
+    rows, cols = re.shape
+    out_re = np.zeros((rows + 1, cols), dtype=object)
+    out_im = np.zeros((rows + 1, cols), dtype=object)
+    for shift, (cr, ci) in ((0, alpha), (1, beta)):
+        if cr:
+            out_re[shift : shift + rows] += cr * re
+            out_im[shift : shift + rows] += cr * im
+        if ci:
+            out_re[shift : shift + rows] -= ci * im
+            out_im[shift : shift + rows] += ci * re
+    return out_re, out_im
+
+
+class _SymmetricPowers:
+    """Per-generator Sym^k of the quaternion matrices, advanced degree by degree.
 
     Only the frontier degree is kept; asking for a lower degree restarts
     the recursion from scratch, which callers avoid by scanning degrees in
     increasing order.
     """
 
-    def __init__(self, sub_rows_list):
-        self._subs = sub_rows_list
+    def __init__(self, matrices):
+        # Substituting (x, y) -> (x, y) M sends x to m00 x + m10 y and y to
+        # m01 x + m11 y, which makes Sym^k a homomorphism.
+        self._forms = [((m[0], m[2]), (m[1], m[3])) for m in matrices]
         self._reset()
 
     def _reset(self) -> None:
         self._degree = 0
-        self._mats = [np.ones((1, 1), dtype=object) for _ in self._subs]
+        one = np.ones((1, 1), dtype=object)
+        self._mats = [(one, np.zeros((1, 1), dtype=object)) for _ in self._forms]
 
-    def summed(self, degree: int) -> np.ndarray:
+    def summed(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of the sum over generators of Sym^degree."""
         if degree < self._degree:
             self._reset()
         while self._degree < degree:
-            d = self._degree + 1
-            self._mats = [
-                _advance_images(mat, d, rows)
-                for mat, rows in zip(self._mats, self._subs)
-            ]
-            self._degree = d
-        return reduce(lambda x, y: x + y, self._mats)
+            advanced = []
+            for (re, im), (x_form, y_form) in zip(self._mats, self._forms):
+                # Monomial j of the next degree is monomial j times x, except
+                # the last, y^(k+1), which is y^k times y.
+                head = _times_form(re, im, *x_form)
+                tail = _times_form(re[:, -1:], im[:, -1:], *y_form)
+                advanced.append((np.hstack([head[0], tail[0]]), np.hstack([head[1], tail[1]])))
+            self._mats = advanced
+            self._degree += 1
+        return sum(re for re, _ in self._mats), sum(im for _, im in self._mats)
 
 
-_IMAGE_CACHE: dict[GeneratorSet, _GeneratorImages] = {}
+_POWERS_CACHE: dict[GeneratorSet, _SymmetricPowers] = {}
 
 
-def _substitution_rows(rot: ExactRotation):
-    # f(v) pulls back to f(R^T v): variable i is replaced by the linear form
-    # whose coefficients are column i of the numerator matrix.
-    return tuple(
-        tuple(rot.num[j][i] for j in range(3)) for i in range(3)
-    )
-
-
-def _images_for(genset: GeneratorSet) -> _GeneratorImages:
-    cached = _IMAGE_CACHE.get(genset)
+def _powers_for(genset: GeneratorSet) -> _SymmetricPowers:
+    cached = _POWERS_CACHE.get(genset)
     if cached is None:
-        for rot in genset.rotations:
-            if rot.den_exp != 1 or rot.den_base != genset.p:
-                raise ValueError("generator rotations must have denominator p exactly")
-        cached = _GeneratorImages([_substitution_rows(r) for r in genset.rotations])
-        _IMAGE_CACHE[genset] = cached
+        for q in genset.source_quaternions:
+            if q.norm() != genset.p:
+                raise ValueError(f"generator quaternion {q} does not have norm {genset.p}")
+        cached = _SymmetricPowers([_quaternion_matrix(q) for q in genset.source_quaternions])
+        _POWERS_CACHE[genset] = cached
     return cached
-
-
-def rotation_block(rot: ExactRotation, degree: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact matrix of a single rotation's action on degree-`degree` harmonics."""
-    basis = harmonic_basis(degree)
-    mat = monomial_substitution_matrix(_substitution_rows(rot), degree)
-    bmat = np.array(basis.polynomials, dtype=object)
-    images = object_matmul(bmat, mat)
-    scale = (rot.den_base ** rot.den_exp) ** degree
-    cols = []
-    for j in range(basis.dimension):
-        img = list(images[j])
-        if any(_laplacian_image(img, degree)):
-            raise ConsistencyError("rotation image left the harmonic subspace")
-        cols.append([x / scale for x in basis.coordinates(img)])
-    k = basis.dimension
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
 @lru_cache(maxsize=None)
 def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
     """Matrix of the sum of all generator actions on degree-`degree` harmonics.
 
-    Exactness is certified twice: every image is annihilated by the integer
-    Laplacian before coordinates are read off, and the finished matrix A
-    must satisfy G A = A^T G exactly for the Gram matrix G.
+    Built as the sum of Sym^{2*degree} of the generators' quaternion
+    matrices.  Raises ConsistencyError unless the imaginary parts cancel
+    exactly and T[i][j] * binom(2l, j) == T[j][i] * binom(2l, i) for all
+    i, j, i.e. T is self-adjoint for the invariant pairing.
     """
     if degree < 1:
         raise ValueError(
             f"degree must be >= 1 (degree 0 carries the constants), got {degree}"
         )
-    basis = harmonic_basis(degree)
-    gram = gram_matrix(basis)
-    k = basis.dimension
-    summed = _images_for(genset).summed(degree)
-    bmat = np.array(basis.polynomials, dtype=object)
-    images = object_matmul(bmat, summed)
-    scale = genset.p ** degree
-    cols = []
-    for j in range(k):
-        img = list(images[j])
-        if any(_laplacian_image(img, degree)):
-            raise ConsistencyError("summed image left the harmonic subspace")
-        cols.append([x / scale for x in basis.coordinates(img)])
-    matrix = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-
-    a_den = 1
-    for row in matrix:
-        for x in row:
-            a_den = a_den * x.denominator // math.gcd(a_den, x.denominator)
-    g_den = double_factorial(2 * degree + 1)
-    a_num = np.array(
-        [[int(x * a_den) for x in row] for row in matrix], dtype=object
-    )
-    g_num = np.array(
-        [[int(x * g_den) for x in row] for row in gram], dtype=object
-    )
-    left = object_matmul(g_num, a_num)
-    right = object_matmul(a_num.T, g_num)
-    if not (left == right).all():
+    re, im = _powers_for(genset).summed(2 * degree)
+    if any(im.flat):
         raise ConsistencyError(
-            f"block at degree {degree} is not self-adjoint for the Gram pairing"
+            f"imaginary parts of the degree-{degree} block do not cancel; the "
+            "quaternions are not closed under conjugation"
         )
-    return KoopmanBlock(degree=degree, matrix=matrix, gram=gram)
+    weights = [math.comb(2 * degree, k) for k in range(2 * degree + 1)]
+    if not is_weighted_symmetric(re, weights):
+        raise ConsistencyError(
+            f"block at degree {degree} is not self-adjoint for the binomial pairing"
+        )
+    return KoopmanBlock(
+        p=genset.p,
+        degree=degree,
+        numerators=tuple(tuple(int(x) for x in row) for row in re),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,79 +217,47 @@ def jacobi_eigenvalues(sym: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     return np.sort(np.diag(a))
 
 
-def _to_longdouble(x: Fraction) -> np.longdouble:
-    """Round an exact rational to extended precision without a double detour.
+def check_traces(block: KoopmanBlock, eigenvalues) -> None:
+    """Require a float spectrum to reproduce the block's exact tr(T) and tr(T^2).
 
-    Big integers are fed to numpy in 32-bit chunks, since conversion of an
-    arbitrary Python int may silently pass through a 53-bit double.
+    The traces are computed exactly from the integer numerators, whose
+    moments are p^l and p^{2l} times those of T.  Raises ConsistencyError
+    when either sum misses by more than TRACE_TOLERANCE relative to
+    sum |eig| (respectively sum eig^2).
     """
-    num, den = x.numerator, x.denominator
-    if num == 0:
-        return np.longdouble(0.0)
-    sign = np.longdouble(-1.0) if num < 0 else np.longdouble(1.0)
-    num = abs(num)
-    shift = den.bit_length() - num.bit_length() + 64
-    if shift >= 0:
-        scaled = (num << shift) // den
-    else:
-        scaled = num // (den << -shift)
-    hi, lo = divmod(scaled, 1 << 32)
-    mant = np.longdouble(hi) * np.longdouble(4294967296.0) + np.longdouble(lo)
-    return sign * mant * np.longdouble(2.0) ** np.longdouble(-shift)
-
-
-def _fraction_matrix_longdouble(mat) -> np.ndarray:
-    return np.array([[_to_longdouble(x) for x in row] for row in mat], dtype=np.longdouble)
-
-
-def _cholesky_lower(g: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, written out so it runs at any float width."""
-    n = g.shape[0]
-    low = np.zeros_like(g)
-    for j in range(n):
-        s = g[j, j] - (low[j, :j] ** 2).sum()
-        if s <= 0:
-            raise ConsistencyError("Gram matrix is not numerically positive definite")
-        low[j, j] = np.sqrt(s)
-        if j + 1 < n:
-            low[j + 1 :, j] = (g[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return low
-
-
-def _solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution for low @ x = rhs with matrix right-hand side."""
-    x = np.array(rhs, copy=True)
-    for i in range(low.shape[0]):
-        x[i] = (x[i] - low[i, :i] @ x[:i]) / low[i, i]
-    return x
+    exact_trace, exact_square = trace_moments(block.numerators)
+    s = block.scale
+    eigs = np.asarray(eigenvalues, dtype=float)
+    for power, exact in ((1, exact_trace / s), (2, exact_square / (s * s))):
+        measured = float((eigs ** power).sum())
+        size = max(1.0, float((np.abs(eigs) ** power).sum()))
+        if abs(measured - exact) > TRACE_TOLERANCE * size:
+            raise ConsistencyError(
+                f"spectrum at degree {block.degree} gives tr(T^{power}) = {measured!r}, "
+                f"exact value {exact!r}"
+            )
 
 
 @lru_cache(maxsize=None)
 def block_spectrum(block: KoopmanBlock) -> tuple[float, ...]:
     """Eigenvalues of a block, ascending.
 
-    The matrix is similar to a symmetric one because of exact G-self-
-    adjointness; numerically this is realised by a diagonal rescale, a
-    Cholesky factor of the Gram matrix, and a congruence whose symmetry
-    defect must stay below 1e-10.  The congruence runs in the platform's
-    extended float type because the monomial-kernel basis leaves the Gram
-    matrix poorly conditioned at high degree.
+    Exact self-adjointness for the pairing diag(1/binom(2l, k)) makes
+    S[i][j] = T[i][j] * sqrt(binom(2l, j) / binom(2l, i)) symmetric; in
+    float64 its symmetry defect must stay below 1e-10, and the Jacobi
+    eigenvalues must pass check_traces.
     """
-    a = _fraction_matrix_longdouble(block.matrix)
-    g = _fraction_matrix_longdouble(block.gram)
-    d = np.sqrt(np.diag(g))
-    a1 = a * (d[:, None] / d[None, :])
-    g1 = g / np.outer(d, d)
-    chol = _cholesky_lower(g1)
-    y = _solve_lower(chol, a1.T).T
-    sym = chol.T @ y
+    weights = np.sqrt([float(math.comb(2 * block.degree, k)) for k in range(block.dimension)])
+    scaled = np.array(block.numerators, dtype=object) / block.scale
+    sym = scaled.astype(float) * (weights[None, :] / weights[:, None])
     defect = float(np.max(np.abs(sym - sym.T)))
     if defect >= 1e-10:
         raise ConsistencyError(
             f"symmetrised block has symmetry defect {defect:.3e} at degree {block.degree}"
         )
-    sym64 = (0.5 * (sym + sym.T)).astype(float)
-    return tuple(float(v) for v in jacobi_eigenvalues(sym64))
+    eigs = jacobi_eigenvalues(0.5 * (sym + sym.T))
+    check_traces(block, eigs)
+    return tuple(float(v) for v in eigs)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +346,7 @@ def sphere_discrepancy_estimate(p: int, n: int, shape: str, l_max: int) -> float
 
 
 def clear_caches() -> None:
-    """Drop all memoised bases, blocks, and generator image frontiers."""
-    _IMAGE_CACHE.clear()
-    harmonic_basis.cache_clear()
-    gram_matrix.cache_clear()
+    """Drop all memoised blocks, spectra, and symmetric-power frontiers."""
+    _POWERS_CACHE.clear()
     koopman_block.cache_clear()
     block_spectrum.cache_clear()
-    _monomials.cache_clear()
-    _monomial_index.cache_clear()
-    _step_tables.cache_clear()

@@ -96,9 +96,6 @@ class TorusGeneratorSet:
     def rank(self) -> int:
         return len(self.generators) // 2
 
-    def describe(self) -> str:
-        return f"{self.rank} torus automorphisms and inverses"
-
 
 def build_torus_genset(
     matrices: Sequence[Matrix2] | str,

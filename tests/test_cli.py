@@ -232,3 +232,15 @@ def test_report_envelopes_and_determinism(capsys):
     for env in envelopes:
         assert all(c["passed"] for c in env["checks"]), env["command"]
         assert "elapsed_ms" not in env
+
+
+def test_report_timings_cover_every_envelope(capsys):
+    code, plain, _ = run_cli(capsys, list(REPORT_FLAGS))
+    assert code == 0
+    code, timed, _ = run_cli(capsys, list(REPORT_FLAGS) + ["--timings"])
+    assert code == 0
+    envelopes = [json.loads(line) for line in timed.splitlines() if line]
+    assert len(envelopes) == 8
+    assert all(isinstance(env.pop("elapsed_ms"), float) for env in envelopes)
+    # without the timings the two runs print the same bytes
+    assert "".join(stable_dumps(env) + "\n" for env in envelopes) == plain

@@ -1,4 +1,4 @@
-"""Unit tests for fraction-free elimination and integer kernels."""
+"""Unit tests for the fraction-free elimination behind the harmonic oracle."""
 
 from math import gcd
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lps.exact import (
+from harmonic_oracle import (
     double_factorial,
     fraction_free_echelon,
     integer_kernel,

@@ -1,31 +1,99 @@
-"""Unit tests for harmonic bases, Koopman blocks, and their exact spectra."""
+"""Unit tests for the symmetric-power Koopman blocks and their spectra.
 
+The harmonic-polynomial route in `harmonic_oracle` is an independent
+reference: its own tests come first, then the blocks are checked against
+it and against a direct expansion of symmetric powers written here.
+"""
+
+import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lps.exact import object_matmul
-from lps.formulas import hecke_polynomial, lps_discrepancy
+import lps
+from harmonic_oracle import (
+    gram_matrix,
+    harmonic_basis,
+    harmonic_spectrum,
+    object_matmul,
+    rotation_block,
+)
+from lps.formulas import ConsistencyError, lps_discrepancy
 from lps.quaternions import LipschitzQuaternion, adjoint_rotation, build_generator_set
 from lps.sphere import (
     block_spectrum,
+    check_traces,
     clear_caches,
-    gram_matrix,
-    harmonic_basis,
     jacobi_eigenvalues,
     koopman_block,
-    rotation_block,
     sphere_discrepancy_estimate,
     verify_ramanujan,
 )
-from lps.words import enumerate_sphere, evaluate_word
+from lps.words import enumerate_sphere
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _quaternion_matrix(q):
+    """[[a+bi, c+di], [-c+di, a-bi]] with Gaussian integers as (re, im)."""
+    return [[(q.x0, q.x1), (q.x2, q.x3)], [(-q.x2, q.x3), (q.x0, -q.x1)]]
+
+
+def _matmul2(m, n):
+    return [
+        [_gadd(_gmul(m[i][0], n[0][j]), _gmul(m[i][1], n[1][j])) for j in range(2)]
+        for i in range(2)
+    ]
+
+
+def _symmetric_power(m, k):
+    """Sym^k(m) on forms over x^(k-i) y^i: column j expands x'^(k-j) y'^j.
+
+    x' = m00 x + m10 y and y' = m01 x + m11 y, the images under
+    (x, y) -> (x, y) m; each column is expanded directly, power by power.
+    """
+
+    def times(poly, a, b):
+        out = [(0, 0)] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            out[i] = _gadd(out[i], _gmul(c, a))
+            out[i + 1] = _gadd(out[i + 1], _gmul(c, b))
+        return out
+
+    cols = []
+    for j in range(k + 1):
+        poly = [(1, 0)]
+        for _ in range(k - j):
+            poly = times(poly, m[0][0], m[1][0])
+        for _ in range(j):
+            poly = times(poly, m[0][1], m[1][1])
+        cols.append(poly)
+    return [[cols[j][i] for j in range(k + 1)] for i in range(k + 1)]
+
+
+def _real_sum(mats):
+    """Entrywise sum of Gaussian-integer matrices, which must be real."""
+    dim = len(mats[0])
+    total = [[(0, 0)] * dim for _ in range(dim)]
+    for mat in mats:
+        total = [[_gadd(a, b) for a, b in zip(r, s)] for r, s in zip(total, mat)]
+    assert all(v[1] == 0 for row in total for v in row)
+    return [[v[0] for v in row] for row in total]
 
 
 @pytest.mark.parametrize("degree", range(1, 11))
 def test_harmonic_dimension_is_two_l_plus_one(degree):
     assert harmonic_basis(degree).dimension == 2 * degree + 1
+    assert koopman_block(build_generator_set(5), degree).dimension == 2 * degree + 1
 
 
 def test_harmonic_basis_degree_one_is_coordinates():
@@ -164,39 +232,112 @@ def test_koopman_block_degree_one_is_minus_two_fifths():
 
 
 def test_koopman_block_is_generator_sum():
-    genset = build_generator_set(5)
-    for degree in (1, 2):
-        dim = 2 * degree + 1
-        total = [[Fraction(0)] * dim for _ in range(dim)]
-        for g in genset.elements:
-            blk = rotation_block(g, degree)
-            for i in range(dim):
-                for j in range(dim):
-                    total[i][j] += blk[i][j]
-        block = koopman_block(genset, degree)
+    for p in (5, 13):
+        genset = build_generator_set(p)
+        for degree in (1, 2, 3):
+            powers = [
+                _symmetric_power(_quaternion_matrix(q), 2 * degree)
+                for q in genset.source_quaternions
+            ]
+            block = koopman_block(genset, degree)
+            assert block.scale == p**degree
+            assert [list(row) for row in block.numerators] == _real_sum(powers)
+            assert block.matrix == tuple(
+                tuple(Fraction(v, p**degree) for v in row) for row in _real_sum(powers)
+            )
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_koopman_block_is_self_adjoint_for_binomial_pairing(p):
+    genset = build_generator_set(p)
+    for degree in range(1, 9):
+        t = koopman_block(genset, degree).matrix
+        c = [math.comb(2 * degree, k) for k in range(2 * degree + 1)]
         assert all(
-            total[i][j] == block.matrix[i][j] for i in range(dim) for j in range(dim)
+            t[i][j] * c[j] == t[j][i] * c[i] for i in range(len(t)) for j in range(len(t))
         )
 
 
+def test_symmetric_powers_preserve_binomial_pairing():
+    # A* D A = p^k D with D = diag(1/binom(k, i)): each generator acts
+    # unitarily, up to its norm, for the diagonal pairing
+    for q in build_generator_set(5).source_quaternions:
+        for k in (2, 4, 6):
+            a = _symmetric_power(_quaternion_matrix(q), k)
+            d = [Fraction(1, math.comb(k, i)) for i in range(k + 1)]
+            for i in range(k + 1):
+                for j in range(k + 1):
+                    total = (0, 0)
+                    for r in range(k + 1):
+                        conj = (a[r][i][0], -a[r][i][1])
+                        term = _gmul(conj, a[r][j])
+                        total = _gadd(total, (term[0] * d[r], term[1] * d[r]))
+                    assert total == ((5**k * d[i] if i == j else 0), 0)
+
+
 def test_sphere_sum_satisfies_hecke_recursion():
-    # sum over reduced words of length 2 equals P_2 applied to the
-    # length-1 generator sum, block by harmonic block
+    # sum over reduced words of length 2 equals P_2(T) = T^2 - (p + 1) I,
+    # block by block; in numerators, N^2 - (p + 1) p^(2l) I
     genset = build_generator_set(5)
-    degree = 2
-    dim = 2 * degree + 1
-    total = [[Fraction(0)] * dim for _ in range(dim)]
-    for word in enumerate_sphere(genset, 2):
-        blk = rotation_block(evaluate_word(genset, word), degree)
+    mats = [_quaternion_matrix(q) for q in genset.source_quaternions]
+    for degree in (1, 2, 3):
+        dim = 2 * degree + 1
+        words = [
+            _symmetric_power(_matmul2(mats[a], mats[b]), 2 * degree)
+            for a, b in (w.letters for w in enumerate_sphere(genset, 2))
+        ]
+        total = _real_sum(words)
+        num = koopman_block(genset, degree).numerators
+        square = object_matmul(num, num)
+        shift = 6 * 5 ** (2 * degree)
         for i in range(dim):
             for j in range(dim):
-                total[i][j] += blk[i][j]
-    k1 = koopman_block(genset, degree).matrix
-    square = object_matmul(k1, k1)
-    for i in range(dim):
-        for j in range(dim):
-            expected = square[i][j] - (6 if i == j else 0)
-            assert total[i][j] == expected
+                assert total[i][j] == square[i][j] - (shift if i == j else 0)
+
+
+def test_block_rejects_generators_not_closed_under_conjugation():
+    genset = build_generator_set(5)
+    # Ad(1 + 2i) alone: its diagonal matrix has complex entries that no
+    # partner cancels
+    complex_only = dataclasses.replace(
+        genset, source_quaternions=(LipschitzQuaternion(1, 2, 0, 0),)
+    )
+    with pytest.raises(ConsistencyError, match="imaginary"):
+        koopman_block(complex_only, 1)
+    # 1 + 2j has a real matrix, but without 1 - 2j the sum is not
+    # self-adjoint
+    real_only = dataclasses.replace(
+        genset, source_quaternions=(LipschitzQuaternion(1, 0, 2, 0),)
+    )
+    with pytest.raises(ConsistencyError, match="self-adjoint"):
+        koopman_block(real_only, 1)
+    wrong_norm = dataclasses.replace(
+        genset, source_quaternions=(LipschitzQuaternion(1, 2, 2, 0),)
+    )
+    with pytest.raises(ValueError):
+        koopman_block(wrong_norm, 1)
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_spectra_match_harmonic_oracle(p):
+    genset = build_generator_set(p)
+    for degree in range(1, 7):
+        ours = np.array(block_spectrum(koopman_block(genset, degree)))
+        reference = harmonic_spectrum(genset, degree)
+        assert np.max(np.abs(ours - reference)) < 1e-12
+
+
+def test_check_traces_rejects_corrupted_spectrum():
+    block = koopman_block(build_generator_set(5), 6)
+    eigs = list(block_spectrum(block))
+    check_traces(block, eigs)
+    shifted = [eigs[0] + 1e-6] + eigs[1:]
+    with pytest.raises(ConsistencyError, match=r"tr\(T\^1\)"):
+        check_traces(block, shifted)
+    # same trace, different sum of squares
+    swapped = [eigs[0] + 1e-6] + eigs[1:-1] + [eigs[-1] - 1e-6]
+    with pytest.raises(ConsistencyError, match=r"tr\(T\^2\)"):
+        check_traces(block, swapped)
 
 
 def test_jacobi_matches_numpy_on_random_symmetric():
@@ -238,6 +379,15 @@ def test_verify_ramanujan_smoke():
     assert all(len(d.eigenvalues) == 2 * d.degree + 1 for d in report.per_degree)
     assert report.global_max_abs == max(d.max_abs for d in report.per_degree)
     assert report.global_max_abs <= report.bound + report.tolerance
+
+
+def test_verify_ramanujan_deep_in_plain_float64():
+    # the spectra need no extended precision anywhere in the package
+    sources = Path(lps.__file__).parent.glob("*.py")
+    assert not any("longdouble" in path.read_text() for path in sources)
+    report = verify_ramanujan(5, 32)
+    assert report.passed
+    assert abs(report.global_max_abs - 4.4475) < 1e-4
 
 
 def test_verify_ramanujan_rejects_bad_lmax():
