@@ -36,6 +36,7 @@ from .sphere import (
     block_spectrum,
     koopman_block,
     sphere_discrepancy_estimate,
+    sphere_discrepancy_profile,
     verify_ramanujan,
 )
 from .torus import (
@@ -95,6 +96,7 @@ __all__ = [
     "operator_norm_estimate",
     "regular_norm",
     "sphere_discrepancy_estimate",
+    "sphere_discrepancy_profile",
     "torus_discrepancy_check",
     "verify_freeness",
     "verify_ramanujan",

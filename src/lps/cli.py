@@ -9,6 +9,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -21,7 +22,12 @@ from .formulas import (
     regular_norm,
 )
 from .quaternions import build_generator_set, jacobi_count
-from .sphere import sphere_discrepancy_estimate, verify_ramanujan
+from .sphere import (
+    koopman_block,
+    sphere_discrepancy_estimate,
+    sphere_discrepancy_profile,
+    verify_ramanujan,
+)
 from .torus import (
     PRESETS,
     build_torus_genset,
@@ -98,8 +104,6 @@ class ReportEnvelope:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -119,11 +123,45 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands and the checks they share with the report.  Each command returns
+# its envelopes and, for tabular output, a CSV text.
 # ---------------------------------------------------------------------------
 
 
-def cmd_generators(args) -> tuple[ReportEnvelope, Optional[str]]:
+def _generator_checks(genset) -> list[CheckRecord]:
+    p = genset.p
+    return [
+        CheckRecord(
+            f"p{p}_generator_count",
+            len(genset.rotations) == p + 1,
+            float(len(genset.rotations)),
+            float(p + 1),
+        ),
+        CheckRecord(
+            f"p{p}_jacobi_count",
+            jacobi_count(p) == 8 * (p + 1),
+            float(jacobi_count(p)),
+            float(8 * (p + 1)),
+        ),
+    ]
+
+
+def _ball_check(prefix: str, report) -> CheckRecord:
+    return CheckRecord(
+        f"{prefix}ball_distinct",
+        report.is_free_to_radius,
+        float(report.ball_size_found),
+        float(report.ball_size_expected),
+    )
+
+
+def _below_closed_form(prefix: str, estimate: float, closed: float) -> CheckRecord:
+    return CheckRecord(
+        f"{prefix}below_closed_form", estimate <= closed + 1e-9, estimate, closed + 1e-9
+    )
+
+
+def cmd_generators(args) -> tuple[list[ReportEnvelope], Optional[str]]:
     genset = build_generator_set(args.prime)
     records = []
     for i, (q, rot) in enumerate(zip(genset.source_quaternions, genset.rotations)):
@@ -138,21 +176,7 @@ def cmd_generators(args) -> tuple[ReportEnvelope, Optional[str]]:
             }
         )
     results = {"p": args.prime, "rank": genset.rank, "generators": records}
-    checks = [
-        CheckRecord(
-            "generator_count",
-            len(records) == args.prime + 1,
-            float(len(records)),
-            float(args.prime + 1),
-        ),
-        CheckRecord(
-            "jacobi_count_matches",
-            jacobi_count(args.prime) == 8 * (args.prime + 1),
-            float(jacobi_count(args.prime)),
-            float(8 * (args.prime + 1)),
-        ),
-    ]
-    env = ReportEnvelope("generators", {"prime": args.prime}, results, checks)
+    env = ReportEnvelope("generators", {"prime": args.prime}, results, _generator_checks(genset))
     csv_text = None
     if args.format == "csv":
         header = (
@@ -168,10 +192,10 @@ def cmd_generators(args) -> tuple[ReportEnvelope, Optional[str]]:
             for r in records
         ]
         csv_text = _csv_text(header, rows)
-    return env, csv_text
+    return [env], csv_text
 
 
-def cmd_norms(args) -> tuple[ReportEnvelope, Optional[str]]:
+def cmd_norms(args) -> tuple[list[ReportEnvelope], Optional[str]]:
     q = args.q
     rows = []
     for n in range(args.n_max + 1):
@@ -192,10 +216,10 @@ def cmd_norms(args) -> tuple[ReportEnvelope, Optional[str]]:
         header = ["n", "sphere_count", "ball_count", "sphere_norm", "ball_norm", "c_factor"]
         csv_rows = [[r[h] for h in header] for r in rows]
         csv_text = _csv_text(header, csv_rows)
-    return env, csv_text
+    return [env], csv_text
 
 
-def _envelope_verify_ramanujan(prime: int, l_max: int, tol: float) -> ReportEnvelope:
+def _ramanujan_envelope(command: str, prime: int, l_max: int, tol: float) -> ReportEnvelope:
     report = verify_ramanujan(prime, l_max, tolerance=tol)
     per_degree = [
         {
@@ -214,10 +238,6 @@ def _envelope_verify_ramanujan(prime: int, l_max: int, tol: float) -> ReportEnve
         )
     ]
     if prime == 5:
-        from fractions import Fraction
-
-        from .sphere import koopman_block
-
         block = koopman_block(build_generator_set(5), 1)
         target = Fraction(-2, 5)
         exact = all(
@@ -243,11 +263,15 @@ def _envelope_verify_ramanujan(prime: int, l_max: int, tol: float) -> ReportEnve
         "per_degree": per_degree,
     }
     return ReportEnvelope(
-        "verify.ramanujan",
+        command,
         {"l_max": l_max, "prime": prime, "tol": tol},
         results,
         checks,
     )
+
+
+def cmd_verify_ramanujan(args) -> tuple[list[ReportEnvelope], None]:
+    return [_ramanujan_envelope("verify.ramanujan", args.prime, args.l_max, args.tol)], None
 
 
 def _load_genset_argument(selector: str):
@@ -256,7 +280,7 @@ def _load_genset_argument(selector: str):
     return build_torus_genset(load_generator_matrices(selector)), selector
 
 
-def _envelope_verify_freeness(args) -> ReportEnvelope:
+def cmd_verify_freeness(args) -> tuple[list[ReportEnvelope], None]:
     if args.generators:
         genset, label = _load_genset_argument(args.generators)
         params = {"generators": label, "radius": args.radius}
@@ -276,18 +300,10 @@ def _envelope_verify_freeness(args) -> ReportEnvelope:
             else [list(report.first_collision[0].letters), list(report.first_collision[1].letters)]
         ),
     }
-    checks = [
-        CheckRecord(
-            "ball_has_expected_size",
-            report.is_free_to_radius,
-            float(report.ball_size_found),
-            float(report.ball_size_expected),
-        )
-    ]
-    return ReportEnvelope("verify.freeness", params, results, checks)
+    return [ReportEnvelope("verify.freeness", params, results, [_ball_check("", report)])], None
 
 
-def _envelope_verify_identities(q_list: list[int], n_max: int) -> ReportEnvelope:
+def _identities_envelope(command: str, q_list: list[int], n_max: int) -> ReportEnvelope:
     checks = []
     detail = []
     for q in q_list:
@@ -342,16 +358,21 @@ def _envelope_verify_identities(q_list: list[int], n_max: int) -> ReportEnvelope
             }
         )
     return ReportEnvelope(
-        "verify.identities",
+        command,
         {"n_max": n_max, "q_list": q_list},
         {"per_q": detail},
         checks,
     )
 
 
-def _envelope_verify_torus(
-    genset, label: str, n: int, shapes: list[str], radii: list[int], tol: float, seed: int
+def cmd_verify_identities(args) -> tuple[list[ReportEnvelope], None]:
+    return [_identities_envelope("verify.identities", args.q_list, args.n_max)], None
+
+
+def _torus_envelope(
+    command: str, selector: str, n: int, shapes: list[str], radii: list[int], tol: float, seed: int
 ) -> ReportEnvelope:
+    genset, label = _load_genset_argument(selector)
     checks = []
     tables = []
     for shape in shapes:
@@ -383,7 +404,7 @@ def _envelope_verify_torus(
                 )
             )
     return ReportEnvelope(
-        "verify.torus",
+        command,
         {
             "generators": label,
             "n": n,
@@ -397,198 +418,129 @@ def _envelope_verify_torus(
     )
 
 
-def cmd_sphere_discrepancy(args) -> ReportEnvelope:
+def cmd_verify_torus(args) -> tuple[list[ReportEnvelope], None]:
+    shapes = ["sphere", "ball"] if args.shape == "both" else [args.shape]
+    env = _torus_envelope(
+        "verify.torus", args.generators, args.n, shapes, args.windows, args.tol, args.seed
+    )
+    return [env], None
+
+
+def cmd_sphere_discrepancy(args) -> tuple[list[ReportEnvelope], None]:
     closed = lps_discrepancy(args.prime, args.n, args.shape)
-    running = []
-    estimate = 0.0
-    for l in range(1, args.l_max + 1):
-        estimate = max(
-            estimate, sphere_discrepancy_estimate(args.prime, args.n, args.shape, l)
-        )
-        running.append({"l_max": l, "estimate": estimate})
-    checks = [
-        CheckRecord(
-            "estimate_below_closed_form", estimate <= closed + 1e-9, estimate, closed + 1e-9
-        ),
-        CheckRecord(
-            "estimates_nondecreasing_in_l",
-            all(
-                running[i]["estimate"] <= running[i + 1]["estimate"] + 1e-15
-                for i in range(len(running) - 1)
-            ),
-            running[-1]["estimate"] - running[0]["estimate"],
-            0.0,
-        ),
-    ]
+    profile = sphere_discrepancy_profile(args.prime, args.n, args.shape, args.l_max)
+    estimate = profile[-1]
     results = {
         "closed_form": closed,
         "estimate": estimate,
         "fill_ratio": estimate / closed,
-        "running": running,
+        "running": [{"l_max": l, "estimate": e} for l, e in enumerate(profile, 1)],
     }
-    return ReportEnvelope(
+    env = ReportEnvelope(
         "sphere-discrepancy",
         {"l_max": args.l_max, "n": args.n, "prime": args.prime, "shape": args.shape},
         results,
-        checks,
+        [_below_closed_form("estimate_", estimate, closed)],
+    )
+    return [env], None
+
+
+# ---------------------------------------------------------------------------
+# The report: a fixed sequence of the builders above plus its own envelopes
+# ---------------------------------------------------------------------------
+
+
+def _report_generators(primes: list[int]) -> ReportEnvelope:
+    checks = [c for p in primes for c in _generator_checks(build_generator_set(p))]
+    return ReportEnvelope("report.generators", {"primes": primes}, {}, checks)
+
+
+def _report_freeness(radius: int, sanov_radius: int) -> ReportEnvelope:
+    free_q = verify_freeness(build_generator_set(5), radius)
+    free_s = verify_freeness(build_torus_genset("sanov"), sanov_radius)
+    return ReportEnvelope(
+        "report.freeness",
+        {"prime_radius": radius, "sanov_radius": sanov_radius},
+        {"prime_ball": free_q.ball_size_found, "sanov_ball": free_s.ball_size_found},
+        [_ball_check("p5_", free_q), _ball_check("sanov_", free_s)],
     )
 
 
-def cmd_report(args) -> tuple[list[ReportEnvelope], bool]:
-    envelopes = []
-    mark = time.perf_counter()
-
-    def add(env: ReportEnvelope) -> None:
-        # Each envelope is charged the time since the previous one was added,
-        # which is the time spent building it.
-        nonlocal mark
-        now = time.perf_counter()
-        env.elapsed_ms = (now - mark) * 1000.0
-        mark = now
-        envelopes.append(env)
-
-    gen_checks = []
-    for p in (5, 13, 17, 29):
-        genset = build_generator_set(p)
-        gen_checks.append(
-            CheckRecord(
-                f"p{p}_generator_count",
-                len(genset.rotations) == p + 1,
-                float(len(genset.rotations)),
-                float(p + 1),
-            )
-        )
-        gen_checks.append(
-            CheckRecord(
-                f"p{p}_jacobi_count",
-                jacobi_count(p) == 8 * (p + 1),
-                float(jacobi_count(p)),
-                float(8 * (p + 1)),
-            )
-        )
-    add(
-        ReportEnvelope("report.generators", {"primes": [5, 13, 17, 29]}, {}, gen_checks)
-    )
-
-    free_q = verify_freeness(build_generator_set(5), args.radius)
-    free_s = verify_freeness(build_torus_genset("sanov"), args.sanov_radius)
-    add(
-        ReportEnvelope(
-            "report.freeness",
-            {"prime_radius": args.radius, "sanov_radius": args.sanov_radius},
-            {
-                "prime_ball": free_q.ball_size_found,
-                "sanov_ball": free_s.ball_size_found,
-            },
-            [
-                CheckRecord(
-                    "p5_ball_distinct",
-                    free_q.is_free_to_radius,
-                    float(free_q.ball_size_found),
-                    float(free_q.ball_size_expected),
-                ),
-                CheckRecord(
-                    "sanov_ball_distinct",
-                    free_s.is_free_to_radius,
-                    float(free_s.ball_size_found),
-                    float(free_s.ball_size_expected),
-                ),
-            ],
-        )
-    )
-
-    identities = _envelope_verify_identities([2, 3, 5, 9, 13], 12)
-    identities.command = "report.identities"
-    add(identities)
-
-    ramanujan = _envelope_verify_ramanujan(5, args.l_max, 1e-8)
-    ramanujan.command = "report.ramanujan"
-    add(ramanujan)
-
-    sphere_checks = []
-    sphere_rows = []
+def _report_sphere_discrepancy(l_max: int) -> ReportEnvelope:
+    rows = []
+    checks = []
     for n in (1, 2, 3):
         for shape in ("sphere", "ball"):
             closed = lps_discrepancy(5, n, shape)
-            est = sphere_discrepancy_estimate(5, n, shape, args.l_max)
-            half = sphere_discrepancy_estimate(5, n, shape, max(1, args.l_max // 2))
-            sphere_rows.append(
-                {"n": n, "shape": shape, "closed_form": closed, "estimate": est}
-            )
-            sphere_checks.append(
-                CheckRecord(
-                    f"{shape}_n{n}_below_closed_form",
-                    est <= closed + 1e-9,
-                    est,
-                    closed + 1e-9,
-                )
-            )
-            sphere_checks.append(
-                CheckRecord(
-                    f"{shape}_n{n}_monotone_in_l", half <= est + 1e-15, est - half, 0.0
-                )
-            )
-    add(
-        ReportEnvelope(
-            "report.sphere-discrepancy",
-            {"l_max": args.l_max, "prime": 5},
-            {"rows": sphere_rows},
-            sphere_checks,
-        )
+            est = sphere_discrepancy_estimate(5, n, shape, l_max)
+            rows.append({"n": n, "shape": shape, "closed_form": closed, "estimate": est})
+            checks.append(_below_closed_form(f"{shape}_n{n}_", est, closed))
+    return ReportEnvelope(
+        "report.sphere-discrepancy", {"l_max": l_max, "prime": 5}, {"rows": rows}, checks
     )
 
-    windows = args.windows
-    torus_env = _envelope_verify_torus(
-        build_torus_genset("sanov"),
-        "preset:sanov",
-        1,
-        ["sphere", "ball"],
-        windows,
-        args.tol,
-        args.seed,
-    )
-    torus_env.command = "report.torus"
-    rank_one = build_torus_genset("rank-one")
+
+def _report_torus(windows: list[int], tol: float, seed: int) -> ReportEnvelope:
+    env = _torus_envelope("report.torus", "sanov", 1, ["sphere", "ball"], windows, tol, seed)
     table = torus_discrepancy_check(
-        rank_one, 1, "sphere", [windows[-1]], tol=args.tol, seed=args.seed
+        build_torus_genset("rank-one"), 1, "sphere", [windows[-1]], tol=tol, seed=seed
     )
     amenable_est = table.rows[-1].estimate
-    torus_env.checks.append(
-        CheckRecord(
-            "rank_one_estimate_near_one", amenable_est >= 0.95, amenable_est, 0.95
-        )
+    env.checks.append(
+        CheckRecord("rank_one_estimate_near_one", amenable_est >= 0.95, amenable_est, 0.95)
     )
-    torus_env.results["rank_one_estimate"] = amenable_est
-    add(torus_env)
+    env.results["rank_one_estimate"] = amenable_est
+    return env
 
-    degenerate_checks = []
-    worst = 0.0
-    for n in range(11):
-        for shape in ("sphere", "ball"):
-            worst = max(worst, abs(regular_norm(1, n, shape) - 1.0))
-    degenerate_checks.append(
-        CheckRecord("q1_norms_identically_one", worst == 0.0, worst, 0.0)
+
+def _report_degenerate() -> ReportEnvelope:
+    worst = max(
+        abs(regular_norm(1, n, shape) - 1.0) for n in range(11) for shape in ("sphere", "ball")
     )
-    add(
-        ReportEnvelope("report.degenerate", {"n_max": 10, "q": 1}, {}, degenerate_checks)
+    return ReportEnvelope(
+        "report.degenerate",
+        {"n_max": 10, "q": 1},
+        {},
+        [CheckRecord("q1_norms_identically_one", worst == 0.0, worst, 0.0)],
     )
 
-    first = "\n".join(stable_dumps(e.as_dict()) for e in envelopes)
-    second = "\n".join(stable_dumps(e.as_dict()) for e in envelopes)
-    deterministic = first == second
-    add(
-        ReportEnvelope(
-            "report.determinism",
-            {},
-            {"bytes": len(first)},
-            [
-                CheckRecord(
-                    "serialisation_repeatable", deterministic, float(len(first)), float(len(second))
-                )
-            ],
-        )
+
+def _report_determinism(envelopes: list[ReportEnvelope]) -> ReportEnvelope:
+    """Byte count of the envelopes so far, which must be strict JSON.
+
+    stable_dumps writes NaN and infinities bare, and strict JSON readers
+    reject those tokens; json.loads hands each one to parse_constant.
+    """
+    text = "\n".join(stable_dumps(e.as_dict()) for e in envelopes)
+    bare = []
+    for line in text.splitlines():
+        json.loads(line, parse_constant=bare.append)
+    return ReportEnvelope(
+        "report.determinism",
+        {},
+        {"bytes": len(text)},
+        [CheckRecord("no_nan_or_infinity", not bare, float(len(bare)), 0.0)],
     )
-    return envelopes, all(e.passed for e in envelopes)
+
+
+def cmd_report(args) -> tuple[list[ReportEnvelope], None]:
+    envelopes: list[ReportEnvelope] = []
+    # The last builder reads `envelopes`, which by then holds the other seven.
+    for build, *params in (
+        (_report_generators, [5, 13, 17, 29]),
+        (_report_freeness, args.radius, args.sanov_radius),
+        (_identities_envelope, "report.identities", [2, 3, 5, 9, 13], 12),
+        (_ramanujan_envelope, "report.ramanujan", 5, args.l_max, 1e-8),
+        (_report_sphere_discrepancy, args.l_max),
+        (_report_torus, args.windows, args.tol, args.seed),
+        (_report_degenerate,),
+        (_report_determinism, envelopes),
+    ):
+        started = time.perf_counter()
+        env = build(*params)
+        env.elapsed_ms = (time.perf_counter() - started) * 1000.0
+        envelopes.append(env)
+    return envelopes, None
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def common(p, handler, tabular=False):
+        p.set_defaults(handler=handler)
+        if tabular:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument(
             "--timings", action="store_true", help="include wall-clock timings"
@@ -623,12 +577,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generators", help="emit the norm-p rotation generators")
     p_gen.add_argument("--prime", type=int, required=True)
-    common(p_gen)
+    common(p_gen, cmd_generators, tabular=True)
 
     p_norms = sub.add_parser("norms", help="table of exact averaging norms")
     p_norms.add_argument("--q", type=int, required=True)
     p_norms.add_argument("--n-max", type=int, required=True)
-    common(p_norms)
+    common(p_norms, cmd_norms, tabular=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     v_sub = p_verify.add_subparsers(dest="target", required=True)
@@ -637,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ram.add_argument("--prime", type=int, required=True)
     p_ram.add_argument("--l-max", type=int, default=24)
     p_ram.add_argument("--tol", type=float, default=1e-8)
-    common(p_ram)
+    common(p_ram, cmd_verify_ramanujan)
 
     p_free = v_sub.add_parser("freeness", help="distinctness of short products")
     group = p_free.add_mutually_exclusive_group(required=True)
@@ -648,12 +602,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_free.add_argument("--radius", type=int, required=True)
     p_free.add_argument("--budget", type=int, default=10 ** 6)
-    common(p_free)
+    common(p_free, cmd_verify_freeness)
 
     p_ident = v_sub.add_parser("identities", help="cross-check closed forms")
     p_ident.add_argument("--q-list", type=_int_list, default=[2, 3, 5, 9, 13])
     p_ident.add_argument("--n-max", type=int, default=12)
-    common(p_ident)
+    common(p_ident, cmd_verify_identities)
 
     p_torus = v_sub.add_parser("torus", help="windowed torus sandwich check")
     p_torus.add_argument("--generators", default="sanov")
@@ -662,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_torus.add_argument("--windows", type=_int_list, default=[64, 128, 256])
     p_torus.add_argument("--seed", type=int, default=42)
     p_torus.add_argument("--tol", type=float, default=1e-7)
-    common(p_torus)
+    common(p_torus, cmd_verify_torus)
 
     p_disc = sub.add_parser(
         "sphere-discrepancy", help="lower bound the sphere discrepancy from blocks"
@@ -671,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--n", type=int, required=True)
     p_disc.add_argument("--shape", choices=("sphere", "ball"), required=True)
     p_disc.add_argument("--l-max", type=int, default=24)
-    common(p_disc)
+    common(p_disc, cmd_sphere_discrepancy)
 
     p_rep = sub.add_parser("report", help="full acceptance sweep, one envelope per line")
     p_rep.add_argument("--l-max", type=int, default=24)
@@ -680,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--sanov-radius", type=int, default=8)
     p_rep.add_argument("--seed", type=int, default=42)
     p_rep.add_argument("--tol", type=float, default=1e-7)
-    common(p_rep)
+    common(p_rep, cmd_report)
 
     return parser
 
@@ -694,45 +648,19 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        if args.command == "generators":
-            env, csv_text = cmd_generators(args)
-        elif args.command == "norms":
-            env, csv_text = cmd_norms(args)
-        elif args.command == "verify":
-            csv_text = None
-            if args.target == "ramanujan":
-                env = _envelope_verify_ramanujan(args.prime, args.l_max, args.tol)
-            elif args.target == "freeness":
-                env = _envelope_verify_freeness(args)
-            elif args.target == "identities":
-                env = _envelope_verify_identities(args.q_list, args.n_max)
-            else:
-                genset, label = _load_genset_argument(args.generators)
-                shapes = ["sphere", "ball"] if args.shape == "both" else [args.shape]
-                env = _envelope_verify_torus(
-                    genset, label, args.n, shapes, args.windows, args.tol, args.seed
-                )
-        elif args.command == "sphere-discrepancy":
-            csv_text = None
-            env = cmd_sphere_discrepancy(args)
-        else:
-            envelopes, all_passed = cmd_report(args)
-            text = "\n".join(stable_dumps(e.as_dict(args.timings)) for e in envelopes) + "\n"
-            _emit(text, args.out)
-            return 0 if all_passed else 1
-    except EnumerationBudgetError as exc:
+        envelopes, text = args.handler(args)
+    except (EnumerationBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    env.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if csv_text is not None:
-        _emit(csv_text, args.out)
-    else:
-        _emit(stable_dumps(env.as_dict(args.timings)) + "\n", args.out)
-    return 0 if env.passed else 1
+    # Envelopes their command did not time itself are charged the whole run.
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    for env in envelopes:
+        if env.elapsed_ms is None:
+            env.elapsed_ms = elapsed_ms
+    if text is None:
+        text = "".join(stable_dumps(e.as_dict(args.timings)) + "\n" for e in envelopes)
+    _emit(text, args.out)
+    return 0 if all(e.passed for e in envelopes) else 1
 
 
 def entrypoint() -> None:

@@ -316,13 +316,14 @@ def verify_ramanujan(p: int, l_max: int, tolerance: float = 1e-8) -> RamanujanRe
     )
 
 
-def sphere_discrepancy_estimate(p: int, n: int, shape: str, l_max: int) -> float:
-    """Certified lower bound on the radius-n averaging norm from finite blocks.
+def sphere_discrepancy_profile(p: int, n: int, shape: str, l_max: int) -> tuple[float, ...]:
+    """Certified lower bounds on the radius-n averaging norm, one per l_max.
 
-    Every harmonic degree is a genuine invariant subspace of the mean-zero
-    space, so the largest block value of |P_n| / |S_n| (or of the summed
-    ball polynomial over |B_n|) can only underestimate the true norm, and
-    grows monotonically with l_max.
+    Entry l - 1 is the largest value of |P_n(eig)| / |S_n| (or of the
+    summed ball polynomial over |B_n|) over the block spectra of degrees
+    1..l.  Every harmonic degree is a genuine invariant subspace of the
+    mean-zero space, so each entry can only underestimate the true norm;
+    one scan of the degrees yields the whole nondecreasing profile.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -334,6 +335,7 @@ def sphere_discrepancy_estimate(p: int, n: int, shape: str, l_max: int) -> float
     polys = [hecke_polynomial(p, k) for k in range(n + 1)]
     sphere_count, ball_count = word_counts(p, n)
     best = 0.0
+    profile = []
     for degree in range(1, l_max + 1):
         eigs = block_spectrum(koopman_block(genset, degree))
         for lam in eigs:
@@ -342,7 +344,16 @@ def sphere_discrepancy_estimate(p: int, n: int, shape: str, l_max: int) -> float
             else:
                 val = abs(sum(poly(lam) for poly in polys)) / ball_count
             best = max(best, val)
-    return best
+        profile.append(best)
+    return tuple(profile)
+
+
+def sphere_discrepancy_estimate(p: int, n: int, shape: str, l_max: int) -> float:
+    """Certified lower bound on the radius-n averaging norm from degrees 1..l_max.
+
+    The last entry of sphere_discrepancy_profile.
+    """
+    return sphere_discrepancy_profile(p, n, shape, l_max)[-1]
 
 
 def clear_caches() -> None:

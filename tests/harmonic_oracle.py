@@ -75,7 +75,7 @@ def kernel_with_free_columns(
         x = [Fraction(0)] * ncols
         x[fc] = Fraction(1)
         for row, pc in reversed(list(zip(ech, piv_cols))):
-            s = sum(row[j] * x[j] for j in range(pc + 1, ncols))
+            s = sum((row[j] * x[j] for j in range(pc + 1, ncols)), Fraction(0))
             x[pc] = -s / row[pc]
         den = 1
         for xi in x:

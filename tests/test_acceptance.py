@@ -6,11 +6,13 @@ then asserts, so a full run shows eight lines regardless of verbosity.
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -228,14 +230,18 @@ def test_criterion_7_degenerate_value_one(capsys):
 
 
 def _cli_command():
+    """The installed `lps` script, else `python -m lps.cli` with `src` importable."""
     found = shutil.which("lps")
     if found:
-        return [found]
-    return [sys.executable, "-m", "lps.cli"]
+        return [found], None
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "lps.cli"], env
 
 
 def test_criterion_8_cli_determinism(capsys, tmp_path):
-    base = _cli_command()
+    base, env = _cli_command()
     report_flags = [
         "report",
         "--l-max", "3",
@@ -244,8 +250,8 @@ def test_criterion_8_cli_determinism(capsys, tmp_path):
         "--sanov-radius", "4",
         "--seed", "42",
     ]
-    first = subprocess.run(base + report_flags, capture_output=True, text=True)
-    second = subprocess.run(base + report_flags, capture_output=True, text=True)
+    first = subprocess.run(base + report_flags, capture_output=True, text=True, env=env)
+    second = subprocess.run(base + report_flags, capture_output=True, text=True, env=env)
     identical = first.stdout == second.stdout and first.stdout
     passing = first.returncode == 0 and second.returncode == 0
 
@@ -255,11 +261,13 @@ def test_criterion_8_cli_determinism(capsys, tmp_path):
         base + ["verify", "freeness", "--generators", str(commuting), "--radius", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     malformed = subprocess.run(
         base + ["generators", "--prime", "5", "--format", "xml"],
         capture_output=True,
         text=True,
+        env=env,
     )
     ok = bool(
         identical

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import lps.cli
 from lps.cli import RAMANUJAN_FLOOR_P5_L24, main, stable_dumps
+from lps.sphere import sphere_discrepancy_profile
 
 
 def run_cli(capsys, argv):
@@ -199,7 +201,34 @@ def test_sphere_discrepancy_command(capsys):
     running = env["results"]["running"]
     values = [row["estimate"] for row in running]
     assert values == sorted(values)
+    assert [row["l_max"] for row in running] == list(range(1, 7))
+    profile = sphere_discrepancy_profile(5, 1, "sphere", 6)
+    assert values == [float(f"{v:.9g}") for v in profile]
+    assert env["results"]["estimate"] == values[-1]
+    assert [c["name"] for c in env["checks"]] == ["estimate_below_closed_form"]
     assert all(c["passed"] for c in env["checks"])
+
+
+def test_sphere_discrepancy_rejects_l_max_zero(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["sphere-discrepancy", "--prime", "5", "--n", "1", "--shape", "sphere", "--l-max", "0"],
+    )
+    assert code == 2
+    assert not out
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_format_only_on_tabular_commands(capsys):
+    assert main(["verify", "ramanujan", "--prime", "5", "--l-max", "2", "--format", "csv"]) == 2
+    assert main(["report", "--format", "json"]) == 2
+    argv = ["sphere-discrepancy", "--prime", "5", "--n", "1", "--shape", "sphere"]
+    assert main(argv + ["--format", "csv"]) == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, ["norms", "--q", "3", "--n-max", "2", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[0] == "n,sphere_count,ball_count,sphere_norm,ball_norm,c_factor"
 
 
 REPORT_FLAGS = [
@@ -244,3 +273,54 @@ def test_report_timings_cover_every_envelope(capsys):
     assert all(isinstance(env.pop("elapsed_ms"), float) for env in envelopes)
     # without the timings the two runs print the same bytes
     assert "".join(stable_dumps(env) + "\n" for env in envelopes) == plain
+
+
+def _report_envelopes(capsys, extra=()):
+    code, out, _ = run_cli(capsys, list(REPORT_FLAGS) + list(extra))
+    return code, {e["command"]: e for e in map(json.loads, out.splitlines())}
+
+
+def test_report_ramanujan_is_verify_ramanujan(capsys):
+    _, report = _report_envelopes(capsys)
+    code, out, _ = run_cli(capsys, ["verify", "ramanujan", "--prime", "5", "--l-max", "3"])
+    assert code == 0
+    standalone = parse_envelope(out)
+    for key in ("parameters", "results", "checks"):
+        assert report["report.ramanujan"][key] == standalone[key]
+
+
+def test_report_torus_sanov_is_verify_torus(capsys):
+    _, report = _report_envelopes(capsys, ["--seed", "7"])
+    code, out, _ = run_cli(
+        capsys, ["verify", "torus", "--generators", "sanov", "--windows", "4,8", "--seed", "7"]
+    )
+    assert code == 0
+    standalone = parse_envelope(out)
+    torus = report["report.torus"]
+    assert torus["parameters"] == standalone["parameters"]
+    assert torus["results"]["tables"] == standalone["results"]["tables"]
+    sanov_checks = [c for c in torus["checks"] if c["name"] != "rank_one_estimate_near_one"]
+    assert sanov_checks == standalone["checks"]
+
+
+def test_report_determinism_fails_on_nan(capsys, monkeypatch):
+    code, clean = _report_envelopes(capsys)
+    assert code == 0
+    assert [c["name"] for c in clean["report.determinism"]["checks"]] == ["no_nan_or_infinity"]
+
+    degenerate = lps.cli._report_degenerate
+
+    def with_nan():
+        env = degenerate()
+        env.results["injected"] = float("nan")
+        return env
+
+    monkeypatch.setattr(lps.cli, "_report_degenerate", with_nan)
+    code, out, _ = run_cli(capsys, list(REPORT_FLAGS))
+    assert code == 1
+    envelopes = [json.loads(line) for line in out.splitlines()]
+    failed = [
+        (e["command"], c["name"]) for e in envelopes for c in e["checks"] if not c["passed"]
+    ]
+    assert failed == [("report.determinism", "no_nan_or_infinity")]
+    assert envelopes[-1]["checks"][0]["measured"] == 1.0

@@ -21,7 +21,7 @@ from harmonic_oracle import (
     object_matmul,
     rotation_block,
 )
-from lps.formulas import ConsistencyError, lps_discrepancy
+from lps.formulas import ConsistencyError, hecke_polynomial, lps_discrepancy
 from lps.quaternions import LipschitzQuaternion, adjoint_rotation, build_generator_set
 from lps.sphere import (
     block_spectrum,
@@ -30,6 +30,7 @@ from lps.sphere import (
     jacobi_eigenvalues,
     koopman_block,
     sphere_discrepancy_estimate,
+    sphere_discrepancy_profile,
     verify_ramanujan,
 )
 from lps.words import enumerate_sphere
@@ -405,9 +406,37 @@ def test_sphere_discrepancy_estimate_certified(shape, n):
     assert values[0] > 0
 
 
+@pytest.mark.parametrize("p", [5, 13])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("shape", ["sphere", "ball"])
+def test_sphere_discrepancy_profile_matches_per_degree_spectra(p, n, shape):
+    l_max = 8
+    profile = sphere_discrepancy_profile(p, n, shape, l_max)
+    assert len(profile) == l_max
+    sphere_size = (p + 1) * p ** (n - 1)
+    ball_size = 1 + sum((p + 1) * p ** (k - 1) for k in range(1, n + 1))
+    for l in range(1, l_max + 1):
+        eigenvalues = [e for d in verify_ramanujan(p, l).per_degree for e in d.eigenvalues]
+        if shape == "sphere":
+            expected = max(abs(hecke_polynomial(p, n)(e)) for e in eigenvalues) / sphere_size
+        else:
+            expected = max(
+                abs(sum(hecke_polynomial(p, k)(e) for k in range(n + 1))) for e in eigenvalues
+            ) / ball_size
+        assert profile[l - 1] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert all(b >= a for a, b in zip(profile, profile[1:]))
+    assert profile[-1] == sphere_discrepancy_estimate(p, n, shape, l_max)
+
+
 def test_sphere_discrepancy_estimate_rejects_bad_shape():
     with pytest.raises(ValueError):
         sphere_discrepancy_estimate(5, 1, "disk", 4)
+
+
+@pytest.mark.parametrize("n, shape, l_max", [(1, "disk", 4), (0, "sphere", 4), (1, "sphere", 0)])
+def test_sphere_discrepancy_profile_rejects_bad_input(n, shape, l_max):
+    with pytest.raises(ValueError):
+        sphere_discrepancy_profile(5, n, shape, l_max)
 
 
 def test_clear_caches_preserves_results():
