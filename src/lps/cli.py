@@ -649,17 +649,17 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         envelopes, text = args.handler(args)
+        # Envelopes their command did not time itself are charged the whole run.
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        for env in envelopes:
+            if env.elapsed_ms is None:
+                env.elapsed_ms = elapsed_ms
+        if text is None:
+            text = "".join(stable_dumps(e.as_dict(args.timings)) + "\n" for e in envelopes)
+        _emit(text, args.out)
     except (EnumerationBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # Envelopes their command did not time itself are charged the whole run.
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    for env in envelopes:
-        if env.elapsed_ms is None:
-            env.elapsed_ms = elapsed_ms
-    if text is None:
-        text = "".join(stable_dumps(e.as_dict(args.timings)) + "\n" for e in envelopes)
-    _emit(text, args.out)
     return 0 if all(e.passed for e in envelopes) else 1
 
 

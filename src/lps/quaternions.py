@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+import numpy as np
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test for small moduli."""
@@ -119,11 +121,12 @@ def enumerate_representatives(p: int) -> list[LipschitzQuaternion]:
     return reps
 
 
-def _det3(m: tuple[tuple[int, int, int], ...]) -> int:
+def _det3(m: np.ndarray):
+    """Exact determinant of a 3x3 integer matrix, or of each in a (..., 3, 3) stack."""
     return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
     )
 
 
@@ -156,7 +159,7 @@ class ExactRotation:
                 expected = s * s if i == j else 0
                 if dot != expected:
                     raise ValueError("matrix columns are not orthogonal with norm den^2")
-        if _det3(self.num) != s ** 3:
+        if _det3(np.array(self.num, dtype=object)) != s ** 3:
             raise ValueError("matrix determinant is not den^3; not a rotation")
 
     @staticmethod
@@ -245,6 +248,20 @@ class GeneratorSet:
     @property
     def identity(self) -> ExactRotation:
         return ExactRotation.identity()
+
+    @property
+    def integer_matrices(self) -> tuple[tuple, int]:
+        """Each rotation's numerator over p (build_generator_set checks den_exp = 1)."""
+        return tuple(r.num for r in self.rotations), self.p
+
+    def check_products(self, products: np.ndarray, length: int) -> None:
+        """Require M^T M = p^(2k) I and det M = p^(3k) for each numerator M of a length-k word."""
+        s = self.p ** length
+        gram = np.matmul(np.swapaxes(products, -1, -2), products)
+        if not (gram == np.eye(3, dtype=products.dtype) * (s * s)).all():
+            raise ValueError(f"a length-{length} product is not orthogonal with norm p^{length}")
+        if not (_det3(products) == s ** 3).all():
+            raise ValueError(f"a length-{length} product does not have determinant p^{3 * length}")
 
 
 def build_generator_set(p: int) -> GeneratorSet:

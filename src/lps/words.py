@@ -8,9 +8,12 @@ the (q+1)-regular tree sphere count with q = (number of generators) - 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Optional, Protocol, Sequence
+
+import numpy as np
 
 
 class SymmetricGeneratorSet(Protocol):
@@ -21,6 +24,20 @@ class SymmetricGeneratorSet(Protocol):
 
     @property
     def identity(self): ...
+
+    @property
+    def integer_matrices(self) -> tuple[Sequence, int]:
+        """The elements as integer d x d matrices over one common denominator."""
+        ...
+
+    def check_products(self, products: np.ndarray, length: int) -> None:
+        """Raise ValueError unless products[i] / denominator**length is a group element.
+
+        `products` stacks the (d, d) numerators of products of `length`
+        elements.  The check is exact as long as its arithmetic does not
+        wrap, which verify_freeness guarantees by its choice of dtype.
+        """
+        ...
 
     inverse_of: tuple[int, ...]
 
@@ -110,10 +127,15 @@ def verify_freeness(
 ) -> FreenessReport:
     """Certify that reduced words of length <= n evaluate to distinct elements.
 
-    Walks the reduced-word tree depth first with exact incremental products,
-    so the first collision reported is the lexicographically earliest one.
-    A ball larger than `budget` raises EnumerationBudgetError rather than
-    silently truncating.
+    Walks the reduced-word tree one length at a time on integer arrays:
+    level k holds the numerators of every length-k product over the
+    generators' common denominator, in lexicographic order of the words,
+    and the generating set checks each level exactly.  Every level is then
+    scaled to the denominator**n and the distinct rows counted after a
+    lexicographic sort.  The first collision reported is the earliest word,
+    in depth-first pre-order, whose value an earlier word already took,
+    paired with the first word that took it.  A ball larger than `budget`
+    raises EnumerationBudgetError rather than silently truncating.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -125,29 +147,56 @@ def verify_freeness(
         raise EnumerationBudgetError(
             f"ball of radius {n} holds {expected} words, over the budget of {budget}"
         )
-    inverse_of = genset.inverse_of
-    elements = genset.elements
-    seen: dict = {genset.identity: Word(())}
+    matrices, den = genset.integer_matrices
+    gens = np.array(matrices, dtype=object)
+    k, d, _ = gens.shape
+    # Entries of a length-j numerator are at most bound**j, so the d! terms
+    # of its determinant, the largest intermediate, stay within
+    # d! * bound**(d*n).  Past 2**63 the walk runs on Python ints: int64
+    # would wrap silently, and wrapped products still pass the level
+    # checks, since those are polynomial identities that hold mod 2**64.
+    bound = max(den, max(sum(abs(v) for v in row) for m in matrices for row in m))
+    if math.factorial(d) * bound ** (d * n) < 2 ** 63:
+        gens = gens.astype(np.int64)
+    # The letter each letter bans next; the sentinel k stands for the empty
+    # word, which bans nothing.
+    bans = np.array(genset.inverse_of + (k,))
+    letters = np.arange(k)
+
+    # Per length, for each word: its value over den**n, its depth-first
+    # pre-order index, its parent's index one level up and its last letter.
+    products = np.eye(d, dtype=gens.dtype)[None]
+    last = np.array([k])
+    pre = np.zeros(1, dtype=np.int64)
+    levels = [(products * den ** n, pre, np.array([-1]), last)]
+    for length in range(1, n + 1):
+        banned = bans[last]
+        keep = (letters[None, :] != banned[:, None]).ravel()
+        parent = np.repeat(np.arange(len(products)), k)[keep]
+        last = np.tile(letters, len(products))[keep]
+        products = np.matmul(products[:, None], gens[None]).reshape(-1, d, d)[keep]
+        genset.check_products(products, length)
+        # Depth-first pre-order index: each earlier sibling's subtree, which
+        # holds sum_{t <= n - length} q**t words, comes first.
+        subtree = sum(q ** t for t in range(n - length + 1))
+        rank = last - (banned[parent] < last)
+        pre = pre[parent] + 1 + rank * subtree
+        levels.append((products * den ** (n - length), pre, parent, last))
+
+    values = np.concatenate([v for v, *_ in levels]).reshape(expected, d * d)
+    preorder = np.concatenate([p for _, p, *_ in levels])
+    order = np.lexsort((preorder,) + tuple(values.T))
+    repeats = np.flatnonzero((values[order[1:]] == values[order[:-1]]).all(axis=1))
     first_collision: Optional[tuple[Word, Word]] = None
-
-    def visit(prefix: tuple[int, ...], value, banned: int) -> None:
-        nonlocal first_collision
-        if len(prefix) == n:
-            return
-        for i in range(len(elements)):
-            if i == banned:
-                continue
-            child = value * elements[i]
-            word = Word(prefix + (i,))
-            if child in seen:
-                if first_collision is None:
-                    first_collision = (seen[child], word)
-            else:
-                seen[child] = word
-            visit(prefix + (i,), child, inverse_of[i])
-
-    visit((), genset.identity, -1)
-    found = len(seen)
+    if len(repeats):
+        # The earliest repeat is the second word of its value, so the word
+        # sorted just before it is the first.
+        at = repeats[np.argmin(preorder[order[repeats + 1]])]
+        first_collision = (
+            _word_at(levels, int(order[at])),
+            _word_at(levels, int(order[at + 1])),
+        )
+    found = expected - len(repeats)
     return FreenessReport(
         radius_checked=n,
         ball_size_expected=expected,
@@ -155,3 +204,16 @@ def verify_freeness(
         is_free_to_radius=(found == expected),
         first_collision=first_collision,
     )
+
+
+def _word_at(levels, index: int) -> Word:
+    """The word at position `index` of the concatenated levels, by parent links."""
+    length = 0
+    while index >= len(levels[length][1]):
+        index -= len(levels[length][1])
+        length += 1
+    letters = []
+    for _, _, parent, last in reversed(levels[1 : length + 1]):
+        letters.append(int(last[index]))
+        index = int(parent[index])
+    return Word(tuple(reversed(letters)))

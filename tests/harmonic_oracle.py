@@ -6,7 +6,8 @@ v, and the moment pairing over the sphere makes each summed block
 self-adjoint.  `lps.sphere` builds the same blocks as symmetric powers of
 the quaternion matrices instead; this module keeps the harmonic
 construction, exact and unoptimised, as an independent oracle for low
-degrees.
+degrees.  It also keeps a hand-written cyclic Jacobi eigensolver as a
+reference for the LAPACK spectra that `lps.sphere` computes.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import copysign, gcd, sqrt
 
 import numpy as np
 import scipy.linalg
+
+from lps.formulas import ConsistencyError
 
 # ---------------------------------------------------------------------------
 # Fraction-free integer elimination
@@ -248,3 +251,45 @@ def harmonic_spectrum(genset, degree: int) -> np.ndarray:
     if not (pencil == pencil.T).all():
         raise AssertionError("summed harmonic block is not self-adjoint for the Gram pairing")
     return scipy.linalg.eigh(pencil.astype(float), gram.astype(float), eigvals_only=True)
+
+
+# ---------------------------------------------------------------------------
+# Cyclic Jacobi eigenvalues
+# ---------------------------------------------------------------------------
+
+
+def jacobi_eigenvalues(sym: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
+    a = np.array(sym, dtype=float)
+    n = a.shape[0]
+    if n == 1:
+        return a.diagonal().copy()
+    scale = max(1.0, float(np.sqrt((a * a).sum())))
+    for _ in range(max_sweeps):
+        hollow = a - np.diag(np.diag(a))
+        off = float(np.sqrt((hollow * hollow).sum()))
+        if off <= 1e-14 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-18 * scale:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if theta == 0.0:
+                    t = 1.0
+                else:
+                    t = copysign(1.0, theta) / (abs(theta) + sqrt(theta * theta + 1.0))
+                c = 1.0 / sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+    else:
+        raise ConsistencyError("Jacobi eigenvalue iteration did not converge")
+    return np.sort(np.diag(a))

@@ -162,6 +162,16 @@ def test_verify_freeness_budget_exhaustion_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "x.json"
+    code, out, err = run_cli(capsys, ["generators", "--prime", "5", "--out", str(target)])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert out == ""
+    assert not target.exists()
+
+
 def test_verify_identities(capsys):
     code, out, _ = run_cli(
         capsys, ["verify", "identities", "--q-list", "2,3", "--n-max", "6"]

@@ -18,6 +18,7 @@ from harmonic_oracle import (
     gram_matrix,
     harmonic_basis,
     harmonic_spectrum,
+    jacobi_eigenvalues,
     object_matmul,
     rotation_block,
 )
@@ -27,7 +28,6 @@ from lps.sphere import (
     block_spectrum,
     check_traces,
     clear_caches,
-    jacobi_eigenvalues,
     koopman_block,
     sphere_discrepancy_estimate,
     sphere_discrepancy_profile,
@@ -354,6 +354,19 @@ def test_jacobi_matches_numpy_on_random_symmetric():
 def test_jacobi_on_diagonal_matrix():
     diag = np.diag([3.0, -1.0, 2.0])
     assert np.allclose(jacobi_eigenvalues(diag), [-1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_block_spectrum_matches_jacobi_oracle(p):
+    genset = build_generator_set(p)
+    for degree in range(1, 9):
+        block = koopman_block(genset, degree)
+        root = np.sqrt([float(math.comb(2 * degree, k)) for k in range(block.dimension)])
+        sym = np.array(block.numerators, dtype=float) / block.scale
+        sym = sym * (root[None, :] / root[:, None])
+        reference = jacobi_eigenvalues(0.5 * (sym + sym.T))
+        ours = np.array(block_spectrum(block))
+        assert np.max(np.abs(ours - reference)) < 1e-12
 
 
 def test_block_spectrum_degree_one():

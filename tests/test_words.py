@@ -1,10 +1,16 @@
 """Unit tests for reduced-word enumeration and freeness verification."""
 
-import pytest
-from hypothesis import given, strategies as st
+from functools import reduce
+from operator import mul
 
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import lps.words
+from freeness_oracle import reference_freeness
 from lps.quaternions import build_generator_set
-from lps.torus import build_torus_genset
+from lps.torus import TorusGenerator, build_torus_genset
 from lps.words import (
     EnumerationBudgetError,
     Word,
@@ -122,3 +128,94 @@ def test_freeness_detects_relations():
 def test_freeness_budget_guard():
     with pytest.raises(EnumerationBudgetError):
         verify_freeness(build_generator_set(5), 6, budget=100)
+
+
+# Products of these have determinant +-1; the swap makes odd counts -1.
+_ELEMENTARY = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, -1), (0, 1)), ((0, 1), (1, 0)))
+_unimodular = st.lists(st.sampled_from(_ELEMENTARY), min_size=1, max_size=4).map(
+    lambda ms: reduce(mul, map(TorusGenerator, ms)).matrix
+)
+_shear_pair = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+    lambda ab: (((1, ab[0]), (0, 1)), ((1, ab[1]), (0, 1)))
+)
+_generator_lists = st.one_of(
+    st.lists(_unimodular, min_size=1, max_size=3),
+    _shear_pair,  # commuting, so a b a^-1 b^-1 = 1 from radius 4 on
+    # m and m^2 commute
+    _unimodular.map(lambda m: (m, (TorusGenerator(m) * TorusGenerator(m)).matrix)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_generator_lists, st.integers(min_value=0, max_value=4))
+def test_array_walk_matches_reference_walk_on_torus_sets(matrices, radius):
+    try:
+        genset = build_torus_genset(matrices)
+    except ValueError:
+        assume(False)
+    assert verify_freeness(genset, radius) == reference_freeness(genset, radius)
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_array_walk_matches_reference_walk_on_rotations(p):
+    genset = build_generator_set(p)
+    for radius in range(4):
+        assert verify_freeness(genset, radius) == reference_freeness(genset, radius)
+
+
+@pytest.mark.parametrize(
+    "matrices, radius",
+    [
+        ((((1, 2 ** 40), (0, 1)), ((1, 0), (3, 1))), 3),
+        # a b and b a differ only by 2**64 on the diagonal, so any walk
+        # that wraps mod 2**64 reports a false collision at radius 2
+        ((((1, 2 ** 32), (0, 1)), ((1, 0), (2 ** 32, 1))), 2),
+    ],
+)
+def test_array_walk_stays_exact_past_int64(matrices, radius):
+    genset = build_torus_genset(matrices)
+    report = verify_freeness(genset, radius)
+    assert report == reference_freeness(genset, radius)
+    assert report.is_free_to_radius
+
+
+def test_array_walk_reports_first_collision_in_preorder():
+    genset = build_torus_genset((((1, 1), (0, 1)), ((1, 2), (0, 1))))
+    # letters a, b, a^-1, b^-1 with b = a^2: depth first, a a b^-1 = 1 is
+    # met before b = a a, which breadth first would find first
+    assert verify_freeness(genset, 3).first_collision == (Word(()), Word((0, 0, 3)))
+    assert verify_freeness(genset, 2).first_collision == (Word((0, 0)), Word((1,)))
+
+
+def test_freeness_budget_fires_before_any_array_work(monkeypatch):
+    monkeypatch.setattr(lps.words, "np", None)
+    with pytest.raises(EnumerationBudgetError):
+        verify_freeness(build_generator_set(5), 12)
+
+
+def test_freeness_radius_zero_is_the_identity():
+    for genset in (build_generator_set(5), build_torus_genset("sanov")):
+        report = verify_freeness(genset, 0)
+        assert report.ball_size_expected == report.ball_size_found == 1
+        assert report.is_free_to_radius
+        assert report.first_collision is None
+
+
+def test_level_checks_reject_corrupted_products():
+    rotations = build_generator_set(5)
+    matrices, p = rotations.integer_matrices
+    assert p == 5
+    products = np.array(matrices, dtype=np.int64)
+    rotations.check_products(products, 1)
+    with pytest.raises(ValueError, match="orthogonal"):
+        rotations.check_products(products * 2, 1)
+    with pytest.raises(ValueError, match="determinant"):
+        rotations.check_products(-products, 1)
+    sanov = build_torus_genset("sanov")
+    matrices, one = sanov.integer_matrices
+    assert one == 1
+    products = np.array(matrices, dtype=np.int64)
+    sanov.check_products(products, 1)
+    products[0, 0, 0] = 2
+    with pytest.raises(ValueError, match="automorphism"):
+        sanov.check_products(products, 1)
