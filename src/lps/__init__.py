@@ -55,8 +55,6 @@ from .words import (
     EnumerationBudgetError,
     FreenessReport,
     Word,
-    enumerate_sphere,
-    evaluate_word,
     verify_freeness,
     word_counts,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "c_factor",
     "character_action",
     "enumerate_representatives",
-    "enumerate_sphere",
-    "evaluate_word",
     "harish_chandra",
     "harish_chandra_boundary_sum",
     "hecke_polynomial",

@@ -121,7 +121,11 @@ def hecke_polynomial(q: int, n: int) -> HeckePolynomial:
     return HeckePolynomial(q, n, coeffs)
 
 
-def hecke_sup(q: int, n: int, grid_points: int = 2001) -> float:
+# Points of the uniform scan that seeds hecke_sup's golden-section refinement.
+SUP_GRID_POINTS = 2001
+
+
+def hecke_sup(q: int, n: int) -> float:
     """Sup of |P_n| over [-2*sqrt(q), 2*sqrt(q)] by dense scan plus refinement.
 
     The returned value must match the right-endpoint evaluation
@@ -132,17 +136,15 @@ def hecke_sup(q: int, n: int, grid_points: int = 2001) -> float:
     _require_regularity(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if grid_points < 1001:
-        raise ValueError(f"grid_points must be >= 1001, got {grid_points}")
     poly = hecke_polynomial(q, n)
     edge = 2.0 * math.sqrt(q)
-    xs = [-edge + (2.0 * edge) * i / (grid_points - 1) for i in range(grid_points)]
+    xs = [-edge + (2.0 * edge) * i / (SUP_GRID_POINTS - 1) for i in range(SUP_GRID_POINTS)]
     vals = [abs(poly(x)) for x in xs]
-    best = max(range(grid_points), key=vals.__getitem__)
+    best = max(range(SUP_GRID_POINTS), key=vals.__getitem__)
     sup = vals[best]
 
     lo = xs[max(best - 1, 0)]
-    hi = xs[min(best + 1, grid_points - 1)]
+    hi = xs[min(best + 1, SUP_GRID_POINTS - 1)]
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)

@@ -242,14 +242,6 @@ class GeneratorSet:
     source_quaternions: tuple[LipschitzQuaternion, ...]
 
     @property
-    def elements(self) -> tuple[ExactRotation, ...]:
-        return self.rotations
-
-    @property
-    def identity(self) -> ExactRotation:
-        return ExactRotation.identity()
-
-    @property
     def integer_matrices(self) -> tuple[tuple, int]:
         """Each rotation's numerator over p (build_generator_set checks den_exp = 1)."""
         return tuple(r.num for r in self.rotations), self.p

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse
 
 from .formulas import regular_norm
-from .words import Word, enumerate_sphere
+from .words import word_levels
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -32,6 +32,12 @@ PRESETS: dict[str, tuple[Matrix2, ...]] = {
     "sanov": SANOV_MATRICES,
     "rank-one": RANK_ONE_MATRICES,
 }
+
+# Slack of the window sandwich: an estimate may exceed the closed form by
+# UPPER_TOLERANCE and fall below the previous window's by
+# MONOTONICITY_TOLERANCE.
+UPPER_TOLERANCE = 1e-8
+MONOTONICITY_TOLERANCE = 1e-6
 
 
 class PowerIterationError(RuntimeError):
@@ -71,10 +77,6 @@ class TorusGenerator:
             ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
         )
 
-    @staticmethod
-    def identity_element() -> "TorusGenerator":
-        return TorusGenerator(((1, 0), (0, 1)))
-
 
 @dataclass(frozen=True)
 class TorusGeneratorSet:
@@ -83,14 +85,6 @@ class TorusGeneratorSet:
     generators: tuple[TorusGenerator, ...]
     inverse_of: tuple[int, ...]
     q: int
-
-    @property
-    def elements(self) -> tuple[TorusGenerator, ...]:
-        return self.generators
-
-    @property
-    def identity(self) -> TorusGenerator:
-        return TorusGenerator.identity_element()
 
     @property
     def integer_matrices(self) -> tuple[tuple[Matrix2, ...], int]:
@@ -144,18 +138,21 @@ def build_torus_genset(
 
 
 def load_generator_matrices(path: str) -> tuple[Matrix2, ...]:
-    """Read a JSON array of integer 2x2 matrices."""
+    """Read a JSON array of 2x2 matrices whose entries are JSON integers."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("generator file must hold a JSON array of 2x2 matrices")
-    out = []
     for entry in data:
-        rows = tuple(tuple(int(v) for v in row) for row in entry)
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError(f"not a 2x2 matrix: {entry!r}")
-        out.append(rows)
-    return tuple(out)
+        # type() rather than isinstance(): JSON true and false load as bools
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in entry)
+            and all(type(v) is int for row in entry for v in row)
+        ):
+            raise ValueError(f"not a 2x2 matrix of integers: {entry!r}")
+    return tuple(tuple(tuple(row) for row in entry) for entry in data)
 
 
 def character_matrix(g: TorusGenerator) -> Matrix2:
@@ -218,23 +215,6 @@ class WindowOperator:
     words_used: int
 
 
-def _word_character_matrix(genset: TorusGeneratorSet, word: Word) -> Matrix2:
-    mat = ((1, 0), (0, 1))
-    for letter in word.letters:
-        nxt = character_matrix(genset.elements[letter])
-        mat = (
-            (
-                mat[0][0] * nxt[0][0] + mat[0][1] * nxt[1][0],
-                mat[0][0] * nxt[0][1] + mat[0][1] * nxt[1][1],
-            ),
-            (
-                mat[1][0] * nxt[0][0] + mat[1][1] * nxt[1][0],
-                mat[1][0] * nxt[0][1] + mat[1][1] * nxt[1][1],
-            ),
-        )
-    return mat
-
-
 def window_operator(
     genset: TorusGeneratorSet, n: int, shape: str, radius: int
 ) -> WindowOperator:
@@ -250,21 +230,23 @@ def window_operator(
     if shape not in ("sphere", "ball"):
         raise ValueError(f"shape must be 'sphere' or 'ball', got {shape!r}")
     window = LatticeWindow(radius)
-    lengths = range(n, n + 1) if shape == "sphere" else range(n + 1)
-    words = [w for k in lengths for w in enumerate_sphere(genset, k)]
+    levels = word_levels(genset, n)
+    words = levels[n][0] if shape == "sphere" else np.concatenate([p for p, _, _ in levels])
+    # The character action of a word is (W^-1)^T; inversion permutes each
+    # sphere of reduced words, so summing the maps m -> W^T m instead gives
+    # the same operator.  Image coordinates of W^T m are at most the radius
+    # times a column sum of |W|, bounded here in Python ints so that the
+    # bound itself cannot wrap.
+    bound = radius * int(np.abs(words).sum(axis=1).max())
+    if bound >= 2 ** 62:
+        raise OverflowError("window images would overflow 64-bit lattice arithmetic")
+    words = words.astype(np.int64)
     pts = window.points
     src = np.arange(window.size, dtype=np.int64)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
-    for word in words:
-        mat = _word_character_matrix(genset, word)
-        flat = np.array(mat, dtype=np.int64)
-        bound = window.radius * (np.abs(flat).sum(axis=1)).max()
-        if bound >= 2 ** 62:
-            raise OverflowError(
-                "window images would overflow 64-bit lattice arithmetic"
-            )
-        img = pts @ flat.T
+    for w in words:
+        img = pts @ w
         mask = np.abs(img).max(axis=1) <= window.radius
         rows.append(window.linear_indices(img[mask]))
         cols.append(src[mask])
@@ -365,14 +347,12 @@ def torus_discrepancy_check(
     radii: Sequence[int],
     tol: float = 1e-7,
     seed: int = 42,
-    upper_tolerance: float = 1e-8,
-    monotonicity_tolerance: float = 1e-6,
 ) -> ConvergenceTable:
     """Sandwich the word-average norm between window estimates and the closed form.
 
     For each window radius the power-iteration estimate must stay below
-    theoretical + upper_tolerance and may not decrease (beyond the
-    monotonicity tolerance) as the window grows.  Violations are recorded
+    theoretical + UPPER_TOLERANCE and may not decrease by more than
+    MONOTONICITY_TOLERANCE as the window grows.  Violations are recorded
     as failing rows rather than raised, so a full table is always
     returned.
     """
@@ -385,8 +365,8 @@ def torus_discrepancy_check(
     for radius in radii:
         op = window_operator(genset, n, shape, radius)
         est = operator_norm_estimate(op, tol=tol, seed=seed)
-        within = est <= theoretical + upper_tolerance
-        nondec = previous is None or est >= previous - monotonicity_tolerance
+        within = est <= theoretical + UPPER_TOLERANCE
+        nondec = previous is None or est >= previous - MONOTONICITY_TOLERANCE
         rows.append(
             WindowRow(
                 radius=radius, estimate=est, within_upper=within, nondecreasing=nondec
@@ -397,8 +377,8 @@ def torus_discrepancy_check(
         n=n,
         shape=shape,
         theoretical=theoretical,
-        upper_tolerance=upper_tolerance,
-        monotonicity_tolerance=monotonicity_tolerance,
+        upper_tolerance=UPPER_TOLERANCE,
+        monotonicity_tolerance=MONOTONICITY_TOLERANCE,
         rows=tuple(rows),
         passed=all(r.within_upper and r.nondecreasing for r in rows),
     )

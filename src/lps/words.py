@@ -4,26 +4,21 @@ Letters are indices into a generating set that carries an involutive
 inverse_of pairing.  A word is reduced when no letter is immediately
 followed by its inverse partner.  Counting reduced words of length n is
 the (q+1)-regular tree sphere count with q = (number of generators) - 1.
+word_levels is the one walk over reduced words: freeness certification
+here and the torus window operators both take their products from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterator, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
 
 class SymmetricGeneratorSet(Protocol):
-    """What word enumeration needs from a generating set."""
-
-    @property
-    def elements(self) -> Sequence: ...
-
-    @property
-    def identity(self): ...
+    """What the walk over reduced words needs from a generating set."""
 
     @property
     def integer_matrices(self) -> tuple[Sequence, int]:
@@ -35,7 +30,7 @@ class SymmetricGeneratorSet(Protocol):
 
         `products` stacks the (d, d) numerators of products of `length`
         elements.  The check is exact as long as its arithmetic does not
-        wrap, which verify_freeness guarantees by its choice of dtype.
+        wrap, which word_levels guarantees by its choice of dtype.
         """
         ...
 
@@ -85,68 +80,21 @@ def word_counts(q: int, n: int) -> tuple[int, int]:
     return (sphere, ball)
 
 
-def is_reduced(letters: Sequence[int], inverse_of: Sequence[int]) -> bool:
-    return all(inverse_of[a] != b for a, b in zip(letters, letters[1:]))
+def word_levels(
+    genset: SymmetricGeneratorSet, n: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every reduced word of length 0..n as integer arrays, one level per length.
 
-
-def enumerate_sphere(genset: SymmetricGeneratorSet, n: int) -> Iterator[Word]:
-    """Yield every reduced word of length exactly n in lexicographic order."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    k = len(genset.elements)
-    inverse_of = genset.inverse_of
-
-    def rec(prefix: tuple[int, ...], banned: int) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield Word(prefix)
-            return
-        for i in range(k):
-            if i != banned:
-                yield from rec(prefix + (i,), inverse_of[i])
-
-    yield from rec((), -1)
-
-
-def evaluate_word(genset: SymmetricGeneratorSet, word: Word):
-    """Exact product of the word's generators, left to right.
-
-    Raises ValueError when the word is not reduced for this generating set.
-    """
-    k = len(genset.elements)
-    if any(not (0 <= a < k) for a in word.letters):
-        raise ValueError(f"word uses letters outside 0..{k - 1}")
-    if not is_reduced(word.letters, genset.inverse_of):
-        raise ValueError(f"word {word.letters} is not reduced")
-    return reduce(
-        lambda acc, a: acc * genset.elements[a], word.letters, genset.identity
-    )
-
-
-def verify_freeness(
-    genset: SymmetricGeneratorSet, n: int, budget: int = 10 ** 6
-) -> FreenessReport:
-    """Certify that reduced words of length <= n evaluate to distinct elements.
-
-    Walks the reduced-word tree one length at a time on integer arrays:
-    level k holds the numerators of every length-k product over the
-    generators' common denominator, in lexicographic order of the words,
-    and the generating set checks each level exactly.  Every level is then
-    scaled to the denominator**n and the distinct rows counted after a
-    lexicographic sort.  The first collision reported is the earliest word,
-    in depth-first pre-order, whose value an earlier word already took,
-    paired with the first word that took it.  A ball larger than `budget`
-    raises EnumerationBudgetError rather than silently truncating.
+    Level k is (products, parent, last): the (N_k, d, d) numerators of the
+    length-k products over the generators' common denominator**k, in
+    lexicographic order of the words; each word's parent index in level
+    k - 1; and its last letter.  Level 0 holds the empty word, whose last
+    letter is the sentinel len(inverse_of).  Children come from one
+    broadcast matrix product per level, with each parent's inverse letter
+    masked out, and the generating set checks every level exactly.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    q = len(genset.elements) - 1
-    if q < 1:
-        raise ValueError("generating set must contain at least two elements")
-    _, expected = word_counts(q, n)
-    if expected > budget:
-        raise EnumerationBudgetError(
-            f"ball of radius {n} holds {expected} words, over the budget of {budget}"
-        )
     matrices, den = genset.integer_matrices
     gens = np.array(matrices, dtype=object)
     k, d, _ = gens.shape
@@ -158,33 +106,62 @@ def verify_freeness(
     bound = max(den, max(sum(abs(v) for v in row) for m in matrices for row in m))
     if math.factorial(d) * bound ** (d * n) < 2 ** 63:
         gens = gens.astype(np.int64)
-    # The letter each letter bans next; the sentinel k stands for the empty
-    # word, which bans nothing.
+    # The letter each letter bans next; the sentinel k bans nothing.
     bans = np.array(genset.inverse_of + (k,))
     letters = np.arange(k)
-
-    # Per length, for each word: its value over den**n, its depth-first
-    # pre-order index, its parent's index one level up and its last letter.
     products = np.eye(d, dtype=gens.dtype)[None]
     last = np.array([k])
-    pre = np.zeros(1, dtype=np.int64)
-    levels = [(products * den ** n, pre, np.array([-1]), last)]
+    levels = [(products, np.array([-1]), last)]
     for length in range(1, n + 1):
-        banned = bans[last]
-        keep = (letters[None, :] != banned[:, None]).ravel()
+        keep = (letters[None, :] != bans[last][:, None]).ravel()
         parent = np.repeat(np.arange(len(products)), k)[keep]
         last = np.tile(letters, len(products))[keep]
         products = np.matmul(products[:, None], gens[None]).reshape(-1, d, d)[keep]
         genset.check_products(products, length)
-        # Depth-first pre-order index: each earlier sibling's subtree, which
-        # holds sum_{t <= n - length} q**t words, comes first.
-        subtree = sum(q ** t for t in range(n - length + 1))
-        rank = last - (banned[parent] < last)
-        pre = pre[parent] + 1 + rank * subtree
-        levels.append((products * den ** (n - length), pre, parent, last))
+        levels.append((products, parent, last))
+    return levels
 
-    values = np.concatenate([v for v, *_ in levels]).reshape(expected, d * d)
-    preorder = np.concatenate([p for _, p, *_ in levels])
+
+def verify_freeness(
+    genset: SymmetricGeneratorSet, n: int, budget: int = 10 ** 6
+) -> FreenessReport:
+    """Certify that reduced words of length <= n evaluate to distinct elements.
+
+    Takes the levels of word_levels, scales each to the denominator**n
+    and counts the distinct rows after a lexicographic sort.  The first
+    collision reported is the earliest word, in depth-first pre-order,
+    whose value an earlier word already took, paired with the first word
+    that took it.  A ball larger than `budget` raises
+    EnumerationBudgetError before any walk rather than silently truncating.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    q = len(genset.inverse_of) - 1
+    if q < 1:
+        raise ValueError("generating set must contain at least two elements")
+    _, expected = word_counts(q, n)
+    if expected > budget:
+        raise EnumerationBudgetError(
+            f"ball of radius {n} holds {expected} words, over the budget of {budget}"
+        )
+    levels = word_levels(genset, n)
+    _, den = genset.integer_matrices
+    # Depth-first pre-order index of each word: its parent's, plus one,
+    # plus the subtrees of its earlier siblings, each holding
+    # sum_{t <= n - length} q**t words.  Siblings sit together in a level,
+    # so a word's rank among them is its distance from the first.
+    pre = np.zeros(1, dtype=np.int64)
+    preorders = [pre]
+    for length, (_, parent, _) in enumerate(levels[1:], 1):
+        subtree = sum(q ** t for t in range(n - length + 1))
+        rank = np.arange(len(parent)) - np.searchsorted(parent, parent)
+        pre = pre[parent] + 1 + rank * subtree
+        preorders.append(pre)
+
+    values = np.concatenate(
+        [products * den ** (n - length) for length, (products, _, _) in enumerate(levels)]
+    ).reshape(expected, -1)
+    preorder = np.concatenate(preorders)
     order = np.lexsort((preorder,) + tuple(values.T))
     repeats = np.flatnonzero((values[order[1:]] == values[order[:-1]]).all(axis=1))
     first_collision: Optional[tuple[Word, Word]] = None
@@ -213,7 +190,7 @@ def _word_at(levels, index: int) -> Word:
         index -= len(levels[length][1])
         length += 1
     letters = []
-    for _, _, parent, last in reversed(levels[1 : length + 1]):
+    for _, parent, last in reversed(levels[1 : length + 1]):
         letters.append(int(last[index]))
         index = int(parent[index])
     return Word(tuple(reversed(letters)))

@@ -71,7 +71,7 @@ def test_criterion_1_generator_construction(capsys):
         ok &= all(inv[i] != i and inv[inv[i]] == i for i in range(p + 1))
         pairs = {frozenset((i, inv[i])) for i in range(p + 1)}
         ok &= len(pairs) == (p + 1) // 2
-        for rot in genset.elements:
+        for rot in genset.rotations:
             m = rot.num
             for i in range(3):
                 for j in range(3):

@@ -162,6 +162,44 @@ def test_verify_freeness_budget_exhaustion_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [[[[1.5, 2], [0, 1]]], [5]],
+    ids=["float", "number"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "torus", "--windows", "4"], ["verify", "freeness", "--radius", "2"]],
+    ids=["torus", "freeness"],
+)
+def test_malformed_generator_file_is_usage_error(tmp_path, capsys, content, argv):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, argv + ["--generators", str(path)])
+    assert code == 2
+    assert err.startswith("error: not a 2x2 matrix of integers")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "matrices, argv",
+    [
+        # length-2 products reach 2**80, past int64 before any window bound
+        ([[[1, 2**40], [0, 1]], [[1, 0], [2**40, 1]]], ["--n", "2", "--windows", "4"]),
+        # the window bound 3 * (b + 1) = 2**64 + 5 wraps to 5 in int64
+        ([[[1, (2**64 + 2) // 3], [0, 1]], [[1, 0], [2, 1]]], ["--windows", "3"]),
+    ],
+    ids=["products", "window-bound"],
+)
+def test_torus_overflow_is_usage_error(tmp_path, capsys, matrices, argv):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(matrices))
+    code, out, err = run_cli(capsys, ["verify", "torus", "--generators", str(path)] + argv)
+    assert code == 2
+    assert err.startswith("error: window images would overflow")
+    assert out == ""
+
+
 def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing_dir" / "x.json"
     code, out, err = run_cli(capsys, ["generators", "--prime", "5", "--out", str(target)])

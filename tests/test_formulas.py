@@ -94,11 +94,6 @@ def test_hecke_sup_closed_form():
             assert abs(hecke_sup(q, n) - expected) <= 1e-9 * expected
 
 
-def test_hecke_sup_requires_dense_grid():
-    with pytest.raises(ValueError):
-        hecke_sup(5, 3, grid_points=100)
-
-
 def test_regular_norm_sphere_is_harish_chandra():
     for q in (2, 3, 5, 9):
         for n in range(9):

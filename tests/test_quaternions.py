@@ -190,12 +190,12 @@ def test_generator_set_structure(p):
     genset = build_generator_set(p)
     assert genset.p == p
     assert genset.rank == (p + 1) // 2
-    elements = genset.elements
+    elements = genset.rotations
     assert len(elements) == p + 1
     inv = genset.inverse_of
     assert sorted(inv) == list(range(p + 1))
     for i, j in enumerate(inv):
         assert i != j, "pairing must be fixed-point free"
         assert inv[j] == i
-        assert elements[i] * elements[j] == genset.identity
+        assert elements[i] * elements[j] == ExactRotation.identity()
 

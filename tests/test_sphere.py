@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lps
+from freeness_oracle import enumerate_sphere
 from harmonic_oracle import (
     gram_matrix,
     harmonic_basis,
@@ -23,7 +24,12 @@ from harmonic_oracle import (
     rotation_block,
 )
 from lps.formulas import ConsistencyError, hecke_polynomial, lps_discrepancy
-from lps.quaternions import LipschitzQuaternion, adjoint_rotation, build_generator_set
+from lps.quaternions import (
+    ExactRotation,
+    LipschitzQuaternion,
+    adjoint_rotation,
+    build_generator_set,
+)
 from lps.sphere import (
     block_spectrum,
     check_traces,
@@ -33,7 +39,6 @@ from lps.sphere import (
     sphere_discrepancy_profile,
     verify_ramanujan,
 )
-from lps.words import enumerate_sphere
 
 
 def _gmul(a, b):
@@ -195,10 +200,10 @@ def test_rotation_block_column_convention_hand_check():
 
 def test_rotation_block_identity_and_multiplicativity():
     genset = build_generator_set(5)
-    g, h = genset.elements[0], genset.elements[2]
+    g, h = genset.rotations[0], genset.rotations[2]
     for degree in (1, 2, 3):
         dim = 2 * degree + 1
-        ident = rotation_block(genset.identity, degree)
+        ident = rotation_block(ExactRotation.identity(), degree)
         assert all(
             ident[i][j] == (1 if i == j else 0) for i in range(dim) for j in range(dim)
         )
@@ -215,7 +220,7 @@ def test_rotation_block_preserves_gram(degree):
     genset = build_generator_set(5)
     basis = harmonic_basis(degree)
     gram = gram_matrix(basis)
-    for g in genset.elements[:3]:
+    for g in genset.rotations[:3]:
         block = rotation_block(g, degree)
         transposed = tuple(zip(*block))
         back = object_matmul(transposed, object_matmul(gram, block))

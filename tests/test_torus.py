@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from freeness_oracle import enumerate_sphere
 from lps.torus import (
     LatticeWindow,
     PowerIterationError,
@@ -20,7 +21,7 @@ from lps.torus import (
     torus_discrepancy_check,
     window_operator,
 )
-from lps.words import enumerate_sphere, word_counts
+from lps.words import word_counts
 
 
 def test_generator_requires_unimodular_matrix():
@@ -42,17 +43,18 @@ def test_sanov_genset_structure():
     genset = build_torus_genset("sanov")
     assert genset.q == 3
     assert genset.rank == 2
-    assert len(genset.elements) == 4
+    gens = genset.generators
+    assert len(gens) == 4
     inv = genset.inverse_of
     for i, j in enumerate(inv):
-        assert genset.elements[i] * genset.elements[j] == genset.identity
+        assert (gens[i] * gens[j]).matrix == ((1, 0), (0, 1))
         assert inv[j] == i and i != j
 
 
 def test_rank_one_genset_is_degenerate_line():
     genset = build_torus_genset("rank-one")
     assert genset.q == 1
-    assert len(genset.elements) == 2
+    assert len(genset.generators) == 2
     assert word_counts(genset.q, 4) == (2, 9)
 
 
@@ -76,6 +78,26 @@ def test_unknown_preset_rejected():
         build_torus_genset("cube")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        [[[1.5, 2], [0, 1]]],  # float entry
+        [[[1.0, 2], [0, 1]]],  # integral float
+        [[[True, 2], [0, 1]]],  # bool entry
+        [5],  # bare number instead of a matrix
+        [[[1, 2], [0, 1], [0, 0]]],  # three rows
+        [[[1, 2, 0], [0, 1, 0]]],  # three columns
+        [[[1, "2"], [0, 1]]],  # string entry
+        [[[1, 2], None]],  # null row
+    ],
+)
+def test_load_generator_matrices_rejects_malformed_entries(tmp_path, content):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ValueError):
+        load_generator_matrices(str(path))
+
+
 def test_load_generator_matrices_roundtrip(tmp_path):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps([[[1, 2], [0, 1]], [[1, 0], [2, 1]]]))
@@ -93,10 +115,10 @@ def test_character_matrix_is_inverse_transpose():
 
 def test_character_action_is_a_group_action():
     genset = build_torus_genset("sanov")
-    g, h = genset.elements[0], genset.elements[1]
+    g, h = genset.generators[0], genset.generators[1]
     m = (2, -3)
     assert character_action(g, character_action(h, m)) == character_action(g * h, m)
-    ginv = genset.elements[genset.inverse_of[0]]
+    ginv = genset.generators[genset.inverse_of[0]]
     assert character_action(ginv, character_action(g, m)) == m
 
 
@@ -121,20 +143,25 @@ def test_lattice_window_layout():
     assert list(linear) == list(range(24))
 
 
-def test_window_operator_matches_brute_force_oracle():
+@pytest.mark.parametrize("radius", [1, 3])
+@pytest.mark.parametrize("shape", ["sphere", "ball"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_window_operator_matches_brute_force_oracle(n, shape, radius):
     genset = build_torus_genset("sanov")
-    op = window_operator(genset, 1, "sphere", 1)
+    op = window_operator(genset, n, shape, radius)
     window = op.window
+    lengths = [n] if shape == "sphere" else range(n + 1)
+    words = [w for k in lengths for w in enumerate_sphere(genset, k)]
+    assert op.words_used == len(words)
     dense = np.zeros((window.size, window.size))
-    for word in enumerate_sphere(genset, 1):
+    for word in words:
         for j, point in enumerate(tuple(p) for p in window.points):
             image = point
             for letter in word.letters:
-                image = character_action(genset.elements[letter], image)
-            if max(abs(image[0]), abs(image[1])) <= 1:
-                dense[window.index_of(image), j] += 0.25
+                image = character_action(genset.generators[letter], image)
+            if max(abs(image[0]), abs(image[1])) <= radius:
+                dense[window.index_of(image), j] += 1 / len(words)
     assert np.array_equal(op.entries.toarray(), dense)
-    assert set(np.unique(dense)) <= {0.0, 0.25, 0.5}
 
 
 @pytest.mark.parametrize("shape", ["sphere", "ball"])
@@ -175,6 +202,22 @@ def test_window_operator_overflow_guard():
     genset = build_torus_genset((((1, big), (0, 1)),))
     with pytest.raises(OverflowError):
         window_operator(genset, 1, "sphere", 2)
+
+
+def test_window_overflow_guard_is_exact_where_int64_wraps():
+    # 3 * (b + 1) = 2**64 + 5, which int64 arithmetic wraps to 5
+    b = (2**64 + 2) // 3
+    genset = build_torus_genset((((1, b), (0, 1)), ((1, 0), (2, 1))))
+    with pytest.raises(OverflowError):
+        window_operator(genset, 1, "sphere", 3)
+    window_operator(genset, 0, "sphere", 3)
+
+
+def test_window_operator_rejects_products_past_int64():
+    # length-2 products reach 2**80, so the walk runs on Python ints
+    genset = build_torus_genset((((1, 2**40), (0, 1)), ((1, 0), (2**40, 1))))
+    with pytest.raises(OverflowError):
+        window_operator(genset, 2, "ball", 4)
 
 
 def test_norm_estimate_matches_dense_eigenvalues():

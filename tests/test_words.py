@@ -8,17 +8,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import lps.words
-from freeness_oracle import reference_freeness
-from lps.quaternions import build_generator_set
+from freeness_oracle import enumerate_sphere, evaluate_word, is_reduced, reference_freeness
+from lps.quaternions import ExactRotation, build_generator_set
 from lps.torus import TorusGenerator, build_torus_genset
 from lps.words import (
     EnumerationBudgetError,
     Word,
-    enumerate_sphere,
-    evaluate_word,
-    is_reduced,
     verify_freeness,
     word_counts,
+    word_levels,
 )
 
 
@@ -79,7 +77,7 @@ def test_enumerate_sphere_matches_rotation_rank():
 
 def test_evaluate_word_matches_manual_product():
     sanov = build_torus_genset("sanov")
-    a, b = sanov.elements[0], sanov.elements[1]
+    a, b = sanov.generators[0], sanov.generators[1]
     word = Word((0, 1, 0))
     assert evaluate_word(sanov, word) == (a * b) * a
 
@@ -95,7 +93,30 @@ def test_evaluate_word_rejects_unreduced():
 
 def test_empty_word_is_identity():
     sanov = build_torus_genset("sanov")
-    assert evaluate_word(sanov, Word(())) == sanov.identity
+    assert evaluate_word(sanov, Word(())) == TorusGenerator(((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "genset, radius",
+    [(build_generator_set(5), 3), (build_torus_genset("sanov"), 4), (build_torus_genset("rank-one"), 3)],
+)
+def test_word_levels_match_recursive_enumeration(genset, radius):
+    _, den = genset.integer_matrices
+    levels = word_levels(genset, radius)
+    assert len(levels) == radius + 1
+    for length, (products, parent, last) in enumerate(levels):
+        words = list(enumerate_sphere(genset, length))
+        assert len(products) == len(parent) == len(last) == len(words)
+        for word, product, up, letter in zip(words, products, parent, last):
+            value = evaluate_word(genset, word)
+            if isinstance(value, TorusGenerator):
+                assert TorusGenerator(tuple(map(tuple, product.tolist()))) == value
+            else:
+                assert ExactRotation.create(product.tolist(), den, length) == value
+            if length:
+                assert int(letter) == word.letters[-1]
+                assert previous[int(up)] == word.letters[:-1]
+        previous = [w.letters for w in words]
 
 
 def test_freeness_small_rotation_ball():
