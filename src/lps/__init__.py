@@ -41,12 +41,14 @@ from .sphere import (
 )
 from .torus import (
     ConvergenceTable,
-    LatticeWindow,
+    HalfWindow,
+    NormCertificate,
     TorusGenerator,
     TorusGeneratorSet,
     WindowOperator,
     build_torus_genset,
     character_action,
+    norm_certificate,
     operator_norm_estimate,
     torus_discrepancy_check,
     window_operator,
@@ -66,10 +68,11 @@ __all__ = [
     "ExactRotation",
     "FreenessReport",
     "GeneratorSet",
+    "HalfWindow",
     "HeckePolynomial",
     "KoopmanBlock",
-    "LatticeWindow",
     "LipschitzQuaternion",
+    "NormCertificate",
     "RamanujanReport",
     "TorusGenerator",
     "TorusGeneratorSet",
@@ -89,6 +92,7 @@ __all__ = [
     "jacobi_count",
     "koopman_block",
     "lps_discrepancy",
+    "norm_certificate",
     "operator_norm_estimate",
     "regular_norm",
     "sphere_discrepancy_estimate",

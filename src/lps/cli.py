@@ -9,6 +9,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -45,6 +46,12 @@ RAMANUJAN_FLOOR_P5_L24 = 4.34
 def _nine(x: float) -> float:
     """Round a float to 9 significant digits for stable serialisation."""
     return float(f"{x:.9g}")
+
+
+def _nine_down(x: float) -> float:
+    """Round a float down to 9 significant digits, so the printed value never exceeds it."""
+    d = Decimal(x)
+    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 8), rounding=ROUND_FLOOR))
 
 
 def _jsonable(obj):
@@ -85,6 +92,7 @@ class ReportEnvelope:
     checks: list[CheckRecord] = field(default_factory=list)
     version: str = __version__
     elapsed_ms: Optional[float] = None
+    diagnostics: Optional[dict] = None
 
     @property
     def passed(self) -> bool:
@@ -100,6 +108,8 @@ class ReportEnvelope:
         }
         if with_timings and self.elapsed_ms is not None:
             out["elapsed_ms"] = self.elapsed_ms
+        if with_timings and self.diagnostics is not None:
+            out["diagnostics"] = self.diagnostics
         return out
 
 
@@ -358,29 +368,42 @@ def cmd_verify_identities(args) -> tuple[list[ReportEnvelope], None]:
     return [_identities_envelope("verify.identities", args.q_list, args.n_max)], None
 
 
+def _torus_diagnostics(row) -> dict:
+    """What the certificate of one window cost and how tight it is."""
+    bound = row.bound
+    return {
+        "radius": row.radius,
+        "dimension": bound.dimension,
+        "matvecs": bound.matvecs,
+        "ritz_residual": bound.ritz_residual,
+        "ritz_minus_certificate": bound.ritz_minus_certificate,
+    }
+
+
 def _torus_envelope(
     command: str, selector: str, n: int, shapes: list[str], radii: list[int], tol: float, seed: int
 ) -> ReportEnvelope:
     genset, label = _load_genset_argument(selector)
     checks = []
     tables = []
+    diagnostics = []
     for shape in shapes:
         table = torus_discrepancy_check(genset, n, shape, radii, tol=tol, seed=seed)
+        shown = [_nine_down(r.estimate) for r in table.rows]
         tables.append(
             {
                 "shape": shape,
                 "theoretical": table.theoretical,
-                "rows": [
-                    {"radius": r.radius, "estimate": r.estimate} for r in table.rows
-                ],
+                "rows": [{"radius": r.radius, "estimate": e} for r, e in zip(table.rows, shown)],
             }
         )
-        for row in table.rows:
+        diagnostics.append({"shape": shape, "rows": [_torus_diagnostics(r) for r in table.rows]})
+        for row, estimate in zip(table.rows, shown):
             checks.append(
                 CheckRecord(
                     f"{shape}_R{row.radius}_below_theory",
                     row.within_upper,
-                    row.estimate,
+                    estimate,
                     table.theoretical + table.upper_tolerance,
                 )
             )
@@ -388,7 +411,7 @@ def _torus_envelope(
                 CheckRecord(
                     f"{shape}_R{row.radius}_nondecreasing",
                     row.nondecreasing,
-                    row.estimate,
+                    estimate,
                     table.monotonicity_tolerance,
                 )
             )
@@ -404,6 +427,7 @@ def _torus_envelope(
         },
         {"tables": tables},
         checks,
+        diagnostics={"tables": diagnostics},
     )
 
 
@@ -474,11 +498,13 @@ def _report_torus(windows: list[int], tol: float, seed: int) -> ReportEnvelope:
     table = torus_discrepancy_check(
         build_torus_genset("rank-one"), 1, "sphere", [windows[-1]], tol=tol, seed=seed
     )
-    amenable_est = table.rows[-1].estimate
+    row = table.rows[-1]
+    amenable_est = _nine_down(row.estimate)
     env.checks.append(
-        CheckRecord("rank_one_estimate_near_one", amenable_est >= 0.95, amenable_est, 0.95)
+        CheckRecord("rank_one_estimate_near_one", row.estimate >= 0.95, amenable_est, 0.95)
     )
     env.results["rank_one_estimate"] = amenable_est
+    env.diagnostics["rank_one"] = _torus_diagnostics(row)
     return env
 
 

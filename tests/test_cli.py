@@ -1,11 +1,14 @@
 """Unit tests for the command-line interface and its deterministic output."""
 
 import json
+from decimal import Decimal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lps.cli
-from lps.cli import RAMANUJAN_FLOOR_P5_L24, main, stable_dumps
+from lps.cli import RAMANUJAN_FLOOR_P5_L24, _nine_down, main, stable_dumps
 from lps.sphere import sphere_discrepancy_profile
 
 
@@ -25,6 +28,18 @@ def test_stable_dumps_formatting():
     blob = stable_dumps({"b": 0.8660254037844386, "a": [1, 2.5]})
     assert blob == '{"a":[1,2.5],"b":0.866025404}'
     assert stable_dumps({"x": 7.0}) == '{"x":7.0}'
+
+
+def test_nine_down_rounds_toward_zero():
+    assert stable_dumps(_nine_down(0.8382871739)) == "0.838287173"
+    assert stable_dumps(_nine_down(0.8382871731)) == "0.838287173"
+    assert _nine_down(1.0) == 1.0
+
+
+@given(st.floats(min_value=1e-300, max_value=1e300))
+def test_nine_down_never_prints_above_its_input(x):
+    shown = Decimal(stable_dumps(_nine_down(x)))
+    assert shown <= Decimal(x) < shown + Decimal(x) * Decimal("1e-8")
 
 
 def test_regression_floor_constant():
@@ -231,6 +246,42 @@ def test_verify_torus_small_windows(capsys):
     assert any("nondecreasing" in n for n in names)
 
 
+RANK_ONE_LADDER = ["verify", "torus", "--generators", "rank-one", "--windows", "32,64,128,256"]
+
+
+def test_rank_one_ladder_is_nondecreasing(capsys):
+    # the window norm is exactly 1 at every radius, so no estimate may fall
+    code, out, _ = run_cli(capsys, RANK_ONE_LADDER)
+    assert code == 0
+    env = parse_envelope(out)
+    ladder = [c for c in env["checks"] if c["name"].endswith("_nondecreasing")]
+    assert len(ladder) == 8 and all(c["passed"] for c in ladder)
+    assert all(r["estimate"] == 1.0 for t in env["results"]["tables"] for r in t["rows"])
+
+
+def test_verify_torus_same_seed_is_byte_identical(capsys):
+    argv = ["verify", "torus", "--n", "2", "--windows", "8,16", "--seed", "3"]
+    assert run_cli(capsys, argv) == run_cli(capsys, argv)
+
+
+def test_torus_diagnostics_only_with_timings(capsys):
+    argv = ["verify", "torus", "--windows", "8,16"]
+    _, plain, _ = run_cli(capsys, argv)
+    assert "diagnostics" not in parse_envelope(plain)
+    _, timed, _ = run_cli(capsys, argv + ["--timings"])
+    env = parse_envelope(timed)
+    tables = env.pop("diagnostics")["tables"]
+    env.pop("elapsed_ms")
+    assert stable_dumps(env) + "\n" == plain
+    assert [t["shape"] for t in tables] == ["sphere", "ball"]
+    for table in tables:
+        assert [r["radius"] for r in table["rows"]] == [8, 16]
+        for row in table["rows"]:
+            assert row["dimension"] > 0 and row["matvecs"] > 0
+            assert 0 <= row["ritz_residual"] < 1e-6
+            assert abs(row["ritz_minus_certificate"]) <= 1e-12
+
+
 def test_verify_torus_rejects_bad_preset(capsys):
     code, _, err = run_cli(
         capsys, ["verify", "torus", "--generators", "cube", "--windows", "4,8"]
@@ -308,7 +359,7 @@ def test_report_envelopes_and_determinism(capsys):
     ]
     for env in envelopes:
         assert all(c["passed"] for c in env["checks"]), env["command"]
-        assert "elapsed_ms" not in env
+        assert "elapsed_ms" not in env and "diagnostics" not in env
 
 
 def test_report_timings_cover_every_envelope(capsys):
@@ -319,6 +370,11 @@ def test_report_timings_cover_every_envelope(capsys):
     envelopes = [json.loads(line) for line in timed.splitlines() if line]
     assert len(envelopes) == 8
     assert all(isinstance(env.pop("elapsed_ms"), float) for env in envelopes)
+    # only the torus envelope carries diagnostics, for both tables and rank-one
+    diagnostics = [env.pop("diagnostics", None) for env in envelopes]
+    assert [d is not None for d in diagnostics] == [e["command"] == "report.torus" for e in envelopes]
+    torus = next(d for d in diagnostics if d is not None)
+    assert torus["rank_one"]["matvecs"] == 0 and len(torus["tables"]) == 2
     # without the timings the two runs print the same bytes
     assert "".join(stable_dumps(env) + "\n" for env in envelopes) == plain
 

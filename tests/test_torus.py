@@ -2,26 +2,36 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from functools import reduce
+from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from freeness_oracle import enumerate_sphere
 from lps.torus import (
-    LatticeWindow,
-    PowerIterationError,
-    RANK_ONE_MATRICES,
+    LanczosConvergenceError,
     SANOV_MATRICES,
     TorusGenerator,
+    _float_at_most,
     build_torus_genset,
     character_action,
     character_matrix,
     load_generator_matrices,
+    norm_certificate,
     operator_norm_estimate,
+    rayleigh_certificate,
     torus_discrepancy_check,
     window_operator,
 )
 from lps.words import word_counts
+from torus_oracle import LatticeWindow, full_window_counts, half_block
 
 
 def test_generator_requires_unimodular_matrix():
@@ -76,6 +86,21 @@ def test_genset_accepts_order_four_element():
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         build_torus_genset("cube")
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, True, "2", None, np.float64(1.0), np.bool_(True)])
+def test_genset_rejects_non_integer_entries(entry):
+    with pytest.raises(ValueError):
+        build_torus_genset((((entry, 2), (0, 1)), ((1, 0), (2, 1))))
+
+
+def test_genset_accepts_numpy_integers():
+    matrices = tuple(
+        tuple(tuple(np.int64(v) for v in row) for row in m) for m in SANOV_MATRICES
+    )
+    genset = build_torus_genset(matrices)
+    assert genset == build_torus_genset("sanov")
+    assert all(type(v) is int for g in genset.generators for row in g.matrix for v in row)
 
 
 @pytest.mark.parametrize(
@@ -149,19 +174,12 @@ def test_lattice_window_layout():
 def test_window_operator_matches_brute_force_oracle(n, shape, radius):
     genset = build_torus_genset("sanov")
     op = window_operator(genset, n, shape, radius)
-    window = op.window
-    lengths = [n] if shape == "sphere" else range(n + 1)
-    words = [w for k in lengths for w in enumerate_sphere(genset, k)]
-    assert op.words_used == len(words)
-    dense = np.zeros((window.size, window.size))
-    for word in words:
-        for j, point in enumerate(tuple(p) for p in window.points):
-            image = point
-            for letter in word.letters:
-                image = character_action(genset.generators[letter], image)
-            if max(abs(image[0]), abs(image[1])) <= radius:
-                dense[window.index_of(image), j] += 1 / len(words)
-    assert np.array_equal(op.entries.toarray(), dense)
+    window, counts, words = full_window_counts(genset, n, shape, radius)
+    half, block = half_block(window, counts)
+    assert op.words_used == words
+    assert [tuple(p) for p in op.window.points] == half
+    assert op.window.size == len(half)
+    assert np.array_equal(op.entries.toarray(), block)
 
 
 @pytest.mark.parametrize("shape", ["sphere", "ball"])
@@ -175,10 +193,11 @@ def test_window_operator_is_symmetric(shape):
 
 
 def test_ball_operator_is_affine_in_sphere_operator():
+    # counts: the ball adds the empty word, which fixes every point
     genset = build_torus_genset("sanov")
     sphere = window_operator(genset, 1, "sphere", 5).entries.toarray()
     ball = window_operator(genset, 1, "ball", 5).entries.toarray()
-    assert np.allclose(ball, (np.eye(len(ball)) + 4 * sphere) / 5, atol=1e-15)
+    assert np.array_equal(ball, np.eye(len(ball), dtype=np.int64) + sphere)
 
 
 def test_window_operator_rejects_bad_arguments():
@@ -224,7 +243,8 @@ def test_norm_estimate_matches_dense_eigenvalues():
     genset = build_torus_genset("sanov")
     for shape, radius in (("sphere", 3), ("ball", 4), ("sphere", 6)):
         op = window_operator(genset, 1, shape, radius)
-        exact = float(np.max(np.abs(np.linalg.eigvalsh(op.entries.toarray()))))
+        _, counts, words = full_window_counts(genset, 1, shape, radius)
+        exact = float(np.max(np.abs(np.linalg.eigvalsh(counts / words))))
         est = operator_norm_estimate(op, tol=1e-10)
         assert est <= exact + 1e-12, "estimates never exceed the true norm"
         assert est >= exact - 1e-6
@@ -232,10 +252,12 @@ def test_norm_estimate_matches_dense_eigenvalues():
 
 def test_norm_estimate_rank_one_reaches_exact_eigenvalue_one():
     op = window_operator(build_torus_genset("rank-one"), 1, "sphere", 6)
-    eigs = np.linalg.eigvalsh(op.entries.toarray())
+    eigs = np.linalg.eigvalsh(op.entries.toarray() / op.words_used)
     assert math.isclose(float(np.max(eigs)), 1.0, abs_tol=1e-12)
-    est = operator_norm_estimate(op, tol=1e-10)
-    assert 0.999 <= est <= 1.0 + 1e-12
+    bound = norm_certificate(op, tol=1e-10)
+    # the fixed frequency (0, 1) gives diagonal entry 1, the closed form
+    assert bound.estimate == 1.0 and bound.certificate == 1
+    assert bound.matvecs == 0
 
 
 def test_norm_estimate_is_deterministic():
@@ -249,9 +271,90 @@ def test_norm_estimate_is_deterministic():
 
 def test_norm_estimate_raises_without_convergence():
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", 8)
-    with pytest.raises(PowerIterationError) as err:
-        operator_norm_estimate(op, tol=0.0, max_iter=3)
-    assert err.value.last_estimate > 0
+    with pytest.raises(LanczosConvergenceError) as err:
+        operator_norm_estimate(op, tol=0.0, max_iter=1)
+    assert err.value.best_bound > 0
+
+
+# Products of these have determinant +-1; the swap makes odd counts -1.
+_ELEMENTARY = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, -1), (0, 1)), ((0, 1), (1, 0)))
+_unimodular = st.lists(st.sampled_from(_ELEMENTARY), min_size=1, max_size=4).map(
+    lambda ms: reduce(mul, map(TorusGenerator, ms)).matrix
+)
+_windows = st.tuples(
+    st.lists(_unimodular, min_size=1, max_size=2),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from(["sphere", "ball"]),
+    st.integers(min_value=1, max_value=6),
+)
+
+
+def _oracle_case(matrices, n, shape, radius):
+    """The operator and the dense full-window matrix A of one drawn case."""
+    try:
+        genset = build_torus_genset(matrices)
+    except ValueError:
+        assume(False)
+    _, counts, words = full_window_counts(genset, n, shape, radius)
+    return window_operator(genset, n, shape, radius), counts / words
+
+
+@settings(deadline=None, max_examples=40)
+@given(_windows)
+def test_reduced_block_keeps_the_window_norm(case):
+    op, full = _oracle_case(*case)
+    eigs = np.linalg.eigvalsh(full)
+    # Perron-Frobenius: the norm of the nonnegative window is its top eigenvalue
+    assert eigs[-1] >= -eigs[0] - 1e-12
+    reduced = np.linalg.eigvalsh(op.entries.toarray() / op.words_used)
+    assert abs(reduced[-1] - eigs[-1]) <= 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(_windows)
+@example(([((2, 1), (1, 1))], 2, "sphere", 1))  # no image stays in the window: C = 0
+def test_certificate_never_exceeds_the_dense_norm(case):
+    op, full = _oracle_case(*case)
+    bound = norm_certificate(op)
+    assert Fraction(bound.estimate) <= bound.certificate
+    assert bound.certificate <= np.linalg.eigvalsh(full)[-1] + 1e-12
+
+
+def test_corrupted_certificate_vector_fails():
+    op = window_operator(build_torus_genset("sanov"), 2, "ball", 8)
+    top = np.abs(np.linalg.eigh(op.entries.toarray().astype(float))[1][:, -1])
+    x = np.rint(top * ((2**24 - 1) / top.max())).astype(np.int64)
+    good = rayleigh_certificate(op, x)
+    assert abs(float(good) - norm_certificate(op, tol=1e-12).estimate) < 1e-12
+    peak = int(np.argmax(x))
+    negated, dropped = x.copy(), x.copy()
+    negated[peak] = -x[peak]
+    dropped[peak] = 0
+    assert rayleigh_certificate(op, negated) < good
+    assert rayleigh_certificate(op, dropped) < good
+    for bad in (x.astype(float), np.zeros_like(x)):
+        with pytest.raises(ValueError):
+            rayleigh_certificate(op, bad)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(2, 3), Fraction(1, 10), Fraction(7, 10)])
+def test_float_bound_never_rounds_up(value):
+    f = _float_at_most(value)
+    assert Fraction(f) <= value < Fraction(math.nextafter(f, math.inf))
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    # scipy.sparse.linalg is imported by the first Lanczos solve, not by `import lps`
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "import sys, lps; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_discrepancy_check_sanov_small_windows():
