@@ -22,7 +22,6 @@ from .formulas import (
     regular_norm,
 )
 from .quaternions import (
-    ExactRotation,
     GeneratorSet,
     LipschitzQuaternion,
     adjoint_rotation,
@@ -43,11 +42,8 @@ from .torus import (
     ConvergenceTable,
     HalfWindow,
     NormCertificate,
-    TorusGenerator,
-    TorusGeneratorSet,
     WindowOperator,
     build_torus_genset,
-    character_action,
     norm_certificate,
     operator_norm_estimate,
     torus_discrepancy_check,
@@ -56,6 +52,7 @@ from .torus import (
 from .words import (
     EnumerationBudgetError,
     FreenessReport,
+    IntegerGenerators,
     Word,
     verify_freeness,
     word_counts,
@@ -65,25 +62,22 @@ __all__ = [
     "ConsistencyError",
     "ConvergenceTable",
     "EnumerationBudgetError",
-    "ExactRotation",
     "FreenessReport",
     "GeneratorSet",
     "HalfWindow",
     "HeckePolynomial",
+    "IntegerGenerators",
     "KoopmanBlock",
     "LipschitzQuaternion",
     "NormCertificate",
     "RamanujanReport",
-    "TorusGenerator",
-    "TorusGeneratorSet",
-    "Word",
     "WindowOperator",
+    "Word",
     "adjoint_rotation",
     "block_spectrum",
     "build_generator_set",
     "build_torus_genset",
     "c_factor",
-    "character_action",
     "enumerate_representatives",
     "harish_chandra",
     "harish_chandra_boundary_sum",

@@ -30,7 +30,9 @@ from .sphere import (
     verify_ramanujan,
 )
 from .torus import (
+    MONOTONICITY_TOLERANCE,
     PRESETS,
+    UPPER_TOLERANCE,
     build_torus_genset,
     load_generator_matrices,
     torus_discrepancy_check,
@@ -143,8 +145,8 @@ def _generator_checks(genset) -> list[CheckRecord]:
     return [
         CheckRecord(
             f"p{p}_generator_count",
-            len(genset.rotations) == p + 1,
-            float(len(genset.rotations)),
+            len(genset.matrices) == p + 1,
+            float(len(genset.matrices)),
             float(p + 1),
         ),
         CheckRecord(
@@ -174,14 +176,14 @@ def _below_closed_form(prefix: str, estimate: float, closed: float) -> CheckReco
 def cmd_generators(args) -> tuple[list[ReportEnvelope], Optional[str]]:
     genset = build_generator_set(args.prime)
     records = []
-    for i, (q, rot) in enumerate(zip(genset.source_quaternions, genset.rotations)):
+    for i, (q, matrix) in enumerate(zip(genset.source_quaternions, genset.matrices)):
         records.append(
             {
                 "index": i,
                 "quaternion": [q.x0, q.x1, q.x2, q.x3],
-                "matrix": [list(row) for row in rot.num],
-                "den_base": rot.den_base,
-                "den_exp": rot.den_exp,
+                "matrix": [list(row) for row in matrix],
+                "den_base": genset.p,
+                "den_exp": 1,
                 "inverse_index": genset.inverse_of[i],
             }
         )
@@ -404,7 +406,7 @@ def _torus_envelope(
                     f"{shape}_R{row.radius}_below_theory",
                     row.within_upper,
                     estimate,
-                    table.theoretical + table.upper_tolerance,
+                    table.theoretical + UPPER_TOLERANCE,
                 )
             )
             checks.append(
@@ -412,7 +414,7 @@ def _torus_envelope(
                     f"{shape}_R{row.radius}_nondecreasing",
                     row.nondecreasing,
                     estimate,
-                    table.monotonicity_tolerance,
+                    MONOTONICITY_TOLERANCE,
                 )
             )
     return ReportEnvelope(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .quaternions import require_split_prime
@@ -121,55 +122,46 @@ def hecke_polynomial(q: int, n: int) -> HeckePolynomial:
     return HeckePolynomial(q, n, coeffs)
 
 
-# Points of the uniform scan that seeds hecke_sup's golden-section refinement.
-SUP_GRID_POINTS = 2001
+def _chebyshev(first: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Coefficients of C_n for C_{k+1} = 2X C_k - C_{k-1}, C_0 = 1, C_1 = first.
+
+    first = X gives the Chebyshev T_n, first = 2X gives U_n.
+    """
+    prev, cur = (1,), first
+    for _ in range(n):
+        prev, cur = cur, tuple(2 * a - b for a, b in zip((0,) + cur, prev + (0, 0)))
+    return prev
 
 
 def hecke_sup(q: int, n: int) -> float:
-    """Sup of |P_n| over [-2*sqrt(q), 2*sqrt(q)] by dense scan plus refinement.
+    """Sup of |P_n| over [-2*sqrt(q), 2*sqrt(q)], by an exact Chebyshev identity.
 
-    The returned value must match the right-endpoint evaluation
-    P_n(2*sqrt(q)) and the count-weighted profile xi(n) * |S_n| to 1e-9
-    relative; either mismatch raises ConsistencyError, so this doubles as
-    a consistency test of the polynomial recursion.
+    For n >= 1, P_n(2*sqrt(q)*x) = q**(n/2) * ((1 - 1/q) U_n(x) + (2/q) T_n(x))
+    (Davidoff-Sarnak-Valette, section 1.4).  The identity is checked on the
+    coefficients in exact rationals; both sides have the parity of n, so
+    each coefficient of P_n must equal q**((n-k)/2) / 2**k times the
+    bracket's.  A mismatch raises ConsistencyError, so this doubles as a
+    test of the tree recursion.  Since |U_n| <= n + 1 and |T_n| <= 1 on
+    [-1, 1], with equality at x = 1, the sup is the edge value
+    |P_n(2*sqrt(q))|, evaluated by Horner; it must match the
+    count-weighted profile xi(n) * |S_n| to 1e-9 relative.
     """
     _require_regularity(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     poly = hecke_polynomial(q, n)
-    edge = 2.0 * math.sqrt(q)
-    xs = [-edge + (2.0 * edge) * i / (SUP_GRID_POINTS - 1) for i in range(SUP_GRID_POINTS)]
-    vals = [abs(poly(x)) for x in xs]
-    best = max(range(SUP_GRID_POINTS), key=vals.__getitem__)
-    sup = vals[best]
-
-    lo = xs[max(best - 1, 0)]
-    hi = xs[min(best + 1, SUP_GRID_POINTS - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = abs(poly(c)), abs(poly(d))
-    for _ in range(120):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = abs(poly(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = abs(poly(d))
-        sup = max(sup, fc, fd)
-
-    at_edge = abs(poly(edge))
+    if n >= 1:
+        t, u = _chebyshev((0, 1), n), _chebyshev((0, 2), n)
+        expected = tuple(
+            ((1 - Fraction(1, q)) * u_k + Fraction(2, q) * t_k) * q ** ((n - k) // 2) / 2 ** k
+            for k, (t_k, u_k) in enumerate(zip(t, u))
+        )
+        if expected != poly.coefficients:
+            raise ConsistencyError(f"P_{n} for q={q} breaks the Chebyshev identity")
+    sup = abs(poly(2.0 * math.sqrt(q)))
     sphere, _ = word_counts(q, n)
     profile = harish_chandra(q, n) * sphere
-    scale = max(abs(sup), 1e-300)
-    if abs(sup - at_edge) > 1e-9 * scale:
-        raise ConsistencyError(
-            f"sup {sup!r} does not match edge value {at_edge!r} for q={q}, n={n}"
-        )
-    if abs(sup - profile) > 1e-9 * scale:
+    if abs(sup - profile) > 1e-9 * max(sup, 1e-300):
         raise ConsistencyError(
             f"sup {sup!r} does not match xi(n)*|S_n| = {profile!r} for q={q}, n={n}"
         )

@@ -5,7 +5,9 @@ to sign and filtered to an odd positive real part, fall into p + 1 classes
 that pair off under conjugation.  Conjugation by such a quaternion, cleared
 of denominators, is an integer 3x3 matrix M with M^T M = p^2 I, and M / p
 is a rotation with entries in Z[1/p].  These rotations generate a free
-group of rank (p + 1) / 2.
+group of rank (p + 1) / 2.  GeneratorSet keeps them as the numerators M
+over the denominator p, the words module's IntegerGenerators, and checks
+each one once, when it is built.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
+
+from .words import IntegerGenerators
 
 
 def is_prime(n: int) -> bool:
@@ -130,83 +134,12 @@ def _det3(m: np.ndarray):
     )
 
 
-@dataclass(frozen=True)
-class ExactRotation:
-    """Rotation stored as an integer matrix over a prime-power denominator.
-
-    The value is num / den_base**den_exp.  The stored form is canonical:
-    den_exp is minimal, and den_base is normalised to 1 whenever den_exp
-    is 0, so equality and hashing agree with equality of rotations.
-    """
-
-    num: tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
-    den_base: int
-    den_exp: int
-
-    def __post_init__(self) -> None:
-        if self.den_base < 1 or self.den_exp < 0:
-            raise ValueError("denominator must be a nonnegative power of a positive base")
-        if self.den_exp == 0 and self.den_base != 1:
-            raise ValueError("canonical form requires den_base = 1 when den_exp = 0")
-        if self.den_exp > 0 and all(
-            v % self.den_base == 0 for row in self.num for v in row
-        ):
-            raise ValueError("matrix entries share a factor of den_base; not canonical")
-        s = self.den_base ** self.den_exp
-        for i in range(3):
-            for j in range(3):
-                dot = sum(self.num[k][i] * self.num[k][j] for k in range(3))
-                expected = s * s if i == j else 0
-                if dot != expected:
-                    raise ValueError("matrix columns are not orthogonal with norm den^2")
-        if _det3(np.array(self.num, dtype=object)) != s ** 3:
-            raise ValueError("matrix determinant is not den^3; not a rotation")
-
-    @staticmethod
-    def create(
-        num: tuple[tuple[int, int, int], ...] | list[list[int]],
-        den_base: int,
-        den_exp: int,
-    ) -> "ExactRotation":
-        """Canonicalise and build a rotation from matrix and denominator data."""
-        rows = [list(r) for r in num]
-        if den_base == 1:
-            den_exp = 0
-        while den_exp > 0 and all(v % den_base == 0 for r in rows for v in r):
-            rows = [[v // den_base for v in r] for r in rows]
-            den_exp -= 1
-        if den_exp == 0:
-            den_base = 1
-        frozen = tuple(tuple(r) for r in rows)
-        return ExactRotation(frozen, den_base, den_exp)  # type: ignore[arg-type]
-
-    @staticmethod
-    def identity() -> "ExactRotation":
-        return ExactRotation(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1, 0)
-
-    def __mul__(self, other: "ExactRotation") -> "ExactRotation":
-        if self.den_base != 1 and other.den_base != 1 and self.den_base != other.den_base:
-            raise ValueError("cannot multiply rotations over different denominator bases")
-        base = self.den_base if self.den_base != 1 else other.den_base
-        a, b = self.num, other.num
-        prod = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
-        return ExactRotation.create(prod, base, self.den_exp + other.den_exp)
-
-    def inverse(self) -> "ExactRotation":
-        """Transpose of the stored matrix over the same denominator."""
-        t = tuple(tuple(self.num[j][i] for j in range(3)) for i in range(3))
-        return ExactRotation.create(t, self.den_base, self.den_exp)
-
-
-def adjoint_rotation(q: LipschitzQuaternion) -> ExactRotation:
+def adjoint_rotation(q: LipschitzQuaternion) -> tuple[tuple[int, ...], ...]:
     """Conjugation action of q on the imaginary units, cleared of denominators.
 
-    Column c of the integer matrix is the vector part of q * e_c * conj(q)
-    for e_c in (i, j, k); the rotation itself is that matrix divided by
-    norm(q).
+    Column c of the integer 3x3 matrix returned is the vector part of
+    q * e_c * conj(q) for e_c in (i, j, k); the rotation itself is that
+    matrix divided by norm(q).
     """
     n = q.norm()
     if n == 0:
@@ -222,59 +155,46 @@ def adjoint_rotation(q: LipschitzQuaternion) -> ExactRotation:
         if img.x0 != 0:
             raise ValueError("conjugation did not preserve the imaginary subspace")
         cols.append(img.vector_part())
-    rows = tuple(tuple(cols[c][r] for c in range(3)) for r in range(3))
-    return ExactRotation.create(rows, n, 1)
+    return tuple(tuple(cols[c][r] for c in range(3)) for r in range(3))
 
 
 @dataclass(frozen=True)
-class GeneratorSet:
-    """The p + 1 conjugation rotations of norm-p representatives, with inverse pairing.
+class GeneratorSet(IntegerGenerators):
+    """The p + 1 conjugation rotations of norm-p representatives, over den = p.
 
-    inverse_of[i] = j means rotations[j] is the exact inverse of rotations[i];
-    the pairing is an involution without fixed points and matches quaternion
-    conjugation on source_quaternions.
+    matrices[i] / p is the rotation of source_quaternions[i], and
+    inverse_of matches quaternion conjugation.  On top of the pairing the
+    constructor requires each numerator M to be p times a rotation,
+    M^T M = p^2 I and det M = p^3, with not every entry divisible by p.
     """
 
-    p: int
-    rank: int
-    rotations: tuple[ExactRotation, ...]
-    inverse_of: tuple[int, ...]
     source_quaternions: tuple[LipschitzQuaternion, ...]
 
-    @property
-    def integer_matrices(self) -> tuple[tuple, int]:
-        """Each rotation's numerator over p (build_generator_set checks den_exp = 1)."""
-        return tuple(r.num for r in self.rotations), self.p
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        gens, p = np.array(self.matrices, dtype=object), self.den
+        if gens.shape[1:] != (3, 3):
+            raise ValueError("rotation numerators must be 3x3")
+        gram = np.matmul(np.swapaxes(gens, 1, 2), gens)
+        if not (gram == np.eye(3, dtype=object) * p * p).all():
+            raise ValueError(f"a generator's columns are not orthogonal with norm {p}")
+        if not (_det3(gens) == p ** 3).all():
+            raise ValueError(f"a generator does not have determinant {p}^3; not a rotation")
+        if (gens % p == 0).all(axis=(1, 2)).any():
+            raise ValueError(f"a generator's numerator is divisible by {p}")
 
-    def check_products(self, products: np.ndarray, length: int) -> None:
-        """Require M^T M = p^(2k) I and det M = p^(3k) for each numerator M of a length-k word."""
-        s = self.p ** length
-        gram = np.matmul(np.swapaxes(products, -1, -2), products)
-        if not (gram == np.eye(3, dtype=products.dtype) * (s * s)).all():
-            raise ValueError(f"a length-{length} product is not orthogonal with norm p^{length}")
-        if not (_det3(products) == s ** 3).all():
-            raise ValueError(f"a length-{length} product does not have determinant p^{3 * length}")
+    @property
+    def p(self) -> int:
+        return self.den
 
 
 def build_generator_set(p: int) -> GeneratorSet:
     """Construct the rank-(p+1)/2 free rotation set for a prime p = 1 mod 4."""
     reps = enumerate_representatives(p)
-    rotations = tuple(adjoint_rotation(q) for q in reps)
     index_of = {q: i for i, q in enumerate(reps)}
-    inverse_of = tuple(index_of[q.conjugate()] for q in reps)
-    ident = ExactRotation.identity()
-    for i, rot in enumerate(rotations):
-        j = inverse_of[i]
-        if inverse_of[j] != i or j == i:
-            raise ValueError("conjugation pairing is not a fixed-point-free involution")
-        if rot.den_exp != 1:
-            raise ValueError("generator rotation does not have denominator p")
-        if rotations[j] * rot != ident:
-            raise ValueError("paired rotations do not multiply to the identity")
     return GeneratorSet(
-        p=p,
-        rank=(p + 1) // 2,
-        rotations=rotations,
-        inverse_of=inverse_of,
+        matrices=tuple(adjoint_rotation(q) for q in reps),
+        den=p,
+        inverse_of=tuple(index_of[q.conjugate()] for q in reps),
         source_quaternions=tuple(reps),
     )

@@ -2,15 +2,16 @@
 
 An integer matrix g with determinant +-1 acts on the 2-torus, and the
 induced action on characters sends the frequency vector m to
-transpose(g^-1) m.  Averaging over reduced words of length n in a chosen
-set of such matrices is, in the character basis, a huge permutation-like
-sum; compressing it to a finite sup-norm window yields a sparse symmetric
-nonnegative matrix whose norm can only underestimate the true mean-zero
-operator norm.  The compression is built on primitive frequencies, one of
-each pair +-m, where its largest eigenvalue is unchanged, and that
-eigenvalue is bounded from below by an exact Rayleigh quotient.  Together
-with the closed-form upper bound this sandwiches the discrepancy from both
-sides.
+transpose(g^-1) m.  A generating set is the chosen matrices followed by
+their inverses, kept as the words module's IntegerGenerators over
+denominator 1.  Averaging over reduced words of length n in it is, in
+the character basis, a huge permutation-like sum; compressing it to a
+finite sup-norm window yields a sparse symmetric nonnegative matrix
+whose norm can only underestimate the true mean-zero operator norm.
+The compression is built on primitive frequencies, one of each pair +-m,
+where its largest eigenvalue is unchanged, and that eigenvalue is
+bounded from below by an exact Rayleigh quotient.  Together with the
+closed-form upper bound this sandwiches the discrepancy from both sides.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.sparse
 
 from .formulas import regular_norm
-from .words import word_levels
+from .words import IntegerGenerators, word_levels
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -46,68 +47,14 @@ UPPER_TOLERANCE = 1e-8
 MONOTONICITY_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class TorusGenerator:
-    """Integer 2x2 matrix of determinant +1 or -1 acting on the torus."""
-
-    matrix: Matrix2
-
-    def __post_init__(self) -> None:
-        if self.determinant() not in (1, -1):
-            raise ValueError(
-                f"matrix {self.matrix} has determinant {self.determinant()}, "
-                "not a torus automorphism"
-            )
-
-    def determinant(self) -> int:
-        (a, b), (c, d) = self.matrix
-        return a * d - b * c
-
-    def inverse(self) -> "TorusGenerator":
-        (a, b), (c, d) = self.matrix
-        det = a * d - b * c
-        return TorusGenerator(((det * d, -det * b), (-det * c, det * a)))
-
-    def __mul__(self, other: "TorusGenerator") -> "TorusGenerator":
-        (a, b), (c, d) = self.matrix
-        (e, f), (g, h) = other.matrix
-        return TorusGenerator(
-            ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-        )
-
-
-@dataclass(frozen=True)
-class TorusGeneratorSet:
-    """Chosen automorphisms together with their inverses, pairing recorded."""
-
-    generators: tuple[TorusGenerator, ...]
-    inverse_of: tuple[int, ...]
-    q: int
-
-    @property
-    def integer_matrices(self) -> tuple[tuple[Matrix2, ...], int]:
-        """The generator matrices themselves, over denominator 1."""
-        return tuple(g.matrix for g in self.generators), 1
-
-    def check_products(self, products: np.ndarray, length: int) -> None:
-        """Require determinant +1 or -1 of every product matrix."""
-        det = products[:, 0, 0] * products[:, 1, 1] - products[:, 0, 1] * products[:, 1, 0]
-        if not ((det == 1) | (det == -1)).all():
-            raise ValueError(f"a length-{length} product is not a torus automorphism")
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators) // 2
-
-
-def build_torus_genset(
-    matrices: Sequence[Matrix2] | str,
-) -> TorusGeneratorSet:
+def build_torus_genset(matrices: Sequence[Matrix2] | str) -> IntegerGenerators:
     """Symmetrise a list of automorphism matrices into a generating set.
 
-    Accepts a preset name ('sanov' or 'rank-one') or an explicit sequence.
-    The input may not contain repeats, inverse pairs, or involutions,
-    since the inverse pairing must be a fixed-point-free involution on the
+    Accepts a preset name ('sanov' or 'rank-one') or an explicit sequence
+    of integer matrices of determinant +-1; the inverse of each, its
+    adjugate times its determinant, is appended over denominator 1.  The
+    input may not contain repeats, inverse pairs, or involutions, since
+    the inverse pairing must be a fixed-point-free involution on the
     doubled list.
     """
     if isinstance(matrices, str):
@@ -117,22 +64,28 @@ def build_torus_genset(
             raise ValueError(
                 f"unknown preset {matrices!r}; choose from {sorted(PRESETS)}"
             ) from None
-    gens = [TorusGenerator(_integer_matrix(m)) for m in matrices]
+    gens = [_integer_matrix(m) for m in matrices]
     if not gens:
         raise ValueError("need at least one generator matrix")
+    inverses = []
+    for g in gens:
+        (a, b), (c, d) = g
+        det = a * d - b * c
+        if det not in (1, -1):
+            raise ValueError(f"matrix {g} has determinant {det}, not a torus automorphism")
+        inverses.append(((det * d, -det * b), (-det * c, det * a)))
     for i, g in enumerate(gens):
         for j, h in enumerate(gens):
             if i != j and g == h:
                 raise ValueError(f"generators {i} and {j} are equal")
-            if g == h.inverse():
+            if g == inverses[j]:
                 raise ValueError(
                     f"generator {i} equals the inverse of generator {j}; "
                     "inverses are added automatically"
                 )
     r = len(gens)
-    doubled = tuple(gens) + tuple(g.inverse() for g in gens)
     inverse_of = tuple(range(r, 2 * r)) + tuple(range(r))
-    return TorusGeneratorSet(generators=doubled, inverse_of=inverse_of, q=2 * r - 1)
+    return IntegerGenerators(tuple(gens) + tuple(inverses), 1, inverse_of)
 
 
 def _integer_matrix(entry) -> Matrix2:
@@ -162,20 +115,6 @@ def load_generator_matrices(path: str) -> tuple[Matrix2, ...]:
     if not isinstance(data, list):
         raise ValueError("generator file must hold a JSON array of 2x2 matrices")
     return tuple(_integer_matrix(entry) for entry in data)
-
-
-def character_matrix(g: TorusGenerator) -> Matrix2:
-    """Matrix acting on frequency vectors: transpose of the inverse."""
-    (a, b), (c, d) = g.inverse().matrix
-    return ((a, c), (b, d))
-
-
-def character_action(g: TorusGenerator, m: tuple[int, int]) -> tuple[int, int]:
-    """Image of the nonzero frequency m under the automorphism's character action."""
-    if m == (0, 0):
-        raise ValueError("the zero frequency is the constants; not in the mean-zero space")
-    (a, b), (c, d) = character_matrix(g)
-    return (a * m[0] + b * m[1], c * m[0] + d * m[1])
 
 
 class HalfWindow:
@@ -224,7 +163,7 @@ class WindowOperator:
 
 
 def window_operator(
-    genset: TorusGeneratorSet, n: int, shape: str, radius: int
+    genset: IntegerGenerators, n: int, shape: str, radius: int
 ) -> WindowOperator:
     """Count, for each pair of half-window points, the words taking one to +-the other.
 
@@ -408,14 +347,12 @@ class ConvergenceTable:
     n: int
     shape: str
     theoretical: float
-    upper_tolerance: float
-    monotonicity_tolerance: float
     rows: tuple[WindowRow, ...]
     passed: bool
 
 
 def torus_discrepancy_check(
-    genset: TorusGeneratorSet,
+    genset: IntegerGenerators,
     n: int,
     shape: str,
     radii: Sequence[int],
@@ -448,8 +385,6 @@ def torus_discrepancy_check(
         n=n,
         shape=shape,
         theoretical=theoretical,
-        upper_tolerance=UPPER_TOLERANCE,
-        monotonicity_tolerance=MONOTONICITY_TOLERANCE,
         rows=tuple(rows),
         passed=all(r.within_upper and r.nondecreasing for r in rows),
     )

@@ -1,40 +1,57 @@
 """Reduced words over a symmetric generating set and freeness certification.
 
-Letters are indices into a generating set that carries an involutive
-inverse_of pairing.  A word is reduced when no letter is immediately
-followed by its inverse partner.  Counting reduced words of length n is
-the (q+1)-regular tree sphere count with q = (number of generators) - 1.
-word_levels is the one walk over reduced words: freeness certification
-here and the torus window operators both take their products from it.
+A generating set is IntegerGenerators: integer d x d matrices over one
+common denominator, with an involutive inverse_of pairing that the
+constructor checks exactly.  Letters are indices into it, and a word is
+reduced when no letter is immediately followed by its inverse partner.
+Counting reduced words of length n is the (q+1)-regular tree sphere count
+with q = (number of generators) - 1.  word_levels is the one walk over
+reduced words: freeness certification here and the torus window
+operators both take their products from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from typing import Optional
 
 import numpy as np
 
 
-class SymmetricGeneratorSet(Protocol):
-    """What the walk over reduced words needs from a generating set."""
+@dataclass(frozen=True)
+class IntegerGenerators:
+    """Symmetric generating set: element i is matrices[i] / den.
+
+    `matrices` holds nested int tuples, so the set hashes.  inverse_of[i]
+    is the index of the inverse of element i; the constructor requires a
+    fixed-point-free involution with M_i M_inverse_of[i] = den^2 I exactly.
+    """
+
+    matrices: tuple[tuple[tuple[int, ...], ...], ...]
+    den: int
+    inverse_of: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        gens = np.array(self.matrices, dtype=object)
+        k = len(self.inverse_of)
+        if k == 0 or self.den < 1 or gens.shape != (k,) + gens.shape[-1:] * 2:
+            raise ValueError("need one square matrix per inverse_of entry and a positive den")
+        inv, letters = np.array(self.inverse_of), np.arange(k)
+        involution = sorted(self.inverse_of) == list(range(k)) and (inv[inv] == letters).all()
+        if not involution or (inv == letters).any():
+            raise ValueError(f"inverse_of {self.inverse_of} is not a fixed-point-free involution")
+        identity = np.eye(gens.shape[-1], dtype=object) * self.den ** 2
+        if not (np.matmul(gens, gens[inv]) == identity).all():
+            raise ValueError("paired matrices do not multiply to den^2 times the identity")
 
     @property
-    def integer_matrices(self) -> tuple[Sequence, int]:
-        """The elements as integer d x d matrices over one common denominator."""
-        ...
+    def q(self) -> int:
+        return len(self.inverse_of) - 1
 
-    def check_products(self, products: np.ndarray, length: int) -> None:
-        """Raise ValueError unless products[i] / denominator**length is a group element.
-
-        `products` stacks the (d, d) numerators of products of `length`
-        elements.  The check is exact as long as its arithmetic does not
-        wrap, which word_levels guarantees by its choice of dtype.
-        """
-        ...
-
-    inverse_of: tuple[int, ...]
+    @property
+    def rank(self) -> int:
+        return len(self.inverse_of) // 2
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -81,7 +98,7 @@ def word_counts(q: int, n: int) -> tuple[int, int]:
 
 
 def word_levels(
-    genset: SymmetricGeneratorSet, n: int
+    genset: IntegerGenerators, n: int
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every reduced word of length 0..n as integer arrays, one level per length.
 
@@ -91,19 +108,22 @@ def word_levels(
     k - 1; and its last letter.  Level 0 holds the empty word, whose last
     letter is the sentinel len(inverse_of).  Children come from one
     broadcast matrix product per level, with each parent's inverse letter
-    masked out, and the generating set checks every level exactly.
+    masked out.  The arithmetic is exact, so every product is a group
+    element because the generators are: no level needs checking.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    matrices, den = genset.integer_matrices
-    gens = np.array(matrices, dtype=object)
+    gens = np.array(genset.matrices, dtype=object)
     k, d, _ = gens.shape
-    # Entries of a length-j numerator are at most bound**j, so the d! terms
-    # of its determinant, the largest intermediate, stay within
-    # d! * bound**(d*n).  Past 2**63 the walk runs on Python ints: int64
-    # would wrap silently, and wrapped products still pass the level
-    # checks, since those are polynomial identities that hold mod 2**64.
-    bound = max(den, max(sum(abs(v) for v in row) for m in matrices for row in m))
+    # Entries of a length-j numerator are at most bound**j.  The walk runs
+    # in int64 only while d! * bound**(d*n), the size of a d x d determinant
+    # of such entries, stays below 2**63, which leaves room for what callers
+    # compute from the products: scaling to den**n here, column sums of |W|
+    # in the torus windows.  Past it the walk runs on Python ints: int64
+    # would wrap silently, and no identity checked on the products could
+    # tell, since wrapped products still satisfy every polynomial identity
+    # mod 2**64.
+    bound = max(genset.den, max(sum(abs(v) for v in row) for m in genset.matrices for row in m))
     if math.factorial(d) * bound ** (d * n) < 2 ** 63:
         gens = gens.astype(np.int64)
     # The letter each letter bans next; the sentinel k bans nothing.
@@ -112,18 +132,17 @@ def word_levels(
     products = np.eye(d, dtype=gens.dtype)[None]
     last = np.array([k])
     levels = [(products, np.array([-1]), last)]
-    for length in range(1, n + 1):
+    for _ in range(n):
         keep = (letters[None, :] != bans[last][:, None]).ravel()
         parent = np.repeat(np.arange(len(products)), k)[keep]
         last = np.tile(letters, len(products))[keep]
         products = np.matmul(products[:, None], gens[None]).reshape(-1, d, d)[keep]
-        genset.check_products(products, length)
         levels.append((products, parent, last))
     return levels
 
 
 def verify_freeness(
-    genset: SymmetricGeneratorSet, n: int, budget: int = 10 ** 6
+    genset: IntegerGenerators, n: int, budget: int = 10 ** 6
 ) -> FreenessReport:
     """Certify that reduced words of length <= n evaluate to distinct elements.
 
@@ -136,16 +155,13 @@ def verify_freeness(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    q = len(genset.inverse_of) - 1
-    if q < 1:
-        raise ValueError("generating set must contain at least two elements")
+    q = genset.q
     _, expected = word_counts(q, n)
     if expected > budget:
         raise EnumerationBudgetError(
             f"ball of radius {n} holds {expected} words, over the budget of {budget}"
         )
     levels = word_levels(genset, n)
-    _, den = genset.integer_matrices
     # Depth-first pre-order index of each word: its parent's, plus one,
     # plus the subtrees of its earlier siblings, each holding
     # sum_{t <= n - length} q**t words.  Siblings sit together in a level,
@@ -159,7 +175,7 @@ def verify_freeness(
         preorders.append(pre)
 
     values = np.concatenate(
-        [products * den ** (n - length) for length, (products, _, _) in enumerate(levels)]
+        [products * genset.den ** (n - length) for length, (products, _, _) in enumerate(levels)]
     ).reshape(expected, -1)
     preorder = np.concatenate(preorders)
     order = np.lexsort((preorder,) + tuple(values.T))

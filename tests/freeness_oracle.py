@@ -4,33 +4,38 @@
 integer arrays, and both `verify_freeness` and the torus window operator
 take their products from it.  This module keeps the direct constructions,
 unoptimised: a recursive enumerator of reduced words, products evaluated
-letter by letter as the generating set's own exact elements, and a
-freeness walk that puts each value into a dict and reports the first
-repeated value met in depth-first pre-order as the first collision.
+letter by letter on matrices of Fractions, and a freeness walk that puts
+each value into a dict and reports the first repeated value met in
+depth-first pre-order as the first collision.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from typing import Iterator, Optional, Sequence
 
-from lps.quaternions import ExactRotation, GeneratorSet
-from lps.torus import TorusGenerator
-from lps.words import FreenessReport, SymmetricGeneratorSet, Word, word_counts
+from lps.words import FreenessReport, IntegerGenerators, Word, word_counts
 
 
-def exact_elements(genset: SymmetricGeneratorSet) -> tuple[tuple, object]:
-    """The generating set's exact group elements and the identity among them."""
-    if isinstance(genset, GeneratorSet):
-        return genset.rotations, ExactRotation.identity()
-    return genset.generators, TorusGenerator(((1, 0), (0, 1)))
+def exact_elements(genset: IntegerGenerators) -> tuple[tuple, tuple]:
+    """The generators as tuples of Fraction rows, and the identity matrix."""
+    elements = tuple(
+        tuple(tuple(Fraction(v, genset.den) for v in row) for row in m) for m in genset.matrices
+    )
+    d = len(genset.matrices[0])
+    return elements, tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
+
+
+def matmul(a: tuple, b: tuple) -> tuple:
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def is_reduced(letters: Sequence[int], inverse_of: Sequence[int]) -> bool:
     return all(inverse_of[a] != b for a, b in zip(letters, letters[1:]))
 
 
-def enumerate_sphere(genset: SymmetricGeneratorSet, n: int) -> Iterator[Word]:
+def enumerate_sphere(genset: IntegerGenerators, n: int) -> Iterator[Word]:
     """Yield every reduced word of length exactly n in lexicographic order."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -47,7 +52,7 @@ def enumerate_sphere(genset: SymmetricGeneratorSet, n: int) -> Iterator[Word]:
     yield from rec((), -1)
 
 
-def evaluate_word(genset: SymmetricGeneratorSet, word: Word):
+def evaluate_word(genset: IntegerGenerators, word: Word):
     """Exact product of the word's generators, left to right.
 
     Raises ValueError when the word is not reduced for this generating set.
@@ -57,12 +62,12 @@ def evaluate_word(genset: SymmetricGeneratorSet, word: Word):
         raise ValueError(f"word uses letters outside 0..{len(elements) - 1}")
     if not is_reduced(word.letters, genset.inverse_of):
         raise ValueError(f"word {word.letters} is not reduced")
-    return reduce(lambda acc, a: acc * elements[a], word.letters, identity)
+    return reduce(lambda acc, a: matmul(acc, elements[a]), word.letters, identity)
 
 
-def reference_freeness(genset: SymmetricGeneratorSet, n: int) -> FreenessReport:
+def reference_freeness(genset: IntegerGenerators, n: int) -> FreenessReport:
     """The FreenessReport of `verify_freeness`, by recursion over exact elements."""
-    _, expected = word_counts(len(genset.inverse_of) - 1, n)
+    _, expected = word_counts(genset.q, n)
     inverse_of = genset.inverse_of
     elements, identity = exact_elements(genset)
     seen: dict = {identity: Word(())}
@@ -75,7 +80,7 @@ def reference_freeness(genset: SymmetricGeneratorSet, n: int) -> FreenessReport:
         for i in range(len(elements)):
             if i == banned:
                 continue
-            child = value * elements[i]
+            child = matmul(value, elements[i])
             word = Word(prefix + (i,))
             if child in seen:
                 if first_collision is None:

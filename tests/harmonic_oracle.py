@@ -207,17 +207,17 @@ def _poly_mul(f: dict, g: dict) -> dict:
     return out
 
 
-def rotation_block(rot, degree: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact matrix of one rotation's action f(v) -> f(R^T v) on the harmonics.
+def rotation_block(num, den: int, degree: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact matrix of the action f(v) -> f(R^T v) of R = num / den on the harmonics.
 
     Column j holds the coordinates of the image of basis polynomial j.
     """
     basis = harmonic_basis(degree)
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     # variable i becomes the linear form given by column i of the numerator
-    forms = [{units[r]: rot.num[r][i] for r in range(3) if rot.num[r][i]} for i in range(3)]
+    forms = [{units[r]: num[r][i] for r in range(3) if num[r][i]} for i in range(3)]
     index = {m: i for i, m in enumerate(basis.monomials)}
-    scale = (rot.den_base ** rot.den_exp) ** degree
+    scale = den ** degree
     cols = []
     for poly in basis.polynomials:
         image = [0] * len(basis.monomials)
@@ -244,8 +244,8 @@ def harmonic_spectrum(genset, degree: int) -> np.ndarray:
     basis = harmonic_basis(degree)
     k = basis.dimension
     total = np.zeros((k, k), dtype=object)
-    for rot in genset.rotations:
-        total = total + np.array(rotation_block(rot, degree), dtype=object)
+    for num in genset.matrices:
+        total = total + np.array(rotation_block(num, genset.den, degree), dtype=object)
     gram = np.array(gram_matrix(basis), dtype=object)
     pencil = object_matmul(gram, total)
     if not (pencil == pencil.T).all():

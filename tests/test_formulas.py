@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import lps.formulas
 from lps.formulas import (
+    ConsistencyError,
     HeckePolynomial,
     c_factor,
     harish_chandra,
@@ -92,6 +94,20 @@ def test_hecke_sup_closed_form():
         for n in range(1, 8):
             expected = harish_chandra(q, n) * (q + 1) * q ** (n - 1)
             assert abs(hecke_sup(q, n) - expected) <= 1e-9 * expected
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_hecke_sup_rejects_a_wrong_recursion_coefficient(monkeypatch, n):
+    # P_{k+1} = X P_k - (q + 1) P_{k-1}, seeded like the tree recursion
+    def wrong(q, m):
+        prev, cur = (1,), (0, 1)
+        for _ in range(m - 1):
+            prev, cur = cur, tuple(a - (q + 1) * b for a, b in zip((0,) + cur, prev + (0, 0)))
+        return HeckePolynomial(q, m, cur)
+
+    monkeypatch.setattr(lps.formulas, "hecke_polynomial", wrong)
+    with pytest.raises(ConsistencyError, match="Chebyshev"):
+        hecke_sup(5, n)
 
 
 def test_regular_norm_sphere_is_harish_chandra():

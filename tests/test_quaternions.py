@@ -1,13 +1,14 @@
 """Unit tests for integer quaternion arithmetic and exact rotations."""
 
+import dataclasses
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from freeness_oracle import matmul
 from lps.quaternions import (
-    ExactRotation,
+    GeneratorSet,
     LipschitzQuaternion,
     adjoint_rotation,
     build_generator_set,
@@ -124,78 +125,67 @@ def test_representatives_shape(p):
 
 
 def test_adjoint_rotation_hand_value():
-    rot = adjoint_rotation(LipschitzQuaternion(1, 2, 0, 0))
-    assert rot.den_base == 5 and rot.den_exp == 1
-    assert rot.num == ((5, 0, 0), (0, -3, -4), (0, 4, -3))
+    assert adjoint_rotation(LipschitzQuaternion(1, 2, 0, 0)) == ((5, 0, 0), (0, -3, -4), (0, 4, -3))
 
 
 def test_adjoint_rotation_is_orthogonal_scaled():
     for p in (5, 13):
         for q in enumerate_representatives(p):
-            rot = adjoint_rotation(q)
-            m = rot.num
+            m = adjoint_rotation(q)
             for i in range(3):
                 for j in range(3):
                     dot = sum(m[k][i] * m[k][j] for k in range(3))
                     assert dot == (p * p if i == j else 0)
 
 
-def _rational_matrix(rot):
-    d = rot.den_base**rot.den_exp
-    return tuple(tuple(Fraction(v, d) for v in row) for row in rot.num)
-
-
 def test_adjoint_is_multiplicative():
-    # Ad(ab) may canonicalize with base 25 where the product keeps base 5,
-    # so compare the underlying rational matrices rather than dataclasses.
+    # Ad(ab) = Ad(a) Ad(b) holds on the numerators, over norm(a) norm(b)
     reps = enumerate_representatives(5)
     for a, b in itertools.product(reps[:3], reps[:3]):
-        product = adjoint_rotation(a) * adjoint_rotation(b)
-        assert _rational_matrix(adjoint_rotation(a * b)) == _rational_matrix(product)
-
-
-def test_exact_rotation_canonicalizes():
-    rot = ExactRotation.create(((5, 0, 0), (0, 5, 0), (0, 0, 5)), 5, 1)
-    assert rot == ExactRotation.identity()
-    assert rot.den_base == 1 and rot.den_exp == 0
+        assert matmul(adjoint_rotation(a), adjoint_rotation(b)) == adjoint_rotation(a * b)
 
 
 def test_exact_rotation_rejects_non_orthogonal():
-    with pytest.raises(ValueError):
-        ExactRotation.create(((1, 1, 0), (0, 1, 0), (0, 0, 1)), 1, 0)
+    # diag(1, 5, 25) pairs with diag(25, 5, 1) and has determinant 5^3
+    a, b = ((1, 0, 0), (0, 5, 0), (0, 0, 25)), ((25, 0, 0), (0, 5, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="orthogonal"):
+        GeneratorSet((a, b), 5, (1, 0), ())
 
 
 def test_exact_rotation_rejects_reflection():
-    # orthogonal but determinant -1
-    with pytest.raises(ValueError):
-        ExactRotation.create(((-1, 0, 0), (0, 1, 0), (0, 0, 1)), 1, 0)
+    # negating every numerator keeps the pairing and orthogonality, flips det
+    genset = build_generator_set(5)
+    negated = tuple(tuple(tuple(-v for v in row) for row in m) for m in genset.matrices)
+    with pytest.raises(ValueError, match="determinant"):
+        dataclasses.replace(genset, matrices=negated)
+
+
+def test_exact_rotation_rejects_a_numerator_divisible_by_p():
+    # 5 I pairs with itself, is orthogonal with norm 5 and has determinant 5^3
+    five = ((5, 0, 0), (0, 5, 0), (0, 0, 5))
+    with pytest.raises(ValueError, match="divisible"):
+        GeneratorSet((five, five), 5, (1, 0), ())
 
 
 def test_exact_rotation_inverse_and_identity():
-    rot = adjoint_rotation(LipschitzQuaternion(1, 0, 2, 0))
-    assert rot * rot.inverse() == ExactRotation.identity()
-    assert rot.inverse() * rot == ExactRotation.identity()
-    assert rot * ExactRotation.identity() == rot
-
-
-def test_exact_rotation_incompatible_bases():
-    a = adjoint_rotation(LipschitzQuaternion(1, 2, 0, 0))
-    b = adjoint_rotation(LipschitzQuaternion(1, 2, 2, 2))  # norm 13
-    with pytest.raises(ValueError):
-        a * b
+    # Ad(conj q) inverts Ad(q), and as a rotation it is the transpose
+    q = LipschitzQuaternion(1, 0, 2, 0)
+    m = adjoint_rotation(q)
+    assert adjoint_rotation(q.conjugate()) == tuple(zip(*m))
+    assert matmul(m, tuple(zip(*m))) == ((25, 0, 0), (0, 25, 0), (0, 0, 25))
 
 
 @pytest.mark.parametrize("p", [5, 13, 17, 29])
 def test_generator_set_structure(p):
     genset = build_generator_set(p)
-    assert genset.p == p
+    assert genset.p == genset.den == p
     assert genset.rank == (p + 1) // 2
-    elements = genset.rotations
+    elements = genset.matrices
     assert len(elements) == p + 1
     inv = genset.inverse_of
     assert sorted(inv) == list(range(p + 1))
+    identity = tuple(tuple(p * p * (r == c) for c in range(3)) for r in range(3))
     for i, j in enumerate(inv):
         assert i != j, "pairing must be fixed-point free"
         assert inv[j] == i
-        assert elements[i] * elements[j] == ExactRotation.identity()
-
+        assert matmul(elements[i], elements[j]) == identity

@@ -24,12 +24,7 @@ from harmonic_oracle import (
     rotation_block,
 )
 from lps.formulas import ConsistencyError, hecke_polynomial, lps_discrepancy
-from lps.quaternions import (
-    ExactRotation,
-    LipschitzQuaternion,
-    adjoint_rotation,
-    build_generator_set,
-)
+from lps.quaternions import LipschitzQuaternion, adjoint_rotation, build_generator_set
 from lps.sphere import (
     block_spectrum,
     check_traces,
@@ -175,22 +170,21 @@ def test_gram_blocks_by_exponent_parity(degree):
 
 
 def test_rotation_block_degree_one_is_rotation_matrix():
-    rot = adjoint_rotation(LipschitzQuaternion(1, 2, 0, 0))
-    block = rotation_block(rot, 1)
-    d = Fraction(rot.den_base**rot.den_exp)
+    num = adjoint_rotation(LipschitzQuaternion(1, 2, 0, 0))
+    block = rotation_block(num, 5, 1)
     for i in range(3):
         for j in range(3):
-            assert block[i][j] == Fraction(rot.num[i][j], d)
+            assert block[i][j] == Fraction(num[i][j], 5)
 
 
 def test_rotation_block_column_convention_hand_check():
     # pi(g)f(v) = f(R^T v); for R = Ad(1+2i) this sends xy to
     # -(3/5) xy + (4/5) xz, which must appear as a column of the block
-    rot = adjoint_rotation(LipschitzQuaternion(1, 2, 0, 0))
+    num = adjoint_rotation(LipschitzQuaternion(1, 2, 0, 0))
     basis = harmonic_basis(2)
     xy = basis.polynomials.index((0, 1, 0, 0, 0, 0))
     xz = basis.polynomials.index((0, 0, 1, 0, 0, 0))
-    block = rotation_block(rot, 2)
+    block = rotation_block(num, 5, 2)
     column = [block[i][xy] for i in range(basis.dimension)]
     expected = [Fraction(0)] * basis.dimension
     expected[xy] = Fraction(-3, 5)
@@ -199,16 +193,15 @@ def test_rotation_block_column_convention_hand_check():
 
 
 def test_rotation_block_identity_and_multiplicativity():
-    genset = build_generator_set(5)
-    g, h = genset.rotations[0], genset.rotations[2]
+    g, h = build_generator_set(5).matrices[0:3:2]
     for degree in (1, 2, 3):
         dim = 2 * degree + 1
-        ident = rotation_block(ExactRotation.identity(), degree)
+        ident = rotation_block(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1, degree)
         assert all(
             ident[i][j] == (1 if i == j else 0) for i in range(dim) for j in range(dim)
         )
-        left = object_matmul(rotation_block(g, degree), rotation_block(h, degree))
-        right = rotation_block(g * h, degree)
+        left = object_matmul(rotation_block(g, 5, degree), rotation_block(h, 5, degree))
+        right = rotation_block(object_matmul(g, h), 25, degree)
         assert all(
             left[i][j] == right[i][j] for i in range(dim) for j in range(dim)
         )
@@ -220,8 +213,8 @@ def test_rotation_block_preserves_gram(degree):
     genset = build_generator_set(5)
     basis = harmonic_basis(degree)
     gram = gram_matrix(basis)
-    for g in genset.rotations[:3]:
-        block = rotation_block(g, degree)
+    for g in genset.matrices[:3]:
+        block = rotation_block(g, 5, degree)
         transposed = tuple(zip(*block))
         back = object_matmul(transposed, object_matmul(gram, block))
         for i in range(basis.dimension):

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
-from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +14,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import lps
 from lps.torus import (
     LanczosConvergenceError,
     SANOV_MATRICES,
-    TorusGenerator,
     _float_at_most,
     build_torus_genset,
-    character_action,
-    character_matrix,
     load_generator_matrices,
     norm_certificate,
     operator_norm_estimate,
@@ -31,40 +28,41 @@ from lps.torus import (
     window_operator,
 )
 from lps.words import word_counts
-from torus_oracle import LatticeWindow, full_window_counts, half_block
+from torus_oracle import LatticeWindow, character_image, full_window_counts, half_block
 
 
 def test_generator_requires_unimodular_matrix():
-    TorusGenerator(((1, 1), (0, 1)))
-    TorusGenerator(((0, 1), (1, 0)))  # determinant -1 allowed
-    with pytest.raises(ValueError):
-        TorusGenerator(((2, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        TorusGenerator(((1, 1), (1, 1)))
+    build_torus_genset((((1, 1), (0, 1)),))
+    build_torus_genset((((1, 1), (1, 0)),))  # determinant -1 allowed
+    for bad in (((2, 0), (0, 1)), ((1, 1), (1, 1))):
+        with pytest.raises(ValueError, match="determinant"):
+            build_torus_genset((bad,))
 
 
 def test_generator_inverse_and_product():
-    g = TorusGenerator(((1, 2), (0, 1)))
-    assert g.inverse().matrix == ((1, -2), (0, 1))
-    assert (g * g.inverse()).matrix == ((1, 0), (0, 1))
+    # the appended inverse is the adjugate times the determinant
+    pairs = ((((1, 2), (0, 1)), ((1, -2), (0, 1))), (((1, 1), (1, 0)), ((0, 1), (1, -1))))
+    for g, inverse in pairs:
+        assert build_torus_genset((g,)).matrices == (g, inverse)
+        assert np.matmul(g, inverse).tolist() == [[1, 0], [0, 1]]
 
 
 def test_sanov_genset_structure():
     genset = build_torus_genset("sanov")
     assert genset.q == 3
     assert genset.rank == 2
-    gens = genset.generators
+    gens = genset.matrices
     assert len(gens) == 4
     inv = genset.inverse_of
     for i, j in enumerate(inv):
-        assert (gens[i] * gens[j]).matrix == ((1, 0), (0, 1))
+        assert np.matmul(gens[i], gens[j]).tolist() == [[1, 0], [0, 1]]
         assert inv[j] == i and i != j
 
 
 def test_rank_one_genset_is_degenerate_line():
     genset = build_torus_genset("rank-one")
     assert genset.q == 1
-    assert len(genset.generators) == 2
+    assert len(genset.matrices) == 2
     assert word_counts(genset.q, 4) == (2, 9)
 
 
@@ -100,7 +98,7 @@ def test_genset_accepts_numpy_integers():
     )
     genset = build_torus_genset(matrices)
     assert genset == build_torus_genset("sanov")
-    assert all(type(v) is int for g in genset.generators for row in g.matrix for v in row)
+    assert all(type(v) is int for m in genset.matrices for row in m for v in row)
 
 
 @pytest.mark.parametrize(
@@ -132,25 +130,19 @@ def test_load_generator_matrices_roundtrip(tmp_path):
 
 
 def test_character_matrix_is_inverse_transpose():
-    g = TorusGenerator(SANOV_MATRICES[0])
-    assert character_matrix(g) == ((1, 0), (-2, 1))
-    assert character_action(g, (1, 0)) == (1, -2)
-    assert character_action(g, (0, 1)) == (0, 1)
+    # the oracle's action of [[1, 2], [0, 1]] is [[1, 0], [-2, 1]]
+    assert character_image(SANOV_MATRICES[0], (1, 0)) == (1, -2)
+    assert character_image(SANOV_MATRICES[0], (0, 1)) == (0, 1)
 
 
 def test_character_action_is_a_group_action():
     genset = build_torus_genset("sanov")
-    g, h = genset.generators[0], genset.generators[1]
+    g, h = genset.matrices[0], genset.matrices[1]
     m = (2, -3)
-    assert character_action(g, character_action(h, m)) == character_action(g * h, m)
-    ginv = genset.generators[genset.inverse_of[0]]
-    assert character_action(ginv, character_action(g, m)) == m
-
-
-def test_character_action_rejects_origin():
-    g = TorusGenerator(SANOV_MATRICES[0])
-    with pytest.raises(ValueError):
-        character_action(g, (0, 0))
+    gh = np.matmul(g, h).tolist()
+    assert character_image(g, character_image(h, m)) == character_image(gh, m)
+    ginv = genset.matrices[genset.inverse_of[0]]
+    assert character_image(ginv, character_image(g, m)) == m
 
 
 def test_lattice_window_layout():
@@ -279,7 +271,7 @@ def test_norm_estimate_raises_without_convergence():
 # Products of these have determinant +-1; the swap makes odd counts -1.
 _ELEMENTARY = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, -1), (0, 1)), ((0, 1), (1, 0)))
 _unimodular = st.lists(st.sampled_from(_ELEMENTARY), min_size=1, max_size=4).map(
-    lambda ms: reduce(mul, map(TorusGenerator, ms)).matrix
+    lambda ms: reduce(np.matmul, ms, np.eye(2, dtype=int)).tolist()
 )
 _windows = st.tuples(
     st.lists(_unimodular, min_size=1, max_size=2),
@@ -341,6 +333,11 @@ def test_corrupted_certificate_vector_fails():
 def test_float_bound_never_rounds_up(value):
     f = _float_at_most(value)
     assert Fraction(f) <= value < Fraction(math.nextafter(f, math.inf))
+
+
+def test_public_names_resolve_once_in_sorted_order():
+    assert all(hasattr(lps, name) for name in lps.__all__)
+    assert lps.__all__ == sorted(set(lps.__all__))
 
 
 def test_import_leaves_sparse_linalg_unloaded():

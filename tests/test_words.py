@@ -1,7 +1,8 @@
 """Unit tests for reduced-word enumeration and freeness verification."""
 
+import dataclasses
+from fractions import Fraction
 from functools import reduce
-from operator import mul
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import lps.words
 from freeness_oracle import enumerate_sphere, evaluate_word, is_reduced, reference_freeness
-from lps.quaternions import ExactRotation, build_generator_set
-from lps.torus import TorusGenerator, build_torus_genset
+from lps.quaternions import build_generator_set
+from lps.torus import build_torus_genset
 from lps.words import (
     EnumerationBudgetError,
     Word,
@@ -76,10 +77,8 @@ def test_enumerate_sphere_matches_rotation_rank():
 
 
 def test_evaluate_word_matches_manual_product():
-    sanov = build_torus_genset("sanov")
-    a, b = sanov.generators[0], sanov.generators[1]
-    word = Word((0, 1, 0))
-    assert evaluate_word(sanov, word) == (a * b) * a
+    # [[1, 2], [0, 1]] [[1, 0], [2, 1]] [[1, 2], [0, 1]]
+    assert evaluate_word(build_torus_genset("sanov"), Word((0, 1, 0))) == ((5, 12), (2, 5))
 
 
 def test_evaluate_word_rejects_unreduced():
@@ -93,7 +92,7 @@ def test_evaluate_word_rejects_unreduced():
 
 def test_empty_word_is_identity():
     sanov = build_torus_genset("sanov")
-    assert evaluate_word(sanov, Word(())) == TorusGenerator(((1, 0), (0, 1)))
+    assert evaluate_word(sanov, Word(())) == ((1, 0), (0, 1))
 
 
 @pytest.mark.parametrize(
@@ -101,18 +100,14 @@ def test_empty_word_is_identity():
     [(build_generator_set(5), 3), (build_torus_genset("sanov"), 4), (build_torus_genset("rank-one"), 3)],
 )
 def test_word_levels_match_recursive_enumeration(genset, radius):
-    _, den = genset.integer_matrices
     levels = word_levels(genset, radius)
     assert len(levels) == radius + 1
     for length, (products, parent, last) in enumerate(levels):
         words = list(enumerate_sphere(genset, length))
         assert len(products) == len(parent) == len(last) == len(words)
         for word, product, up, letter in zip(words, products, parent, last):
-            value = evaluate_word(genset, word)
-            if isinstance(value, TorusGenerator):
-                assert TorusGenerator(tuple(map(tuple, product.tolist()))) == value
-            else:
-                assert ExactRotation.create(product.tolist(), den, length) == value
+            value = tuple(tuple(Fraction(int(v), genset.den ** length) for v in r) for r in product)
+            assert value == evaluate_word(genset, word)
             if length:
                 assert int(letter) == word.letters[-1]
                 assert previous[int(up)] == word.letters[:-1]
@@ -154,7 +149,7 @@ def test_freeness_budget_guard():
 # Products of these have determinant +-1; the swap makes odd counts -1.
 _ELEMENTARY = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, -1), (0, 1)), ((0, 1), (1, 0)))
 _unimodular = st.lists(st.sampled_from(_ELEMENTARY), min_size=1, max_size=4).map(
-    lambda ms: reduce(mul, map(TorusGenerator, ms)).matrix
+    lambda ms: reduce(np.matmul, ms, np.eye(2, dtype=int)).tolist()
 )
 _shear_pair = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
     lambda ab: (((1, ab[0]), (0, 1)), ((1, ab[1]), (0, 1)))
@@ -163,7 +158,7 @@ _generator_lists = st.one_of(
     st.lists(_unimodular, min_size=1, max_size=3),
     _shear_pair,  # commuting, so a b a^-1 b^-1 = 1 from radius 4 on
     # m and m^2 commute
-    _unimodular.map(lambda m: (m, (TorusGenerator(m) * TorusGenerator(m)).matrix)),
+    _unimodular.map(lambda m: (m, np.matmul(m, m).tolist())),
 )
 
 
@@ -209,9 +204,10 @@ def test_array_walk_reports_first_collision_in_preorder():
 
 
 def test_freeness_budget_fires_before_any_array_work(monkeypatch):
+    genset = build_generator_set(5)
     monkeypatch.setattr(lps.words, "np", None)
     with pytest.raises(EnumerationBudgetError):
-        verify_freeness(build_generator_set(5), 12)
+        verify_freeness(genset, 12)
 
 
 def test_freeness_radius_zero_is_the_identity():
@@ -222,21 +218,11 @@ def test_freeness_radius_zero_is_the_identity():
         assert report.first_collision is None
 
 
-def test_level_checks_reject_corrupted_products():
-    rotations = build_generator_set(5)
-    matrices, p = rotations.integer_matrices
-    assert p == 5
-    products = np.array(matrices, dtype=np.int64)
-    rotations.check_products(products, 1)
-    with pytest.raises(ValueError, match="orthogonal"):
-        rotations.check_products(products * 2, 1)
-    with pytest.raises(ValueError, match="determinant"):
-        rotations.check_products(-products, 1)
-    sanov = build_torus_genset("sanov")
-    matrices, one = sanov.integer_matrices
-    assert one == 1
-    products = np.array(matrices, dtype=np.int64)
-    sanov.check_products(products, 1)
-    products[0, 0, 0] = 2
-    with pytest.raises(ValueError, match="automorphism"):
-        sanov.check_products(products, 1)
+@pytest.mark.parametrize("genset", [build_generator_set(5), build_torus_genset("sanov")])
+def test_construction_rejects_a_wrong_pairing(genset):
+    wrong = tuple(i ^ 1 for i in range(len(genset.inverse_of)))  # 0-1, 2-3, ...
+    assert wrong != genset.inverse_of
+    with pytest.raises(ValueError, match="den\\^2"):
+        dataclasses.replace(genset, inverse_of=wrong)
+    with pytest.raises(ValueError, match="involution"):
+        dataclasses.replace(genset, inverse_of=tuple(range(len(wrong))))

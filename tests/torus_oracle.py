@@ -16,7 +16,14 @@ from math import gcd
 import numpy as np
 
 from freeness_oracle import enumerate_sphere
-from lps.torus import TorusGeneratorSet, character_action
+from lps.words import IntegerGenerators
+
+
+def character_image(g, m: tuple[int, int]) -> tuple[int, int]:
+    """(g^-1)^T m for a 2x2 integer matrix g of determinant +-1, by its adjugate."""
+    (a, b), (c, d) = g
+    det = a * d - b * c
+    return (det * (d * m[0] - c * m[1]), det * (a * m[1] - b * m[0]))
 
 
 class LatticeWindow:
@@ -54,7 +61,7 @@ class LatticeWindow:
 
 
 def full_window_counts(
-    genset: TorusGeneratorSet, n: int, shape: str, radius: int
+    genset: IntegerGenerators, n: int, shape: str, radius: int
 ) -> tuple[LatticeWindow, np.ndarray, int]:
     """The full window, its integer count matrix A * |W|, and the word count |W|."""
     window = LatticeWindow(radius)
@@ -65,7 +72,7 @@ def full_window_counts(
         for j, point in enumerate(tuple(int(v) for v in p) for p in window.points):
             image = point
             for letter in word.letters:
-                image = character_action(genset.generators[letter], image)
+                image = character_image(genset.matrices[letter], image)
             if max(abs(image[0]), abs(image[1])) <= radius:
                 counts[window.index_of(image), j] += 1
     return window, counts, len(words)
