@@ -45,7 +45,6 @@ from .torus import (
     WindowOperator,
     build_torus_genset,
     norm_certificate,
-    operator_norm_estimate,
     torus_discrepancy_check,
     window_operator,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "koopman_block",
     "lps_discrepancy",
     "norm_certificate",
-    "operator_norm_estimate",
     "regular_norm",
     "sphere_discrepancy_estimate",
     "sphere_discrepancy_profile",

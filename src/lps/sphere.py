@@ -38,6 +38,9 @@ from .words import word_counts
 # through l = 32, 20, 12, 8.
 TRACE_TOLERANCE = 1e-9
 
+# Float slack of the tempered test |eig| <= 2*sqrt(p) + RAMANUJAN_TOLERANCE.
+RAMANUJAN_TOLERANCE = 1e-8
+
 # ---------------------------------------------------------------------------
 # Koopman blocks
 # ---------------------------------------------------------------------------
@@ -243,18 +246,17 @@ class RamanujanReport:
     p: int
     l_max: int
     bound: float
-    tolerance: float
     per_degree: tuple[DegreeSpectrum, ...]
     global_max_abs: float
     passed: bool
 
 
-def verify_ramanujan(p: int, l_max: int, tolerance: float = 1e-8) -> RamanujanReport:
-    """Check that every block eigenvalue obeys |eig| <= 2*sqrt(p) + tolerance.
+def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
+    """Check that every block eigenvalue lies in the tempered interval.
 
     Scans harmonic degrees 1..l_max for the norm-p generator sum; each
-    degree contributes its sorted spectrum and the overall maximum is
-    compared against the tempered bound.
+    degree contributes its sorted spectrum, and the report passes when the
+    overall maximum |eig| is at most 2*sqrt(p) + RAMANUJAN_TOLERANCE.
     """
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
@@ -275,10 +277,9 @@ def verify_ramanujan(p: int, l_max: int, tolerance: float = 1e-8) -> RamanujanRe
         p=p,
         l_max=l_max,
         bound=bound,
-        tolerance=tolerance,
         per_degree=tuple(records),
         global_max_abs=global_max,
-        passed=global_max <= bound + tolerance,
+        passed=global_max <= bound + RAMANUJAN_TOLERANCE,
     )
 
 

@@ -46,6 +46,10 @@ PRESETS: dict[str, tuple[Matrix2, ...]] = {
 UPPER_TOLERANCE = 1e-8
 MONOTONICITY_TOLERANCE = 1e-6
 
+# Relative accuracy asked of ARPACK's Lanczos.  It only steers the solve:
+# the certificate is an exact Rayleigh quotient of the rounded Ritz vector.
+LANCZOS_TOL = 1e-7
+
 
 def build_torus_genset(matrices: Sequence[Matrix2] | str) -> IntegerGenerators:
     """Symmetrise a list of automorphism matrices into a generating set.
@@ -260,21 +264,19 @@ def _float_at_most(value: Fraction) -> float:
     return math.nextafter(f, -math.inf) if Fraction(f) > value else f
 
 
-def norm_certificate(
-    op: WindowOperator, tol: float = 1e-7, seed: int = 42, max_iter: Optional[int] = None
-) -> NormCertificate:
+def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
     """The better of two exact lower bounds on the window norm.
 
     The first is the largest diagonal entry of B, the Rayleigh quotient of
     a unit vector.  When it reaches the closed form the sandwich is closed
     and no solve runs; on rank-one it is exactly 1.  Nor does a solve run
-    when C is zero.  Otherwise Lanczos
-    (ARPACK, to relative accuracy `tol`, from the strictly positive start
-    1 + uniform[0, 1) drawn from `seed`) finds the top Ritz vector of B.
-    Its absolute values, which for nonnegative B give a Rayleigh quotient
-    no smaller, are rounded to 24-bit integers x, and x^T C x /
-    (words_used x^T x) is evaluated exactly.  ARPACK failing to converge
-    raises LanczosConvergenceError with the diagonal bound.
+    when C is zero.  Otherwise Lanczos (ARPACK, to relative accuracy
+    LANCZOS_TOL within its default restart limit, from the strictly
+    positive start 1 + uniform[0, 1) drawn from `seed`) finds the top
+    Ritz vector of B.  Its absolute values, which for nonnegative B give
+    a Rayleigh quotient no smaller, are rounded to 24-bit integers x, and
+    x^T C x / (words_used x^T x) is evaluated exactly.  ARPACK failing to
+    converge raises LanczosConvergenceError with the diagonal bound.
     """
     counts = op.entries
     dim = op.window.size
@@ -300,13 +302,12 @@ def norm_certificate(
             k=1,
             which="LA",
             v0=start,
-            tol=tol,
-            maxiter=max_iter,
+            tol=LANCZOS_TOL,
         )
     except ArpackNoConvergence:
         raise LanczosConvergenceError(
-            f"Lanczos did not converge to tol={tol} within {max_iter} restarts "
-            f"(best exact bound {float(best)})",
+            f"Lanczos did not converge to relative accuracy {LANCZOS_TOL} within "
+            f"ARPACK's restart limit (best exact bound {float(best)})",
             best_bound=_float_at_most(best),
         ) from None
     ritz, v = float(theta[0]), vectors[:, 0]
@@ -321,13 +322,6 @@ def norm_certificate(
         ritz_residual=float(np.linalg.norm(b @ v - ritz * v)),
         ritz_minus_certificate=float(Fraction(ritz) - quotient),
     )
-
-
-def operator_norm_estimate(
-    op: WindowOperator, tol: float = 1e-7, seed: int = 42, max_iter: Optional[int] = None
-) -> float:
-    """Certified lower bound on the window norm: see norm_certificate."""
-    return norm_certificate(op, tol=tol, seed=seed, max_iter=max_iter).estimate
 
 
 @dataclass(frozen=True)
@@ -356,12 +350,12 @@ def torus_discrepancy_check(
     n: int,
     shape: str,
     radii: Sequence[int],
-    tol: float = 1e-7,
     seed: int = 42,
 ) -> ConvergenceTable:
     """Sandwich the word-average norm between window certificates and the closed form.
 
-    For each window radius the exact certificate must stay below
+    Each window is certified by norm_certificate from the Lanczos start
+    drawn from `seed`.  The exact certificate must stay below
     theoretical + UPPER_TOLERANCE and its float estimate may not decrease
     by more than MONOTONICITY_TOLERANCE as the window grows.  Violations
     are recorded as failing rows rather than raised, so a full table is
@@ -374,7 +368,7 @@ def torus_discrepancy_check(
     rows = []
     previous: Optional[float] = None
     for radius in radii:
-        bound = norm_certificate(window_operator(genset, n, shape, radius), tol=tol, seed=seed)
+        bound = norm_certificate(window_operator(genset, n, shape, radius), seed=seed)
         within = bound.certificate <= theoretical + UPPER_TOLERANCE
         nondec = previous is None or bound.estimate >= previous - MONOTONICITY_TOLERANCE
         rows.append(

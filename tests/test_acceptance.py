@@ -30,7 +30,7 @@ from lps.quaternions import build_generator_set, enumerate_representatives, jaco
 from lps.sphere import koopman_block, sphere_discrepancy_estimate, verify_ramanujan
 from lps.torus import (
     build_torus_genset,
-    operator_norm_estimate,
+    norm_certificate,
     torus_discrepancy_check,
     window_operator,
 )
@@ -142,7 +142,7 @@ def test_criterion_3_formula_identity_suite(capsys):
 
 def test_criterion_4_ramanujan_inclusion(capsys):
     started = time.perf_counter()
-    report = verify_ramanujan(5, 24, tolerance=1e-8)
+    report = verify_ramanujan(5, 24)
     block = koopman_block(build_generator_set(5), 1)
     elapsed = time.perf_counter() - started
     minus_two_fifths = Fraction(-2, 5)
@@ -206,7 +206,7 @@ def test_criterion_6_torus_sandwich(capsys):
         ok &= all(r.estimate <= table.theoretical + 1e-8 for r in table.rows)
     rank_one = build_torus_genset("rank-one")
     op = window_operator(rank_one, 1, "sphere", 256)
-    estimate = operator_norm_estimate(op)
+    estimate = norm_certificate(op).estimate
     ok &= 0.95 <= estimate <= 1.0 + 1e-8
     elapsed = time.perf_counter() - started
     ok &= elapsed < 120.0

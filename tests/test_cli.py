@@ -8,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lps.cli
+import lps.formulas
 from lps.cli import RAMANUJAN_FLOOR_P5_L24, _nine_down, main, stable_dumps
 from lps.sphere import sphere_discrepancy_profile
+from test_formulas import wrong_hecke_polynomial
 
 
 def run_cli(capsys, argv):
@@ -232,6 +234,37 @@ def test_verify_identities(capsys):
     assert code == 0
     env = parse_envelope(out)
     assert env["checks"] and all(c["passed"] for c in env["checks"])
+
+
+def test_verify_identities_reaches_n_30(capsys):
+    # the edge value of P_n used to come from float Horner, which failed at q=3, n=24
+    code, out, err = run_cli(capsys, ["verify", "identities", "--n-max", "30"])
+    assert code == 0 and err == ""
+    assert all(c["passed"] for c in parse_envelope(out)["checks"])
+
+
+def test_failed_cross_check_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(lps.formulas, "hecke_polynomial", wrong_hecke_polynomial)
+    code, out, err = run_cli(capsys, ["verify", "identities", "--q-list", "5", "--n-max", "3"])
+    assert code == 1
+    assert err.startswith("error:") and "Chebyshev" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "ramanujan", "--prime", "5", "--tol", "100"],
+        ["verify", "torus", "--tol", "0.5"],
+        ["report", "--tol", "1e-3"],
+    ],
+    ids=["ramanujan", "torus", "report"],
+)
+def test_no_command_takes_a_tolerance(capsys, argv):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
 
 
 def test_verify_torus_small_windows(capsys):

@@ -90,22 +90,24 @@ def test_c_factor_rejects_degenerate_q():
 def test_hecke_sup_closed_form():
     # P_3 at 2 sqrt 5: 40 sqrt5 - 22 sqrt5 = 18 sqrt5
     assert abs(hecke_sup(5, 3) - 18 * math.sqrt(5)) < 1e-9
+    # through n = 40: float Horner at the edge failed from n = 24 on
     for q in (3, 5, 13):
-        for n in range(1, 8):
+        for n in range(1, 41):
             expected = harish_chandra(q, n) * (q + 1) * q ** (n - 1)
             assert abs(hecke_sup(q, n) - expected) <= 1e-9 * expected
 
 
+def wrong_hecke_polynomial(q, m):
+    """P_{k+1} = X P_k - (q + 1) P_{k-1}, seeded like the tree recursion."""
+    prev, cur = (1,), (0, 1)
+    for _ in range(m - 1):
+        prev, cur = cur, tuple(a - (q + 1) * b for a, b in zip((0,) + cur, prev + (0, 0)))
+    return HeckePolynomial(q, m, cur)
+
+
 @pytest.mark.parametrize("n", [3, 6, 12])
 def test_hecke_sup_rejects_a_wrong_recursion_coefficient(monkeypatch, n):
-    # P_{k+1} = X P_k - (q + 1) P_{k-1}, seeded like the tree recursion
-    def wrong(q, m):
-        prev, cur = (1,), (0, 1)
-        for _ in range(m - 1):
-            prev, cur = cur, tuple(a - (q + 1) * b for a, b in zip((0,) + cur, prev + (0, 0)))
-        return HeckePolynomial(q, m, cur)
-
-    monkeypatch.setattr(lps.formulas, "hecke_polynomial", wrong)
+    monkeypatch.setattr(lps.formulas, "hecke_polynomial", wrong_hecke_polynomial)
     with pytest.raises(ConsistencyError, match="Chebyshev"):
         hecke_sup(5, n)
 

@@ -26,6 +26,7 @@ from harmonic_oracle import (
 from lps.formulas import ConsistencyError, hecke_polynomial, lps_discrepancy
 from lps.quaternions import LipschitzQuaternion, adjoint_rotation, build_generator_set
 from lps.sphere import (
+    RAMANUJAN_TOLERANCE,
     block_spectrum,
     check_traces,
     clear_caches,
@@ -390,7 +391,7 @@ def test_verify_ramanujan_smoke():
     assert [d.degree for d in report.per_degree] == list(range(1, 7))
     assert all(len(d.eigenvalues) == 2 * d.degree + 1 for d in report.per_degree)
     assert report.global_max_abs == max(d.max_abs for d in report.per_degree)
-    assert report.global_max_abs <= report.bound + report.tolerance
+    assert report.global_max_abs <= report.bound + RAMANUJAN_TOLERANCE
 
 
 def test_verify_ramanujan_deep_in_plain_float64():

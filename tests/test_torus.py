@@ -22,7 +22,6 @@ from lps.torus import (
     build_torus_genset,
     load_generator_matrices,
     norm_certificate,
-    operator_norm_estimate,
     rayleigh_certificate,
     torus_discrepancy_check,
     window_operator,
@@ -237,7 +236,7 @@ def test_norm_estimate_matches_dense_eigenvalues():
         op = window_operator(genset, 1, shape, radius)
         _, counts, words = full_window_counts(genset, 1, shape, radius)
         exact = float(np.max(np.abs(np.linalg.eigvalsh(counts / words))))
-        est = operator_norm_estimate(op, tol=1e-10)
+        est = norm_certificate(op).estimate
         assert est <= exact + 1e-12, "estimates never exceed the true norm"
         assert est >= exact - 1e-6
 
@@ -246,7 +245,7 @@ def test_norm_estimate_rank_one_reaches_exact_eigenvalue_one():
     op = window_operator(build_torus_genset("rank-one"), 1, "sphere", 6)
     eigs = np.linalg.eigvalsh(op.entries.toarray() / op.words_used)
     assert math.isclose(float(np.max(eigs)), 1.0, abs_tol=1e-12)
-    bound = norm_certificate(op, tol=1e-10)
+    bound = norm_certificate(op)
     # the fixed frequency (0, 1) gives diagonal entry 1, the closed form
     assert bound.estimate == 1.0 and bound.certificate == 1
     assert bound.matvecs == 0
@@ -254,17 +253,23 @@ def test_norm_estimate_rank_one_reaches_exact_eigenvalue_one():
 
 def test_norm_estimate_is_deterministic():
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", 8)
-    a = operator_norm_estimate(op, seed=42)
-    b = operator_norm_estimate(op, seed=42)
+    a = norm_certificate(op, seed=42).estimate
+    b = norm_certificate(op, seed=42).estimate
     assert a == b
-    c = operator_norm_estimate(op, seed=7)
+    c = norm_certificate(op, seed=7).estimate
     assert abs(a - c) < 1e-5, "different seeds converge to the same norm"
 
 
-def test_norm_estimate_raises_without_convergence():
+def test_norm_estimate_raises_without_convergence(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", 8)
     with pytest.raises(LanczosConvergenceError) as err:
-        operator_norm_estimate(op, tol=0.0, max_iter=1)
+        norm_certificate(op)
     assert err.value.best_bound > 0
 
 
@@ -317,7 +322,7 @@ def test_corrupted_certificate_vector_fails():
     top = np.abs(np.linalg.eigh(op.entries.toarray().astype(float))[1][:, -1])
     x = np.rint(top * ((2**24 - 1) / top.max())).astype(np.int64)
     good = rayleigh_certificate(op, x)
-    assert abs(float(good) - norm_certificate(op, tol=1e-12).estimate) < 1e-12
+    assert abs(float(good) - norm_certificate(op).estimate) < 1e-12
     peak = int(np.argmax(x))
     negated, dropped = x.copy(), x.copy()
     negated[peak] = -x[peak]
