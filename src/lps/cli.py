@@ -35,6 +35,7 @@ from .torus import (
     MONOTONICITY_TOLERANCE,
     PRESETS,
     UPPER_TOLERANCE,
+    LanczosConvergenceError,
     build_torus_genset,
     load_generator_matrices,
     torus_discrepancy_check,
@@ -354,6 +355,8 @@ def _torus_diagnostics(row) -> dict:
     return {
         "radius": row.radius,
         "dimension": bound.dimension,
+        "orbits": bound.orbits,
+        "symmetry_order": bound.symmetry_order,
         "matvecs": bound.matvecs,
         "ritz_residual": bound.ritz_residual,
         "ritz_minus_certificate": bound.ritz_minus_certificate,
@@ -651,8 +654,8 @@ def main(argv=None) -> int:
     except (EnumerationBudgetError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
-        # an internal cross-check failed: a wrong result, not a usage error
+    except (ConsistencyError, LanczosConvergenceError) as exc:
+        # an internal cross-check or the norm solve failed: no verdict, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if all(e.passed for e in envelopes) else 1

@@ -9,9 +9,17 @@ the character basis, a huge permutation-like sum; compressing it to a
 finite sup-norm window yields a sparse symmetric nonnegative matrix
 whose norm can only underestimate the true mean-zero operator norm.
 The compression is built on primitive frequencies, one of each pair +-m,
-where its largest eigenvalue is unchanged, and that eigenvalue is
-bounded from below by an exact Rayleigh quotient.  Together with the
-closed-form upper bound this sandwiches the discrepancy from both sides.
+where its largest eigenvalue is unchanged.  It is then quotiented by the
+signed permutations P of the square that permute the generating set by
+conjugation, g -> P^T g P: they map reduced words of each length to
+reduced words of that length, so the compression commutes with m -> Pm
+and can be summed over the orbits of that group.  Orbit-constant vectors
+are vectors, so every Rayleigh quotient of the quotient is one of the
+window; and the group average of a nonnegative Perron vector is a
+nonnegative invariant Perron vector, so the largest eigenvalue survives.
+It is bounded from below by an exact Rayleigh quotient.  Together with
+the closed-form upper bound this sandwiches the discrepancy from both
+sides.
 """
 
 from __future__ import annotations
@@ -49,6 +57,16 @@ MONOTONICITY_TOLERANCE = 1e-6
 # Relative accuracy asked of ARPACK's Lanczos.  It only steers the solve:
 # the certificate is an exact Rayleigh quotient of the rounded Ritz vector.
 LANCZOS_TOL = 1e-7
+
+
+# The signed permutation matrices modulo +-I: P and -P conjugate alike and
+# act alike on pairs +-m.  The identity comes first.
+_SQUARE_SYMMETRIES: tuple[Matrix2, ...] = (
+    ((1, 0), (0, 1)),
+    ((0, 1), (1, 0)),
+    ((1, 0), (0, -1)),
+    ((0, -1), (1, 0)),
+)
 
 
 def build_torus_genset(matrices: Sequence[Matrix2] | str) -> IntegerGenerators:
@@ -121,6 +139,27 @@ def load_generator_matrices(path: str) -> tuple[Matrix2, ...]:
     return tuple(_integer_matrix(entry) for entry in data)
 
 
+def symmetries(genset: IntegerGenerators) -> tuple[Matrix2, ...]:
+    """The signed permutations P, modulo +-I, with P^T g P in the set for every generator g.
+
+    These P form a group, the stabiliser of the generating set, listed
+    identity first: order 4 for Sanov (the swap exchanges a and b,
+    diag(1, -1) maps each to its inverse), 2 for the rank-one preset and 1
+    for a set with no symmetry.
+    """
+    def product(x: Matrix2, y: Matrix2) -> Matrix2:
+        return tuple(
+            tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in (0, 1)) for i in (0, 1)
+        )
+
+    gens = set(genset.matrices)
+    return tuple(
+        p
+        for p in _SQUARE_SYMMETRIES
+        if {product(product(tuple(zip(*p)), g), p) for g in gens} == gens
+    )
+
+
 class HalfWindow:
     """Primitive frequencies of sup-norm at most `radius`, one of each pair +-m.
 
@@ -145,34 +184,71 @@ class HalfWindow:
         self.index = np.full(xs.shape, -1, dtype=np.int64)
         self.index[keep] = np.arange(self.size)
 
+    def fold(self, img: np.ndarray) -> np.ndarray:
+        """Fold integer points into the half plane in place; True where they are in the window."""
+        flip = (img[:, 0] < 0) | ((img[:, 0] == 0) & (img[:, 1] < 0))
+        img[flip] *= -1
+        return (img[:, 0] <= self.radius) & (np.abs(img[:, 1]) <= self.radius)
+
+    def lookup(self, img: np.ndarray) -> np.ndarray:
+        """Positions of folded points inside the window, -1 where one is not primitive."""
+        return self.index[img[:, 0], img[:, 1] + self.radius]
+
 
 @dataclass(frozen=True, eq=False)
 class WindowOperator:
-    """Count matrix C of one reduced-word average on the primitive half-window.
+    """Orbit sums K of the count matrix C of one reduced-word average.
 
-    B = C / words_used is the window compression A restricted to primitive
+    C / words_used is the window compression A restricted to primitive
     frequencies and folded by m -> -m.  A is symmetric, nonnegative and
     commutes with m -> -m; it preserves gcd(m1, m2), and its gcd-d block
     at radius R is its primitive block at radius R // d.  So the largest
-    eigenvalue of B is the norm of A, and every Rayleigh quotient of B is
-    one of A.
+    eigenvalue of C / words_used is the norm of A.  C also commutes with
+    the group of `symmetries`, of order `symmetry_order`, acting on the
+    half-window.  `entries` is K[O, O'], the sum of C over m in O and m'
+    in O' for orbits O, O'; `orbit_sizes` is D, the orbit sizes; and
+    `max_diagonal` is the largest diagonal entry of C itself.
+    D^(-1/2) K D^(-1/2) / words_used is C / words_used compressed to
+    orbit-constant vectors: each of its Rayleigh quotients is one of A,
+    and its largest eigenvalue is that of A, since averaging a
+    nonnegative Perron vector over the group keeps it a Perron vector.
     """
 
     window: HalfWindow
     entries: scipy.sparse.csr_matrix
+    orbit_sizes: np.ndarray
+    max_diagonal: int
+    symmetry_order: int
     n: int
     shape: str
     words_used: int
     q: int
 
 
+def _orbits(window: HalfWindow, group: Sequence[Matrix2]) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit number of each half-window point and the first point of each orbit.
+
+    A point's orbit is labelled by the smallest index over its images
+    under the group, and orbits are numbered in the order of those labels.
+    """
+    label = np.arange(window.size, dtype=np.int64)
+    for p in group[1:]:
+        img = window.points @ np.array(p, dtype=np.int64)
+        window.fold(img)
+        label = np.minimum(label, window.lookup(img))
+    representatives = np.flatnonzero(label == np.arange(window.size))
+    return np.searchsorted(representatives, label), representatives
+
+
 def window_operator(
     genset: IntegerGenerators, n: int, shape: str, radius: int
 ) -> WindowOperator:
-    """Count, for each pair of half-window points, the words taking one to +-the other.
+    """Count, for each pair of orbits, the words taking one's points to +-the other's.
 
-    All arithmetic is exact integer arithmetic.  The word set is closed
-    under inversion, so the count matrix is symmetric.
+    Only the first point of each orbit is mapped: C commutes with the
+    group, so K[O', O] is |O| times the number of words taking that point
+    into O'.  All arithmetic is exact integer arithmetic.  The word set
+    is closed under inversion, so K is symmetric.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -190,26 +266,31 @@ def window_operator(
     if bound >= 2 ** 62:
         raise OverflowError("window images would overflow 64-bit lattice arithmetic")
     words = words.astype(np.int64)
-    pts = window.points
-    src = np.arange(window.size, dtype=np.int64)
-    rows: list[np.ndarray] = []
+    group = symmetries(genset)
+    orbit, reps = _orbits(window, group)
+    sizes = np.bincount(orbit)
+    pts = window.points[reps]
+    src = np.arange(len(reps), dtype=np.int64)
+    hits: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     for w in words:
         img = pts @ w
-        flip = (img[:, 0] < 0) | ((img[:, 0] == 0) & (img[:, 1] < 0))
-        img[flip] *= -1
-        mask = (img[:, 0] <= radius) & (np.abs(img[:, 1]) <= radius)
+        mask = window.fold(img)
         # unimodular words keep frequencies primitive, so every index is >= 0
-        rows.append(window.index[img[mask, 0], img[mask, 1] + radius])
+        hits.append(window.lookup(img[mask]))
         cols.append(src[mask])
-    row_idx = np.concatenate(rows)
+    hit, col = np.concatenate(hits), np.concatenate(cols)
+    # C[m, m] is the same at every point of an orbit
+    fixed = np.bincount(col[hit == reps[col]], minlength=len(reps))
     coo = scipy.sparse.coo_matrix(
-        (np.ones(len(row_idx), dtype=np.int64), (row_idx, np.concatenate(cols))),
-        shape=(window.size, window.size),
+        (sizes[col], (orbit[hit], col)), shape=(len(reps), len(reps))
     )
     return WindowOperator(
         window=window,
         entries=coo.tocsr(),
+        orbit_sizes=sizes,
+        max_diagonal=int(fixed.max()),
+        symmetry_order=len(group),
         n=n,
         shape=shape,
         words_used=len(words),
@@ -229,8 +310,10 @@ class LanczosConvergenceError(RuntimeError):
 class NormCertificate:
     """An exact lower bound on a window norm and how it was found.
 
-    `certificate` is a Rayleigh quotient of the reduced block, computed in
-    exact arithmetic, and `estimate` is the largest float not above it.
+    `certificate` is a Rayleigh quotient of the window, computed in exact
+    arithmetic, and `estimate` is the largest float not above it.
+    `dimension` is the half-window size and `orbits` the dimension of the
+    quotient that was solved, under a group of order `symmetry_order`.
     The Lanczos fields are None when the diagonal alone closed the
     sandwich and no solve ran.
     """
@@ -238,23 +321,30 @@ class NormCertificate:
     estimate: float
     certificate: Fraction
     dimension: int
+    orbits: int
+    symmetry_order: int
     matvecs: int
     ritz_residual: Optional[float]
     ritz_minus_certificate: Optional[float]
 
 
-def rayleigh_certificate(op: WindowOperator, x: np.ndarray) -> Fraction:
-    """The exact Rayleigh quotient x^T C x / (words_used x^T x) of an integer vector."""
-    x = np.asarray(x)
-    if x.dtype.kind not in "iu" or not x.any():
+def rayleigh_certificate(op: WindowOperator, y: np.ndarray) -> Fraction:
+    """The exact Rayleigh quotient y^T K y / (words_used y^T D y) of an integer orbit vector.
+
+    It is the Rayleigh quotient of C / words_used at the vector equal to
+    y[O] on every point of orbit O.
+    """
+    y = np.asarray(y)
+    if y.dtype.kind not in "iu" or not y.any():
         raise ValueError("the certificate needs a nonzero integer vector")
-    # a row of C sums to at most words_used, which bounds every entry of C x
-    if op.words_used * int(np.abs(x).max()) >= 2 ** 63:
+    # a row of K sums to at most words_used times its orbit size, which
+    # bounds every entry of K y
+    if op.words_used * int(op.orbit_sizes.max()) * int(np.abs(y).max()) >= 2 ** 63:
         raise OverflowError("certificate vector too large for 64-bit products")
-    cx = (op.entries @ x.astype(np.int64)).tolist()
-    xs = x.tolist()
-    num = sum(map(operator.mul, xs, cx))
-    den = sum(v * v for v in xs)
+    ky = (op.entries @ y.astype(np.int64)).tolist()
+    ys = y.tolist()
+    num = sum(map(operator.mul, ys, ky))
+    den = sum(d * v * v for d, v in zip(op.orbit_sizes.tolist(), ys))
     return Fraction(num, op.words_used * den)
 
 
@@ -267,35 +357,42 @@ def _float_at_most(value: Fraction) -> float:
 def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
     """The better of two exact lower bounds on the window norm.
 
-    The first is the largest diagonal entry of B, the Rayleigh quotient of
-    a unit vector.  When it reaches the closed form the sandwich is closed
-    and no solve runs; on rank-one it is exactly 1.  Nor does a solve run
-    when C is zero.  Otherwise Lanczos (ARPACK, to relative accuracy
-    LANCZOS_TOL within its default restart limit, from the strictly
-    positive start 1 + uniform[0, 1) drawn from `seed`) finds the top
-    Ritz vector of B.  Its absolute values, which for nonnegative B give
-    a Rayleigh quotient no smaller, are rounded to 24-bit integers x, and
-    x^T C x / (words_used x^T x) is evaluated exactly.  ARPACK failing to
-    converge raises LanczosConvergenceError with the diagonal bound.
+    The first is the largest diagonal entry of C / words_used, the
+    Rayleigh quotient of a unit vector.  When it reaches the closed form
+    the sandwich is closed and no solve runs; on rank-one it is exactly 1.
+    Nor does a solve run when C is zero.  Otherwise Lanczos (ARPACK, to
+    relative accuracy LANCZOS_TOL within its default restart limit, from
+    the strictly positive start 1 + uniform[0, 1) drawn from `seed`) finds
+    the top Ritz vector z of the orbit quotient
+    D^(-1/2) K D^(-1/2) / words_used.  The absolute values of z / sqrt(D),
+    which for a nonnegative matrix give a Rayleigh quotient no smaller,
+    are rounded to 24-bit integers y, and y^T K y / (words_used y^T D y)
+    is evaluated exactly.  ARPACK failing to converge raises
+    LanczosConvergenceError with the diagonal bound.
     """
     counts = op.entries
-    dim = op.window.size
-    best = Fraction(int(counts.diagonal().max()), op.words_used)
-    # with no image inside the window, B = 0 and Lanczos has nothing to find
+    best = Fraction(op.max_diagonal, op.words_used)
+    dims = (op.window.size, counts.shape[0], op.symmetry_order)
+    # with no image inside the window, C = 0 and Lanczos has nothing to find
     if counts.nnz == 0 or best >= regular_norm(op.q, op.n, op.shape):
-        return NormCertificate(_float_at_most(best), best, dim, 0, None, None)
+        return NormCertificate(_float_at_most(best), best, *dims, 0, None, None)
     # imported here: scipy.sparse.linalg adds about 0.14 s to `import lps`
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     b = counts.astype(np.float64) / op.words_used
+    # scaled in the product: scipy.sparse.diags warns on integer data
+    scale = 1.0 / np.sqrt(op.orbit_sizes)
     matvecs = 0
+
+    def quotient(v: np.ndarray) -> np.ndarray:
+        return scale * (b @ (scale * v))
 
     def matvec(v: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
-        return b @ v
+        return quotient(v)
 
-    start = 1.0 + np.random.default_rng(seed).random(dim)
+    start = 1.0 + np.random.default_rng(seed).random(b.shape[0])
     try:
         theta, vectors = eigsh(
             LinearOperator(b.shape, matvec=matvec, dtype=np.float64),
@@ -310,17 +407,18 @@ def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
             f"ARPACK's restart limit (best exact bound {float(best)})",
             best_bound=_float_at_most(best),
         ) from None
-    ritz, v = float(theta[0]), vectors[:, 0]
-    x = np.rint(np.abs(v) * ((2 ** 24 - 1) / np.abs(v).max())).astype(np.int64)
-    quotient = rayleigh_certificate(op, x)
-    best = max(best, quotient)
+    ritz, z = float(theta[0]), vectors[:, 0]
+    u = np.abs(z) * scale
+    y = np.rint(u * ((2 ** 24 - 1) / u.max())).astype(np.int64)
+    certified = rayleigh_certificate(op, y)
+    best = max(best, certified)
     return NormCertificate(
-        estimate=_float_at_most(best),
-        certificate=best,
-        dimension=dim,
+        _float_at_most(best),
+        best,
+        *dims,
         matvecs=matvecs,
-        ritz_residual=float(np.linalg.norm(b @ v - ritz * v)),
-        ritz_minus_certificate=float(Fraction(ritz) - quotient),
+        ritz_residual=float(np.linalg.norm(quotient(z) - ritz * z)),
+        ritz_minus_certificate=float(Fraction(ritz) - certified),
     )
 
 

@@ -252,6 +252,20 @@ def test_failed_cross_check_exits_one(capsys, monkeypatch):
     assert out == ""
 
 
+def test_unconverged_norm_solve_exits_one(capsys, monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    code, out, err = run_cli(capsys, ["verify", "torus", "--windows", "8"])
+    assert code == 1
+    assert err.startswith("error:") and "Lanczos" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -311,6 +325,9 @@ def test_torus_diagnostics_only_with_timings(capsys):
         assert [r["radius"] for r in table["rows"]] == [8, 16]
         for row in table["rows"]:
             assert row["dimension"] > 0 and row["matvecs"] > 0
+            # Sanov's swap and diag(1, -1) leave a quarter of the rows, and fewer
+            assert row["symmetry_order"] == 4
+            assert row["dimension"] / 4 <= row["orbits"] < row["dimension"] / 3
             assert 0 <= row["ritz_residual"] < 1e-6
             assert abs(row["ritz_minus_certificate"]) <= 1e-12
 
@@ -408,6 +425,7 @@ def test_report_timings_cover_every_envelope(capsys):
     assert [d is not None for d in diagnostics] == [e["command"] == "report.torus" for e in envelopes]
     torus = next(d for d in diagnostics if d is not None)
     assert torus["rank_one"]["matvecs"] == 0 and len(torus["tables"]) == 2
+    assert torus["rank_one"]["symmetry_order"] == 2
     # without the timings the two runs print the same bytes
     assert "".join(stable_dumps(env) + "\n" for env in envelopes) == plain
 

@@ -23,11 +23,19 @@ from lps.torus import (
     load_generator_matrices,
     norm_certificate,
     rayleigh_certificate,
+    symmetries,
     torus_discrepancy_check,
     window_operator,
 )
 from lps.words import word_counts
-from torus_oracle import LatticeWindow, character_image, full_window_counts, half_block
+from torus_oracle import (
+    LatticeWindow,
+    character_image,
+    full_window_counts,
+    half_block,
+    orbit_sums,
+    square_symmetries,
+)
 
 
 def test_generator_requires_unimodular_matrix():
@@ -159,18 +167,62 @@ def test_lattice_window_layout():
     assert list(linear) == list(range(24))
 
 
+_IDENTITY = ((1, 0), (0, 1))
+_SWAP = ((0, 1), (1, 0))
+_FLIP = ((1, 0), (0, -1))
+_QUARTER = ((0, -1), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "matrices, group",
+    [
+        ("sanov", (_IDENTITY, _SWAP, _FLIP, _QUARTER)),
+        ("rank-one", (_IDENTITY, _FLIP)),
+        ((((2, 1), (1, 1)),), (_IDENTITY, _QUARTER)),
+        ((((2, 1), (1, 1)), ((1, 1), (0, 1))), (_IDENTITY,)),
+    ],
+    ids=["sanov", "rank-one", "cat-map", "no-symmetry"],
+)
+def test_symmetries_of_the_generating_set(matrices, group):
+    genset = build_torus_genset(matrices)
+    assert symmetries(genset) == group
+    # modulo +-I, the oracle's eight signed permutations give the same group
+    assert 2 * len(group) == len(square_symmetries(genset.matrices))
+
+
+def _oracle_operator(genset, n, shape, radius):
+    """The oracle's half block, its orbit sums K and sizes D, and the word count."""
+    window, counts, words = full_window_counts(genset, n, shape, radius)
+    half, block = half_block(window, counts)
+    sums, sizes = orbit_sums(half, block, square_symmetries(genset.matrices))
+    return half, block, sums, sizes, words
+
+
+def _assert_matches_oracle(op, genset):
+    half, block, sums, sizes, words = _oracle_operator(genset, op.n, op.shape, op.window.radius)
+    assert op.words_used == words
+    assert [tuple(p) for p in op.window.points] == half
+    assert op.window.size == len(half) == sizes.sum()
+    assert np.array_equal(op.entries.toarray(), sums)
+    assert np.array_equal(op.orbit_sizes, sizes)
+    assert op.max_diagonal == block.diagonal().max()
+    assert op.symmetry_order == len(symmetries(genset))
+
+
 @pytest.mark.parametrize("radius", [1, 3])
 @pytest.mark.parametrize("shape", ["sphere", "ball"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_window_operator_matches_brute_force_oracle(n, shape, radius):
     genset = build_torus_genset("sanov")
-    op = window_operator(genset, n, shape, radius)
-    window, counts, words = full_window_counts(genset, n, shape, radius)
-    half, block = half_block(window, counts)
-    assert op.words_used == words
-    assert [tuple(p) for p in op.window.points] == half
-    assert op.window.size == len(half)
-    assert np.array_equal(op.entries.toarray(), block)
+    _assert_matches_oracle(window_operator(genset, n, shape, radius), genset)
+
+
+@pytest.mark.parametrize("shape", ["sphere", "ball"])
+def test_window_operator_without_symmetry_is_the_half_block(shape):
+    genset = build_torus_genset((((2, 1), (1, 1)), ((1, 1), (0, 1))))
+    op = window_operator(genset, 1, shape, 4)
+    _assert_matches_oracle(op, genset)
+    assert op.symmetry_order == 1 and set(op.orbit_sizes) == {1}
 
 
 @pytest.mark.parametrize("shape", ["sphere", "ball"])
@@ -181,14 +233,21 @@ def test_window_operator_is_symmetric(shape):
     assert np.array_equal(dense, dense.T)
     assert op.shape == shape
     assert op.words_used == word_counts(3, 1)[0 if shape == "sphere" else 1]
+    _assert_matches_oracle(op, genset)
 
 
 def test_ball_operator_is_affine_in_sphere_operator():
-    # counts: the ball adds the empty word, which fixes every point
+    # counts: the ball adds the empty word, which fixes every point, so
+    # each orbit O gains |O| on its diagonal
     genset = build_torus_genset("sanov")
-    sphere = window_operator(genset, 1, "sphere", 5).entries.toarray()
-    ball = window_operator(genset, 1, "ball", 5).entries.toarray()
-    assert np.array_equal(ball, np.eye(len(ball), dtype=np.int64) + sphere)
+    sphere = window_operator(genset, 1, "sphere", 5)
+    ball = window_operator(genset, 1, "ball", 5)
+    assert np.array_equal(ball.orbit_sizes, sphere.orbit_sizes)
+    expected = np.diag(sphere.orbit_sizes) + sphere.entries.toarray()
+    assert np.array_equal(ball.entries.toarray(), expected)
+    assert ball.max_diagonal == 1 + sphere.max_diagonal
+    _assert_matches_oracle(sphere, genset)
+    _assert_matches_oracle(ball, genset)
 
 
 def test_window_operator_rejects_bad_arguments():
@@ -204,7 +263,9 @@ def test_window_operator_rejects_bad_arguments():
 def test_window_operator_radius_zero_word_is_identity():
     genset = build_torus_genset("sanov")
     op = window_operator(genset, 0, "sphere", 3)
-    assert np.array_equal(op.entries.toarray(), np.eye(op.window.size))
+    assert np.array_equal(op.entries.toarray(), np.diag(op.orbit_sizes))
+    assert op.max_diagonal == 1
+    _assert_matches_oracle(op, genset)
 
 
 def test_window_operator_overflow_guard():
@@ -230,6 +291,12 @@ def test_window_operator_rejects_products_past_int64():
         window_operator(genset, 2, "ball", 4)
 
 
+def _quotient(op) -> np.ndarray:
+    """The dense orbit quotient D^(-1/2) K D^(-1/2) / words_used."""
+    scale = 1.0 / np.sqrt(op.orbit_sizes)
+    return scale[:, None] * op.entries.toarray() * scale[None, :] / op.words_used
+
+
 def test_norm_estimate_matches_dense_eigenvalues():
     genset = build_torus_genset("sanov")
     for shape, radius in (("sphere", 3), ("ball", 4), ("sphere", 6)):
@@ -243,7 +310,7 @@ def test_norm_estimate_matches_dense_eigenvalues():
 
 def test_norm_estimate_rank_one_reaches_exact_eigenvalue_one():
     op = window_operator(build_torus_genset("rank-one"), 1, "sphere", 6)
-    eigs = np.linalg.eigvalsh(op.entries.toarray() / op.words_used)
+    eigs = np.linalg.eigvalsh(_quotient(op))
     assert math.isclose(float(np.max(eigs)), 1.0, abs_tol=1e-12)
     bound = norm_certificate(op)
     # the fixed frequency (0, 1) gives diagonal entry 1, the closed form
@@ -278,8 +345,35 @@ _ELEMENTARY = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, -1), (0, 1)), ((0, 1), (
 _unimodular = st.lists(st.sampled_from(_ELEMENTARY), min_size=1, max_size=4).map(
     lambda ms: reduce(np.matmul, ms, np.eye(2, dtype=int)).tolist()
 )
+# The subgroups of the square's signed permutations modulo +-I.
+_SUBGROUPS = (
+    (_IDENTITY,),
+    (_IDENTITY, _SWAP),
+    (_IDENTITY, _FLIP),
+    (_IDENTITY, _QUARTER),
+    (_IDENTITY, _SWAP, _FLIP, _QUARTER),
+)
+
+
+def _closed_under(matrices, group):
+    """The conjugates P^T g P over the group, one of each inverse pair."""
+    closed = []
+    for g in matrices:
+        for p in group:
+            h = (np.array(p).T @ np.array(g) @ np.array(p)).tolist()
+            (a, b), (c, d) = h
+            det = a * d - b * c
+            if h not in closed and [[det * d, -det * b], [-det * c, det * a]] not in closed:
+                closed.append(h)
+    return closed
+
+
 _windows = st.tuples(
-    st.lists(_unimodular, min_size=1, max_size=2),
+    st.builds(
+        _closed_under,
+        st.lists(_unimodular, min_size=1, max_size=2),
+        st.sampled_from(_SUBGROUPS),
+    ),
     st.integers(min_value=0, max_value=2),
     st.sampled_from(["sphere", "ball"]),
     st.integers(min_value=1, max_value=6),
@@ -298,12 +392,13 @@ def _oracle_case(matrices, n, shape, radius):
 
 @settings(deadline=None, max_examples=40)
 @given(_windows)
+@example(([((1, 2), (0, 1)), ((1, 0), (2, 1))], 2, "ball", 6))  # Sanov, order 4
 def test_reduced_block_keeps_the_window_norm(case):
     op, full = _oracle_case(*case)
     eigs = np.linalg.eigvalsh(full)
     # Perron-Frobenius: the norm of the nonnegative window is its top eigenvalue
     assert eigs[-1] >= -eigs[0] - 1e-12
-    reduced = np.linalg.eigvalsh(op.entries.toarray() / op.words_used)
+    reduced = np.linalg.eigvalsh(_quotient(op))
     assert abs(reduced[-1] - eigs[-1]) <= 1e-12
 
 
@@ -319,7 +414,7 @@ def test_certificate_never_exceeds_the_dense_norm(case):
 
 def test_corrupted_certificate_vector_fails():
     op = window_operator(build_torus_genset("sanov"), 2, "ball", 8)
-    top = np.abs(np.linalg.eigh(op.entries.toarray().astype(float))[1][:, -1])
+    top = np.abs(np.linalg.eigh(_quotient(op))[1][:, -1]) / np.sqrt(op.orbit_sizes)
     x = np.rint(top * ((2**24 - 1) / top.max())).astype(np.int64)
     good = rayleigh_certificate(op, x)
     assert abs(float(good) - norm_certificate(op).estimate) < 1e-12

@@ -6,7 +6,9 @@ window of every nonzero frequency with sup-norm at most the radius, and
 fills its count matrix by applying each reduced word's character action
 letter by letter to each point, unoptimised.  `half_block` then folds
 that full matrix onto the primitive half-window by the definition
-B = (A + AJ) restricted there, so the two routes share no code.
+B = (A + AJ) restricted there, and `orbit_sums` sums that block over the
+orbits of every signed permutation that permutes the generating set by
+conjugation, so the two routes share no code.
 """
 
 from __future__ import annotations
@@ -89,3 +91,38 @@ def half_block(window: LatticeWindow, counts: np.ndarray) -> tuple[list[tuple[in
     flipped = [window.index_of((-x, -y)) for x, y in half]
     block = counts[np.ix_(rows, rows)] + counts[np.ix_(rows, flipped)]
     return half, block
+
+
+def square_symmetries(matrices) -> list[np.ndarray]:
+    """All eight signed permutations P, tried one by one, with P^T g P in the set for each g."""
+    gens = {tuple(map(tuple, g)) for g in matrices}
+    found = []
+    for columns in ((0, 1), (1, 0)):
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            p = np.zeros((2, 2), dtype=np.int64)
+            p[0, columns[0]], p[1, columns[1]] = signs
+            images = {tuple(map(tuple, (p.T @ np.array(g) @ p).tolist())) for g in matrices}
+            if images == gens:
+                found.append(p)
+    return found
+
+
+def orbit_sums(
+    half: list[tuple[int, int]], block: np.ndarray, group: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`block` summed over the orbits of `group` on pairs +-m, and the orbit sizes.
+
+    Orbits are numbered by their first point in `half`.
+    """
+    position = {m: i for i, m in enumerate(half)}
+
+    def class_of(m):
+        x, y = (int(v) for v in m)
+        return position[(x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)]
+
+    first = [min(class_of(p @ np.array(m)) for p in group) for m in half]
+    numbers = {f: k for k, f in enumerate(sorted(set(first)))}
+    orbit = np.array([numbers[f] for f in first])
+    sums = np.zeros((len(numbers), len(numbers)), dtype=np.int64)
+    np.add.at(sums, (orbit[:, None], orbit[None, :]), block)
+    return sums, np.bincount(orbit)
