@@ -17,9 +17,10 @@ and can be summed over the orbits of that group.  Orbit-constant vectors
 are vectors, so every Rayleigh quotient of the quotient is one of the
 window; and the group average of a nonnegative Perron vector is a
 nonnegative invariant Perron vector, so the largest eigenvalue survives.
-It is bounded from below by an exact Rayleigh quotient.  Together with
-the closed-form upper bound this sandwiches the discrepancy from both
-sides.
+It is bounded from below by an exact Rayleigh quotient at a Ritz vector
+of plain three-term Lanczos; the quotient is a small integer CSR matrix,
+so all of this needs numpy alone.  Together with the closed-form upper
+bound this sandwiches the discrepancy from both sides.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .formulas import regular_norm
 from .words import IntegerGenerators, word_levels
@@ -54,9 +54,13 @@ PRESETS: dict[str, tuple[Matrix2, ...]] = {
 UPPER_TOLERANCE = 1e-8
 MONOTONICITY_TOLERANCE = 1e-6
 
-# Relative accuracy asked of ARPACK's Lanczos.  It only steers the solve:
-# the certificate is an exact Rayleigh quotient of the rounded Ritz vector.
+# Lanczos stops at the first step whose top Ritz pair has residual
+# estimate at most LANCZOS_TOL times the Ritz value, and gives up after
+# LANCZOS_MAX_STEPS steps (the benchmark windows need at most 71).  Both
+# only steer the solve: the certificate is an exact Rayleigh quotient of
+# the rounded Ritz vector.
 LANCZOS_TOL = 1e-7
+LANCZOS_MAX_STEPS = 300
 
 
 # The signed permutation matrices modulo +-I: P and -P conjugate alike and
@@ -196,6 +200,44 @@ class HalfWindow:
 
 
 @dataclass(frozen=True, eq=False)
+class IntegerCSR:
+    """A square int64 matrix in compressed sparse row form.
+
+    Row i holds the values data[indptr[i]:indptr[i + 1]] in the columns
+    indices[indptr[i]:indptr[i + 1]].
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.indptr) - 1,) * 2
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        """The product with a vector, each row summed on its own."""
+        products = self.data * np.asarray(y)[self.indices]
+        out = np.zeros(self.shape[0], dtype=products.dtype)
+        filled = np.flatnonzero(np.diff(self.indptr))
+        out[filled] = np.add.reduceat(products, self.indptr[filled])
+        return out
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=self.data.dtype)
+        dense[self.rows(), self.indices] = self.data
+        return dense
+
+
+@dataclass(frozen=True, eq=False)
 class WindowOperator:
     """Orbit sums K of the count matrix C of one reduced-word average.
 
@@ -215,7 +257,7 @@ class WindowOperator:
     """
 
     window: HalfWindow
-    entries: scipy.sparse.csr_matrix
+    entries: IntegerCSR
     orbit_sizes: np.ndarray
     max_diagonal: int
     symmetry_order: int
@@ -282,12 +324,17 @@ def window_operator(
     hit, col = np.concatenate(hits), np.concatenate(cols)
     # C[m, m] is the same at every point of an orbit
     fixed = np.bincount(col[hit == reps[col]], minlength=len(reps))
-    coo = scipy.sparse.coo_matrix(
-        (sizes[col], (orbit[hit], col)), shape=(len(reps), len(reps))
+    # each hit of (orbit O', orbit O) adds |O| to K[O', O]
+    pairs, hits_per_pair = np.unique(orbit[hit] * len(reps) + col, return_counts=True)
+    row, column = np.divmod(pairs, len(reps))
+    entries = IntegerCSR(
+        indptr=np.searchsorted(row, np.arange(len(reps) + 1)),
+        indices=column,
+        data=hits_per_pair * sizes[column],
     )
     return WindowOperator(
         window=window,
-        entries=coo.tocsr(),
+        entries=entries,
         orbit_sizes=sizes,
         max_diagonal=int(fixed.max()),
         symmetry_order=len(group),
@@ -338,7 +385,8 @@ def rayleigh_certificate(op: WindowOperator, y: np.ndarray) -> Fraction:
     if y.dtype.kind not in "iu" or not y.any():
         raise ValueError("the certificate needs a nonzero integer vector")
     # a row of K sums to at most words_used times its orbit size, which
-    # bounds every entry of K y
+    # bounds every partial sum of that row of K y; the product sums each
+    # row on its own
     if op.words_used * int(op.orbit_sizes.max()) * int(np.abs(y).max()) >= 2 ** 63:
         raise OverflowError("certificate vector too large for 64-bit products")
     ky = (op.entries @ y.astype(np.int64)).tolist()
@@ -354,21 +402,48 @@ def _float_at_most(value: Fraction) -> float:
     return math.nextafter(f, -math.inf) if Fraction(f) > value else f
 
 
+def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int]]:
+    """The top Ritz value, its unit Ritz vector and the steps taken; None past the step limit.
+
+    Three-term Lanczos without reorthogonalisation, stopped at the first
+    step where |beta_k s_k| <= LANCZOS_TOL |theta| (ARPACK's test), with
+    theta the largest eigenvalue of the tridiagonal T_k and s its unit
+    eigenvector.  Orthogonality is lost only along Ritz vectors that have
+    already converged (Paige), so the solve stops before a ghost copy of
+    theta can appear.
+    """
+    q, previous, b = start / np.linalg.norm(start), 0.0, 0.0
+    basis: list[np.ndarray] = []
+    tri = np.zeros((LANCZOS_MAX_STEPS + 1,) * 2)
+    for k in range(LANCZOS_MAX_STEPS):
+        basis.append(q)
+        w = matvec(q) - b * previous
+        tri[k, k] = q @ w
+        w -= tri[k, k] * q
+        b = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
+        if abs(b * s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
+            z = sum(c * v for c, v in zip(s[:, -1], basis))
+            return float(theta[-1]), z / np.linalg.norm(z), k + 1
+        tri[k + 1, k] = tri[k, k + 1] = b
+        previous, q = q, w / b
+    return None
+
+
 def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
     """The better of two exact lower bounds on the window norm.
 
     The first is the largest diagonal entry of C / words_used, the
     Rayleigh quotient of a unit vector.  When it reaches the closed form
     the sandwich is closed and no solve runs; on rank-one it is exactly 1.
-    Nor does a solve run when C is zero.  Otherwise Lanczos (ARPACK, to
-    relative accuracy LANCZOS_TOL within its default restart limit, from
-    the strictly positive start 1 + uniform[0, 1) drawn from `seed`) finds
-    the top Ritz vector z of the orbit quotient
+    Nor does a solve run when C is zero.  Otherwise Lanczos (`_lanczos`,
+    from the strictly positive start 1 + uniform[0, 1) drawn from `seed`)
+    finds the top Ritz vector z of the orbit quotient
     D^(-1/2) K D^(-1/2) / words_used.  The absolute values of z / sqrt(D),
     which for a nonnegative matrix give a Rayleigh quotient no smaller,
     are rounded to 24-bit integers y, and y^T K y / (words_used y^T D y)
-    is evaluated exactly.  ARPACK failing to converge raises
-    LanczosConvergenceError with the diagonal bound.
+    is evaluated exactly.  Lanczos not converging within LANCZOS_MAX_STEPS
+    steps raises LanczosConvergenceError with the diagonal bound.
     """
     counts = op.entries
     best = Fraction(op.max_diagonal, op.words_used)
@@ -376,38 +451,21 @@ def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
     # with no image inside the window, C = 0 and Lanczos has nothing to find
     if counts.nnz == 0 or best >= regular_norm(op.q, op.n, op.shape):
         return NormCertificate(_float_at_most(best), best, *dims, 0, None, None)
-    # imported here: scipy.sparse.linalg adds about 0.14 s to `import lps`
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    b = counts.astype(np.float64) / op.words_used
-    # scaled in the product: scipy.sparse.diags warns on integer data
+    rows, cols = counts.rows(), counts.indices
     scale = 1.0 / np.sqrt(op.orbit_sizes)
-    matvecs = 0
+    weights = counts.data * (scale[rows] * scale[cols] / op.words_used)
 
     def quotient(v: np.ndarray) -> np.ndarray:
-        return scale * (b @ (scale * v))
+        return np.bincount(rows, weights=weights * v[cols], minlength=len(scale))
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        matvecs += 1
-        return quotient(v)
-
-    start = 1.0 + np.random.default_rng(seed).random(b.shape[0])
-    try:
-        theta, vectors = eigsh(
-            LinearOperator(b.shape, matvec=matvec, dtype=np.float64),
-            k=1,
-            which="LA",
-            v0=start,
-            tol=LANCZOS_TOL,
-        )
-    except ArpackNoConvergence:
+    solved = _lanczos(quotient, 1.0 + np.random.default_rng(seed).random(len(scale)))
+    if solved is None:
         raise LanczosConvergenceError(
             f"Lanczos did not converge to relative accuracy {LANCZOS_TOL} within "
-            f"ARPACK's restart limit (best exact bound {float(best)})",
+            f"{LANCZOS_MAX_STEPS} steps (best exact bound {float(best)})",
             best_bound=_float_at_most(best),
-        ) from None
-    ritz, z = float(theta[0]), vectors[:, 0]
+        )
+    ritz, z, matvecs = solved
     u = np.abs(z) * scale
     y = np.rint(u * ((2 ** 24 - 1) / u.max())).astype(np.int64)
     certified = rayleigh_certificate(op, y)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import lps.cli
 import lps.formulas
+import lps.torus
 from lps.cli import RAMANUJAN_FLOOR_P5_L24, _nine_down, main, stable_dumps
 from lps.sphere import sphere_discrepancy_profile
 from test_formulas import wrong_hecke_polynomial
@@ -253,12 +254,7 @@ def test_failed_cross_check_exits_one(capsys, monkeypatch):
 
 
 def test_unconverged_norm_solve_exits_one(capsys, monkeypatch):
-    import scipy.sparse.linalg
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(lps.torus, "LANCZOS_MAX_STEPS", 2)
     code, out, err = run_cli(capsys, ["verify", "torus", "--windows", "8"])
     assert code == 1
     assert err.startswith("error:") and "Lanczos" in err

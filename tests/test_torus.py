@@ -15,7 +15,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lps
+import lps.torus
 from lps.torus import (
+    LANCZOS_TOL,
     LanczosConvergenceError,
     SANOV_MATRICES,
     _float_at_most,
@@ -291,6 +293,28 @@ def test_window_operator_rejects_products_past_int64():
         window_operator(genset, 2, "ball", 4)
 
 
+@pytest.mark.parametrize(
+    "matrices, n, shape, radius, empty_rows",
+    [
+        ("sanov", 2, "ball", 6, 0),
+        # boundary orbits with no image inside the window, the last one among them
+        ("rank-one", 2, "sphere", 8, 11),
+        ((((2, 1), (1, 1)),), 2, "sphere", 1, 2),  # C = 0
+    ],
+    ids=["sanov", "rank-one", "empty"],
+)
+def test_exact_product_matches_the_dense_matrix(matrices, n, shape, radius, empty_rows):
+    counts = window_operator(build_torus_genset(matrices), n, shape, radius).entries
+    dense = counts.toarray()
+    assert np.array_equal(dense, dense.T)
+    assert np.count_nonzero(~dense.any(axis=1)) == empty_rows
+    assert counts.nnz == np.count_nonzero(dense)
+    y = np.random.default_rng(0).integers(-(2**24), 2**24, counts.shape[0])
+    product = counts @ y
+    assert product.dtype == np.int64
+    assert np.array_equal(product, dense @ y)
+
+
 def _quotient(op) -> np.ndarray:
     """The dense orbit quotient D^(-1/2) K D^(-1/2) / words_used."""
     scale = 1.0 / np.sqrt(op.orbit_sizes)
@@ -306,6 +330,18 @@ def test_norm_estimate_matches_dense_eigenvalues():
         est = norm_certificate(op).estimate
         assert est <= exact + 1e-12, "estimates never exceed the true norm"
         assert est >= exact - 1e-6
+
+
+@pytest.mark.parametrize("radius", [8, 16, 32])
+@pytest.mark.parametrize("shape", ["sphere", "ball"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_lanczos_ritz_value_matches_the_dense_quotient(n, shape, radius):
+    op = window_operator(build_torus_genset("sanov"), n, shape, radius)
+    bound = norm_certificate(op)
+    assert bound.matvecs > 0
+    ritz = float(bound.certificate) + bound.ritz_minus_certificate
+    assert abs(ritz - np.linalg.eigvalsh(_quotient(op))[-1]) <= 1e-9
+    assert bound.ritz_residual <= 2 * LANCZOS_TOL * ritz
 
 
 def test_norm_estimate_rank_one_reaches_exact_eigenvalue_one():
@@ -328,12 +364,7 @@ def test_norm_estimate_is_deterministic():
 
 
 def test_norm_estimate_raises_without_convergence(monkeypatch):
-    import scipy.sparse.linalg
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(lps.torus, "LANCZOS_MAX_STEPS", 2)
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", 8)
     with pytest.raises(LanczosConvergenceError) as err:
         norm_certificate(op)
@@ -440,10 +471,17 @@ def test_public_names_resolve_once_in_sorted_order():
     assert lps.__all__ == sorted(set(lps.__all__))
 
 
-def test_import_leaves_sparse_linalg_unloaded():
-    # scipy.sparse.linalg is imported by the first Lanczos solve, not by `import lps`
+def test_lps_runs_without_scipy():
+    # importing lps and running the full report loads no scipy module
     src = str(Path(__file__).resolve().parent.parent / "src")
-    probe = "import sys, lps; print('scipy.sparse.linalg' in sys.modules)"
+    probe = (
+        "import contextlib, io, sys\n"
+        "import lps, lps.cli\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = lps.cli.main(['report', '--seed', '42'])\n"
+        "print(code, [m for m in sys.modules if m.startswith('scipy')])\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -451,7 +489,7 @@ def test_import_leaves_sparse_linalg_unloaded():
         env=dict(os.environ, PYTHONPATH=src),
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "0 []"]
 
 
 def test_discrepancy_check_sanov_small_windows():
