@@ -28,10 +28,12 @@ from .quaternions import (
     build_generator_set,
     enumerate_representatives,
     jacobi_count,
+    quaternions_of_norm,
 )
 from .sphere import (
     KoopmanBlock,
     RamanujanReport,
+    Spectrum,
     block_spectrum,
     koopman_block,
     sphere_discrepancy_estimate,
@@ -70,6 +72,7 @@ __all__ = [
     "LipschitzQuaternion",
     "NormCertificate",
     "RamanujanReport",
+    "Spectrum",
     "WindowOperator",
     "Word",
     "adjoint_rotation",
@@ -86,6 +89,7 @@ __all__ = [
     "koopman_block",
     "lps_discrepancy",
     "norm_certificate",
+    "quaternions_of_norm",
     "regular_norm",
     "sphere_discrepancy_estimate",
     "sphere_discrepancy_profile",

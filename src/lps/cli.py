@@ -23,7 +23,7 @@ from .formulas import (
     lps_discrepancy,
     regular_norm,
 )
-from .quaternions import build_generator_set, jacobi_count
+from .quaternions import build_generator_set, jacobi_count, quaternions_of_norm
 from .sphere import (
     RAMANUJAN_TOLERANCE,
     koopman_block,
@@ -144,20 +144,21 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _generator_checks(genset) -> list[CheckRecord]:
+    """Every norm-p quaternion, counted one by one, is a unit multiple of one generator.
+
+    The brute-force count must equal 8 times the number of generators, one
+    per unit +-1, +-i, +-j, +-k, and Jacobi's divisor sum 8 * sigma(p).
+    """
     p = genset.p
+    count = len(quaternions_of_norm(p))
+    expected = 8 * len(genset.source_quaternions)
     return [
         CheckRecord(
-            f"p{p}_generator_count",
-            len(genset.matrices) == p + 1,
-            float(len(genset.matrices)),
-            float(p + 1),
-        ),
-        CheckRecord(
-            f"p{p}_jacobi_count",
-            jacobi_count(p) == 8 * (p + 1),
-            float(jacobi_count(p)),
-            float(8 * (p + 1)),
-        ),
+            f"p{p}_norm_p_quaternion_count",
+            count == expected == jacobi_count(p),
+            float(count),
+            float(expected),
+        )
     ]
 
 
@@ -234,6 +235,23 @@ def cmd_norms(args) -> tuple[list[ReportEnvelope], Optional[str]]:
     return [env], csv_text
 
 
+def _ramanujan_diagnostics(report) -> dict:
+    """How the blocks were built, and the float defects each spectrum passed."""
+    return {
+        "symmetry_order": report.symmetry_order,
+        "frontiers": report.frontiers,
+        "per_degree": [
+            {
+                "degree": r.degree,
+                "symmetry_defect": r.symmetry_defect,
+                "trace_defect": r.trace_defects[0],
+                "square_trace_defect": r.trace_defects[1],
+            }
+            for r in report.per_degree
+        ],
+    }
+
+
 def _ramanujan_envelope(command: str, prime: int, l_max: int) -> ReportEnvelope:
     report = verify_ramanujan(prime, l_max)
     per_degree = [
@@ -282,6 +300,7 @@ def _ramanujan_envelope(command: str, prime: int, l_max: int) -> ReportEnvelope:
         {"l_max": l_max, "prime": prime},
         results,
         checks,
+        diagnostics=_ramanujan_diagnostics(report),
     )
 
 
@@ -482,8 +501,9 @@ def _report_torus(windows: list[int], seed: int) -> ReportEnvelope:
     )
     row = table.rows[-1]
     amenable_est = _nine_down(row.estimate)
+    # The diagonal Rayleigh quotient settles the rank-one window at exactly 1.
     env.checks.append(
-        CheckRecord("rank_one_estimate_near_one", row.estimate >= 0.95, amenable_est, 0.95)
+        CheckRecord("rank_one_estimate_near_one", row.bound.certificate == 1, amenable_est, 1.0)
     )
     env.results["rank_one_estimate"] = amenable_est
     env.diagnostics["rank_one"] = _torus_diagnostics(row)

@@ -15,11 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .quaternions import require_split_prime
-from .words import word_counts
-
-
-class ConsistencyError(ArithmeticError):
-    """Two supposedly equal internal computations disagreed beyond tolerance."""
+from .words import ConsistencyError, word_counts
 
 
 def _require_regularity(q: int) -> None:

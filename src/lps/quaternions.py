@@ -17,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .words import IntegerGenerators
+from .words import ConsistencyError, IntegerGenerators
 
 
 def is_prime(n: int) -> bool:
@@ -93,16 +93,14 @@ def jacobi_count(n: int) -> int:
     return 8 * total
 
 
-def enumerate_representatives(p: int) -> list[LipschitzQuaternion]:
-    """All norm-p integer quaternions with odd positive x0, sorted lexicographically.
-
-    For p prime with p % 4 == 1 there are exactly p + 1 of them, and the set
-    is closed under quaternion conjugation.
-    """
-    require_split_prime(p)
-    found: set[tuple[int, int, int, int]] = set()
-    for x0 in range(1, isqrt(p) + 1, 2):
-        r0 = p - x0 * x0
+def quaternions_of_norm(n: int) -> list[LipschitzQuaternion]:
+    """Every integer quaternion of norm n, all signs included, sorted lexicographically."""
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    found = []
+    b0 = isqrt(n)
+    for x0 in range(-b0, b0 + 1):
+        r0 = n - x0 * x0
         b1 = isqrt(r0)
         for x1 in range(-b1, b1 + 1):
             r1 = r0 - x1 * x1
@@ -111,17 +109,26 @@ def enumerate_representatives(p: int) -> list[LipschitzQuaternion]:
                 r2 = r1 - x2 * x2
                 x3 = isqrt(r2)
                 if x3 * x3 == r2:
-                    found.add((x0, x1, x2, x3))
-                    found.add((x0, x1, x2, -x3))
-    reps = [LipschitzQuaternion(*t) for t in sorted(found)]
+                    # a set, so that x3 = 0 is counted once
+                    found.extend({(x0, x1, x2, x3), (x0, x1, x2, -x3)})
+    return [LipschitzQuaternion(*t) for t in sorted(found)]
+
+
+def enumerate_representatives(p: int) -> list[LipschitzQuaternion]:
+    """All norm-p integer quaternions with odd positive x0, sorted lexicographically.
+
+    For p prime with p % 4 == 1 exactly one coordinate of a norm-p
+    quaternion is odd, so each class of the 8 unit multiples +-q, +-iq,
+    +-jq, +-kq holds one with odd positive x0: there are p + 1 of them,
+    and the set is closed under quaternion conjugation.  Finding any other
+    number raises ConsistencyError.
+    """
+    require_split_prime(p)
+    reps = [q for q in quaternions_of_norm(p) if q.x0 > 0 and q.x0 % 2]
     if len(reps) != p + 1:
-        raise ValueError(
+        raise ConsistencyError(
             f"expected {p + 1} norm-{p} representatives, found {len(reps)}"
         )
-    rep_set = set(reps)
-    for q in reps:
-        if q.conjugate() not in rep_set:
-            raise ValueError(f"representative set not closed under conjugation at {q}")
     return reps
 
 

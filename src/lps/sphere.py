@@ -10,18 +10,28 @@ over p^l.  In the monomial basis x^(2l-k) y^k that block is a
 the tempered bound [-2*sqrt(p), 2*sqrt(p)] constrains; scanning degrees
 gives certified lower bounds on averaging discrepancies.
 
+The sum runs over orbits rather than generators.  Conjugation by
+c = (1+i)/sqrt(2) sends a + bi + cj + dk to a + bi - dj + ck, and
+Sym^{2l}(c) is diagonal, so the sum over an orbit of a subgroup H of <c>
+is |orbit| times one representative's symmetric power with the entries
+(r, s), r != s mod |H|, set to zero.  H is the largest subgroup that maps
+the generator quaternions onto themselves, found exactly; it has order 4
+for every norm-p set, whose 3 (p = 5) or 5 (p = 13) orbits replace 6 or
+14 generators.
+
 Every block is checked exactly before any float appears: the imaginary
 parts cancel (the representative set is closed under the sign flip of
-(b, d), which conjugates the matrix entrywise), and the block is
-self-adjoint for the invariant pairing, which is diagonal with weights
-1/binom(2l, k).  Rescaling by sqrt(binom(2l, k)) then gives a symmetric
-matrix in plain float64, whose spectrum LAPACK's symmetric eigensolver
-computes and which must reproduce the exact tr(T) and tr(T^2).
+(b, d), which conjugates the matrix entrywise and is not in <c>), and the
+block is self-adjoint for the invariant pairing, which is diagonal with
+weights 1/binom(2l, k).  Rescaling by sqrt(binom(2l, k)) then gives a
+symmetric matrix in plain float64, whose spectrum LAPACK's symmetric
+eigensolver computes and which must reproduce the exact tr(T) and tr(T^2).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -80,6 +90,27 @@ def _quaternion_matrix(q: LipschitzQuaternion) -> tuple[tuple[int, int], ...]:
     return ((q.x0, q.x1), (q.x2, q.x3), (-q.x2, q.x3), (q.x0, -q.x1))
 
 
+def _rotate(q: LipschitzQuaternion, quarter_turns: int) -> LipschitzQuaternion:
+    """c^t q c^-t for c = (1 + i)/sqrt(2), which sends j to k and k to -j."""
+    for _ in range(quarter_turns % 4):
+        q = LipschitzQuaternion(q.x0, q.x1, -q.x3, q.x2)
+    return q
+
+
+def _symmetry_order(quaternions) -> int:
+    """Order of the largest subgroup of <c> that maps the quaternions onto themselves.
+
+    The subgroups of the cyclic <c> are <c>, <c^2> and the trivial one, so
+    the order is 4 when conjugation by c preserves the multiset, else 2 when
+    conjugation by c^2 does, else 1.
+    """
+    counts = Counter(quaternions)
+    for order in (4, 2):
+        if Counter(_rotate(q, 4 // order) for q in quaternions) == counts:
+            return order
+    return 1
+
+
 def _times_form(re: np.ndarray, im: np.ndarray, alpha, beta):
     """Multiply every column, a form over x^(n-1-i) y^i, by alpha*x + beta*y."""
     rows, cols = re.shape
@@ -96,18 +127,41 @@ def _times_form(re: np.ndarray, im: np.ndarray, alpha, beta):
 
 
 class _SymmetricPowers:
-    """Per-generator Sym^k of the quaternion matrices, advanced degree by degree.
+    """Sums of Sym^k of the quaternion matrices, one frontier per symmetry orbit.
 
-    Only the frontier degree is kept; asking for a lower degree restarts
-    the recursion from scratch, which callers avoid by scanning degrees in
-    increasing order.
+    Sym^k(c) is diag(zeta^(k-2r)) with zeta = (1+i)/sqrt(2), so conjugating
+    a generator by c^t multiplies entry (r, s) of its symmetric power by
+    zeta^(2t(s-r)) = i^(t(s-r)).  Summed over a subgroup H of <c>, those
+    factors cancel unless r = s mod |H|, where they add up to |H|.  An
+    H-orbit's sum is the group's sum over |stabiliser|, hence |orbit| times
+    the representative's symmetric power restricted to the entries with
+    r = s mod |H|.  The frontier advances only the orbit representatives,
+    and the sum masks once the weighted total.  `symmetry_order` is |H|;
+    with no symmetry it is 1, every orbit is one generator and the mask
+    keeps every entry.  Only the frontier degree is kept; asking for a
+    lower degree restarts the recursion from scratch, which callers avoid
+    by scanning degrees in increasing order.
     """
 
-    def __init__(self, matrices):
+    def __init__(self, quaternions):
+        self.symmetry_order = order = _symmetry_order(quaternions)
+        representatives, self._weights, seen = [], [], set()
+        for q in quaternions:
+            if q not in seen:
+                orbit = {_rotate(q, 4 // order * t) for t in range(order)}
+                seen |= orbit
+                representatives.append(q)
+                self._weights.append(sum(g in orbit for g in quaternions))
         # Substituting (x, y) -> (x, y) M sends x to m00 x + m10 y and y to
         # m01 x + m11 y, which makes Sym^k a homomorphism.
-        self._forms = [((m[0], m[2]), (m[1], m[3])) for m in matrices]
+        self._forms = [
+            ((m[0], m[2]), (m[1], m[3])) for m in map(_quaternion_matrix, representatives)
+        ]
         self._reset()
+
+    @property
+    def frontiers(self) -> int:
+        return len(self._forms)
 
     def _reset(self) -> None:
         self._degree = 0
@@ -128,7 +182,14 @@ class _SymmetricPowers:
                 advanced.append((np.hstack([head[0], tail[0]]), np.hstack([head[1], tail[1]])))
             self._mats = advanced
             self._degree += 1
-        return sum(re for re, _ in self._mats), sum(im for _, im in self._mats)
+        index = np.arange(degree + 1)
+        off_mask = np.subtract.outer(index, index) % self.symmetry_order != 0
+        parts = []
+        for part in (0, 1):
+            total = sum(w * mats[part] for w, mats in zip(self._weights, self._mats))
+            total[off_mask] = 0
+            parts.append(total)
+        return parts[0], parts[1]
 
 
 _POWERS_CACHE: dict[GeneratorSet, _SymmetricPowers] = {}
@@ -140,7 +201,7 @@ def _powers_for(genset: GeneratorSet) -> _SymmetricPowers:
         for q in genset.source_quaternions:
             if q.norm() != genset.p:
                 raise ValueError(f"generator quaternion {q} does not have norm {genset.p}")
-        cached = _SymmetricPowers([_quaternion_matrix(q) for q in genset.source_quaternions])
+        cached = _SymmetricPowers(genset.source_quaternions)
         _POWERS_CACHE[genset] = cached
     return cached
 
@@ -150,9 +211,11 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
     """Matrix of the sum of all generator actions on degree-`degree` harmonics.
 
     Built as the sum of Sym^{2*degree} of the generators' quaternion
-    matrices.  Raises ConsistencyError unless the imaginary parts cancel
-    exactly and T[i][j] * binom(2l, j) == T[j][i] * binom(2l, i) for all
-    i, j, i.e. T is self-adjoint for the invariant pairing.
+    matrices, taken orbit by orbit (see _SymmetricPowers).  The summed
+    block must pass two exact checks, or ConsistencyError is raised: the
+    imaginary parts cancel, and T[i][j] * binom(2l, j) == T[j][i] *
+    binom(2l, i) for all i, j, i.e. T is self-adjoint for the invariant
+    pairing.
     """
     if degree < 1:
         raise ValueError(
@@ -181,17 +244,19 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
 # ---------------------------------------------------------------------------
 
 
-def check_traces(block: KoopmanBlock, eigenvalues) -> None:
+def check_traces(block: KoopmanBlock, eigenvalues) -> tuple[float, float]:
     """Require a float spectrum to reproduce the block's exact tr(T) and tr(T^2).
 
     The traces are computed exactly from the integer numerators, whose
     moments are p^l and p^{2l} times those of T.  Raises ConsistencyError
     when either sum misses by more than TRACE_TOLERANCE relative to
-    sum |eig| (respectively sum eig^2).
+    sum |eig| (respectively sum eig^2); otherwise returns the two relative
+    misses.
     """
     exact_trace, exact_square = trace_moments(block.numerators)
     s = block.scale
     eigs = np.asarray(eigenvalues, dtype=float)
+    defects = []
     for power, exact in ((1, exact_trace / s), (2, exact_square / (s * s))):
         measured = float((eigs ** power).sum())
         size = max(1.0, float((np.abs(eigs) ** power).sum()))
@@ -200,11 +265,31 @@ def check_traces(block: KoopmanBlock, eigenvalues) -> None:
                 f"spectrum at degree {block.degree} gives tr(T^{power}) = {measured!r}, "
                 f"exact value {exact!r}"
             )
+        defects.append(abs(measured - exact) / size)
+    return defects[0], defects[1]
+
+
+class Spectrum(tuple):
+    """Eigenvalues of a block, ascending, carrying the float defects they passed.
+
+    `symmetry_defect` is the largest |S - S^T| of the symmetrised block and
+    `trace_defects` the relative misses of tr(T) and tr(T^2) that
+    check_traces measured.
+    """
+
+    symmetry_defect: float
+    trace_defects: tuple[float, float]
+
+    def __new__(cls, eigenvalues, symmetry_defect: float, trace_defects: tuple[float, float]):
+        spectrum = super().__new__(cls, eigenvalues)
+        spectrum.symmetry_defect = symmetry_defect
+        spectrum.trace_defects = trace_defects
+        return spectrum
 
 
 @lru_cache(maxsize=None)
-def block_spectrum(block: KoopmanBlock) -> tuple[float, ...]:
-    """Eigenvalues of a block, ascending.
+def block_spectrum(block: KoopmanBlock) -> Spectrum:
+    """Eigenvalues of a block, ascending, with the defects of their checks.
 
     Exact self-adjointness for the pairing diag(1/binom(2l, k)) makes
     S[i][j] = T[i][j] * sqrt(binom(2l, j) / binom(2l, i)) symmetric; in
@@ -225,8 +310,7 @@ def block_spectrum(block: KoopmanBlock) -> tuple[float, ...]:
         raise ConsistencyError(
             f"eigenvalues of the degree-{block.degree} block did not converge: {exc}"
         ) from None
-    check_traces(block, eigs)
-    return tuple(float(v) for v in eigs)
+    return Spectrum((float(v) for v in eigs), defect, check_traces(block, eigs))
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +323,26 @@ class DegreeSpectrum:
     degree: int
     eigenvalues: tuple[float, ...]
     max_abs: float
+    symmetry_defect: float
+    trace_defects: tuple[float, float]
 
 
 @dataclass(frozen=True)
 class RamanujanReport:
+    """The tempered check over degrees 1..l_max, and how its blocks were built.
+
+    `symmetry_order` is the order of the generators' stabiliser in <c> and
+    `frontiers` the number of symmetric-power frontiers, one per orbit.
+    """
+
     p: int
     l_max: int
     bound: float
     per_degree: tuple[DegreeSpectrum, ...]
     global_max_abs: float
     passed: bool
+    symmetry_order: int
+    frontiers: int
 
 
 def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
@@ -268,11 +362,14 @@ def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
         records.append(
             DegreeSpectrum(
                 degree=degree,
-                eigenvalues=eigs,
+                eigenvalues=tuple(eigs),
                 max_abs=max(abs(e) for e in eigs),
+                symmetry_defect=eigs.symmetry_defect,
+                trace_defects=eigs.trace_defects,
             )
         )
     global_max = max(r.max_abs for r in records)
+    powers = _powers_for(genset)
     return RamanujanReport(
         p=p,
         l_max=l_max,
@@ -280,6 +377,8 @@ def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
         per_degree=tuple(records),
         global_max_abs=global_max,
         passed=global_max <= bound + RAMANUJAN_TOLERANCE,
+        symmetry_order=powers.symmetry_order,
+        frontiers=powers.frontiers,
     )
 
 

@@ -54,6 +54,10 @@ class IntegerGenerators:
         return len(self.inverse_of) // 2
 
 
+class ConsistencyError(ArithmeticError):
+    """Two supposedly equal internal computations disagreed beyond tolerance."""
+
+
 class EnumerationBudgetError(RuntimeError):
     """Raised when a requested enumeration would exceed the configured budget."""
 

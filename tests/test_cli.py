@@ -1,7 +1,9 @@
 """Unit tests for the command-line interface and its deterministic output."""
 
+import dataclasses
 import json
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -9,8 +11,11 @@ from hypothesis import strategies as st
 
 import lps.cli
 import lps.formulas
+import lps.quaternions
+import lps.sphere
 import lps.torus
 from lps.cli import RAMANUJAN_FLOOR_P5_L24, _nine_down, main, stable_dumps
+from lps.quaternions import LipschitzQuaternion
 from lps.sphere import sphere_discrepancy_profile
 from test_formulas import wrong_hecke_polynomial
 
@@ -89,6 +94,31 @@ def test_generators_rejects_non_split_prime(capsys):
     assert "error" in err
 
 
+def test_generators_count_every_norm_p_quaternion(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, ["generators", "--prime", "13"])
+    assert code == 0
+    assert parse_envelope(out)["checks"] == [
+        {"name": "p13_norm_p_quaternion_count", "passed": True, "measured": 112.0, "bound": 112.0}
+    ]
+    # a count that misses a quaternion fails the record, not the run
+    everything = lps.quaternions.quaternions_of_norm
+    monkeypatch.setattr(lps.cli, "quaternions_of_norm", lambda n: everything(n)[1:])
+    code, out, _ = run_cli(capsys, ["generators", "--prime", "13"])
+    assert code == 1
+    assert parse_envelope(out)["checks"][0]["measured"] == 111.0
+
+
+def test_generators_wrong_representative_count_is_an_internal_fault(capsys, monkeypatch):
+    everything, lost = lps.quaternions.quaternions_of_norm, LipschitzQuaternion(1, 2, 0, 0)
+    monkeypatch.setattr(
+        lps.quaternions, "quaternions_of_norm", lambda n: [q for q in everything(n) if q != lost]
+    )
+    code, out, err = run_cli(capsys, ["generators", "--prime", "5"])
+    assert code == 1
+    assert not out
+    assert err.startswith("error: expected 6 norm-5 representatives, found 5")
+
+
 def test_generators_csv(capsys):
     code, out, _ = run_cli(capsys, ["generators", "--prime", "5", "--format", "csv"])
     assert code == 0
@@ -142,6 +172,24 @@ def test_verify_ramanujan_timings_flag(capsys):
     assert code == 0
     env = parse_envelope(out)
     assert env["elapsed_ms"] > 0
+
+
+def test_verify_ramanujan_diagnostics_only_with_timings(capsys):
+    argv = ["verify", "ramanujan", "--prime", "13", "--l-max", "4"]
+    _, plain, _ = run_cli(capsys, argv)
+    assert "diagnostics" not in parse_envelope(plain)
+    _, timed, _ = run_cli(capsys, argv + ["--timings"])
+    env = parse_envelope(timed)
+    diagnostics = env.pop("diagnostics")
+    # one frontier per orbit of the order-4 symmetry: two fixed points, three 4-orbits
+    assert (diagnostics["symmetry_order"], diagnostics["frontiers"]) == (4, 5)
+    assert [d["degree"] for d in diagnostics["per_degree"]] == [1, 2, 3, 4]
+    for d in diagnostics["per_degree"]:
+        assert 0 <= d["symmetry_defect"] < 1e-10
+        assert 0 <= d["trace_defect"] <= lps.sphere.TRACE_TOLERANCE
+        assert 0 <= d["square_trace_defect"] <= lps.sphere.TRACE_TOLERANCE
+    env.pop("elapsed_ms")
+    assert stable_dumps(env) + "\n" == plain
 
 
 def test_verify_freeness_rotations(capsys):
@@ -416,12 +464,16 @@ def test_report_timings_cover_every_envelope(capsys):
     envelopes = [json.loads(line) for line in timed.splitlines() if line]
     assert len(envelopes) == 8
     assert all(isinstance(env.pop("elapsed_ms"), float) for env in envelopes)
-    # only the torus envelope carries diagnostics, for both tables and rank-one
-    diagnostics = [env.pop("diagnostics", None) for env in envelopes]
-    assert [d is not None for d in diagnostics] == [e["command"] == "report.torus" for e in envelopes]
-    torus = next(d for d in diagnostics if d is not None)
+    # the ramanujan and torus envelopes carry diagnostics, the others none
+    diagnostics = {env["command"]: env.pop("diagnostics", None) for env in envelopes}
+    carrying = [command for command, d in diagnostics.items() if d is not None]
+    assert carrying == ["report.ramanujan", "report.torus"]
+    torus = diagnostics["report.torus"]
     assert torus["rank_one"]["matvecs"] == 0 and len(torus["tables"]) == 2
     assert torus["rank_one"]["symmetry_order"] == 2
+    ramanujan = diagnostics["report.ramanujan"]
+    assert (ramanujan["symmetry_order"], ramanujan["frontiers"]) == (4, 3)
+    assert [d["degree"] for d in ramanujan["per_degree"]] == [1, 2, 3]
     # without the timings the two runs print the same bytes
     assert "".join(stable_dumps(env) + "\n" for env in envelopes) == plain
 
@@ -452,6 +504,33 @@ def test_report_torus_sanov_is_verify_torus(capsys):
     assert torus["results"]["tables"] == standalone["results"]["tables"]
     sanov_checks = [c for c in torus["checks"] if c["name"] != "rank_one_estimate_near_one"]
     assert sanov_checks == standalone["checks"]
+
+
+def test_report_rank_one_needs_a_certificate_of_exactly_one(capsys, monkeypatch):
+    _, report = _report_envelopes(capsys)
+    assert report["report.torus"]["checks"][-1] == {
+        "name": "rank_one_estimate_near_one", "passed": True, "measured": 1.0, "bound": 1.0
+    }
+    checked = lps.cli.torus_discrepancy_check
+
+    def shaved(genset, n, shape, radii, seed):
+        # a rank-one certificate just below 1, whose float estimate still reads 1.0
+        table = checked(genset, n, shape, radii, seed=seed)
+        if genset.q > 1:
+            return table
+        below = Fraction(1) - Fraction(1, 10**12)
+        rows = tuple(
+            dataclasses.replace(r, bound=dataclasses.replace(r.bound, certificate=below))
+            for r in table.rows
+        )
+        return dataclasses.replace(table, rows=rows)
+
+    monkeypatch.setattr(lps.cli, "torus_discrepancy_check", shaved)
+    code, report = _report_envelopes(capsys)
+    assert code == 1
+    failed = [(e, c["name"]) for e, env in report.items() for c in env["checks"] if not c["passed"]]
+    assert failed == [("report.torus", "rank_one_estimate_near_one")]
+    assert report["report.torus"]["results"]["rank_one_estimate"] == 1.0
 
 
 def test_report_determinism_fails_on_nan(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from lps.quaternions import (
     build_generator_set,
     enumerate_representatives,
     jacobi_count,
+    quaternions_of_norm,
     require_split_prime,
 )
 
@@ -41,6 +42,16 @@ def brute_force_four_squares(n: int) -> int:
 def test_jacobi_count_matches_brute_force_through_200():
     for n in range(1, 201):
         assert jacobi_count(n) == brute_force_four_squares(n), n
+
+
+def test_quaternions_of_norm_are_every_four_square_representation():
+    for n in range(1, 60):
+        found = quaternions_of_norm(n)
+        assert len(found) == brute_force_four_squares(n) == len(set(found)), n
+        assert all(q.norm() == n for q in found)
+        assert found == sorted(found, key=lambda q: (q.x0, q.x1, q.x2, q.x3))
+    with pytest.raises(ValueError):
+        quaternions_of_norm(0)
 
 
 def test_jacobi_count_rejects_nonpositive():

@@ -231,20 +231,64 @@ def test_koopman_block_degree_one_is_minus_two_fifths():
             assert block.matrix[i][j] == (expected if i == j else 0)
 
 
+def _generator_sum(quaternions, degree):
+    """The per-generator oracle: the real sum of every Sym^{2l}, expanded directly."""
+    return _real_sum([_symmetric_power(_quaternion_matrix(q), 2 * degree) for q in quaternions])
+
+
 def test_koopman_block_is_generator_sum():
-    for p in (5, 13):
+    for p in (5, 13, 17, 29):
         genset = build_generator_set(p)
         for degree in (1, 2, 3):
-            powers = [
-                _symmetric_power(_quaternion_matrix(q), 2 * degree)
-                for q in genset.source_quaternions
-            ]
+            total = _generator_sum(genset.source_quaternions, degree)
             block = koopman_block(genset, degree)
             assert block.scale == p**degree
-            assert [list(row) for row in block.numerators] == _real_sum(powers)
+            assert [list(row) for row in block.numerators] == total
             assert block.matrix == tuple(
-                tuple(Fraction(v, p**degree) for v in row) for row in _real_sum(powers)
+                tuple(Fraction(v, p**degree) for v in row) for row in total
             )
+
+
+def _q(*coordinates):
+    return LipschitzQuaternion(*coordinates)
+
+
+# Each set is closed under conjugation and under the (b, d) sign flip, so
+# its block is real and self-adjoint; c = (1+i)/sqrt(2) conjugates
+# a + bi + cj + dk to a + bi - dj + ck.
+ORBIT_CASES = [
+    # the norm-p sets: x0 +- x1 i are fixed, the rest fall in 4-orbits
+    pytest.param(5, None, 4, 3, id="p5-order4"),
+    pytest.param(13, None, 4, 5, id="p13-order4"),
+    # c^2 swaps 1 + 2j and 1 - 2j, c sends them out of the set
+    pytest.param(5, (_q(1, 0, 2, 0), _q(1, 0, -2, 0)), 2, 1, id="order2"),
+    # c^2 sends 1 + 2i + 2j + 2k to 1 + 2i - 2j - 2k, which is missing
+    pytest.param(
+        13,
+        (_q(1, 2, 2, 2), _q(1, -2, 2, -2), _q(1, -2, -2, -2), _q(1, 2, -2, 2)),
+        1,
+        4,
+        id="order1",
+    ),
+    # a repeated generator counts twice
+    pytest.param(
+        5, (_q(1, 2, 0, 0), _q(1, -2, 0, 0)) + tuple(
+            _q(1, *v) for v in ((0, 2, 0), (0, -2, 0), (0, 0, 2), (0, 0, -2))
+        ) * 2, 4, 3, id="p5-twice-the-4-orbit"
+    ),
+]
+
+
+@pytest.mark.parametrize("p, quaternions, order, frontiers", ORBIT_CASES)
+def test_orbit_sums_match_generator_sum_at_every_stabiliser_order(p, quaternions, order, frontiers):
+    genset = build_generator_set(p)
+    if quaternions is not None:
+        genset = dataclasses.replace(genset, source_quaternions=quaternions)
+    for degree in (1, 2, 3, 4):
+        total = _generator_sum(genset.source_quaternions, degree)
+        assert [list(row) for row in koopman_block(genset, degree).numerators] == total
+    powers = lps.sphere._powers_for(genset)
+    assert (powers.symmetry_order, powers.frontiers) == (order, frontiers)
 
 
 @pytest.mark.parametrize("p", [5, 13])
