@@ -182,14 +182,13 @@ class _SymmetricPowers:
                 advanced.append((np.hstack([head[0], tail[0]]), np.hstack([head[1], tail[1]])))
             self._mats = advanced
             self._degree += 1
+        re, im = (
+            sum(w * mats[part] for w, mats in zip(self._weights, self._mats)) for part in (0, 1)
+        )
         index = np.arange(degree + 1)
         off_mask = np.subtract.outer(index, index) % self.symmetry_order != 0
-        parts = []
-        for part in (0, 1):
-            total = sum(w * mats[part] for w, mats in zip(self._weights, self._mats))
-            total[off_mask] = 0
-            parts.append(total)
-        return parts[0], parts[1]
+        re[off_mask] = im[off_mask] = 0
+        return re, im
 
 
 _POWERS_CACHE: dict[GeneratorSet, _SymmetricPowers] = {}
