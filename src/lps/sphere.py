@@ -206,6 +206,12 @@ def _powers_for(genset: GeneratorSet) -> _SymmetricPowers:
 
 
 @lru_cache(maxsize=None)
+def _generator_set(p: int) -> GeneratorSet:
+    """The norm-p generator set, built once per prime."""
+    return build_generator_set(p)
+
+
+@lru_cache(maxsize=None)
 def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
     """Matrix of the sum of all generator actions on degree-`degree` harmonics.
 
@@ -353,7 +359,7 @@ def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
     """
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
-    genset = build_generator_set(p)
+    genset = _generator_set(p)
     bound = 2.0 * math.sqrt(p)
     records = []
     for degree in range(1, l_max + 1):
@@ -396,7 +402,7 @@ def sphere_discrepancy_profile(p: int, n: int, shape: str, l_max: int) -> tuple[
         raise ValueError(f"shape must be 'sphere' or 'ball', got {shape!r}")
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
-    genset = build_generator_set(p)
+    genset = _generator_set(p)
     polys = [hecke_polynomial(p, k) for k in range(n + 1)]
     sphere_count, ball_count = word_counts(p, n)
     best = 0.0
@@ -422,7 +428,8 @@ def sphere_discrepancy_estimate(p: int, n: int, shape: str, l_max: int) -> float
 
 
 def clear_caches() -> None:
-    """Drop all memoised blocks, spectra, and symmetric-power frontiers."""
+    """Drop all memoised generator sets, blocks, spectra, and symmetric-power frontiers."""
+    _generator_set.cache_clear()
     _POWERS_CACHE.clear()
     koopman_block.cache_clear()
     block_spectrum.cache_clear()

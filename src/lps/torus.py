@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -58,9 +57,16 @@ MONOTONICITY_TOLERANCE = 1e-6
 # estimate at most LANCZOS_TOL times the Ritz value, and gives up after
 # LANCZOS_MAX_STEPS steps (the benchmark windows need at most 71).  Both
 # only steer the solve: the certificate is an exact Rayleigh quotient of
-# the rounded Ritz vector.
+# the rounded Ritz vector.  The test needs a dense eigendecomposition of
+# the tridiagonal matrix, so it runs only every LANCZOS_CHECK_STEPS steps
+# (see _lanczos).
 LANCZOS_TOL = 1e-7
 LANCZOS_MAX_STEPS = 300
+LANCZOS_CHECK_STEPS = 8
+
+# rayleigh_certificate adds at most SUM_CHUNK int64 products before it
+# moves a partial sum into Python ints.
+SUM_CHUNK = 256
 
 
 # The signed permutation matrices modulo +-I: P and -P conjugate alike and
@@ -168,35 +174,50 @@ class HalfWindow:
     """Primitive frequencies of sup-norm at most `radius`, one of each pair +-m.
 
     The points are the primitive m with m1 > 0, or m1 = 0 and m2 > 0, in
-    lexicographic order.  `index` maps a point (m1, m2 + radius) of the
-    half grid to its position, and to -1 where the point is not primitive.
+    lexicographic order.
     """
 
     def __init__(self, radius: int):
         if radius < 1:
             raise ValueError(f"radius must be >= 1, got {radius}")
-        self.radius = radius
-        xs, ys = np.meshgrid(
-            np.arange(radius + 1, dtype=np.int64),
-            np.arange(-radius, radius + 1, dtype=np.int64),
-            indexing="ij",
-        )
-        # gcd(0, y) = |y|, so the column m1 = 0 keeps only (0, 1)
-        keep = (np.gcd(xs, ys) == 1) & ((xs > 0) | (ys > 0))
-        self.points = np.column_stack([xs[keep], ys[keep]])
+        self.radius = r = radius
+        # coprime[x, y] says gcd(x, y) = 1 for 0 <= x, y <= r: a sieve in
+        # which (d, 0) is still marked when d is prime
+        coprime = np.ones((r + 1, r + 1), dtype=bool)
+        coprime[0, 0] = False
+        for d in range(2, r + 1):
+            if coprime[d, 0]:
+                coprime[::d, ::d] = False
+        # the half grid 0 <= m1 <= r, |m2| <= r; in its column m1 = 0,
+        # gcd(0, m2) = |m2| leaves (0, +-1), of which (0, 1) is kept
+        keep = np.concatenate([coprime[:, :0:-1], coprime], axis=1)
+        keep[0, :r] = False
+        x, y = np.nonzero(keep)
+        self.points = np.column_stack([x, y - r])
         self.size = len(self.points)
-        self.index = np.full(xs.shape, -1, dtype=np.int64)
-        self.index[keep] = np.arange(self.size)
 
-    def fold(self, img: np.ndarray) -> np.ndarray:
-        """Fold integer points into the half plane in place; True where they are in the window."""
-        flip = (img[:, 0] < 0) | ((img[:, 0] == 0) & (img[:, 1] < 0))
-        img[flip] *= -1
-        return (img[:, 0] <= self.radius) & (np.abs(img[:, 1]) <= self.radius)
 
-    def lookup(self, img: np.ndarray) -> np.ndarray:
-        """Positions of folded points inside the window, -1 where one is not primitive."""
-        return self.index[img[:, 0], img[:, 1] + self.radius]
+def _square_table(window: HalfWindow) -> np.ndarray:
+    """One int32 table of the window over the full square [-radius, radius]^2.
+
+    Its entry at (m1 + radius, m2 + radius) is the position of whichever
+    of +-m is a point of the window, and -1 where m is not primitive.
+    """
+    r = window.radius
+    table = np.full((2 * r + 1,) * 2, -1, dtype=np.int32)
+    x, y = window.points.T
+    table[x + r, y + r] = table[r - x, r - y] = np.arange(window.size, dtype=np.int32)
+    return table
+
+
+def _lookup(table: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which frequencies (m1, m2) lie in a square table, and the positions of +-m there.
+
+    The positions are -1 where m is not primitive.
+    """
+    r = len(table) // 2
+    inside = np.flatnonzero((np.abs(m1) <= r) & (np.abs(m2) <= r))
+    return inside, table[m1[inside] + r, m2[inside] + r]
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,19 +288,26 @@ class WindowOperator:
     q: int
 
 
-def _orbits(window: HalfWindow, group: Sequence[Matrix2]) -> tuple[np.ndarray, np.ndarray]:
+def _orbits(
+    window: HalfWindow, table: np.ndarray, group: Sequence[Matrix2]
+) -> tuple[np.ndarray, np.ndarray]:
     """The orbit number of each half-window point and the first point of each orbit.
 
     A point's orbit is labelled by the smallest index over its images
     under the group, and orbits are numbered in the order of those labels.
+    A signed permutation only swaps and negates coordinates, so the table
+    read at the images of all points is the table transposed and flipped.
     """
-    label = np.arange(window.size, dtype=np.int64)
-    for p in group[1:]:
-        img = window.points @ np.array(p, dtype=np.int64)
-        window.fold(img)
-        label = np.minimum(label, window.lookup(img))
-    representatives = np.flatnonzero(label == np.arange(window.size))
-    return np.searchsorted(representatives, label), representatives
+    r = window.radius
+    label = table[r:]
+    for (a, b), (c, d) in group[1:]:
+        # m P = (a m1 + c m2, b m1 + d m2), with one nonzero term in each
+        image = table if a else table.T
+        label = np.minimum(label, image[:: a + b, :: c + d][r:])
+    x, y = window.points.T
+    label = label[x, y + r]
+    first = label == np.arange(window.size)
+    return (np.cumsum(first, dtype=np.int32) - 1)[label], np.flatnonzero(first)
 
 
 def window_operator(
@@ -307,30 +335,36 @@ def window_operator(
     bound = radius * int(np.abs(words).sum(axis=1).max())
     if bound >= 2 ** 62:
         raise OverflowError("window images would overflow 64-bit lattice arithmetic")
-    words = words.astype(np.int64)
     group = symmetries(genset)
-    orbit, reps = _orbits(window, group)
+    table = _square_table(window)
+    orbit, reps = _orbits(window, table, group)
     sizes = np.bincount(orbit)
-    pts = window.points[reps]
-    src = np.arange(len(reps), dtype=np.int64)
-    hits: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for w in words:
-        img = pts @ w
-        mask = window.fold(img)
-        # unimodular words keep frequencies primitive, so every index is >= 0
-        hits.append(window.lookup(img[mask]))
-        cols.append(src[mask])
-    hit, col = np.concatenate(hits), np.concatenate(cols)
-    # C[m, m] is the same at every point of an orbit
-    fixed = np.bincount(col[hit == reps[col]], minlength=len(reps))
-    # each hit of (orbit O', orbit O) adds |O| to K[O', O]
-    pairs, hits_per_pair = np.unique(orbit[hit] * len(reps) + col, return_counts=True)
-    row, column = np.divmod(pairs, len(reps))
+    m1, m2 = window.points[reps].T
+    # targets[O, w]: the orbit that word w takes the first point of O into, -1 outside
+    targets = np.full((len(reps), len(words)), -1, dtype=np.int32)
+    fixed = np.zeros(len(reps), dtype=np.int64)
+    for w, ((a, b), (c, d)) in enumerate(words.tolist()):
+        inside, hit = _lookup(table, a * m1 + c * m2, b * m1 + d * m2)
+        # unimodular words keep frequencies primitive, so every hit is >= 0;
+        # C[m, m] is the same at every point of an orbit
+        fixed[inside] += hit == reps[inside]
+        targets[inside, w] = orbit[hit]
+    # K[O, O'] = K[O', O] is |O| times the number of words taking O's first
+    # point into O': one run of equal targets in row O once they are sorted
+    targets.sort(axis=1)
+    flat = targets.ravel()
+    new = np.ones(flat.size, dtype=bool)
+    new[1:] = flat[1:] != flat[:-1]
+    new[:: len(words)] = True
+    starts = np.flatnonzero(new)
+    runs = np.diff(starts, append=flat.size)
+    kept = flat[starts] >= 0
+    starts, runs = starts[kept], runs[kept]
+    row = starts // len(words)
     entries = IntegerCSR(
         indptr=np.searchsorted(row, np.arange(len(reps) + 1)),
-        indices=column,
-        data=hits_per_pair * sizes[column],
+        indices=flat[starts].astype(np.int64),
+        data=runs * sizes[row],
     )
     return WindowOperator(
         window=window,
@@ -361,7 +395,10 @@ class NormCertificate:
     arithmetic, and `estimate` is the largest float not above it.
     `dimension` is the half-window size and `orbits` the dimension of the
     quotient that was solved, under a group of order `symmetry_order`.
-    The Lanczos fields are None when the diagonal alone closed the
+    `matvecs` is the step at which Lanczos stopped, `lanczos_steps_run`
+    the steps it took, those past the stop step included, and
+    `tridiagonal_solves` its dense eigendecompositions; all three are 0,
+    and the float fields None, when the diagonal alone closed the
     sandwich and no solve ran.
     """
 
@@ -371,6 +408,8 @@ class NormCertificate:
     orbits: int
     symmetry_order: int
     matvecs: int
+    lanczos_steps_run: int
+    tridiagonal_solves: int
     ritz_residual: Optional[float]
     ritz_minus_certificate: Optional[float]
 
@@ -379,20 +418,30 @@ def rayleigh_certificate(op: WindowOperator, y: np.ndarray) -> Fraction:
     """The exact Rayleigh quotient y^T K y / (words_used y^T D y) of an integer orbit vector.
 
     It is the Rayleigh quotient of C / words_used at the vector equal to
-    y[O] on every point of orbit O.
+    y[O] on every point of orbit O.  Both sums are taken in int64 over
+    chunks of at most SUM_CHUNK entries, and the chunk totals are added
+    as Python ints.
     """
     y = np.asarray(y)
     if y.dtype.kind not in "iu" or not y.any():
         raise ValueError("the certificate needs a nonzero integer vector")
-    # a row of K sums to at most words_used times its orbit size, which
-    # bounds every partial sum of that row of K y; the product sums each
-    # row on its own
-    if op.words_used * int(op.orbit_sizes.max()) * int(np.abs(y).max()) >= 2 ** 63:
+    # A row of K sums to at most words_used times its orbit size, which
+    # bounds every partial sum of that row of K y, so also every product
+    # y[O] (K y)[O] and y[O]^2 |O|; a chunk's partial sums stay below the
+    # chunk length times that.  All bounds are Python ints.
+    row_sum = op.words_used * int(op.orbit_sizes.max())
+    peak = int(np.abs(y).max())
+    if row_sum * peak * peak >= 2 ** 63:
         raise OverflowError("certificate vector too large for 64-bit products")
-    ky = (op.entries @ y.astype(np.int64)).tolist()
-    ys = y.tolist()
-    num = sum(map(operator.mul, ys, ky))
-    den = sum(d * v * v for d, v in zip(op.orbit_sizes.tolist(), ys))
+    chunk = min(SUM_CHUNK, (2 ** 63 - 1) // (row_sum * peak * peak))
+    y = y.astype(np.int64)
+    starts = np.arange(0, len(y), chunk)
+
+    def exact_sum(products: np.ndarray) -> int:
+        return sum(np.add.reduceat(products, starts).tolist())
+
+    num = exact_sum(y * (op.entries @ y))
+    den = exact_sum(op.orbit_sizes * y * y)
     return Fraction(num, op.words_used * den)
 
 
@@ -402,30 +451,56 @@ def _float_at_most(value: Fraction) -> float:
     return math.nextafter(f, -math.inf) if Fraction(f) > value else f
 
 
-def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int]]:
-    """The top Ritz value, its unit Ritz vector and the steps taken; None past the step limit.
+def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int, int, int]]:
+    """Top Ritz value, unit Ritz vector, stop step, steps run and eigh calls; None past the limit.
 
     Three-term Lanczos without reorthogonalisation, stopped at the first
     step where |beta_k s_k| <= LANCZOS_TOL |theta| (ARPACK's test), with
     theta the largest eigenvalue of the tridiagonal T_k and s its unit
     eigenvector.  Orthogonality is lost only along Ritz vectors that have
     already converged (Paige), so the solve stops before a ghost copy of
-    theta can appear.
+    theta can appear.  The test runs every LANCZOS_CHECK_STEPS steps, at
+    a breakdown (beta = 0) and at the step limit.  When it passes, the
+    steps since the last failed test are tested in order, from the T_k
+    and basis they had, and the first that passes is returned: the step
+    a test at every step finds, unless a step passes and the last step
+    of its block then fails.  None when no test passes within
+    LANCZOS_MAX_STEPS steps.
     """
     q, previous, b = start / np.linalg.norm(start), 0.0, 0.0
     basis: list[np.ndarray] = []
     tri = np.zeros((LANCZOS_MAX_STEPS + 1,) * 2)
+    solves = 0
+
+    def top(k: int) -> Optional[tuple[float, np.ndarray]]:
+        """The top eigenpair of T_k where step k passes the test, else None."""
+        nonlocal solves
+        solves += 1
+        theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
+        if abs(tri[k + 1, k] * s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
+            return float(theta[-1]), s[:, -1]
+        return None
+
+    untested = 0
     for k in range(LANCZOS_MAX_STEPS):
         basis.append(q)
         w = matvec(q) - b * previous
         tri[k, k] = q @ w
         w -= tri[k, k] * q
         b = float(np.linalg.norm(w))
-        theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
-        if abs(b * s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
-            z = sum(c * v for c, v in zip(s[:, -1], basis))
-            return float(theta[-1]), z / np.linalg.norm(z), k + 1
         tri[k + 1, k] = tri[k, k + 1] = b
+        if b == 0 or (k + 1) % LANCZOS_CHECK_STEPS == 0 or k + 1 == LANCZOS_MAX_STEPS:
+            passed = top(k)
+            if passed is not None:
+                for j in range(untested, k):
+                    earlier = top(j)
+                    if earlier is not None:
+                        passed = earlier
+                        break
+                theta, s = passed
+                z = sum(c * v for c, v in zip(s, basis))
+                return theta, z / np.linalg.norm(z), len(s), k + 1, solves
+            untested = k + 1
         previous, q = q, w / b
     return None
 
@@ -450,7 +525,7 @@ def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
     dims = (op.window.size, counts.shape[0], op.symmetry_order)
     # with no image inside the window, C = 0 and Lanczos has nothing to find
     if counts.nnz == 0 or best >= regular_norm(op.q, op.n, op.shape):
-        return NormCertificate(_float_at_most(best), best, *dims, 0, None, None)
+        return NormCertificate(_float_at_most(best), best, *dims, 0, 0, 0, None, None)
     rows, cols = counts.rows(), counts.indices
     scale = 1.0 / np.sqrt(op.orbit_sizes)
     weights = counts.data * (scale[rows] * scale[cols] / op.words_used)
@@ -465,7 +540,7 @@ def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
             f"{LANCZOS_MAX_STEPS} steps (best exact bound {float(best)})",
             best_bound=_float_at_most(best),
         )
-    ritz, z, matvecs = solved
+    ritz, z, matvecs, steps_run, solves = solved
     u = np.abs(z) * scale
     y = np.rint(u * ((2 ** 24 - 1) / u.max())).astype(np.int64)
     certified = rayleigh_certificate(op, y)
@@ -475,6 +550,8 @@ def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
         best,
         *dims,
         matvecs=matvecs,
+        lanczos_steps_run=steps_run,
+        tridiagonal_solves=solves,
         ritz_residual=float(np.linalg.norm(quotient(z) - ritz * z)),
         ritz_minus_certificate=float(Fraction(ritz) - certified),
     )

@@ -495,6 +495,26 @@ def test_sphere_discrepancy_profile_rejects_bad_input(n, shape, l_max):
         sphere_discrepancy_profile(5, n, shape, l_max)
 
 
+def test_generator_set_is_built_once_per_prime(monkeypatch):
+    builds = []
+
+    def counted(p):
+        builds.append(p)
+        return build_generator_set(p)
+
+    monkeypatch.setattr(lps.sphere, "build_generator_set", counted)
+    clear_caches()
+    verify_ramanujan(5, 3)
+    sphere_discrepancy_profile(5, 2, "ball", 3)
+    verify_ramanujan(13, 2)
+    sphere_discrepancy_estimate(13, 1, "sphere", 2)
+    assert builds == [5, 13]
+    clear_caches()
+    verify_ramanujan(5, 1)
+    assert builds == [5, 13, 5]
+    clear_caches()
+
+
 def test_clear_caches_preserves_results():
     before = block_spectrum(koopman_block(build_generator_set(5), 2))
     clear_caches()

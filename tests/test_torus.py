@@ -17,10 +17,17 @@ from hypothesis import strategies as st
 import lps
 import lps.torus
 from lps.torus import (
+    LANCZOS_CHECK_STEPS,
     LANCZOS_TOL,
+    SUM_CHUNK,
+    HalfWindow,
     LanczosConvergenceError,
     SANOV_MATRICES,
     _float_at_most,
+    _lanczos,
+    _lookup,
+    _orbits,
+    _square_table,
     build_torus_genset,
     load_generator_matrices,
     norm_certificate,
@@ -35,6 +42,7 @@ from torus_oracle import (
     character_image,
     full_window_counts,
     half_block,
+    orbit_numbers,
     orbit_sums,
     square_symmetries,
 )
@@ -190,6 +198,49 @@ def test_symmetries_of_the_generating_set(matrices, group):
     assert symmetries(genset) == group
     # modulo +-I, the oracle's eight signed permutations give the same group
     assert 2 * len(group) == len(square_symmetries(genset.matrices))
+
+
+@pytest.mark.parametrize("radius", range(1, 7))
+def test_square_table_matches_a_brute_force_fold(radius):
+    window = HalfWindow(radius)
+    half = [
+        (x, y)
+        for x in range(radius + 1)
+        for y in range(-radius, radius + 1)
+        if math.gcd(x, y) == 1 and (x > 0 or y > 0)
+    ]
+    assert window.points.tolist() == [list(m) for m in half]
+    position = {m: i for i, m in enumerate(half)}
+    # every point of the square and of the ring just outside it
+    grid = range(-radius - 1, radius + 2)
+    m1, m2 = (np.array(v) for v in zip(*[(x, y) for x in grid for y in grid]))
+    expected_inside, expected = [], []
+    for k, (x, y) in enumerate(zip(m1.tolist(), m2.tolist())):
+        if max(abs(x), abs(y)) <= radius:
+            expected_inside.append(k)
+            folded = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
+            expected.append(position[folded] if math.gcd(x, y) == 1 else -1)
+    table = _square_table(window)
+    assert table.dtype == np.int32 and table.shape == (2 * radius + 1,) * 2
+    inside, found = _lookup(table, m1, m2)
+    assert inside.tolist() == expected_inside
+    assert found.tolist() == expected
+
+
+@pytest.mark.parametrize("radius", [1, 2, 5, 9])
+@pytest.mark.parametrize(
+    "matrices",
+    ["sanov", "rank-one", (((2, 1), (1, 1)),), (((2, 1), (1, 1)), ((1, 1), (0, 1)))],
+    ids=["sanov", "rank-one", "cat-map", "no-symmetry"],
+)
+def test_orbit_labels_match_the_oracle(matrices, radius):
+    genset = build_torus_genset(matrices)
+    window = HalfWindow(radius)
+    orbit, firsts = _orbits(window, _square_table(window), symmetries(genset))
+    half = [tuple(m) for m in window.points.tolist()]
+    expected = orbit_numbers(half, square_symmetries(genset.matrices))
+    assert np.array_equal(orbit, expected)
+    assert firsts.tolist() == [expected.tolist().index(k) for k in range(expected.max() + 1)]
 
 
 def _oracle_operator(genset, n, shape, radius):
@@ -371,6 +422,97 @@ def test_norm_estimate_raises_without_convergence(monkeypatch):
     assert err.value.best_bound > 0
 
 
+def _per_step_lanczos(matvec, start):
+    """Lanczos with the stopping test at every step, as a reference for `_lanczos`.
+
+    Returns what `_lanczos` returns, with one step run and one
+    tridiagonal solve per step.
+    """
+    q, previous, b = start / np.linalg.norm(start), 0.0, 0.0
+    basis = []
+    tri = np.zeros((lps.torus.LANCZOS_MAX_STEPS + 1,) * 2)
+    for k in range(lps.torus.LANCZOS_MAX_STEPS):
+        basis.append(q)
+        w = matvec(q) - b * previous
+        tri[k, k] = q @ w
+        w -= tri[k, k] * q
+        b = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
+        if abs(b * s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
+            z = sum(c * v for c, v in zip(s[:, -1], basis))
+            return float(theta[-1]), z / np.linalg.norm(z), k + 1, k + 1, k + 1
+        tri[k + 1, k] = tri[k, k + 1] = b
+        previous, q = q, w / b
+    return None
+
+
+def _certify_with(monkeypatch, lanczos, op):
+    """norm_certificate run with `lanczos` in place of `_lanczos`, and what that returned.
+
+    The second item is None when no solve ran.
+    """
+    returned = []
+
+    def recorded(matvec, start):
+        returned.append(lanczos(matvec, start))
+        return returned[-1]
+
+    monkeypatch.setattr(lps.torus, "_lanczos", recorded)
+    return norm_certificate(op), (returned or [None])[0]
+
+
+def _assert_blocked_matches_per_step(monkeypatch, op):
+    bound, blocked = _certify_with(monkeypatch, _lanczos, op)
+    reference, per_step = _certify_with(monkeypatch, _per_step_lanczos, op)
+    assert bound.certificate == reference.certificate
+    assert bound.matvecs == reference.matvecs
+    if blocked is None:
+        assert per_step is None
+        return bound
+    (ritz, z, stop, steps, solves), (ref_ritz, ref_z, ref_stop, _, _) = blocked, per_step
+    assert stop == ref_stop == bound.matvecs
+    assert ritz.hex() == ref_ritz.hex()
+    assert np.array_equal(z.view(np.int64), ref_z.view(np.int64))
+    assert (bound.lanczos_steps_run, bound.tridiagonal_solves) == (steps, solves)
+    # the solve runs at most to the end of the stop step's block, and
+    # tests at most that block's steps again after a pass
+    assert stop <= steps <= -(-stop // LANCZOS_CHECK_STEPS) * LANCZOS_CHECK_STEPS
+    assert solves <= steps // LANCZOS_CHECK_STEPS + LANCZOS_CHECK_STEPS
+    return bound
+
+
+@pytest.mark.parametrize("radius", [8, 16, 32])
+@pytest.mark.parametrize("shape", ["sphere", "ball"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_blocked_stopping_test_matches_per_step_lanczos(monkeypatch, n, shape, radius):
+    op = window_operator(build_torus_genset("sanov"), n, shape, radius)
+    bound = _assert_blocked_matches_per_step(monkeypatch, op)
+    # no breakdown: the solve ran to the end of a block
+    assert bound.lanczos_steps_run % LANCZOS_CHECK_STEPS == 0
+
+
+def test_blocked_lanczos_stops_between_checks(monkeypatch):
+    op = window_operator(build_torus_genset("sanov"), 1, "sphere", 16)
+    bound = _assert_blocked_matches_per_step(monkeypatch, op)
+    assert bound.matvecs % LANCZOS_CHECK_STEPS != 0
+    assert bound.matvecs < bound.lanczos_steps_run < bound.matvecs + LANCZOS_CHECK_STEPS
+    # one failed check per block before the pass, then the rescan of the last block
+    assert bound.tridiagonal_solves == bound.matvecs // LANCZOS_CHECK_STEPS + (
+        bound.matvecs % LANCZOS_CHECK_STEPS
+    ) + 1
+
+
+def test_blocked_lanczos_checks_at_a_breakdown(monkeypatch):
+    # two orbits: the Krylov space is exhausted at the second step, where beta is 0
+    op = window_operator(build_torus_genset("sanov"), 2, "ball", 1)
+    bound = _assert_blocked_matches_per_step(monkeypatch, op)
+    assert bound.orbits == 2 and bound.lanczos_steps_run == 2 < LANCZOS_CHECK_STEPS
+    # a multiple of the identity breaks down at once, on the step that passes
+    ritz, z, stop, steps, solves = _lanczos(lambda v: 2.0 * v, np.ones(4))
+    assert (ritz, stop, steps, solves) == (2.0, 1, 1, 1)
+    assert z.tolist() == [0.5] * 4
+
+
 # Products of these have determinant +-1; the swap makes odd counts -1.
 _ELEMENTARY = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, -1), (0, 1)), ((0, 1), (1, 0)))
 _unimodular = st.lists(st.sampled_from(_ELEMENTARY), min_size=1, max_size=4).map(
@@ -435,6 +577,19 @@ def test_reduced_block_keeps_the_window_norm(case):
 
 @settings(deadline=None, max_examples=40)
 @given(_windows)
+@example(([((1, 2), (0, 1)), ((1, 0), (2, 1))], 1, "sphere", 1))  # stops at step 1 of 8 run
+def test_blocked_stopping_test_matches_per_step_on_drawn_windows(case):
+    matrices, n, shape, radius = case
+    try:
+        genset = build_torus_genset(matrices)
+    except ValueError:
+        assume(False)
+    with pytest.MonkeyPatch.context() as patch:
+        _assert_blocked_matches_per_step(patch, window_operator(genset, n, shape, radius))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_windows)
 @example(([((2, 1), (1, 1))], 2, "sphere", 1))  # no image stays in the window: C = 0
 def test_certificate_never_exceeds_the_dense_norm(case):
     op, full = _oracle_case(*case)
@@ -458,6 +613,47 @@ def test_corrupted_certificate_vector_fails():
     for bad in (x.astype(float), np.zeros_like(x)):
         with pytest.raises(ValueError):
             rayleigh_certificate(op, bad)
+
+
+def _python_int_quotient(op, y):
+    """y^T K y / (words_used y^T D y), every product and sum in Python ints."""
+    ys = y.tolist()
+    counts = op.entries
+    num = sum(
+        v * ys[i] * ys[j]
+        for i, j, v in zip(counts.rows().tolist(), counts.indices.tolist(), counts.data.tolist())
+    )
+    den = sum(d * v * v for d, v in zip(op.orbit_sizes.tolist(), ys))
+    return num, den
+
+
+def test_chunked_certificate_sums_are_exact():
+    op = window_operator(build_torus_genset("sanov"), 2, "ball", 128)
+    assert op.entries.shape[0] > 4 * SUM_CHUNK
+    peak = 2**24 - 1
+    rng = np.random.default_rng(3)
+    for y in (np.full(op.entries.shape[0], peak), rng.integers(-peak, peak + 1, op.entries.shape[0])):
+        num, den = _python_int_quotient(op, y)
+        assert rayleigh_certificate(op, y) == Fraction(num, op.words_used * den)
+    # the all-peak vector's numerator is past int64
+    assert _python_int_quotient(op, np.full(op.entries.shape[0], peak))[0] >= 2**63
+
+
+def test_certificate_guard_covers_each_product():
+    op = window_operator(build_torus_genset("sanov"), 1, "sphere", 8)
+    row_sum = op.words_used * int(op.orbit_sizes.max())
+    # the largest constant vector every product of which stays in int64
+    peak = math.isqrt((2**63 - 1) // row_sum)
+    y = np.full(op.entries.shape[0], peak)
+    num, den = _python_int_quotient(op, y)
+    assert rayleigh_certificate(op, y) == Fraction(num, op.words_used * den)
+    y += 1
+    # K y stays in int64, but an interior orbit's product y[O] (K y)[O] does not
+    assert row_sum * (peak + 1) < 2**63
+    products = (peak + 1) * (op.entries @ y).astype(object) * (peak + 1)
+    assert max(products) >= 2**63
+    with pytest.raises(OverflowError):
+        rayleigh_certificate(op, y)
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(2, 3), Fraction(1, 10), Fraction(7, 10)])

@@ -1,14 +1,15 @@
 """Reference route for the torus windows: the full window, entry by entry.
 
-`lps.torus.window_operator` builds only the primitive half-window count
-matrix C, folding each image by m -> -m.  This module keeps the full
-window of every nonzero frequency with sup-norm at most the radius, and
-fills its count matrix by applying each reduced word's character action
-letter by letter to each point, unoptimised.  `half_block` then folds
-that full matrix onto the primitive half-window by the definition
-B = (A + AJ) restricted there, and `orbit_sums` sums that block over the
-orbits of every signed permutation that permutes the generating set by
-conjugation, so the two routes share no code.
+`lps.torus.window_operator` builds only the orbit sums of the primitive
+half-window count matrix C, each image standing for its pair +-m.  This
+module keeps the full window of every nonzero frequency with sup-norm at
+most the radius, and fills its count matrix by applying each reduced
+word's character action letter by letter to each point, unoptimised.
+`half_block` then folds that full matrix onto the primitive half-window
+by the definition B = (A + AJ) restricted there, and `orbit_sums` sums
+that block over the orbits (`orbit_numbers`) of every signed permutation
+that permutes the generating set by conjugation, so the two routes share
+no code.
 """
 
 from __future__ import annotations
@@ -107,10 +108,8 @@ def square_symmetries(matrices) -> list[np.ndarray]:
     return found
 
 
-def orbit_sums(
-    half: list[tuple[int, int]], block: np.ndarray, group: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """`block` summed over the orbits of `group` on pairs +-m, and the orbit sizes.
+def orbit_numbers(half: list[tuple[int, int]], group: list[np.ndarray]) -> np.ndarray:
+    """The orbit of each point of `half` under `group` acting on pairs +-m.
 
     Orbits are numbered by their first point in `half`.
     """
@@ -122,7 +121,17 @@ def orbit_sums(
 
     first = [min(class_of(p @ np.array(m)) for p in group) for m in half]
     numbers = {f: k for k, f in enumerate(sorted(set(first)))}
-    orbit = np.array([numbers[f] for f in first])
-    sums = np.zeros((len(numbers), len(numbers)), dtype=np.int64)
+    return np.array([numbers[f] for f in first])
+
+
+def orbit_sums(
+    half: list[tuple[int, int]], block: np.ndarray, group: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`block` summed over the orbits of `group` on pairs +-m, and the orbit sizes.
+
+    Orbits are numbered by their first point in `half`.
+    """
+    orbit = orbit_numbers(half, group)
+    sums = np.zeros((orbit.max() + 1,) * 2, dtype=np.int64)
     np.add.at(sums, (orbit[:, None], orbit[None, :]), block)
     return sums, np.bincount(orbit)
