@@ -64,10 +64,6 @@ LANCZOS_TOL = 1e-7
 LANCZOS_MAX_STEPS = 300
 LANCZOS_CHECK_STEPS = 8
 
-# rayleigh_certificate adds at most SUM_CHUNK int64 products before it
-# moves a partial sum into Python ints.
-SUM_CHUNK = 256
-
 
 # The signed permutation matrices modulo +-I: P and -P conjugate alike and
 # act alike on pairs +-m.  The identity comes first.
@@ -340,31 +336,23 @@ def window_operator(
     orbit, reps = _orbits(window, table, group)
     sizes = np.bincount(orbit)
     m1, m2 = window.points[reps].T
-    # targets[O, w]: the orbit that word w takes the first point of O into, -1 outside
-    targets = np.full((len(reps), len(words)), -1, dtype=np.int32)
     fixed = np.zeros(len(reps), dtype=np.int64)
-    for w, ((a, b), (c, d)) in enumerate(words.tolist()):
+    # pairs O * len(reps) + O' for each word taking the first point of O into O'
+    pairs: list[np.ndarray] = []
+    for (a, b), (c, d) in words.tolist():
         inside, hit = _lookup(table, a * m1 + c * m2, b * m1 + d * m2)
         # unimodular words keep frequencies primitive, so every hit is >= 0;
         # C[m, m] is the same at every point of an orbit
         fixed[inside] += hit == reps[inside]
-        targets[inside, w] = orbit[hit]
+        pairs.append(inside * len(reps) + orbit[hit])
     # K[O, O'] = K[O', O] is |O| times the number of words taking O's first
-    # point into O': one run of equal targets in row O once they are sorted
-    targets.sort(axis=1)
-    flat = targets.ravel()
-    new = np.ones(flat.size, dtype=bool)
-    new[1:] = flat[1:] != flat[:-1]
-    new[:: len(words)] = True
-    starts = np.flatnonzero(new)
-    runs = np.diff(starts, append=flat.size)
-    kept = flat[starts] >= 0
-    starts, runs = starts[kept], runs[kept]
-    row = starts // len(words)
+    # point into O'
+    pair, hits_per_pair = np.unique(np.concatenate(pairs), return_counts=True)
+    row, column = np.divmod(pair, len(reps))
     entries = IntegerCSR(
         indptr=np.searchsorted(row, np.arange(len(reps) + 1)),
-        indices=flat[starts].astype(np.int64),
-        data=runs * sizes[row],
+        indices=column,
+        data=hits_per_pair * sizes[row],
     )
     return WindowOperator(
         window=window,
@@ -414,34 +402,44 @@ class NormCertificate:
     ritz_minus_certificate: Optional[float]
 
 
+def _exact_dot(y: np.ndarray, v: np.ndarray, bound: int) -> int:
+    """The dot product of int64 vectors as a Python int, given |v| <= bound < 2^63.
+
+    |y| is split into limbs of `bits` bits, so that a limb times an entry
+    of v stays below about sqrt(bound 2^63), and each limb's products are
+    summed in int64 over chunks short enough that no partial sum wraps.
+    Only the chunk totals are added as Python ints.
+    """
+    v = np.where(y < 0, -v, v)
+    y = np.abs(y)
+    bits = max(1, (63 - bound.bit_length()) // 2)
+    chunk = (2 ** 63 - 1) // (((1 << bits) - 1) * bound)
+    starts = np.arange(0, len(y), chunk)
+    total = 0
+    for shift in range(0, int(y.max()).bit_length(), bits):
+        limb = (y >> shift) & ((1 << bits) - 1)
+        total += sum(np.add.reduceat(limb * v, starts).tolist()) << shift
+    return total
+
+
 def rayleigh_certificate(op: WindowOperator, y: np.ndarray) -> Fraction:
     """The exact Rayleigh quotient y^T K y / (words_used y^T D y) of an integer orbit vector.
 
     It is the Rayleigh quotient of C / words_used at the vector equal to
-    y[O] on every point of orbit O.  Both sums are taken in int64 over
-    chunks of at most SUM_CHUNK entries, and the chunk totals are added
-    as Python ints.
+    y[O] on every point of orbit O.  Both sums are exact (`_exact_dot`).
     """
     y = np.asarray(y)
     if y.dtype.kind not in "iu" or not y.any():
         raise ValueError("the certificate needs a nonzero integer vector")
     # A row of K sums to at most words_used times its orbit size, which
-    # bounds every partial sum of that row of K y, so also every product
-    # y[O] (K y)[O] and y[O]^2 |O|; a chunk's partial sums stay below the
-    # chunk length times that.  All bounds are Python ints.
-    row_sum = op.words_used * int(op.orbit_sizes.max())
-    peak = int(np.abs(y).max())
-    if row_sum * peak * peak >= 2 ** 63:
+    # bounds every partial sum of that row of K y, and D y too; the bound
+    # is a Python int, and so is the peak, which np.abs could wrap.
+    bound = op.words_used * int(op.orbit_sizes.max()) * max(int(y.max()), -int(y.min()))
+    if bound >= 2 ** 63:
         raise OverflowError("certificate vector too large for 64-bit products")
-    chunk = min(SUM_CHUNK, (2 ** 63 - 1) // (row_sum * peak * peak))
     y = y.astype(np.int64)
-    starts = np.arange(0, len(y), chunk)
-
-    def exact_sum(products: np.ndarray) -> int:
-        return sum(np.add.reduceat(products, starts).tolist())
-
-    num = exact_sum(y * (op.entries @ y))
-    den = exact_sum(op.orbit_sizes * y * y)
+    num = _exact_dot(y, op.entries @ y, bound)
+    den = _exact_dot(y, op.orbit_sizes * y, bound)
     return Fraction(num, op.words_used * den)
 
 

@@ -19,10 +19,10 @@ import lps.torus
 from lps.torus import (
     LANCZOS_CHECK_STEPS,
     LANCZOS_TOL,
-    SUM_CHUNK,
     HalfWindow,
     LanczosConvergenceError,
     SANOV_MATRICES,
+    _exact_dot,
     _float_at_most,
     _lanczos,
     _lookup,
@@ -627,33 +627,48 @@ def _python_int_quotient(op, y):
     return num, den
 
 
-def test_chunked_certificate_sums_are_exact():
-    op = window_operator(build_torus_genset("sanov"), 2, "ball", 128)
-    assert op.entries.shape[0] > 4 * SUM_CHUNK
+@pytest.mark.parametrize("bound", [1, 2**12 - 1, 2**40, 2**62 - 1, 2**63 - 1])
+def test_exact_dot_matches_python_ints(bound):
+    rng = np.random.default_rng(bound % 1000)
+    y = rng.integers(-(2**63) + 1, 2**63, 3000)
+    v = rng.integers(-bound, bound, 3000, endpoint=True)
+    v[:2] = bound, -bound
+    expected = sum(a * b for a, b in zip(y.tolist(), v.tolist()))
+    assert _exact_dot(y, v, bound) == expected
+    # the largest limbs and entries, all of one sign, sum far past int64
+    top = np.full(3000, 2**63 - 1)
+    assert _exact_dot(top, np.full(3000, bound), bound) == 3000 * (2**63 - 1) * bound
+
+
+def test_certificate_sums_are_exact_past_int64():
+    # Sanov n 8: 8748 words, so |W| max|O| (2^24 - 1)^2 is past 2^63
+    op = window_operator(build_torus_genset("sanov"), 8, "sphere", 32)
     peak = 2**24 - 1
+    assert op.words_used * int(op.orbit_sizes.max()) * peak * peak >= 2**63
     rng = np.random.default_rng(3)
-    for y in (np.full(op.entries.shape[0], peak), rng.integers(-peak, peak + 1, op.entries.shape[0])):
+    size = op.entries.shape[0]
+    for y in (np.full(size, peak), rng.integers(-peak, peak + 1, size)):
         num, den = _python_int_quotient(op, y)
         assert rayleigh_certificate(op, y) == Fraction(num, op.words_used * den)
-    # the all-peak vector's numerator is past int64
-    assert _python_int_quotient(op, np.full(op.entries.shape[0], peak))[0] >= 2**63
+    assert _python_int_quotient(op, np.full(size, peak))[0] >= 2**63
+    # and the certificate itself
+    bound = norm_certificate(op)
+    assert bound.matvecs > 0 and bound.certificate > Fraction(op.max_diagonal, op.words_used)
 
 
-def test_certificate_guard_covers_each_product():
+def test_certificate_guard_bounds_the_product_with_k():
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", 8)
     row_sum = op.words_used * int(op.orbit_sizes.max())
-    # the largest constant vector every product of which stays in int64
-    peak = math.isqrt((2**63 - 1) // row_sum)
+    # the largest constant vector for which K y stays in int64; its
+    # products y[O] (K y)[O] are far past it
+    peak = (2**63 - 1) // row_sum
     y = np.full(op.entries.shape[0], peak)
+    assert peak * int((op.entries @ y).max()) >= 2**63
     num, den = _python_int_quotient(op, y)
     assert rayleigh_certificate(op, y) == Fraction(num, op.words_used * den)
-    y += 1
-    # K y stays in int64, but an interior orbit's product y[O] (K y)[O] does not
-    assert row_sum * (peak + 1) < 2**63
-    products = (peak + 1) * (op.entries @ y).astype(object) * (peak + 1)
-    assert max(products) >= 2**63
-    with pytest.raises(OverflowError):
-        rayleigh_certificate(op, y)
+    for bad in (y + 1, np.full(op.entries.shape[0], np.iinfo(np.int64).min)):
+        with pytest.raises(OverflowError):
+            rayleigh_certificate(op, bad)
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(2, 3), Fraction(1, 10), Fraction(7, 10)])
