@@ -16,16 +16,21 @@ Sym^{2l}(c) is diagonal, so the sum over an orbit of a subgroup H of <c>
 is |orbit| times one representative's symmetric power with the entries
 (r, s), r != s mod |H|, set to zero.  H is the largest subgroup that maps
 the generator quaternions onto themselves, found exactly; it has order 4
-for every norm-p set, whose 3 (p = 5) or 5 (p = 13) orbits replace 6 or
-14 generators.
+for every norm-p set.  The sign flip sigma of (b, d) conjugates the
+matrix entrywise, so joining it to H pairs orbits whose sums are complex
+conjugates, and each orbit of the larger group adds its generator count
+times the real part of its representative's masked power.  The fixed
+points x0 +- x1 i of c have diagonal matrices, whose powers are diagonal
+in closed form.  So p = 5 needs one dense frontier and one diagonal term
+for its 6 generators, p = 13 two and one for its 14.
 
-Every block is checked exactly before any float appears: the imaginary
-parts cancel (the representative set is closed under the sign flip of
-(b, d), which conjugates the matrix entrywise and is not in <c>), and the
-block is self-adjoint for the invariant pairing, which is diagonal with
-weights 1/binom(2l, k).  Rescaling by sqrt(binom(2l, k)) then gives a
-symmetric matrix in plain float64, whose spectrum LAPACK's symmetric
-eigensolver computes and which must reproduce the exact tr(T) and tr(T^2).
+Every block is checked exactly before any float appears: the generators
+are closed under sigma, checked once, so the imaginary parts cancel by
+construction, and the block is self-adjoint for the invariant pairing,
+which is diagonal with weights 1/binom(2l, k).  Rescaling by
+sqrt(binom(2l, k)) then gives a symmetric matrix in plain float64, whose
+spectrum LAPACK's symmetric eigensolver computes and which must
+reproduce the exact tr(T) and tr(T^2).
 """
 
 from __future__ import annotations
@@ -97,6 +102,11 @@ def _rotate(q: LipschitzQuaternion, quarter_turns: int) -> LipschitzQuaternion:
     return q
 
 
+def _conjugate(q: LipschitzQuaternion) -> LipschitzQuaternion:
+    """a - bi + cj - dk, whose matrix is the entrywise conjugate of q's."""
+    return LipschitzQuaternion(q.x0, -q.x1, q.x2, -q.x3)
+
+
 def _symmetry_order(quaternions) -> int:
     """Order of the largest subgroup of <c> that maps the quaternions onto themselves.
 
@@ -126,50 +136,84 @@ def _times_form(re: np.ndarray, im: np.ndarray, alpha, beta):
     return out_re, out_im
 
 
+def _diagonal_real_parts(a: int, b: int, degree: int) -> list[int]:
+    """Re((a+bi)^(degree-r) (a-bi)^r) for r = 0..degree.
+
+    With z = a + bi that is |z|^(2 min(r, degree-r)) Re(z^|degree-2r|), since
+    z and its conjugate have the same real parts.
+    """
+    norm, real_parts, power = a * a + b * b, [], (1, 0)
+    for _ in range(degree + 1):
+        real_parts.append(power[0])
+        power = (power[0] * a - power[1] * b, power[0] * b + power[1] * a)
+    return [
+        norm ** min(r, degree - r) * real_parts[abs(degree - 2 * r)] for r in range(degree + 1)
+    ]
+
+
 class _SymmetricPowers:
-    """Sums of Sym^k of the quaternion matrices, one frontier per symmetry orbit.
+    """Real sums of Sym^k of the quaternion matrices, one term per orbit.
+
+    The orbits are those of the group generated by a subgroup H of <c> and
+    by sigma: a + bi + cj + dk -> a - bi + cj - dk, which conjugates the
+    matrix entrywise.  The generator multiset must be closed under sigma,
+    checked exactly, or ConsistencyError is raised: without it the
+    imaginary parts of the sum cannot cancel.
 
     Sym^k(c) is diag(zeta^(k-2r)) with zeta = (1+i)/sqrt(2), so conjugating
     a generator by c^t multiplies entry (r, s) of its symmetric power by
-    zeta^(2t(s-r)) = i^(t(s-r)).  Summed over a subgroup H of <c>, those
-    factors cancel unless r = s mod |H|, where they add up to |H|.  An
-    H-orbit's sum is the group's sum over |stabiliser|, hence |orbit| times
-    the representative's symmetric power restricted to the entries with
-    r = s mod |H|.  The frontier advances only the orbit representatives,
-    and the sum masks once the weighted total.  `symmetry_order` is |H|;
-    with no symmetry it is 1, every orbit is one generator and the mask
-    keeps every entry.  Only the frontier degree is kept; asking for a
-    lower degree restarts the recursion from scratch, which callers avoid
-    by scanning degrees in increasing order.
+    zeta^(2t(s-r)) = i^(t(s-r)).  Summed over H, those factors cancel
+    unless r = s mod |H|, where they add up to |H|.  An H-orbit's sum is
+    therefore |orbit| times the representative's symmetric power masked to
+    the entries with r = s mod |H|; sigma maps H-orbits to H-orbits (it
+    inverts c) and conjugates their sums, so a whole orbit adds
+    weight * Re(mask(Sym^k(rep))), weight being its generator count with
+    multiplicity.  A representative with c = d = 0 has the diagonal matrix
+    diag(a+bi, a-bi), whose power is diagonal in closed form
+    (_diagonal_real_parts) and needs no frontier; every other one advances
+    a dense complex frontier.  `symmetry_order` is |H|; with no symmetry it
+    is 1 and the mask keeps every entry.  Only the frontier degree is kept;
+    asking for a lower degree restarts the recursion from scratch, which
+    callers avoid by scanning degrees in increasing order.
     """
 
     def __init__(self, quaternions):
+        counts = Counter(quaternions)
+        if Counter(map(_conjugate, quaternions)) != counts:
+            raise ConsistencyError(
+                "the generator quaternions are not closed under a + bi + cj + dk -> "
+                "a - bi + cj - dk, so the imaginary parts of their blocks do not cancel"
+            )
         self.symmetry_order = order = _symmetry_order(quaternions)
-        representatives, self._weights, seen = [], [], set()
-        for q in quaternions:
-            if q not in seen:
-                orbit = {_rotate(q, 4 // order * t) for t in range(order)}
-                seen |= orbit
-                representatives.append(q)
-                self._weights.append(sum(g in orbit for g in quaternions))
-        # Substituting (x, y) -> (x, y) M sends x to m00 x + m10 y and y to
-        # m01 x + m11 y, which makes Sym^k a homomorphism.
-        self._forms = [
-            ((m[0], m[2]), (m[1], m[3])) for m in map(_quaternion_matrix, representatives)
-        ]
+        self._diagonals, self._weights, self._forms, seen = [], [], [], set()
+        for q in counts:
+            if q in seen:
+                continue
+            orbit = {_rotate(g, 4 // order * t) for g in (q, _conjugate(q)) for t in range(order)}
+            seen |= orbit
+            weight = sum(counts[g] for g in orbit)
+            if q.x2 == q.x3 == 0:
+                self._diagonals.append((weight, q.x0, q.x1))
+                continue
+            # Substituting (x, y) -> (x, y) M sends x to m00 x + m10 y and y
+            # to m01 x + m11 y, which makes Sym^k a homomorphism.
+            m = _quaternion_matrix(q)
+            self._weights.append(weight)
+            self._forms.append(((m[0], m[2]), (m[1], m[3])))
         self._reset()
 
     @property
     def frontiers(self) -> int:
-        return len(self._forms)
+        """Orbit terms summed: dense frontiers plus closed-form diagonals."""
+        return len(self._forms) + len(self._diagonals)
 
     def _reset(self) -> None:
         self._degree = 0
         one = np.ones((1, 1), dtype=object)
         self._mats = [(one, np.zeros((1, 1), dtype=object)) for _ in self._forms]
 
-    def summed(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of the sum over generators of Sym^degree."""
+    def summed(self, degree: int) -> np.ndarray:
+        """The sum over generators of Sym^degree, real by sigma-closure, as Python ints."""
         if degree < self._degree:
             self._reset()
         while self._degree < degree:
@@ -182,13 +226,14 @@ class _SymmetricPowers:
                 advanced.append((np.hstack([head[0], tail[0]]), np.hstack([head[1], tail[1]])))
             self._mats = advanced
             self._degree += 1
-        re, im = (
-            sum(w * mats[part] for w, mats in zip(self._weights, self._mats)) for part in (0, 1)
-        )
+        total = np.zeros((degree + 1, degree + 1), dtype=object)
+        for weight, (re, _) in zip(self._weights, self._mats):
+            total += weight * re
         index = np.arange(degree + 1)
-        off_mask = np.subtract.outer(index, index) % self.symmetry_order != 0
-        re[off_mask] = im[off_mask] = 0
-        return re, im
+        total[np.subtract.outer(index, index) % self.symmetry_order != 0] = 0
+        for weight, a, b in self._diagonals:
+            total[index, index] += [weight * v for v in _diagonal_real_parts(a, b, degree)]
+        return total
 
 
 _POWERS_CACHE: dict[GeneratorSet, _SymmetricPowers] = {}
@@ -216,32 +261,24 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
     """Matrix of the sum of all generator actions on degree-`degree` harmonics.
 
     Built as the sum of Sym^{2*degree} of the generators' quaternion
-    matrices, taken orbit by orbit (see _SymmetricPowers).  The summed
-    block must pass two exact checks, or ConsistencyError is raised: the
-    imaginary parts cancel, and T[i][j] * binom(2l, j) == T[j][i] *
-    binom(2l, i) for all i, j, i.e. T is self-adjoint for the invariant
-    pairing.
+    matrices, taken orbit by orbit (see _SymmetricPowers, which raises
+    ConsistencyError when the generators are not closed under the
+    conjugation that makes the sum real).  The summed block must pass an
+    exact check, or ConsistencyError is raised: T[i][j] * binom(2l, j) ==
+    T[j][i] * binom(2l, i) for all i, j, i.e. T is self-adjoint for the
+    invariant pairing.
     """
     if degree < 1:
         raise ValueError(
             f"degree must be >= 1 (degree 0 carries the constants), got {degree}"
         )
-    re, im = _powers_for(genset).summed(2 * degree)
-    if any(im.flat):
-        raise ConsistencyError(
-            f"imaginary parts of the degree-{degree} block do not cancel; the "
-            "quaternions are not closed under conjugation"
-        )
+    total = _powers_for(genset).summed(2 * degree)
     weights = [math.comb(2 * degree, k) for k in range(2 * degree + 1)]
-    if not is_weighted_symmetric(re, weights):
+    if not is_weighted_symmetric(total, weights):
         raise ConsistencyError(
             f"block at degree {degree} is not self-adjoint for the binomial pairing"
         )
-    return KoopmanBlock(
-        p=genset.p,
-        degree=degree,
-        numerators=tuple(tuple(int(x) for x in row) for row in re),
-    )
+    return KoopmanBlock(p=genset.p, degree=degree, numerators=tuple(map(tuple, total.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +374,8 @@ class RamanujanReport:
     """The tempered check over degrees 1..l_max, and how its blocks were built.
 
     `symmetry_order` is the order of the generators' stabiliser in <c> and
-    `frontiers` the number of symmetric-power frontiers, one per orbit.
+    `frontiers` the number of orbit terms: dense symmetric-power frontiers
+    plus closed-form diagonals.
     """
 
     p: int
@@ -408,13 +446,14 @@ def sphere_discrepancy_profile(p: int, n: int, shape: str, l_max: int) -> tuple[
     best = 0.0
     profile = []
     for degree in range(1, l_max + 1):
-        eigs = block_spectrum(koopman_block(genset, degree))
-        for lam in eigs:
-            if shape == "sphere":
-                val = abs(polys[n](lam)) / sphere_count
-            else:
-                val = abs(sum(poly(lam) for poly in polys)) / ball_count
-            best = max(best, val)
+        # Horner on the whole spectrum performs each eigenvalue's float
+        # operations in the scalar order, so the values are bit-identical.
+        eigs = np.array(block_spectrum(koopman_block(genset, degree)))
+        if shape == "sphere":
+            values = abs(polys[n](eigs)) / sphere_count
+        else:
+            values = abs(sum(poly(eigs) for poly in polys)) / ball_count
+        best = max(best, float(values.max()))
         profile.append(best)
     return tuple(profile)
 

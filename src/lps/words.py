@@ -150,8 +150,9 @@ def verify_freeness(
 ) -> FreenessReport:
     """Certify that reduced words of length <= n evaluate to distinct elements.
 
-    Takes the levels of word_levels, scales each to the denominator**n
-    and counts the distinct rows after a lexicographic sort.  The first
+    Takes the levels of word_levels, scales each to the denominator**n,
+    packs every product into exact sort keys level by level, and counts the
+    distinct keys after one lexicographic sort.  The first
     collision reported is the earliest word, in depth-first pre-order,
     whose value an earlier word already took, paired with the first word
     that took it.  A ball larger than `budget` raises
@@ -178,12 +179,28 @@ def verify_freeness(
         pre = pre[parent] + 1 + rank * subtree
         preorders.append(pre)
 
-    values = np.concatenate(
-        [products * genset.den ** (n - length) for length, (products, _, _) in enumerate(levels)]
-    ).reshape(expected, -1)
+    # Each row's entries, offset by the peak |entry| to [0, 2 * peak], are
+    # packed `per` to an int64 key of `width`-bit fields, so equal keys mean
+    # equal rows.  Past int64 one object-dtype key holds the whole row.
+    d2 = len(genset.matrices[0]) ** 2
+    scales = [genset.den ** (n - length) for length in range(n + 1)]
+    peak = max(int(np.abs(level[0]).max()) * scale for level, scale in zip(levels, scales))
+    width = (2 * peak).bit_length()
+    per, dtype = (63 // width, np.int64) if width <= 63 else (d2, object)
+    fields = np.array([1 << (width * f) for f in range(per)], dtype=dtype)
+    keys = [[] for _ in range(0, d2, per)]
+    for (products, _, _), scale in zip(levels, scales):
+        rows = products.reshape(len(products), d2).astype(dtype) * scale + peak
+        for chunk, start in zip(keys, range(0, d2, per)):
+            entries = rows[:, start : start + per]
+            chunk.append(entries @ fields[: entries.shape[1]])
+    keys = [np.concatenate(chunk) for chunk in keys]
     preorder = np.concatenate(preorders)
-    order = np.lexsort((preorder,) + tuple(values.T))
-    repeats = np.flatnonzero((values[order[1:]] == values[order[:-1]]).all(axis=1))
+    order = np.lexsort((preorder, *keys))
+    same = np.ones(expected - 1, dtype=bool)
+    for key in keys:
+        same &= key[order[1:]] == key[order[:-1]]
+    repeats = np.flatnonzero(same)
     first_collision: Optional[tuple[Word, Word]] = None
     if len(repeats):
         # The earliest repeat is the second word of its value, so the word

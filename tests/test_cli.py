@@ -181,8 +181,9 @@ def test_verify_ramanujan_diagnostics_only_with_timings(capsys):
     _, timed, _ = run_cli(capsys, argv + ["--timings"])
     env = parse_envelope(timed)
     diagnostics = env.pop("diagnostics")
-    # one frontier per orbit of the order-4 symmetry: two fixed points, three 4-orbits
-    assert (diagnostics["symmetry_order"], diagnostics["frontiers"]) == (4, 5)
+    # one term per orbit of the order-4 symmetry and the conjugation: the two
+    # fixed points in one diagonal term, the three 4-orbits in two frontiers
+    assert (diagnostics["symmetry_order"], diagnostics["frontiers"]) == (4, 3)
     assert [d["degree"] for d in diagnostics["per_degree"]] == [1, 2, 3, 4]
     for d in diagnostics["per_degree"]:
         assert 0 <= d["symmetry_defect"] < 1e-10
@@ -476,7 +477,7 @@ def test_report_timings_cover_every_envelope(capsys):
     assert torus["rank_one"]["lanczos_steps_run"] == torus["rank_one"]["tridiagonal_solves"] == 0
     assert torus["rank_one"]["symmetry_order"] == 2
     ramanujan = diagnostics["report.ramanujan"]
-    assert (ramanujan["symmetry_order"], ramanujan["frontiers"]) == (4, 3)
+    assert (ramanujan["symmetry_order"], ramanujan["frontiers"]) == (4, 2)
     assert [d["degree"] for d in ramanujan["per_degree"]] == [1, 2, 3]
     # without the timings the two runs print the same bytes
     assert "".join(stable_dumps(env) + "\n" for env in envelopes) == plain

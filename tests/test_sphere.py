@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lps
 from freeness_oracle import enumerate_sphere
@@ -24,7 +25,12 @@ from harmonic_oracle import (
     rotation_block,
 )
 from lps.formulas import ConsistencyError, hecke_polynomial, lps_discrepancy
-from lps.quaternions import LipschitzQuaternion, adjoint_rotation, build_generator_set
+from lps.quaternions import (
+    LipschitzQuaternion,
+    adjoint_rotation,
+    build_generator_set,
+    quaternions_of_norm,
+)
 from lps.sphere import (
     RAMANUJAN_TOLERANCE,
     block_spectrum,
@@ -253,28 +259,32 @@ def _q(*coordinates):
     return LipschitzQuaternion(*coordinates)
 
 
-# Each set is closed under conjugation and under the (b, d) sign flip, so
-# its block is real and self-adjoint; c = (1+i)/sqrt(2) conjugates
-# a + bi + cj + dk to a + bi - dj + ck.
+# Each set is closed under conjugation and under the (b, d) sign flip
+# sigma, so its block is real and self-adjoint; c = (1+i)/sqrt(2)
+# conjugates a + bi + cj + dk to a + bi - dj + ck.  One term per orbit of
+# the stabiliser in <c> and sigma together.
 ORBIT_CASES = [
-    # the norm-p sets: x0 +- x1 i are fixed, the rest fall in 4-orbits
-    pytest.param(5, None, 4, 3, id="p5-order4"),
-    pytest.param(13, None, 4, 5, id="p13-order4"),
+    # the norm-p sets: x0 +- x1 i are fixed by c and form one diagonal term;
+    # the rest fall in 4-orbits, of which sigma pairs the two of 1 +- 2i +-
+    # 2j +- 2k for p = 13
+    pytest.param(5, None, 4, 2, id="p5-order4"),
+    pytest.param(13, None, 4, 3, id="p13-order4"),
     # c^2 swaps 1 + 2j and 1 - 2j, c sends them out of the set
     pytest.param(5, (_q(1, 0, 2, 0), _q(1, 0, -2, 0)), 2, 1, id="order2"),
-    # c^2 sends 1 + 2i + 2j + 2k to 1 + 2i - 2j - 2k, which is missing
+    # c^2 sends 1 + 2i + 2j + 2k to 1 + 2i - 2j - 2k, which is missing;
+    # sigma pairs the four into two orbits
     pytest.param(
         13,
         (_q(1, 2, 2, 2), _q(1, -2, 2, -2), _q(1, -2, -2, -2), _q(1, 2, -2, 2)),
         1,
-        4,
+        2,
         id="order1",
     ),
     # a repeated generator counts twice
     pytest.param(
         5, (_q(1, 2, 0, 0), _q(1, -2, 0, 0)) + tuple(
             _q(1, *v) for v in ((0, 2, 0), (0, -2, 0), (0, 0, 2), (0, 0, -2))
-        ) * 2, 4, 3, id="p5-twice-the-4-orbit"
+        ) * 2, 4, 2, id="p5-twice-the-4-orbit"
     ),
 ]
 
@@ -289,6 +299,52 @@ def test_orbit_sums_match_generator_sum_at_every_stabiliser_order(p, quaternions
         assert [list(row) for row in koopman_block(genset, degree).numerators] == total
     powers = lps.sphere._powers_for(genset)
     assert (powers.symmetry_order, powers.frontiers) == (order, frontiers)
+
+
+def _closure(q, quarter_turns):
+    """q's orbit under c^quarter_turns, sigma (the (b, d) sign flip) and inversion."""
+    orbit = set()
+    for x1, x2, x3 in ((q.x1, q.x2, q.x3), (-q.x1, q.x2, -q.x3)):
+        turns = ((x2, x3), (-x3, x2), (-x2, -x3), (x3, -x2))
+        for sign in (1, -1):
+            orbit |= {
+                _q(q.x0, sign * x1, sign * y2, sign * y3) for y2, y3 in turns[::quarter_turns]
+            }
+    return orbit
+
+
+@st.composite
+def _closed_multisets(draw):
+    p = draw(st.sampled_from([5, 13]))
+    quarter_turns = draw(st.sampled_from([1, 2, 4]))
+    norm_p = quaternions_of_norm(p)
+    seeds = draw(st.lists(st.sampled_from(norm_p), min_size=1, max_size=4))
+    quaternions = []
+    for q in seeds:
+        orbit = sorted(_closure(q, quarter_turns), key=dataclasses.astuple)
+        quaternions += orbit * draw(st.integers(1, 2))
+    return p, tuple(draw(st.permutations(quaternions)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_closed_multisets())
+@example((5, (_q(2, 1, 0, 0), _q(2, -1, 0, 0)) * 2 + (_q(1, 0, 2, 0), _q(1, 0, -2, 0))))
+def test_orbit_sums_match_generator_sum_on_closed_multisets(case):
+    # closed under a subgroup of <c>, sigma and inversion, with repeats:
+    # the orbit terms, diagonal ones included, reproduce the generator sum
+    p, quaternions = case
+    genset = dataclasses.replace(build_generator_set(p), source_quaternions=quaternions)
+    for degree in (1, 2, 3, 4):
+        total = _generator_sum(quaternions, degree)
+        assert [list(row) for row in koopman_block(genset, degree).numerators] == total
+
+
+def test_orbit_sums_require_closure_under_sigma():
+    # the c-orbit of 1 + 2i + 2j + 2k is closed under c but not under sigma
+    orbit = (_q(1, 2, 2, 2), _q(1, 2, -2, 2), _q(1, 2, -2, -2), _q(1, 2, 2, -2))
+    genset = dataclasses.replace(build_generator_set(13), source_quaternions=orbit)
+    with pytest.raises(ConsistencyError, match="imaginary"):
+        koopman_block(genset, 1)
 
 
 @pytest.mark.parametrize("p", [5, 13])
@@ -479,7 +535,7 @@ def test_sphere_discrepancy_profile_matches_per_degree_spectra(p, n, shape):
             expected = max(
                 abs(sum(hecke_polynomial(p, k)(e) for k in range(n + 1))) for e in eigenvalues
             ) / ball_size
-        assert profile[l - 1] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert profile[l - 1] == expected
     assert all(b >= a for a, b in zip(profile, profile[1:]))
     assert profile[-1] == sphere_discrepancy_estimate(p, n, shape, l_max)
 
