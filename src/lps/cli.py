@@ -236,7 +236,7 @@ def cmd_norms(args) -> tuple[list[ReportEnvelope], Optional[str]]:
 
 
 def _ramanujan_diagnostics(report) -> dict:
-    """How the blocks were built, and the float defects each spectrum passed."""
+    """How the blocks were built, and per degree the float defects passed and the time taken."""
     return {
         "symmetry_order": report.symmetry_order,
         "frontiers": report.frontiers,
@@ -246,6 +246,8 @@ def _ramanujan_diagnostics(report) -> dict:
                 "symmetry_defect": r.symmetry_defect,
                 "trace_defect": r.trace_defects[0],
                 "square_trace_defect": r.trace_defects[1],
+                "block_ms": r.block_ms,
+                "spectrum_ms": r.spectrum_ms,
             }
             for r in report.per_degree
         ],

@@ -8,7 +8,8 @@ sum_g rho(g) on V_l is the sum of the generators' 2l-th symmetric powers
 over p^l.  In the monomial basis x^(2l-k) y^k that block is a
 (2l+1)x(2l+1) matrix of integers over p^l, and its eigenvalues are what
 the tempered bound [-2*sqrt(p), 2*sqrt(p)] constrains; scanning degrees
-gives certified lower bounds on averaging discrepancies.
+gives lower bounds on averaging discrepancies, exact up to the float
+rounding of the eigenvalues.
 
 The sum runs over orbits rather than generators.  Conjugation by
 c = (1+i)/sqrt(2) sends a + bi + cj + dk to a + bi - dj + ck, and
@@ -24,6 +25,14 @@ points x0 +- x1 i of c have diagonal matrices, whose powers are diagonal
 in closed form.  So p = 5 needs one dense frontier and one diagonal term
 for its 6 generators, p = 13 two and one for its 14.
 
+A dense frontier keeps only the columns 0..k/2 of Sym^k.  J = [[0, 1],
+[-1, 0]] conjugates every quaternion matrix to its entrywise conjugate, so
+entry (k-r, k-s) of Sym^k is (-1)^(r+s) times the conjugate of entry
+(r, s), and the right half of each summed block is the sign-weighted flip
+of its left half.  Blocks read only even degrees, so a frontier starts at
+Sym^2 and advances two degrees per step, multiplying every kept column by
+the square of the image of x.
+
 Every block is checked exactly before any float appears: the generators
 are closed under sigma, checked once, so the imaginary parts cancel by
 construction, and the block is self-adjoint for the invariant pairing,
@@ -36,8 +45,9 @@ reproduce the exact tr(T) and tr(T^2).
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -121,12 +131,16 @@ def _symmetry_order(quaternions) -> int:
     return 1
 
 
-def _times_form(re: np.ndarray, im: np.ndarray, alpha, beta):
-    """Multiply every column, a form over x^(n-1-i) y^i, by alpha*x + beta*y."""
+def _times_form(re: np.ndarray, im: np.ndarray, form):
+    """Multiply every column, a form over x^(n-1-i) y^i, by sum_t form[t] x^(m-t) y^t.
+
+    `form` lists the m + 1 Gaussian-integer coefficients as (real, imaginary)
+    pairs; coefficient t shifts each column down by t rows.
+    """
     rows, cols = re.shape
-    out_re = np.zeros((rows + 1, cols), dtype=object)
-    out_im = np.zeros((rows + 1, cols), dtype=object)
-    for shift, (cr, ci) in ((0, alpha), (1, beta)):
+    out_re = np.zeros((rows + len(form) - 1, cols), dtype=object)
+    out_im = np.zeros((rows + len(form) - 1, cols), dtype=object)
+    for shift, (cr, ci) in enumerate(form):
         if cr:
             out_re[shift : shift + rows] += cr * re
             out_im[shift : shift + rows] += cr * im
@@ -134,6 +148,18 @@ def _times_form(re: np.ndarray, im: np.ndarray, alpha, beta):
             out_re[shift : shift + rows] -= ci * im
             out_im[shift : shift + rows] += ci * re
     return out_re, out_im
+
+
+def _flip(columns: np.ndarray, first: int) -> np.ndarray:
+    """Columns first, first + 1, ... of a Sym^k-shaped matrix from the columns they mirror.
+
+    `columns` ends with column k - first, and entry (r, first + j) of the
+    result is (-1)^(r + first + j) times entry (k - r, k - first - j).
+    """
+    flipped = columns[::-1, ::-1]
+    rows, cols = flipped.shape
+    odd = np.add.outer(np.arange(rows), np.arange(first, first + cols)) % 2 == 1
+    return np.where(odd, -flipped, flipped)
 
 
 def _diagonal_real_parts(a: int, b: int, degree: int) -> list[int]:
@@ -152,7 +178,7 @@ def _diagonal_real_parts(a: int, b: int, degree: int) -> list[int]:
 
 
 class _SymmetricPowers:
-    """Real sums of Sym^k of the quaternion matrices, one term per orbit.
+    """Real sums of the even symmetric powers of the quaternion matrices, one term per orbit.
 
     The orbits are those of the group generated by a subgroup H of <c> and
     by sigma: a + bi + cj + dk -> a - bi + cj - dk, which conjugates the
@@ -172,9 +198,23 @@ class _SymmetricPowers:
     diag(a+bi, a-bi), whose power is diagonal in closed form
     (_diagonal_real_parts) and needs no frontier; every other one advances
     a dense complex frontier.  `symmetry_order` is |H|; with no symmetry it
-    is 1 and the mask keeps every entry.  Only the frontier degree is kept;
-    asking for a lower degree restarts the recursion from scratch, which
-    callers avoid by scanning degrees in increasing order.
+    is 1 and the mask keeps every entry.
+
+    A frontier holds only the columns 0..k/2 of Sym^k.  With J = [[0, 1],
+    [-1, 0]], J M J^-1 = conj(M) for every quaternion matrix M, and Sym^k(J)
+    is the antidiagonal of signs (-1)^r, so entry (k-r, k-s) of Sym^k(M) is
+    (-1)^(r+s) conj(entry (r, s)): the right half of every power, and of
+    their weighted real sum, is the sign-weighted flip of the left half.
+    Column s is X^(k-s) Y^s with X = alpha x - conj(beta) y and Y = beta x
+    + conj(alpha) y, the images of x and y, so the frontier starts at Sym^2
+    (X^2 and XY) and advances two degrees per step: every kept column times
+    X^2, a three-term form computed once per representative, gives the same
+    column of Sym^(k+2).  The one column that degree k+2 keeps beyond
+    those, k/2 + 1, is appended first as the flip of column k/2 - 1.
+    Blocks read only even degrees, so no odd one is built.  Only the
+    frontier degree is kept; asking for a lower degree restarts the
+    recursion from Sym^2, which callers avoid by scanning degrees in
+    increasing order.
     """
 
     def __init__(self, quaternions):
@@ -185,7 +225,7 @@ class _SymmetricPowers:
                 "a - bi + cj - dk, so the imaginary parts of their blocks do not cancel"
             )
         self.symmetry_order = order = _symmetry_order(quaternions)
-        self._diagonals, self._weights, self._forms, seen = [], [], [], set()
+        self._diagonals, self._weights, self._squares, self._start, seen = [], [], [], [], set()
         for q in counts:
             if q in seen:
                 continue
@@ -195,40 +235,51 @@ class _SymmetricPowers:
             if q.x2 == q.x3 == 0:
                 self._diagonals.append((weight, q.x0, q.x1))
                 continue
-            # Substituting (x, y) -> (x, y) M sends x to m00 x + m10 y and y
-            # to m01 x + m11 y, which makes Sym^k a homomorphism.
+            # Substituting (x, y) -> (x, y) M sends x to X = m00 x + m10 y
+            # and y to Y = m01 x + m11 y, which makes Sym^k a homomorphism.
+            # Sym^1 is M, and its columns X and Y times X are the columns
+            # X^2 and XY of Sym^2.
             m = _quaternion_matrix(q)
+            sym1 = np.array(m, dtype=object).reshape(2, 2, 2)
+            re, im = _times_form(sym1[..., 0], sym1[..., 1], (m[0], m[2]))
             self._weights.append(weight)
-            self._forms.append(((m[0], m[2]), (m[1], m[3])))
+            self._start.append((re, im))
+            self._squares.append(tuple(zip(re[:, 0], im[:, 0])))
         self._reset()
 
     @property
     def frontiers(self) -> int:
         """Orbit terms summed: dense frontiers plus closed-form diagonals."""
-        return len(self._forms) + len(self._diagonals)
+        return len(self._squares) + len(self._diagonals)
 
     def _reset(self) -> None:
-        self._degree = 0
-        one = np.ones((1, 1), dtype=object)
-        self._mats = [(one, np.zeros((1, 1), dtype=object)) for _ in self._forms]
+        self._degree = 2
+        self._mats = list(self._start)
 
     def summed(self, degree: int) -> np.ndarray:
-        """The sum over generators of Sym^degree, real by sigma-closure, as Python ints."""
+        """The sum over generators of Sym^degree, real by sigma-closure, as Python ints.
+
+        `degree` must be even and at least 2.
+        """
+        if degree < 2 or degree % 2:
+            raise ValueError(f"degree must be even and >= 2, got {degree}")
         if degree < self._degree:
             self._reset()
         while self._degree < degree:
+            half = self._degree // 2
             advanced = []
-            for (re, im), (x_form, y_form) in zip(self._mats, self._forms):
-                # Monomial j of the next degree is monomial j times x, except
-                # the last, y^(k+1), which is y^k times y.
-                head = _times_form(re, im, *x_form)
-                tail = _times_form(re[:, -1:], im[:, -1:], *y_form)
-                advanced.append((np.hstack([head[0], tail[0]]), np.hstack([head[1], tail[1]])))
+            for (re, im), square in zip(self._mats, self._squares):
+                # column half + 1 is the conjugated flip of column half - 1
+                re = np.hstack([re, _flip(re[:, half - 1 : half], half + 1)])
+                im = np.hstack([im, -_flip(im[:, half - 1 : half], half + 1)])
+                advanced.append(_times_form(re, im, square))
             self._mats = advanced
-            self._degree += 1
+            self._degree += 2
+        half = degree // 2
         total = np.zeros((degree + 1, degree + 1), dtype=object)
         for weight, (re, _) in zip(self._weights, self._mats):
-            total += weight * re
+            total[:, : half + 1] += weight * re
+        total[:, half + 1 :] = _flip(total[:, :half], half + 1)
         index = np.arange(degree + 1)
         total[np.subtract.outer(index, index) % self.symmetry_order != 0] = 0
         for weight, a, b in self._diagonals:
@@ -362,11 +413,20 @@ def block_spectrum(block: KoopmanBlock) -> Spectrum:
 
 @dataclass(frozen=True)
 class DegreeSpectrum:
+    """One degree of the tempered check.
+
+    `block_ms` and `spectrum_ms` are the wall-clock milliseconds that
+    koopman_block and block_spectrum took for this degree (near zero on a
+    cache hit); they take no part in equality.
+    """
+
     degree: int
     eigenvalues: tuple[float, ...]
     max_abs: float
     symmetry_defect: float
     trace_defects: tuple[float, float]
+    block_ms: float = field(compare=False)
+    spectrum_ms: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -401,7 +461,10 @@ def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
     bound = 2.0 * math.sqrt(p)
     records = []
     for degree in range(1, l_max + 1):
-        eigs = block_spectrum(koopman_block(genset, degree))
+        started = time.perf_counter()
+        block = koopman_block(genset, degree)
+        built = time.perf_counter()
+        eigs = block_spectrum(block)
         records.append(
             DegreeSpectrum(
                 degree=degree,
@@ -409,6 +472,8 @@ def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
                 max_abs=max(abs(e) for e in eigs),
                 symmetry_defect=eigs.symmetry_defect,
                 trace_defects=eigs.trace_defects,
+                block_ms=(built - started) * 1000.0,
+                spectrum_ms=(time.perf_counter() - built) * 1000.0,
             )
         )
     global_max = max(r.max_abs for r in records)
@@ -426,13 +491,18 @@ def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
 
 
 def sphere_discrepancy_profile(p: int, n: int, shape: str, l_max: int) -> tuple[float, ...]:
-    """Certified lower bounds on the radius-n averaging norm, one per l_max.
+    """Lower bounds on the radius-n averaging norm, one per l_max, up to float rounding.
 
     Entry l - 1 is the largest value of |P_n(eig)| / |S_n| (or of the
     summed ball polynomial over |B_n|) over the block spectra of degrees
     1..l.  Every harmonic degree is a genuine invariant subspace of the
-    mean-zero space, so each entry can only underestimate the true norm;
-    one scan of the degrees yields the whole nondecreasing profile.
+    mean-zero space, so at the exact eigenvalues each entry could only
+    underestimate the true norm; one scan of the degrees yields the whole
+    nondecreasing profile.  The eigenvalues are LAPACK's float64 ones,
+    though, and the polynomial is evaluated in floats, so an entry that
+    attains the norm may exceed it by a few ulps: unlike the torus
+    certificates, which are exact Rayleigh quotients, these values are
+    not certified.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -459,9 +529,10 @@ def sphere_discrepancy_profile(p: int, n: int, shape: str, l_max: int) -> tuple[
 
 
 def sphere_discrepancy_estimate(p: int, n: int, shape: str, l_max: int) -> float:
-    """Certified lower bound on the radius-n averaging norm from degrees 1..l_max.
+    """Lower bound on the radius-n averaging norm from degrees 1..l_max, up to float rounding.
 
-    The last entry of sphere_discrepancy_profile.
+    The last entry of sphere_discrepancy_profile, which says why it is not
+    certified.
     """
     return sphere_discrepancy_profile(p, n, shape, l_max)[-1]
 

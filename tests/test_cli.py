@@ -189,6 +189,9 @@ def test_verify_ramanujan_diagnostics_only_with_timings(capsys):
         assert 0 <= d["symmetry_defect"] < 1e-10
         assert 0 <= d["trace_defect"] <= lps.sphere.TRACE_TOLERANCE
         assert 0 <= d["square_trace_defect"] <= lps.sphere.TRACE_TOLERANCE
+        # stage timings of each degree's block and spectrum
+        assert isinstance(d["block_ms"], float) and d["block_ms"] >= 0
+        assert isinstance(d["spectrum_ms"], float) and d["spectrum_ms"] >= 0
     env.pop("elapsed_ms")
     assert stable_dumps(env) + "\n" == plain
 
@@ -479,6 +482,7 @@ def test_report_timings_cover_every_envelope(capsys):
     ramanujan = diagnostics["report.ramanujan"]
     assert (ramanujan["symmetry_order"], ramanujan["frontiers"]) == (4, 2)
     assert [d["degree"] for d in ramanujan["per_degree"]] == [1, 2, 3]
+    assert all(d["block_ms"] >= 0 and d["spectrum_ms"] >= 0 for d in ramanujan["per_degree"])
     # without the timings the two runs print the same bytes
     assert "".join(stable_dumps(env) + "\n" for env in envelopes) == plain
 

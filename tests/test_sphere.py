@@ -242,6 +242,26 @@ def _generator_sum(quaternions, degree):
     return _real_sum([_symmetric_power(_quaternion_matrix(q), 2 * degree) for q in quaternions])
 
 
+_lipschitz = st.builds(LipschitzQuaternion, *[st.integers(-6, 6)] * 4)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_lipschitz)
+@example(LipschitzQuaternion(2, -3, 0, 0))
+@example(LipschitzQuaternion(0, 0, 3, -1))
+@example(LipschitzQuaternion(0, 0, 0, 0))
+def test_symmetric_power_flip_is_signed_conjugate(q):
+    # J M J^-1 = conj(M) for every quaternion matrix, so entry (k-r, k-s)
+    # of Sym^k(M) is (-1)^(r+s) times the conjugate of entry (r, s); the
+    # frontiers keep the columns s <= k/2 and rebuild the rest from this
+    for k in range(13):
+        a = _symmetric_power(_quaternion_matrix(q), k)
+        for r in range(k + 1):
+            for s in range(k + 1):
+                sign = (-1) ** (r + s)
+                assert a[k - r][k - s] == (sign * a[r][s][0], -sign * a[r][s][1])
+
+
 def test_koopman_block_is_generator_sum():
     for p in (5, 13, 17, 29):
         genset = build_generator_set(p)
@@ -253,6 +273,32 @@ def test_koopman_block_is_generator_sum():
             assert block.matrix == tuple(
                 tuple(Fraction(v, p**degree) for v in row) for row in total
             )
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_koopman_block_is_generator_sum_deep(p):
+    # past the first two-degree steps: every appended flip column and every
+    # product with X^2 feeds the later degrees
+    genset = build_generator_set(p)
+    for degree in range(4, 11):
+        total = _generator_sum(genset.source_quaternions, degree)
+        assert [list(row) for row in koopman_block(genset, degree).numerators] == total
+
+
+def test_koopman_block_restarts_below_the_frontier():
+    genset = build_generator_set(13)
+    clear_caches()
+    before = {degree: koopman_block(genset, degree).numerators for degree in (1, 2, 5)}
+    powers = lps.sphere._powers_for(genset)
+    assert powers._degree == 10
+    koopman_block.cache_clear()
+    # the frontier holds Sym^10, so degree 2 restarts from Sym^2
+    assert koopman_block(genset, 2).numerators == before[2]
+    assert powers._degree == 4
+    assert koopman_block(genset, 1).numerators == before[1]
+    assert koopman_block(genset, 5).numerators == before[5]
+    with pytest.raises(ValueError, match="even"):
+        powers.summed(3)
 
 
 def _q(*coordinates):
@@ -334,7 +380,7 @@ def test_orbit_sums_match_generator_sum_on_closed_multisets(case):
     # the orbit terms, diagonal ones included, reproduce the generator sum
     p, quaternions = case
     genset = dataclasses.replace(build_generator_set(p), source_quaternions=quaternions)
-    for degree in (1, 2, 3, 4):
+    for degree in range(1, 7):
         total = _generator_sum(quaternions, degree)
         assert [list(row) for row in koopman_block(genset, degree).numerators] == total
 
@@ -487,6 +533,10 @@ def test_block_spectrum_sorted_and_bounded():
 def test_verify_ramanujan_smoke():
     report = verify_ramanujan(5, 6)
     assert report.passed
+    # the stage timings differ between a cold and a cached scan but take no
+    # part in equality
+    assert all(d.block_ms >= 0 and d.spectrum_ms >= 0 for d in report.per_degree)
+    assert verify_ramanujan(5, 6) == report
     assert report.bound == 2 * math.sqrt(5)
     assert [d.degree for d in report.per_degree] == list(range(1, 7))
     assert all(len(d.eigenvalues) == 2 * d.degree + 1 for d in report.per_degree)
