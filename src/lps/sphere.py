@@ -210,9 +210,9 @@ class _SymmetricPowers:
     (X^2 and XY) and advances two degrees per step: every kept column times
     X^2, a three-term form computed once per representative, gives the same
     column of Sym^(k+2).  The one column that degree k+2 keeps beyond
-    those, k/2 + 1, is appended first as the flip of column k/2 - 1.
-    Blocks read only even degrees, so no odd one is built.  Only the
-    frontier degree is kept; asking for a lower degree restarts the
+    those, k/2 + 1, is appended first as the conjugated flip of column
+    k/2 - 1.  Blocks read only even degrees, so no odd one is built.  Only
+    the frontier degree is kept; asking for a lower degree restarts the
     recursion from Sym^2, which callers avoid by scanning degrees in
     increasing order.
     """
