@@ -379,8 +379,6 @@ def _torus_diagnostics(row) -> dict:
         "orbits": bound.orbits,
         "symmetry_order": bound.symmetry_order,
         "matvecs": bound.matvecs,
-        "lanczos_steps_run": bound.lanczos_steps_run,
-        "tridiagonal_solves": bound.tridiagonal_solves,
         "ritz_residual": bound.ritz_residual,
         "ritz_minus_certificate": bound.ritz_minus_certificate,
     }

@@ -3,9 +3,10 @@
 Everything here is elementary arithmetic: the spherical decay profile
 xi(n) = (1 + n*(q-1)/(q+1)) * q**(-n/2), the ball correction factor, the
 tree polynomials attached to distance-n averaging, and their sup over the
-tempered spectral interval [-2*sqrt(q), 2*sqrt(q)].  Pairs of independent
-routes to the same quantity are compared at tight tolerances instead of
-being collapsed into one formula.
+tempered spectral interval [-2*sqrt(q), 2*sqrt(q)].  Independent routes
+to the same quantity are compared, exactly where they are integers and at
+tight tolerances where they are floats; a float that is one rational is
+taken from it by a single rounding.
 """
 
 from __future__ import annotations
@@ -59,21 +60,14 @@ def harish_chandra_boundary_sum(q: int, n: int) -> float:
 def c_factor(q: int, n: int) -> float:
     """Ball correction factor 1 / (1 + 2 * q**-n * sum_{k<n} q**k).
 
-    Also evaluated as (q - 1) / (q + 1 - 2 * q**-n); the two routes must
-    agree to 1e-14 relative or a ConsistencyError is raised.
+    That is the rational (q - 1) q**n / ((q + 1) q**n - 2), returned
+    correctly rounded.
     """
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    geometric = (q ** n - 1) // (q - 1)
-    from_sum = 1.0 / (1.0 + 2.0 * geometric / q ** n)
-    from_quotient = (q - 1) / (q + 1 - 2.0 / q ** n)
-    if abs(from_sum - from_quotient) > 1e-14 * abs(from_sum):
-        raise ConsistencyError(
-            f"c_factor routes disagree: {from_sum!r} vs {from_quotient!r}"
-        )
-    return from_sum
+    return float(Fraction((q - 1) * q ** n, (q + 1) * q ** n - 2))
 
 
 @dataclass(frozen=True)
@@ -133,38 +127,37 @@ def hecke_sup(q: int, n: int) -> float:
 
     For n >= 1, P_n(2*sqrt(q)*x) = q**(n/2) * ((1 - 1/q) U_n(x) + (2/q) T_n(x))
     (Davidoff-Sarnak-Valette, section 1.4).  The identity is checked on the
-    coefficients in exact rationals; both sides have the parity of n, so
-    each coefficient of P_n must equal q**((n-k)/2) / 2**k times the
-    bracket's.  A mismatch raises ConsistencyError, so this doubles as a
-    test of the tree recursion.  Since |U_n| <= n + 1 and |T_n| <= 1 on
-    [-1, 1], with equality at x = 1, the sup is the edge value
+    integer coefficients: both sides have the parity of n, so q 2**k times
+    the coefficient c_k of P_n must equal ((q - 1) u_k + 2 t_k) q**((n-k)//2).
+    A mismatch raises ConsistencyError, so this doubles as a test of the
+    tree recursion.  Since |U_n| <= n + 1 and |T_n| <= 1 on [-1, 1], with
+    equality at x = 1, the sup is the edge value
     |P_n(2*sqrt(q))| = q**(n/2 - 1) * ((q - 1) U_n(1) + 2 T_n(1)), where
     U_n(1) and T_n(1) are the sums of the verified coefficients.  Taken
     this way it has one rounding, where Horner at 2*sqrt(q) cancels badly
-    from n = 24 on; it must match the count-weighted profile
-    xi(n) * |S_n| to 1e-9 relative.
+    from n = 24 on.  It equals the count-weighted profile
+    xi(n) * |S_n| = q**(n/2 - 1) * ((q + 1) + n (q - 1)) exactly when the
+    integer brackets agree, and ConsistencyError is raised when they do not.
     """
     _require_regularity(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
-        sup = 1.0
-    else:
-        t, u = _chebyshev((0, 1), n), _chebyshev((0, 2), n)
-        expected = tuple(
-            ((1 - Fraction(1, q)) * u_k + Fraction(2, q) * t_k) * q ** ((n - k) // 2) / 2 ** k
-            for k, (t_k, u_k) in enumerate(zip(t, u))
-        )
-        if expected != hecke_polynomial(q, n).coefficients:
-            raise ConsistencyError(f"P_{n} for q={q} breaks the Chebyshev identity")
-        sup = ((q - 1) * sum(u) + 2 * sum(t)) * q ** (n / 2 - 1)
-    sphere, _ = word_counts(q, n)
-    profile = harish_chandra(q, n) * sphere
-    if abs(sup - profile) > 1e-9 * max(sup, 1e-300):
+        return 1.0
+    t, u = _chebyshev((0, 1), n), _chebyshev((0, 2), n)
+    coefficients = hecke_polynomial(q, n).coefficients
+    if any(
+        ((q - 1) * u_k + 2 * t_k) * q ** ((n - k) // 2) != q * 2 ** k * c_k
+        for k, (t_k, u_k, c_k) in enumerate(zip(t, u, coefficients, strict=True))
+    ):
+        raise ConsistencyError(f"P_{n} for q={q} breaks the Chebyshev identity")
+    edge = (q - 1) * sum(u) + 2 * sum(t)
+    if edge != (q + 1) + n * (q - 1):
         raise ConsistencyError(
-            f"sup {sup!r} does not match xi(n)*|S_n| = {profile!r} for q={q}, n={n}"
+            f"sup {edge} * q**(n/2 - 1) does not match xi(n)*|S_n| = "
+            f"{(q + 1) + n * (q - 1)} * q**(n/2 - 1) for q={q}, n={n}"
         )
-    return sup
+    return edge * q ** (n / 2 - 1)
 
 
 def regular_norm(q: int, n: int, shape: str) -> float:

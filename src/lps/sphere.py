@@ -287,18 +287,13 @@ class _SymmetricPowers:
         return total
 
 
-_POWERS_CACHE: dict[GeneratorSet, _SymmetricPowers] = {}
-
-
+@lru_cache(maxsize=None)
 def _powers_for(genset: GeneratorSet) -> _SymmetricPowers:
-    cached = _POWERS_CACHE.get(genset)
-    if cached is None:
-        for q in genset.source_quaternions:
-            if q.norm() != genset.p:
-                raise ValueError(f"generator quaternion {q} does not have norm {genset.p}")
-        cached = _SymmetricPowers(genset.source_quaternions)
-        _POWERS_CACHE[genset] = cached
-    return cached
+    """The symmetric-power frontiers of a generator set, built once per set."""
+    for q in genset.source_quaternions:
+        if q.norm() != genset.p:
+            raise ValueError(f"generator quaternion {q} does not have norm {genset.p}")
+    return _SymmetricPowers(genset.source_quaternions)
 
 
 @lru_cache(maxsize=None)
@@ -540,6 +535,6 @@ def sphere_discrepancy_estimate(p: int, n: int, shape: str, l_max: int) -> float
 def clear_caches() -> None:
     """Drop all memoised generator sets, blocks, spectra, and symmetric-power frontiers."""
     _generator_set.cache_clear()
-    _POWERS_CACHE.clear()
+    _powers_for.cache_clear()
     koopman_block.cache_clear()
     block_spectrum.cache_clear()

@@ -53,9 +53,9 @@ PRESETS: dict[str, tuple[Matrix2, ...]] = {
 UPPER_TOLERANCE = 1e-8
 MONOTONICITY_TOLERANCE = 1e-6
 
-# Lanczos stops at the first step whose top Ritz pair has residual
+# Lanczos stops at the first test at which the top Ritz pair has residual
 # estimate at most LANCZOS_TOL times the Ritz value, and gives up after
-# LANCZOS_MAX_STEPS steps (the benchmark windows need at most 71).  Both
+# LANCZOS_MAX_STEPS steps (the benchmark windows need at most 72).  Both
 # only steer the solve: the certificate is an exact Rayleigh quotient of
 # the rounded Ritz vector.  The test needs a dense eigendecomposition of
 # the tridiagonal matrix, so it runs only every LANCZOS_CHECK_STEPS steps
@@ -383,11 +383,9 @@ class NormCertificate:
     arithmetic, and `estimate` is the largest float not above it.
     `dimension` is the half-window size and `orbits` the dimension of the
     quotient that was solved, under a group of order `symmetry_order`.
-    `matvecs` is the step at which Lanczos stopped, `lanczos_steps_run`
-    the steps it took, those past the stop step included, and
-    `tridiagonal_solves` its dense eigendecompositions; all three are 0,
-    and the float fields None, when the diagonal alone closed the
-    sandwich and no solve ran.
+    `matvecs` is the number of Lanczos steps run; it is 0, and the float
+    fields None, when the diagonal alone closed the sandwich and no solve
+    ran.
     """
 
     estimate: float
@@ -396,8 +394,6 @@ class NormCertificate:
     orbits: int
     symmetry_order: int
     matvecs: int
-    lanczos_steps_run: int
-    tridiagonal_solves: int
     ritz_residual: Optional[float]
     ritz_minus_certificate: Optional[float]
 
@@ -449,37 +445,23 @@ def _float_at_most(value: Fraction) -> float:
     return math.nextafter(f, -math.inf) if Fraction(f) > value else f
 
 
-def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int, int, int]]:
-    """Top Ritz value, unit Ritz vector, stop step, steps run and eigh calls; None past the limit.
+def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int]]:
+    """Top Ritz value, unit Ritz vector and steps run; None past the step limit.
 
     Three-term Lanczos without reorthogonalisation, stopped at the first
-    step where |beta_k s_k| <= LANCZOS_TOL |theta| (ARPACK's test), with
+    test where |beta_k s_k| <= LANCZOS_TOL |theta| (ARPACK's test), with
     theta the largest eigenvalue of the tridiagonal T_k and s its unit
     eigenvector.  Orthogonality is lost only along Ritz vectors that have
     already converged (Paige), so the solve stops before a ghost copy of
-    theta can appear.  The test runs every LANCZOS_CHECK_STEPS steps, at
-    a breakdown (beta = 0) and at the step limit.  When it passes, the
-    steps since the last failed test are tested in order, from the T_k
-    and basis they had, and the first that passes is returned: the step
-    a test at every step finds, unless a step passes and the last step
-    of its block then fails.  None when no test passes within
+    theta can appear.  The test needs a dense eigendecomposition of T_k,
+    so it runs every LANCZOS_CHECK_STEPS steps, at a breakdown (beta = 0)
+    and at the step limit, and the Ritz pair of the first test that
+    passes is returned.  None when no test passes within
     LANCZOS_MAX_STEPS steps.
     """
     q, previous, b = start / np.linalg.norm(start), 0.0, 0.0
     basis: list[np.ndarray] = []
     tri = np.zeros((LANCZOS_MAX_STEPS + 1,) * 2)
-    solves = 0
-
-    def top(k: int) -> Optional[tuple[float, np.ndarray]]:
-        """The top eigenpair of T_k where step k passes the test, else None."""
-        nonlocal solves
-        solves += 1
-        theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
-        if abs(tri[k + 1, k] * s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
-            return float(theta[-1]), s[:, -1]
-        return None
-
-    untested = 0
     for k in range(LANCZOS_MAX_STEPS):
         basis.append(q)
         w = matvec(q) - b * previous
@@ -488,17 +470,10 @@ def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int
         b = float(np.linalg.norm(w))
         tri[k + 1, k] = tri[k, k + 1] = b
         if b == 0 or (k + 1) % LANCZOS_CHECK_STEPS == 0 or k + 1 == LANCZOS_MAX_STEPS:
-            passed = top(k)
-            if passed is not None:
-                for j in range(untested, k):
-                    earlier = top(j)
-                    if earlier is not None:
-                        passed = earlier
-                        break
-                theta, s = passed
-                z = sum(c * v for c, v in zip(s, basis))
-                return theta, z / np.linalg.norm(z), len(s), k + 1, solves
-            untested = k + 1
+            theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
+            if abs(b * s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
+                z = sum(c * v for c, v in zip(s[:, -1], basis))
+                return float(theta[-1]), z / np.linalg.norm(z), k + 1
         previous, q = q, w / b
     return None
 
@@ -523,7 +498,7 @@ def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
     dims = (op.window.size, counts.shape[0], op.symmetry_order)
     # with no image inside the window, C = 0 and Lanczos has nothing to find
     if counts.nnz == 0 or best >= regular_norm(op.q, op.n, op.shape):
-        return NormCertificate(_float_at_most(best), best, *dims, 0, 0, 0, None, None)
+        return NormCertificate(_float_at_most(best), best, *dims, 0, None, None)
     rows, cols = counts.rows(), counts.indices
     scale = 1.0 / np.sqrt(op.orbit_sizes)
     weights = counts.data * (scale[rows] * scale[cols] / op.words_used)
@@ -538,7 +513,7 @@ def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
             f"{LANCZOS_MAX_STEPS} steps (best exact bound {float(best)})",
             best_bound=_float_at_most(best),
         )
-    ritz, z, matvecs, steps_run, solves = solved
+    ritz, z, matvecs = solved
     u = np.abs(z) * scale
     y = np.rint(u * ((2 ** 24 - 1) / u.max())).astype(np.int64)
     certified = rayleigh_certificate(op, y)
@@ -548,8 +523,6 @@ def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
         best,
         *dims,
         matvecs=matvecs,
-        lanczos_steps_run=steps_run,
-        tridiagonal_solves=solves,
         ritz_residual=float(np.linalg.norm(quotient(z) - ritz * z)),
         ritz_minus_certificate=float(Fraction(ritz) - certified),
     )

@@ -152,33 +152,21 @@ def verify_freeness(
 
     Takes the levels of word_levels, scales each to the denominator**n,
     packs every product into exact sort keys level by level, and counts the
-    distinct keys after one lexicographic sort.  The first
-    collision reported is the earliest word, in depth-first pre-order,
-    whose value an earlier word already took, paired with the first word
-    that took it.  A ball larger than `budget` raises
+    distinct keys after one lexicographic sort.  The first collision
+    reported is the earliest word in shortlex order (by length, then
+    lexicographically) whose value an earlier word already took, paired
+    with the first word that took it: a shortest relation, reported alike
+    at every radius that contains it.  A ball larger than `budget` raises
     EnumerationBudgetError before any walk rather than silently truncating.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    q = genset.q
-    _, expected = word_counts(q, n)
+    _, expected = word_counts(genset.q, n)
     if expected > budget:
         raise EnumerationBudgetError(
             f"ball of radius {n} holds {expected} words, over the budget of {budget}"
         )
     levels = word_levels(genset, n)
-    # Depth-first pre-order index of each word: its parent's, plus one,
-    # plus the subtrees of its earlier siblings, each holding
-    # sum_{t <= n - length} q**t words.  Siblings sit together in a level,
-    # so a word's rank among them is its distance from the first.
-    pre = np.zeros(1, dtype=np.int64)
-    preorders = [pre]
-    for length, (_, parent, _) in enumerate(levels[1:], 1):
-        subtree = sum(q ** t for t in range(n - length + 1))
-        rank = np.arange(len(parent)) - np.searchsorted(parent, parent)
-        pre = pre[parent] + 1 + rank * subtree
-        preorders.append(pre)
-
     # Each row's entries, offset by the peak |entry| to [0, 2 * peak], are
     # packed `per` to an int64 key of `width`-bit fields, so equal keys mean
     # equal rows.  Past int64 one object-dtype key holds the whole row.
@@ -195,8 +183,9 @@ def verify_freeness(
             entries = rows[:, start : start + per]
             chunk.append(entries @ fields[: entries.shape[1]])
     keys = [np.concatenate(chunk) for chunk in keys]
-    preorder = np.concatenate(preorders)
-    order = np.lexsort((preorder, *keys))
+    # The levels hold the words in shortlex order, and lexsort is stable,
+    # so the words of one value stay in that order.
+    order = np.lexsort(keys)
     same = np.ones(expected - 1, dtype=bool)
     for key in keys:
         same &= key[order[1:]] == key[order[:-1]]
@@ -205,7 +194,7 @@ def verify_freeness(
     if len(repeats):
         # The earliest repeat is the second word of its value, so the word
         # sorted just before it is the first.
-        at = repeats[np.argmin(preorder[order[repeats + 1]])]
+        at = repeats[np.argmin(order[repeats + 1])]
         first_collision = (
             _word_at(levels, int(order[at])),
             _word_at(levels, int(order[at + 1])),

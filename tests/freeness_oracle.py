@@ -1,12 +1,13 @@
-"""Reference word walks: one exact object per reduced word, depth first.
+"""Reference word walks: one exact object per reduced word.
 
 `lps.words.word_levels` walks the reduced words one length at a time on
 integer arrays, and both `verify_freeness` and the torus window operator
 take their products from it.  This module keeps the direct constructions,
 unoptimised: a recursive enumerator of reduced words, products evaluated
-letter by letter on matrices of Fractions, and a freeness walk that puts
-each value into a dict and reports the first repeated value met in
-depth-first pre-order as the first collision.
+letter by letter on matrices of Fractions, and a breadth-first freeness
+walk that puts each value into a dict and reports the first repeated
+value met in shortlex order (by length, then lexicographically) as the
+first collision.
 """
 
 from __future__ import annotations
@@ -66,30 +67,25 @@ def evaluate_word(genset: IntegerGenerators, word: Word):
 
 
 def reference_freeness(genset: IntegerGenerators, n: int) -> FreenessReport:
-    """The FreenessReport of `verify_freeness`, by recursion over exact elements."""
+    """The FreenessReport of `verify_freeness`, breadth first over exact elements."""
     _, expected = word_counts(genset.q, n)
     inverse_of = genset.inverse_of
     elements, identity = exact_elements(genset)
     seen: dict = {identity: Word(())}
     first_collision: Optional[tuple[Word, Word]] = None
-
-    def visit(prefix: tuple[int, ...], value, banned: int) -> None:
-        nonlocal first_collision
-        if len(prefix) == n:
-            return
-        for i in range(len(elements)):
-            if i == banned:
-                continue
-            child = matmul(value, elements[i])
-            word = Word(prefix + (i,))
-            if child in seen:
-                if first_collision is None:
-                    first_collision = (seen[child], word)
-            else:
-                seen[child] = word
-            visit(prefix + (i,), child, inverse_of[i])
-
-    visit((), identity, -1)
+    level: list[tuple[tuple[int, ...], tuple]] = [((), identity)]
+    for _ in range(n):
+        level = [
+            (prefix + (i,), matmul(value, elements[i]))
+            for prefix, value in level
+            for i in range(len(elements))
+            if not prefix or inverse_of[prefix[-1]] != i
+        ]
+        for letters, value in level:
+            if value not in seen:
+                seen[value] = Word(letters)
+            elif first_collision is None:
+                first_collision = (seen[value], Word(letters))
     found = len(seen)
     return FreenessReport(
         radius_checked=n,

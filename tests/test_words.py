@@ -195,12 +195,28 @@ def test_array_walk_stays_exact_past_int64(matrices, radius):
     assert report.is_free_to_radius
 
 
-def test_array_walk_reports_first_collision_in_preorder():
-    genset = build_torus_genset((((1, 1), (0, 1)), ((1, 2), (0, 1))))
-    # letters a, b, a^-1, b^-1 with b = a^2: depth first, a a b^-1 = 1 is
-    # met before b = a a, which breadth first would find first
-    assert verify_freeness(genset, 3).first_collision == (Word(()), Word((0, 0, 3)))
-    assert verify_freeness(genset, 2).first_collision == (Word((0, 0)), Word((1,)))
+@pytest.mark.parametrize("shift", [0, 40, 61])
+def test_array_walk_reports_the_shortlex_first_collision(shift):
+    # letters a, b, a^-1, b^-1 with b = a^2: the shortest relation b = a a
+    # is reported at every radius that holds it.  From 2**40 on the
+    # products are Python ints, and from 2**61 on the sort keys are too.
+    genset = build_torus_genset((((1, 2**shift), (0, 1)), ((1, 2 ** (shift + 1)), (0, 1))))
+    for radius in (2, 3, 4):
+        report = verify_freeness(genset, radius)
+        assert report == reference_freeness(genset, radius)
+        assert report.first_collision == (Word((1,)), Word((0, 0)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_generator_lists, st.integers(min_value=1, max_value=3))
+def test_first_collision_does_not_depend_on_the_radius(matrices, radius):
+    try:
+        genset = build_torus_genset(matrices)
+    except ValueError:
+        assume(False)
+    collision = verify_freeness(genset, radius).first_collision
+    assume(collision is not None)
+    assert verify_freeness(genset, radius + 1).first_collision == collision
 
 
 def test_freeness_budget_fires_before_any_array_work(monkeypatch):
