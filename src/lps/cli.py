@@ -351,8 +351,7 @@ def _identities_envelope(command: str, q_list: list[int], n_max: int) -> ReportE
             # Each compares its closed form with the count-weighted profile
             # itself and raises ConsistencyError on a mismatch.
             regular_norm(q, n, "ball")
-            if q % 2 == 1:
-                hecke_sup(q, n)
+            hecke_sup(q, n)
 
         checks.append(
             CheckRecord(f"boundary_sum_matches_closed_form_q{q}", worst_boundary <= 1e-12, worst_boundary, 1e-12)
@@ -379,6 +378,7 @@ def _torus_diagnostics(row) -> dict:
         "orbits": bound.orbits,
         "symmetry_order": bound.symmetry_order,
         "matvecs": bound.matvecs,
+        "start": bound.start,
         "ritz_residual": bound.ritz_residual,
         "ritz_minus_certificate": bound.ritz_minus_certificate,
     }

@@ -28,8 +28,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,11 +56,12 @@ MONOTONICITY_TOLERANCE = 1e-6
 
 # Lanczos stops at the first test at which the top Ritz pair has residual
 # estimate at most LANCZOS_TOL times the Ritz value, and gives up after
-# LANCZOS_MAX_STEPS steps (the benchmark windows need at most 72).  Both
-# only steer the solve: the certificate is an exact Rayleigh quotient of
-# the rounded Ritz vector.  The test needs a dense eigendecomposition of
-# the tridiagonal matrix, so it runs only every LANCZOS_CHECK_STEPS steps
-# (see _lanczos).
+# LANCZOS_MAX_STEPS steps.  The benchmark windows need at most 72 from the
+# seeded start; a Sanov ball window started from the sphere window's Ritz
+# vector needs 8 at n = 1 and 24 at n = 2.  Both only steer the solve: the
+# certificate is an exact Rayleigh quotient of the rounded Ritz vector.
+# The test needs a dense eigendecomposition of the tridiagonal matrix, so
+# it runs only every LANCZOS_CHECK_STEPS steps (see _lanczos).
 LANCZOS_TOL = 1e-7
 LANCZOS_MAX_STEPS = 300
 LANCZOS_CHECK_STEPS = 8
@@ -383,9 +385,13 @@ class NormCertificate:
     arithmetic, and `estimate` is the largest float not above it.
     `dimension` is the half-window size and `orbits` the dimension of the
     quotient that was solved, under a group of order `symmetry_order`.
-    `matvecs` is the number of Lanczos steps run; it is 0, and the float
-    fields None, when the diagonal alone closed the sandwich and no solve
-    ran.
+    `matvecs` is the number of Lanczos steps run and `start` where they
+    started: 'seeded' for the draw from the seed, 'given' for a caller's
+    vector, or 'sphere' for the Ritz vector of the sphere window that
+    torus_discrepancy_check gives a ball window.  `ritz_vector` is the
+    unit Ritz vector in orbit coordinates.  `matvecs` is 0, and the other
+    solve fields None, when the diagonal alone closed the sandwich and no
+    solve ran.
     """
 
     estimate: float
@@ -396,6 +402,8 @@ class NormCertificate:
     matvecs: int
     ritz_residual: Optional[float]
     ritz_minus_certificate: Optional[float]
+    start: Optional[str] = None
+    ritz_vector: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 def _exact_dot(y: np.ndarray, v: np.ndarray, bound: int) -> int:
@@ -478,20 +486,24 @@ def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int
     return None
 
 
-def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
+def norm_certificate(
+    op: WindowOperator, seed: int = 42, start: Optional[np.ndarray] = None
+) -> NormCertificate:
     """The better of two exact lower bounds on the window norm.
 
     The first is the largest diagonal entry of C / words_used, the
     Rayleigh quotient of a unit vector.  When it reaches the closed form
     the sandwich is closed and no solve runs; on rank-one it is exactly 1.
-    Nor does a solve run when C is zero.  Otherwise Lanczos (`_lanczos`,
-    from the strictly positive start 1 + uniform[0, 1) drawn from `seed`)
+    Nor does a solve run when C is zero.  Otherwise Lanczos (`_lanczos`)
     finds the top Ritz vector z of the orbit quotient
-    D^(-1/2) K D^(-1/2) / words_used.  The absolute values of z / sqrt(D),
-    which for a nonnegative matrix give a Rayleigh quotient no smaller,
-    are rounded to 24-bit integers y, and y^T K y / (words_used y^T D y)
-    is evaluated exactly.  Lanczos not converging within LANCZOS_MAX_STEPS
-    steps raises LanczosConvergenceError with the diagonal bound.
+    D^(-1/2) K D^(-1/2) / words_used, from `start` in orbit coordinates
+    when given, else from the strictly positive 1 + uniform[0, 1) drawn
+    from `seed`; the start only steers the solve.  The absolute values of
+    z / sqrt(D), which for a nonnegative matrix give a Rayleigh quotient no
+    smaller, are rounded to 24-bit integers y, and
+    y^T K y / (words_used y^T D y) is evaluated exactly.  Lanczos not
+    converging within LANCZOS_MAX_STEPS steps raises
+    LanczosConvergenceError with the diagonal bound.
     """
     counts = op.entries
     best = Fraction(op.max_diagonal, op.words_used)
@@ -506,7 +518,10 @@ def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
     def quotient(v: np.ndarray) -> np.ndarray:
         return np.bincount(rows, weights=weights * v[cols], minlength=len(scale))
 
-    solved = _lanczos(quotient, 1.0 + np.random.default_rng(seed).random(len(scale)))
+    if start is None:
+        solved = _lanczos(quotient, 1.0 + np.random.default_rng(seed).random(len(scale)))
+    else:
+        solved = _lanczos(quotient, start)
     if solved is None:
         raise LanczosConvergenceError(
             f"Lanczos did not converge to relative accuracy {LANCZOS_TOL} within "
@@ -514,6 +529,8 @@ def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
             best_bound=_float_at_most(best),
         )
     ritz, z, matvecs = solved
+    # the certificate hands z to later solves as a start, so none may change it
+    z.setflags(write=False)
     u = np.abs(z) * scale
     y = np.rint(u * ((2 ** 24 - 1) / u.max())).astype(np.int64)
     certified = rayleigh_certificate(op, y)
@@ -525,6 +542,8 @@ def norm_certificate(op: WindowOperator, seed: int = 42) -> NormCertificate:
         matvecs=matvecs,
         ritz_residual=float(np.linalg.norm(quotient(z) - ritz * z)),
         ritz_minus_certificate=float(Fraction(ritz) - certified),
+        start="seeded" if start is None else "given",
+        ritz_vector=z,
     )
 
 
@@ -549,6 +568,40 @@ class ConvergenceTable:
     passed: bool
 
 
+@lru_cache(maxsize=None)
+def _window_certificate(
+    genset: IntegerGenerators, n: int, shape: str, radius: int, seed: int
+) -> NormCertificate:
+    """norm_certificate of one window, a ball window started from the sphere's Ritz vector.
+
+    The sphere and ball windows of one radius have the same symmetry
+    group, hence the same orbit coordinates, and nearly the same top
+    vector.  The ball's certificate is still an exact Rayleigh quotient of
+    its own window.  It falls back to the seeded start when the sphere
+    window needs no solve or its solve does not converge, so a ball row is
+    the same whether or not the sphere window was certified first; the
+    cache only saves the repeat.
+    """
+    start = None
+    if shape == "ball":
+        try:
+            start = _window_certificate(genset, n, "sphere", radius, seed).ritz_vector
+        except LanczosConvergenceError:
+            pass
+    bound = norm_certificate(window_operator(genset, n, shape, radius), seed=seed, start=start)
+    return replace(bound, start="sphere") if bound.start == "given" else bound
+
+
+def clear_caches() -> None:
+    """Drop the memoised window certificates.
+
+    The cache key leaves out the closed form that norm_certificate's
+    diagonal test reads, so clear it after changing `regular_norm` or the
+    Lanczos settings.
+    """
+    _window_certificate.cache_clear()
+
+
 def torus_discrepancy_check(
     genset: IntegerGenerators,
     n: int,
@@ -558,8 +611,13 @@ def torus_discrepancy_check(
 ) -> ConvergenceTable:
     """Sandwich the word-average norm between window certificates and the closed form.
 
-    Each window is certified by norm_certificate from the Lanczos start
-    drawn from `seed`.  The exact certificate must stay below
+    Each window is certified by norm_certificate, a sphere window from
+    the Lanczos start drawn from `seed` and a ball window from the Ritz
+    vector of the sphere window with the same radius and seed
+    (`_window_certificate`).  Certificates are memoised per generating
+    set, n, shape, radius and seed, so a ball table after the sphere
+    table reuses the sphere solves; a ball table alone pays for them
+    once.  The exact certificate must stay below
     theoretical + UPPER_TOLERANCE and its float estimate may not decrease
     by more than MONOTONICITY_TOLERANCE as the window grows.  Violations
     are recorded as failing rows rather than raised, so a full table is
@@ -572,7 +630,7 @@ def torus_discrepancy_check(
     rows = []
     previous: Optional[float] = None
     for radius in radii:
-        bound = norm_certificate(window_operator(genset, n, shape, radius), seed=seed)
+        bound = _window_certificate(genset, n, shape, radius, seed)
         within = bound.certificate <= theoretical + UPPER_TOLERANCE
         nondec = previous is None or bound.estimate >= previous - MONOTONICITY_TOLERANCE
         rows.append(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -296,6 +297,19 @@ def test_verify_identities_reaches_n_30(capsys):
     assert all(c["passed"] for c in parse_envelope(out)["checks"])
 
 
+def test_verify_identities_runs_hecke_sup_at_even_q(capsys, monkeypatch):
+    calls = []
+
+    def recorded(q, n):
+        calls.append((q, n))
+        return lps.formulas.hecke_sup(q, n)
+
+    monkeypatch.setattr(lps.cli, "hecke_sup", recorded)
+    code, out, _ = run_cli(capsys, ["verify", "identities", "--q-list", "2", "--n-max", "12"])
+    assert code == 0 and all(c["passed"] for c in parse_envelope(out)["checks"])
+    assert calls == [(2, n) for n in range(1, 13)]
+
+
 def test_failed_cross_check_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(lps.formulas, "hecke_polynomial", wrong_hecke_polynomial)
     code, out, err = run_cli(capsys, ["verify", "identities", "--q-list", "5", "--n-max", "3"])
@@ -305,7 +319,7 @@ def test_failed_cross_check_exits_one(capsys, monkeypatch):
     assert out == ""
 
 
-def test_unconverged_norm_solve_exits_one(capsys, monkeypatch):
+def test_unconverged_norm_solve_exits_one(capsys, monkeypatch, cold_torus_cache):
     monkeypatch.setattr(lps.torus, "LANCZOS_MAX_STEPS", 2)
     code, out, err = run_cli(capsys, ["verify", "torus", "--windows", "8"])
     assert code == 1
@@ -373,6 +387,8 @@ def test_torus_diagnostics_only_with_timings(capsys):
         assert [r["radius"] for r in table["rows"]] == [8, 16]
         for row in table["rows"]:
             assert row["dimension"] > 0 and row["matvecs"] > 0
+            # the ball solve starts from the sphere's Ritz vector
+            assert row["start"] == {"sphere": "seeded", "ball": "sphere"}[table["shape"]]
             # no breakdown: the solve stops at the end of a block of tests
             assert row["matvecs"] % 8 == 0
             assert "lanczos_steps_run" not in row and "tridiagonal_solves" not in row
@@ -381,6 +397,29 @@ def test_torus_diagnostics_only_with_timings(capsys):
             assert row["dimension"] / 4 <= row["orbits"] < row["dimension"] / 3
             assert 0 <= row["ritz_residual"] < 1e-6
             assert abs(row["ritz_minus_certificate"]) <= 1e-12
+
+
+def test_ball_solve_warm_starts_from_the_sphere(capsys, cold_torus_cache):
+    code, out, _ = run_cli(capsys, ["verify", "torus", "--windows", "64,128,256", "--timings"])
+    assert code == 0
+    tables = parse_envelope(out)["diagnostics"]["tables"]
+    matvecs = {t["shape"]: [r["matvecs"] for r in t["rows"]] for t in tables}
+    assert matvecs == {"sphere": [48, 64, 72], "ball": [8, 8, 8]}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ball_alone_prints_what_both_shapes_print(capsys, cold_torus_cache, n):
+    argv = ["verify", "torus", "--n", str(n), "--windows", "16,32,64"]
+    code, out, _ = run_cli(capsys, argv + ["--shape", "ball"])
+    assert code == 0
+    alone = parse_envelope(out)
+    lps.torus.clear_caches()
+    code, out, _ = run_cli(capsys, argv + ["--shape", "both"])
+    assert code == 0
+    both = parse_envelope(out)
+    assert stable_dumps(alone["results"]["tables"]) == stable_dumps(both["results"]["tables"][1:])
+    ball_checks = [c for c in both["checks"] if c["name"].startswith("ball_")]
+    assert stable_dumps(alone["checks"]) == stable_dumps(ball_checks)
 
 
 def test_verify_torus_rejects_bad_preset(capsys):
@@ -477,6 +516,7 @@ def test_report_timings_cover_every_envelope(capsys):
     assert carrying == ["report.ramanujan", "report.torus"]
     torus = diagnostics["report.torus"]
     assert torus["rank_one"]["matvecs"] == 0 and len(torus["tables"]) == 2
+    assert torus["rank_one"]["start"] is None
     assert torus["rank_one"]["symmetry_order"] == 2
     ramanujan = diagnostics["report.ramanujan"]
     assert (ramanujan["symmetry_order"], ramanujan["frontiers"]) == (4, 2)
@@ -539,6 +579,72 @@ def test_report_rank_one_needs_a_certificate_of_exactly_one(capsys, monkeypatch)
     failed = [(e, c["name"]) for e, env in report.items() for c in env["checks"] if not c["passed"]]
     assert failed == [("report.torus", "rank_one_estimate_near_one")]
     assert report["report.torus"]["results"]["rank_one_estimate"] == 1.0
+
+
+def _below_theory_fault(monkeypatch, shape):
+    """Lower the Sanov closed form of `shape` to just below the R 256 certificate - UPPER_TOLERANCE.
+
+    The R 128 certificate lies more than 4e-3 lower, so it stays below.
+    """
+    sanov = lps.torus.build_torus_genset("sanov")
+    top = lps.torus.torus_discrepancy_check(sanov, 1, shape, [256]).rows[0].bound.certificate
+    lowered = float(top) - lps.torus.UPPER_TOLERANCE
+    while Fraction(lowered + lps.torus.UPPER_TOLERANCE) >= top:
+        lowered = math.nextafter(lowered, -math.inf)
+    # the slack UPPER_TOLERANCE is crossed by a few ulps and no more
+    assert top - Fraction(lowered + lps.torus.UPPER_TOLERANCE) < Fraction(1, 10**15)
+    closed_form = lps.torus.regular_norm
+
+    def lowered_closed_form(q, n, which):
+        return lowered if (q, n, which) == (3, 1, shape) else closed_form(q, n, which)
+
+    lps.torus.clear_caches()
+    monkeypatch.setattr(lps.torus, "regular_norm", lowered_closed_form)
+
+
+def _nondecreasing_fault(monkeypatch, shape):
+    """Set the Sanov R 256 certificate of `shape` just over MONOTONICITY_TOLERANCE below R 128's."""
+    sanov = lps.torus.build_torus_genset("sanov")
+    previous = lps.torus.torus_discrepancy_check(sanov, 1, shape, [128]).rows[0].estimate
+    # one ulp past the slack
+    fallen = math.nextafter(previous - lps.torus.MONOTONICITY_TOLERANCE, -math.inf)
+    certify = lps.torus.norm_certificate
+
+    def fallen_certificate(op, seed=42, start=None):
+        bound = certify(op, seed=seed, start=start)
+        if (op.q, op.shape, op.window.radius) != (3, shape, 256):
+            return bound
+        return dataclasses.replace(bound, estimate=fallen, certificate=Fraction(fallen))
+
+    lps.torus.clear_caches()
+    monkeypatch.setattr(lps.torus, "norm_certificate", fallen_certificate)
+
+
+@pytest.mark.parametrize(
+    "inject, shape, check",
+    [
+        (_below_theory_fault, "sphere", "below_theory"),
+        (_below_theory_fault, "ball", "below_theory"),
+        (_nondecreasing_fault, "sphere", "nondecreasing"),
+        (_nondecreasing_fault, "ball", "nondecreasing"),
+    ],
+    ids=["sphere-below-theory", "ball-below-theory", "sphere-nondecreasing", "ball-nondecreasing"],
+)
+def test_report_torus_checks_can_fail(capsys, monkeypatch, cold_torus_cache, inject, shape, check):
+    # The smallest fault past each check's slack flips that check alone.
+    # The ball rows start from the sphere's Ritz vectors yet fail on their own.
+    flags = ["--windows", "64,128,256", "--timings"]
+    code, clean = _report_envelopes(capsys, flags)
+    assert code == 0
+    assert all(c["passed"] for env in clean.values() for c in env["checks"])
+    inject(monkeypatch, shape)
+    code, report = _report_envelopes(capsys, flags)
+    assert code == 1
+    failed = [(e, c["name"]) for e, env in report.items() for c in env["checks"] if not c["passed"]]
+    assert failed == [("report.torus", f"{shape}_R256_{check}")]
+    tables = report["report.torus"]["diagnostics"]["tables"]
+    starts = {t["shape"]: [r["start"] for r in t["rows"]] for t in tables}
+    assert starts == {"sphere": ["seeded"] * 3, "ball": ["sphere"] * 3}
 
 
 def test_report_determinism_fails_on_nan(capsys, monkeypatch):

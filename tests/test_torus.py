@@ -291,16 +291,20 @@ def test_window_operator_is_symmetric(shape):
 
 def test_ball_operator_is_affine_in_sphere_operator():
     # counts: the ball adds the empty word, which fixes every point, so
-    # each orbit O gains |O| on its diagonal
+    # each orbit O gains |O| on its diagonal, and the n = 1 ball window is
+    # exactly (I + 4 A_sphere) / 5
     genset = build_torus_genset("sanov")
-    sphere = window_operator(genset, 1, "sphere", 5)
-    ball = window_operator(genset, 1, "ball", 5)
-    assert np.array_equal(ball.orbit_sizes, sphere.orbit_sizes)
-    expected = np.diag(sphere.orbit_sizes) + sphere.entries.toarray()
-    assert np.array_equal(ball.entries.toarray(), expected)
-    assert ball.max_diagonal == 1 + sphere.max_diagonal
-    _assert_matches_oracle(sphere, genset)
-    _assert_matches_oracle(ball, genset)
+    for radius in (1, 4, 5, 8, 16, 64):
+        sphere = window_operator(genset, 1, "sphere", radius)
+        ball = window_operator(genset, 1, "ball", radius)
+        assert np.array_equal(ball.orbit_sizes, sphere.orbit_sizes)
+        expected = np.diag(sphere.orbit_sizes) + sphere.entries.toarray()
+        assert np.array_equal(ball.entries.toarray(), expected)
+        assert (ball.words_used, sphere.words_used) == (5, 4)
+        assert ball.max_diagonal == 1 + sphere.max_diagonal
+        if radius == 5:
+            _assert_matches_oracle(sphere, genset)
+            _assert_matches_oracle(ball, genset)
 
 
 def test_window_operator_rejects_bad_arguments():
@@ -714,6 +718,63 @@ def test_discrepancy_check_sanov_small_windows():
     estimates = [row.estimate for row in table.rows]
     assert all(b >= a - 1e-6 for a, b in zip(estimates, estimates[1:]))
     assert all(e <= table.theoretical + 1e-8 for e in estimates)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ball_window_starts_from_the_sphere_ritz_vector(cold_torus_cache, n):
+    genset, radii = build_torus_genset("sanov"), [8, 16, 32]
+    ball_alone = torus_discrepancy_check(genset, n, "ball", radii)
+    lps.torus.clear_caches()
+    sphere = torus_discrepancy_check(genset, n, "sphere", radii)
+    ball = torus_discrepancy_check(genset, n, "ball", radii)
+    # a ball row does not depend on whether its sphere row ran first
+    assert ball == ball_alone and ball.passed
+    for radius, s_row, b_row in zip(radii, sphere.rows, ball.rows):
+        assert (s_row.bound.start, b_row.bound.start) == ("seeded", "sphere")
+        op = window_operator(genset, n, "ball", radius)
+        cold = norm_certificate(op)
+        assert cold.start == "seeded"
+        assert b_row.bound.matvecs <= cold.matvecs
+        assert abs(b_row.bound.certificate - cold.certificate) <= Fraction(1, 10**13)
+        # still an exact Rayleigh quotient of the ball window itself, at the
+        # Ritz vector rounded as norm_certificate rounds it
+        u = np.abs(b_row.bound.ritz_vector) / np.sqrt(op.orbit_sizes)
+        y = np.rint(u * ((2**24 - 1) / u.max())).astype(np.int64)
+        assert b_row.bound.certificate == rayleigh_certificate(op, y)
+
+
+def test_ball_window_falls_back_to_the_seeded_start(cold_torus_cache, monkeypatch):
+    # no image of a radius-1 point stays in the window, so C = 0 for the
+    # sphere, which needs no solve, while the ball's identity word needs one
+    far = build_torus_genset([((5, 2), (2, 1)), ((1, 2), (2, 5))])
+    (sphere_row,) = torus_discrepancy_check(far, 1, "sphere", [1]).rows
+    (ball_row,) = torus_discrepancy_check(far, 1, "ball", [1]).rows
+    assert (sphere_row.bound.matvecs, sphere_row.bound.start) == (0, None)
+    assert ball_row.bound.start == "seeded"
+    assert ball_row.bound == norm_certificate(window_operator(far, 1, "ball", 1))
+
+    # a sphere solve that does not converge leaves the ball its seeded start
+    lps.torus.clear_caches()
+    calls = []
+
+    def first_fails(matvec, start):
+        calls.append(start)
+        return None if len(calls) == 1 else _lanczos(matvec, start)
+
+    monkeypatch.setattr(lps.torus, "_lanczos", first_fails)
+    sanov = build_torus_genset("sanov")
+    (row,) = torus_discrepancy_check(sanov, 1, "ball", [8]).rows
+    assert len(calls) == 2 and row.bound.start == "seeded"
+    assert row.bound == norm_certificate(window_operator(sanov, 1, "ball", 8))
+
+
+def test_clear_caches_preserves_results(cold_torus_cache):
+    genset = build_torus_genset("sanov")
+    first = torus_discrepancy_check(genset, 1, "ball", [4, 8])
+    assert lps.torus._window_certificate.cache_info().currsize == 4
+    lps.torus.clear_caches()
+    assert lps.torus._window_certificate.cache_info().currsize == 0
+    assert torus_discrepancy_check(genset, 1, "ball", [4, 8]) == first
 
 
 def test_discrepancy_check_requires_increasing_radii():
