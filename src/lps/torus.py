@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -385,9 +386,10 @@ class NormCertificate:
     arithmetic, and `estimate` is the largest float not above it.
     `dimension` is the half-window size and `orbits` the dimension of the
     quotient that was solved, under a group of order `symmetry_order`.
-    `matvecs` is the number of Lanczos steps run and `start` where they
-    started: 'seeded' for the draw from the seed, 'given' for a caller's
-    vector, or 'sphere' for the Ritz vector of the sphere window that
+    `matvecs` is the number of quotient products, one per Lanczos step
+    and one for `ritz_residual`, and `start` where the steps started:
+    'seeded' for the draw from the seed, 'given' for a caller's vector,
+    or 'sphere' for the Ritz vector of the sphere window that
     torus_discrepancy_check gives a ball window.  `ritz_vector` is the
     unit Ritz vector in orbit coordinates.  `matvecs` is 0, and the other
     solve fields None, when the diagonal alone closed the sandwich and no
@@ -462,25 +464,44 @@ def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int
     eigenvector.  Orthogonality is lost only along Ritz vectors that have
     already converged (Paige), so the solve stops before a ghost copy of
     theta can appear.  The test needs a dense eigendecomposition of T_k,
-    so it runs every LANCZOS_CHECK_STEPS steps, at a breakdown (beta = 0)
-    and at the step limit, and the Ritz pair of the first test that
-    passes is returned.  None when no test passes within
+    so it runs every LANCZOS_CHECK_STEPS steps, at a breakdown (beta = 0),
+    at step len(start) and at the step limit, and the Ritz pair of the
+    first test that passes is returned.  By step len(start) the Krylov
+    space is exhausted in exact arithmetic, though rounding may leave beta
+    a little above 0; the steps after it would be built from rounding
+    noise, and T_k would soon hold ghost copies of theta whose Ritz
+    vectors can cancel in the basis.  None when no test passes within
     LANCZOS_MAX_STEPS steps.
+
+    The recurrence, T_k and every test run in float64; only the stored
+    basis is float32, which halves the solve's largest allocation.  The
+    Ritz vector z = sum_i s_i q_i is summed in float64 one basis vector at
+    a time, never from a float64 copy of the whole basis.  Each entry of z
+    then carries a relative error of about 2^-24, the precision at which
+    norm_certificate rounds it, and its residual ||M z - theta z|| cannot
+    fall much below 2^-24 theta, which is under LANCZOS_TOL theta.
     """
     q, previous, b = start / np.linalg.norm(start), 0.0, 0.0
     basis: list[np.ndarray] = []
     tri = np.zeros((LANCZOS_MAX_STEPS + 1,) * 2)
     for k in range(LANCZOS_MAX_STEPS):
-        basis.append(q)
+        basis.append(q.astype(np.float32))
         w = matvec(q) - b * previous
         tri[k, k] = q @ w
         w -= tri[k, k] * q
         b = float(np.linalg.norm(w))
         tri[k + 1, k] = tri[k, k + 1] = b
-        if b == 0 or (k + 1) % LANCZOS_CHECK_STEPS == 0 or k + 1 == LANCZOS_MAX_STEPS:
+        if (
+            b == 0
+            or k + 1 == len(q)
+            or (k + 1) % LANCZOS_CHECK_STEPS == 0
+            or k + 1 == LANCZOS_MAX_STEPS
+        ):
             theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
             if abs(b * s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
-                z = sum(c * v for c, v in zip(s[:, -1], basis))
+                z = np.zeros(len(q))
+                for c, v in zip(s[:, -1], basis):
+                    z += c * v.astype(np.float64)
                 return float(theta[-1]), z / np.linalg.norm(z), k + 1
         previous, q = q, w / b
     return None
@@ -498,11 +519,14 @@ def norm_certificate(
     finds the top Ritz vector z of the orbit quotient
     D^(-1/2) K D^(-1/2) / words_used, from `start` in orbit coordinates
     when given, else from the strictly positive 1 + uniform[0, 1) drawn
-    from `seed`; the start only steers the solve.  The absolute values of
-    z / sqrt(D), which for a nonnegative matrix give a Rayleigh quotient no
-    smaller, are rounded to 24-bit integers y, and
-    y^T K y / (words_used y^T D y) is evaluated exactly.  Lanczos not
-    converging within LANCZOS_MAX_STEPS steps raises
+    from `random.Random(seed)`, the stdlib stream that Python keeps stable
+    across versions; the start only steers the solve.  The absolute values
+    of z / sqrt(D), which for a nonnegative matrix give a Rayleigh quotient
+    no smaller, are rounded to 24-bit integers y, and
+    y^T K y / (words_used y^T D y) is evaluated exactly.  z carries the
+    float32 rounding of the Lanczos basis, about 2^-24 relative, which is
+    the precision of y itself; the certificate is exact whatever z is.
+    Lanczos not converging within LANCZOS_MAX_STEPS steps raises
     LanczosConvergenceError with the diagonal bound.
     """
     counts = op.entries
@@ -519,7 +543,8 @@ def norm_certificate(
         return np.bincount(rows, weights=weights * v[cols], minlength=len(scale))
 
     if start is None:
-        solved = _lanczos(quotient, 1.0 + np.random.default_rng(seed).random(len(scale)))
+        draw = random.Random(seed).random
+        solved = _lanczos(quotient, 1.0 + np.array([draw() for _ in scale]))
     else:
         solved = _lanczos(quotient, start)
     if solved is None:
@@ -528,7 +553,7 @@ def norm_certificate(
             f"{LANCZOS_MAX_STEPS} steps (best exact bound {float(best)})",
             best_bound=_float_at_most(best),
         )
-    ritz, z, matvecs = solved
+    ritz, z, steps = solved
     # the certificate hands z to later solves as a start, so none may change it
     z.setflags(write=False)
     u = np.abs(z) * scale
@@ -539,7 +564,7 @@ def norm_certificate(
         _float_at_most(best),
         best,
         *dims,
-        matvecs=matvecs,
+        matvecs=steps + 1,
         ritz_residual=float(np.linalg.norm(quotient(z) - ritz * z)),
         ritz_minus_certificate=float(Fraction(ritz) - certified),
         start="seeded" if start is None else "given",

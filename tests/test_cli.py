@@ -389,8 +389,11 @@ def test_torus_diagnostics_only_with_timings(capsys):
             assert row["dimension"] > 0 and row["matvecs"] > 0
             # the ball solve starts from the sphere's Ritz vector
             assert row["start"] == {"sphere": "seeded", "ball": "sphere"}[table["shape"]]
-            # no breakdown: the solve stops at the end of a block of tests
-            assert row["matvecs"] % 8 == 0
+            # no breakdown: the solve stops at the end of a block of tests or,
+            # at R 8, at the dimension of the quotient; one more product
+            # gives the Ritz residual
+            steps = row["matvecs"] - 1
+            assert steps % 8 == 0 or steps == row["orbits"] == 23
             assert "lanczos_steps_run" not in row and "tridiagonal_solves" not in row
             # Sanov's swap and diag(1, -1) leave a quarter of the rows, and fewer
             assert row["symmetry_order"] == 4
@@ -404,7 +407,8 @@ def test_ball_solve_warm_starts_from_the_sphere(capsys, cold_torus_cache):
     assert code == 0
     tables = parse_envelope(out)["diagnostics"]["tables"]
     matvecs = {t["shape"]: [r["matvecs"] for r in t["rows"]] for t in tables}
-    assert matvecs == {"sphere": [48, 64, 72], "ball": [8, 8, 8]}
+    # Lanczos steps plus the residual's product
+    assert matvecs == {"sphere": [49, 65, 73], "ball": [9, 9, 9]}
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -645,6 +649,118 @@ def test_report_torus_checks_can_fail(capsys, monkeypatch, cold_torus_cache, inj
     tables = report["report.torus"]["diagnostics"]["tables"]
     starts = {t["shape"]: [r["start"] for r in t["rows"]] for t in tables}
     assert starts == {"sphere": ["seeded"] * 3, "ball": ["sphere"] * 3}
+
+
+def _tempered_fault(monkeypatch):
+    """Push the top p = 5 eigenvalue one ulp past 2 sqrt(5) + RAMANUJAN_TOLERANCE.
+
+    Only the tempered check sees it: the sphere rows, whose estimates it
+    would also raise past their closed forms, read the spectra unchanged.
+    """
+    edge = 2.0 * math.sqrt(5) + lps.sphere.RAMANUJAN_TOLERANCE
+    pushed = math.nextafter(edge, math.inf)
+    verify, spectrum = lps.cli.verify_ramanujan, lps.sphere.block_spectrum
+
+    def past_the_edge(block):
+        eigs = spectrum(block)
+        return lps.sphere.Spectrum(eigs[:-1] + (pushed,), eigs.symmetry_defect, eigs.trace_defects)
+
+    def verify_past_the_edge(p, l_max):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lps.sphere, "block_spectrum", past_the_edge)
+            return verify(p, l_max)
+
+    monkeypatch.setattr(lps.cli, "verify_ramanujan", verify_past_the_edge)
+
+
+def _degree1_fault(monkeypatch):
+    """Raise the middle diagonal entry of the p = 5 degree-1 block by 1/5, one numerator unit.
+
+    The check is exact, with no slack.  A diagonal change keeps the block
+    self-adjoint for the binomial pairing, and the middle monomial is its
+    own image under the flip J.
+    """
+    koopman = lps.cli.koopman_block
+
+    def perturbed(genset, degree):
+        block = koopman(genset, degree)
+        rows = [list(row) for row in block.numerators]
+        rows[1][1] += 1
+        return dataclasses.replace(block, numerators=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(lps.cli, "koopman_block", perturbed)
+
+
+def _sphere_closed_form_fault(n, shape):
+    """Lower the p = 5 closed form of (n, shape) to the largest float past the 1e-9 slack."""
+
+    def inject(monkeypatch):
+        estimate = lps.sphere.sphere_discrepancy_estimate(5, n, shape, 3)
+        lowered = estimate - 1e-9
+        while estimate <= lowered + 1e-9:
+            lowered = math.nextafter(lowered, -math.inf)
+        # one ulp higher, the slack would still cover the estimate
+        assert estimate <= math.nextafter(lowered, math.inf) + 1e-9
+        closed_form = lps.cli.lps_discrepancy
+
+        def lowered_closed_form(p, m, which):
+            return lowered if (p, m, which) == (5, n, shape) else closed_form(p, m, which)
+
+        monkeypatch.setattr(lps.cli, "lps_discrepancy", lowered_closed_form)
+
+    return inject
+
+
+def _boundary_sum_fault(q):
+    """Move the q, n = 12 boundary sum to the nearest float past the relative slack 1e-12."""
+
+    def inject(monkeypatch):
+        closed = lps.cli.harish_chandra(q, 12)
+
+        def miss(summed):
+            return abs(summed - closed) / abs(closed)
+
+        summed = closed * (1 + 1e-12)
+        while miss(summed) <= 1e-12:
+            summed = math.nextafter(summed, math.inf)
+        # one ulp closer, the slack would still cover the sum
+        assert miss(math.nextafter(summed, -math.inf)) <= 1e-12
+        boundary_sum = lps.cli.harish_chandra_boundary_sum
+
+        def moved(at_q, n):
+            return summed if (at_q, n) == (q, 12) else boundary_sum(at_q, n)
+
+        monkeypatch.setattr(lps.cli, "harish_chandra_boundary_sum", moved)
+
+    return inject
+
+
+_CONTROLS = [
+    (_tempered_fault, "report.ramanujan", "eigenvalues_within_tempered_bound"),
+    (_degree1_fault, "report.ramanujan", "degree1_block_is_minus_two_fifths_identity"),
+] + [
+    (_sphere_closed_form_fault(n, shape), "report.sphere-discrepancy", f"{shape}_n{n}_below_closed_form")
+    for n in (1, 2, 3)
+    for shape in ("sphere", "ball")
+] + [
+    (_boundary_sum_fault(q), "report.identities", f"boundary_sum_matches_closed_form_q{q}")
+    for q in (2, 3, 5, 9, 13)
+]
+
+
+@pytest.mark.parametrize(
+    "inject, envelope, check", [pytest.param(*control, id=control[2]) for control in _CONTROLS]
+)
+def test_report_sphere_and_identity_checks_can_fail(capsys, monkeypatch, inject, envelope, check):
+    # The smallest fault past each check's slack flips that check alone.
+    code, clean = _report_envelopes(capsys)
+    assert code == 0
+    assert all(c["passed"] for env in clean.values() for c in env["checks"])
+    inject(monkeypatch)
+    code, report = _report_envelopes(capsys)
+    assert code == 1
+    failed = [(e, c["name"]) for e, env in report.items() for c in env["checks"] if not c["passed"]]
+    assert failed == [(envelope, check)]
 
 
 def test_report_determinism_fails_on_nan(capsys, monkeypatch):

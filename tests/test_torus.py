@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -449,7 +450,7 @@ def _per_step_lanczos(matvec, start):
     return None
 
 
-def _certify_with(monkeypatch, lanczos, op):
+def _certify_with(monkeypatch, lanczos, op, start=None):
     """norm_certificate run with `lanczos` in place of `_lanczos`, and what that returned.
 
     The second item is None when no solve ran.
@@ -461,21 +462,23 @@ def _certify_with(monkeypatch, lanczos, op):
         return returned[-1]
 
     monkeypatch.setattr(lps.torus, "_lanczos", recorded)
-    return norm_certificate(op), (returned or [None])[0]
+    return norm_certificate(op, start=start), (returned or [None])[0]
 
 
-def _assert_blocked_agrees_with_per_step(monkeypatch, op):
-    bound, blocked = _certify_with(monkeypatch, _lanczos, op)
-    reference, per_step = _certify_with(monkeypatch, _per_step_lanczos, op)
+def _assert_blocked_agrees_with_per_step(monkeypatch, op, start=None):
+    bound, blocked = _certify_with(monkeypatch, _lanczos, op, start)
+    reference, per_step = _certify_with(monkeypatch, _per_step_lanczos, op, start)
     if blocked is None:
         assert per_step is None
         assert bound.certificate == reference.certificate
         return bound
     (ritz, _, steps), (ref_ritz, _, ref_steps) = blocked, per_step
-    assert steps == bound.matvecs
+    # one product per step and one for the Ritz residual
+    assert steps + 1 == bound.matvecs
     # the blocked solve stops at the first check at or after the per-step
-    # stop: the end of a block, a breakdown (possible only once the Krylov
-    # space of the orbit quotient is exhausted) or the step limit
+    # stop: the end of a block, a breakdown or the step equal to the number
+    # of orbits (both only once the Krylov space of the orbit quotient is
+    # exhausted) or the step limit
     assert ref_steps <= steps
     assert (
         steps % LANCZOS_CHECK_STEPS == 0
@@ -495,8 +498,10 @@ def _assert_blocked_agrees_with_per_step(monkeypatch, op):
 def test_blocked_stopping_test_matches_per_step_lanczos(monkeypatch, n, shape, radius):
     op = window_operator(build_torus_genset("sanov"), n, shape, radius)
     bound = _assert_blocked_agrees_with_per_step(monkeypatch, op)
-    # no breakdown: the solve ran to the end of a block
-    assert bound.matvecs % LANCZOS_CHECK_STEPS == 0
+    # no breakdown: the solve ran to the end of a block, or at R 8 (23
+    # orbits) to the dimension, where the Krylov space is exhausted
+    steps = bound.matvecs - 1
+    assert steps % LANCZOS_CHECK_STEPS == 0 or steps == bound.orbits == 23
 
 
 def test_blocked_lanczos_stops_at_the_check_after_a_mid_block_pass(monkeypatch):
@@ -505,18 +510,52 @@ def test_blocked_lanczos_stops_at_the_check_after_a_mid_block_pass(monkeypatch):
     _, per_step = _certify_with(monkeypatch, _per_step_lanczos, op)
     # per-step testing passes inside a block; the blocked solve runs to its end
     assert per_step[2] % LANCZOS_CHECK_STEPS != 0
-    assert bound.matvecs == -(-per_step[2] // LANCZOS_CHECK_STEPS) * LANCZOS_CHECK_STEPS
+    assert bound.matvecs == -(-per_step[2] // LANCZOS_CHECK_STEPS) * LANCZOS_CHECK_STEPS + 1
+
+
+def _path_adjacency(v: np.ndarray) -> np.ndarray:
+    """The adjacency matrix of the path 0 - 1 - ... - len(v) - 1 times v."""
+    out = np.zeros_like(v)
+    out[1:] += v[:-1]
+    out[:-1] += v[1:]
+    return out
 
 
 def test_blocked_lanczos_checks_at_a_breakdown(monkeypatch):
-    # two orbits: the Krylov space is exhausted at the second step, where beta is 0
+    # From e_0 the path's Krylov vectors are e_0, e_1, e_2, ... with every
+    # alpha 0 and beta 1, all exact in binary, so on three vertices beta is
+    # exactly 0 at step 3, inside the first block of tests.
+    start = np.array([1.0, 0.0, 0.0])
+    ritz, z, steps = _lanczos(_path_adjacency, start)
+    assert steps == _per_step_lanczos(_path_adjacency, start)[2] == 3 < LANCZOS_CHECK_STEPS
+    assert ritz == pytest.approx(math.sqrt(2), abs=1e-15)
+    # the basis vectors e_i are exact in float32
+    assert np.allclose(z, [0.5, math.sqrt(0.5), 0.5], rtol=0, atol=1e-15)
+    # Sanov n 2 ball R 1 has two orbits and the diagonal quotient (5/17) I,
+    # so from an orbit's indicator beta is exactly 0 at step 1
     op = window_operator(build_torus_genset("sanov"), 2, "ball", 1)
-    bound = _assert_blocked_agrees_with_per_step(monkeypatch, op)
-    assert bound.orbits == 2 and bound.matvecs == 2 < LANCZOS_CHECK_STEPS
+    bound = _assert_blocked_agrees_with_per_step(monkeypatch, op, start=np.array([1.0, 0.0]))
+    assert (bound.orbits, bound.matvecs, bound.certificate) == (2, 2, Fraction(5, 17))
     # a multiple of the identity breaks down at once, on the step that passes
     ritz, z, steps = _lanczos(lambda v: 2.0 * v, np.ones(4))
     assert (ritz, steps) == (2.0, 1)
     assert z.tolist() == [0.5] * 4
+
+
+def test_lanczos_stops_where_the_krylov_space_is_exhausted():
+    # Two orbits and the quotient [[0.6, 0.4], [0.4, 0.2]]: the Krylov space
+    # is exhausted at step 2, where rounding leaves beta near 1e-15 at some
+    # seeds.  Steps built from that rounding noise put ghost copies of theta
+    # in T_k, whose Ritz vectors can cancel in the basis; run on to step 8,
+    # the certificate fell as low as 0.76 against the top eigenvalue 0.847.
+    genset = build_torus_genset([((1, -1), (1, 0)), ((1, 1), (-1, 0))])
+    op = window_operator(genset, 1, "ball", 1)
+    top = np.linalg.eigvalsh(_quotient(op))[-1]
+    for seed in range(64):
+        bound = norm_certificate(op, seed=seed)
+        assert (bound.orbits, bound.matvecs) == (2, 3)
+        assert bound.ritz_residual <= 2 * LANCZOS_TOL * top
+        assert abs(float(bound.certificate) - top) <= 1e-12
 
 
 # Products of these have determinant +-1; the swap makes odd counts -1.
@@ -584,6 +623,7 @@ def test_reduced_block_keeps_the_window_norm(case):
 @settings(deadline=None, max_examples=40)
 @given(_windows)
 @example(([((1, 2), (0, 1)), ((1, 0), (2, 1))], 1, "sphere", 1))  # I / 2: per-step stops at step 1
+@example(([((1, -1), (1, 0)), ((1, 1), (-1, 0))], 1, "ball", 1))  # beta 5e-15, not 0, at step 2 of 2
 def test_blocked_stopping_test_matches_per_step_on_drawn_windows(case):
     matrices, n, shape, radius = case
     try:
@@ -689,15 +729,19 @@ def test_public_names_resolve_once_in_sorted_order():
 
 
 def test_lps_runs_without_scipy():
-    # importing lps and running the full report loads no scipy module
+    # importing lps and running the full report and verify torus loads no
+    # scipy module and not numpy.random, whose import alone costs more than
+    # the seeded draws; a fresh interpreter, since this one has loaded both
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = (
         "import contextlib, io, sys\n"
         "import lps, lps.cli\n"
-        "print([m for m in sys.modules if m.startswith('scipy')])\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')]\n"
+        "print(loaded())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = lps.cli.main(['report', '--seed', '42'])\n"
-        "print(code, [m for m in sys.modules if m.startswith('scipy')])\n"
+        "    codes = [lps.cli.main(['report', '--seed', '42']), lps.cli.main(['verify', 'torus'])]\n"
+        "print(codes, loaded())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -706,7 +750,33 @@ def test_lps_runs_without_scipy():
         env=dict(os.environ, PYTHONPATH=src),
         check=True,
     )
-    assert out.stdout.splitlines() == ["[]", "0 []"]
+    assert out.stdout.splitlines() == ["[]", "[0, 0] []"]
+
+
+def test_lanczos_basis_is_stored_in_float32(monkeypatch):
+    # The Sanov n 1 sphere R 256 solve sets the peak memory of lps report.
+    # A float64 basis of `steps` vectors of `orbits` entries alone takes
+    # steps * orbits * 8 bytes (72 * 19,949 * 8 = 11.5 MB), so no solve that
+    # keeps one can peak below that; a float32 basis takes half of it, and
+    # T_k (0.7 MB), the matvec's temporaries and z fit in the other half.
+    # Measured: 7.5 MB with a float32 basis, 12.9 MB with a float64 one.
+    op = window_operator(build_torus_genset("sanov"), 1, "sphere", 256)
+    measured = []
+
+    def traced(matvec, start):
+        tracemalloc.start()
+        try:
+            solved = _lanczos(matvec, start)
+            measured.append((tracemalloc.get_traced_memory()[1], solved[2]))
+        finally:
+            tracemalloc.stop()
+        return solved
+
+    monkeypatch.setattr(lps.torus, "_lanczos", traced)
+    orbits = norm_certificate(op).orbits
+    ((peak, steps),) = measured
+    assert (steps, orbits) == (72, 19949)
+    assert peak < steps * orbits * 8
 
 
 def test_discrepancy_check_sanov_small_windows():
