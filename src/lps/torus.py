@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -478,8 +477,11 @@ def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int
     Ritz vector z = sum_i s_i q_i is summed in float64 one basis vector at
     a time, never from a float64 copy of the whole basis.  Each entry of z
     then carries a relative error of about 2^-24, the precision at which
-    norm_certificate rounds it, and its residual ||M z - theta z|| cannot
-    fall much below 2^-24 theta, which is under LANCZOS_TOL theta.
+    norm_certificate rounds it.  The stopping test bounds the residual of
+    the float64 Ritz pair, not of the returned z: the residual
+    ||M z - theta z|| of z cannot fall much below 2^-24 theta, and that
+    floor, which grows with the steps summed, lies just under
+    LANCZOS_TOL theta.
     """
     q, previous, b = start / np.linalg.norm(start), 0.0, 0.0
     basis: list[np.ndarray] = []
@@ -519,8 +521,7 @@ def norm_certificate(
     finds the top Ritz vector z of the orbit quotient
     D^(-1/2) K D^(-1/2) / words_used, from `start` in orbit coordinates
     when given, else from the strictly positive 1 + uniform[0, 1) drawn
-    from `random.Random(seed)`, the stdlib stream that Python keeps stable
-    across versions; the start only steers the solve.  The absolute values
+    from `seed`; the start only steers the solve.  The absolute values
     of z / sqrt(D), which for a nonnegative matrix give a Rayleigh quotient
     no smaller, are rounded to 24-bit integers y, and
     y^T K y / (words_used y^T D y) is evaluated exactly.  z carries the
@@ -543,8 +544,7 @@ def norm_certificate(
         return np.bincount(rows, weights=weights * v[cols], minlength=len(scale))
 
     if start is None:
-        draw = random.Random(seed).random
-        solved = _lanczos(quotient, 1.0 + np.array([draw() for _ in scale]))
+        solved = _lanczos(quotient, 1.0 + np.random.default_rng(seed).random(len(scale)))
     else:
         solved = _lanczos(quotient, start)
     if solved is None:
