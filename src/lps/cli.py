@@ -162,6 +162,19 @@ def _generator_checks(genset) -> list[CheckRecord]:
     ]
 
 
+def _freeness_diagnostics(report) -> dict:
+    """How the ball was walked and sorted, and what each cost."""
+    walk = report.diagnostics
+    return {
+        "words_per_level": list(walk.words_per_level),
+        "keys_per_product": walk.keys_per_product,
+        "tie_rows": walk.tie_rows,
+        "stable_lexsort": walk.stable_lexsort,
+        "walk_ms": walk.walk_ms,
+        "sort_ms": walk.sort_ms,
+    }
+
+
 def _ball_check(prefix: str, report) -> CheckRecord:
     return CheckRecord(
         f"{prefix}ball_distinct",
@@ -336,7 +349,14 @@ def cmd_verify_freeness(args) -> tuple[list[ReportEnvelope], None]:
             else [list(report.first_collision[0].letters), list(report.first_collision[1].letters)]
         ),
     }
-    return [ReportEnvelope("verify.freeness", params, results, [_ball_check("", report)])], None
+    env = ReportEnvelope(
+        "verify.freeness",
+        params,
+        results,
+        [_ball_check("", report)],
+        diagnostics=_freeness_diagnostics(report),
+    )
+    return [env], None
 
 
 def _identities_envelope(command: str, q_list: list[int], n_max: int) -> ReportEnvelope:
@@ -370,7 +390,11 @@ def cmd_verify_identities(args) -> tuple[list[ReportEnvelope], None]:
 
 
 def _torus_diagnostics(row) -> dict:
-    """What the certificate of one window cost and how tight it is."""
+    """What the certificate of one window cost and how tight it is.
+
+    `window_ms` is None for a window that the diagonal settled before it
+    was built, and `solve_ms` for one that needed no solve.
+    """
     bound = row.bound
     return {
         "radius": row.radius,
@@ -381,6 +405,9 @@ def _torus_diagnostics(row) -> dict:
         "start": bound.start,
         "ritz_residual": bound.ritz_residual,
         "ritz_minus_certificate": bound.ritz_minus_certificate,
+        "window_ms": bound.window_ms,
+        "solve_ms": bound.solve_ms,
+        "certificate_ms": bound.certificate_ms,
     }
 
 
@@ -479,6 +506,7 @@ def _report_freeness(radius: int, sanov_radius: int) -> ReportEnvelope:
         {"prime_radius": radius, "sanov_radius": sanov_radius},
         {"prime_ball": free_q.ball_size_found, "sanov_ball": free_s.ball_size_found},
         [_ball_check("p5_", free_q), _ball_check("sanov_", free_s)],
+        diagnostics={"p5": _freeness_diagnostics(free_q), "sanov": _freeness_diagnostics(free_s)},
     )
 
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -195,6 +197,78 @@ class HalfWindow:
         self.size = len(self.points)
 
 
+def _half_window_size(radius: int) -> int:
+    """HalfWindow(radius).size, counted without the window.
+
+    The (2 radius + 1)^2 - 1 nonzero points of the square are, for each
+    d, d times the primitive points of sup-norm at most radius // d, so
+    Moebius inversion over d counts the primitive ones; half of them are
+    kept, one of each pair +-m.
+    """
+    mobius, sieved = [1] * (radius + 1), [False] * (radius + 1)
+    for p in range(2, radius + 1):
+        if not sieved[p]:
+            for k in range(p, radius + 1, p):
+                sieved[k] = True
+                mobius[k] = -mobius[k]
+            for k in range(p * p, radius + 1, p * p):
+                mobius[k] = 0
+    square = sum(mobius[d] * ((2 * (radius // d) + 1) ** 2 - 1) for d in range(1, radius + 1))
+    return square // 2
+
+
+def _fixed_pairs(matrices: np.ndarray, radius: int) -> tuple[int, Counter]:
+    """How the maps m -> W^T m of 2x2 integer matrices W fix pairs +-m of sup-norm <= radius.
+
+    Returns how many W are +-I, which fix every pair, and, for each other
+    pair {+-v} with |v|_inf <= radius that some W fixes (W^T v = v or
+    W^T v = -v), how many W fix it, keyed by the v with v1 > 0, or v1 = 0
+    and v2 > 0.  For W != +-I and a sign s, W^T - sI is not zero, so its
+    kernel is 0 unless its determinant is, and then the line of the
+    primitive v orthogonal to a nonzero row: W fixes at most one pair per
+    sign.  The arithmetic is exact: int64 within word_levels' guard,
+    Python ints past it.
+    """
+    a, b, c, d = (matrices[:, i, j] for i in (0, 1) for j in (0, 1))
+    identities, fixed = 0, Counter()
+    for s in (1, -1):
+        # W = [[a, b], [c, d]]: the rows of W^T - sI are (a - s, c) and (b, d - s)
+        scalar = (a == s) & (b == 0) & (c == 0) & (d == s)
+        identities += int(scalar.sum())
+        singular = np.flatnonzero(((a - s) * (d - s) == b * c) & ~scalar)
+        for wa, wb, wc, wd in zip(*(w[singular].tolist() for w in (a, b, c, d))):
+            x, y = (wc, s - wa) if (wa, wc) != (s, 0) else (wd - s, -wb)
+            if x < 0 or (x == 0 and y < 0):
+                x, y = -x, -y
+            g = math.gcd(x, y)
+            if max(x, abs(y)) <= radius * g:
+                fixed[x // g, y // g] += 1
+    return identities, fixed
+
+
+def _max_diagonal(words: np.ndarray, radius: int) -> int:
+    """The largest diagonal entry of the count matrix C of `words`, from the words alone.
+
+    C[m, m] counts the words with W^T m = +-m: every word equal to +-I,
+    and the words that fix the pair +-m itself (`_fixed_pairs`).
+    """
+    identities, fixed = _fixed_pairs(words, radius)
+    return identities + max(fixed.values(), default=0)
+
+
+def _orbit_count(group: Sequence[Matrix2], radius: int, size: int) -> int:
+    """The number of orbits of `group` on a half-window of `size` points, by Burnside.
+
+    It is the mean over the group of the pairs each element fixes:
+    every pair for the identity, and `_fixed_pairs` for the others.
+    """
+    total = 0
+    for p in group:
+        identities, fixed = _fixed_pairs(np.array([p]), radius)
+        total += size if identities else len(fixed)
+    return total // len(group)
+
+
 def _square_table(window: HalfWindow) -> np.ndarray:
     """One int32 table of the window over the full square [-radius, radius]^2.
 
@@ -308,6 +382,28 @@ def _orbits(
     return (np.cumsum(first, dtype=np.int32) - 1)[label], np.flatnonzero(first)
 
 
+def _window_words(genset: IntegerGenerators, n: int, shape: str, radius: int) -> np.ndarray:
+    """The (N, 2, 2) word matrices W of an (n, shape) window, checked for 64-bit images.
+
+    The character action of a word is (W^-1)^T; inversion permutes each
+    sphere of reduced words, so summing the maps m -> W^T m instead gives
+    the same operator.  Image coordinates of W^T m are at most the radius
+    times a column sum of |W|, bounded here in Python ints so that the
+    bound itself cannot wrap.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if shape not in ("sphere", "ball"):
+        raise ValueError(f"shape must be 'sphere' or 'ball', got {shape!r}")
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
+    levels = word_levels(genset, n)
+    words = levels[n][0] if shape == "sphere" else np.concatenate([p for p, _, _ in levels])
+    if radius * int(np.abs(words).sum(axis=1).max()) >= 2 ** 62:
+        raise OverflowError("window images would overflow 64-bit lattice arithmetic")
+    return words
+
+
 def window_operator(
     genset: IntegerGenerators, n: int, shape: str, radius: int
 ) -> WindowOperator:
@@ -315,37 +411,23 @@ def window_operator(
 
     Only the first point of each orbit is mapped: C commutes with the
     group, so K[O', O] is |O| times the number of words taking that point
-    into O'.  All arithmetic is exact integer arithmetic.  The word set
-    is closed under inversion, so K is symmetric.
+    into O'.  `max_diagonal` is read from the words alone
+    (`_max_diagonal`), by the rule that also settles windows before any is
+    built.  All arithmetic is exact integer arithmetic.  The word set is
+    closed under inversion, so K is symmetric.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if shape not in ("sphere", "ball"):
-        raise ValueError(f"shape must be 'sphere' or 'ball', got {shape!r}")
+    words = _window_words(genset, n, shape, radius)
     window = HalfWindow(radius)
-    levels = word_levels(genset, n)
-    words = levels[n][0] if shape == "sphere" else np.concatenate([p for p, _, _ in levels])
-    # The character action of a word is (W^-1)^T; inversion permutes each
-    # sphere of reduced words, so summing the maps m -> W^T m instead gives
-    # the same operator.  Image coordinates of W^T m are at most the radius
-    # times a column sum of |W|, bounded here in Python ints so that the
-    # bound itself cannot wrap.
-    bound = radius * int(np.abs(words).sum(axis=1).max())
-    if bound >= 2 ** 62:
-        raise OverflowError("window images would overflow 64-bit lattice arithmetic")
     group = symmetries(genset)
     table = _square_table(window)
     orbit, reps = _orbits(window, table, group)
     sizes = np.bincount(orbit)
     m1, m2 = window.points[reps].T
-    fixed = np.zeros(len(reps), dtype=np.int64)
     # pairs O * len(reps) + O' for each word taking the first point of O into O'
     pairs: list[np.ndarray] = []
     for (a, b), (c, d) in words.tolist():
+        # unimodular words keep frequencies primitive, so every hit is >= 0
         inside, hit = _lookup(table, a * m1 + c * m2, b * m1 + d * m2)
-        # unimodular words keep frequencies primitive, so every hit is >= 0;
-        # C[m, m] is the same at every point of an orbit
-        fixed[inside] += hit == reps[inside]
         pairs.append(inside * len(reps) + orbit[hit])
     # K[O, O'] = K[O', O] is |O| times the number of words taking O's first
     # point into O'
@@ -360,7 +442,7 @@ def window_operator(
         window=window,
         entries=entries,
         orbit_sizes=sizes,
-        max_diagonal=int(fixed.max()),
+        max_diagonal=_max_diagonal(words, radius),
         symmetry_order=len(group),
         n=n,
         shape=shape,
@@ -393,6 +475,14 @@ class NormCertificate:
     unit Ritz vector in orbit coordinates.  `matvecs` is 0, and the other
     solve fields None, when the diagonal alone closed the sandwich and no
     solve ran.
+
+    The milliseconds spent are kept beside, out of comparisons:
+    `window_ms` building the window operator, `solve_ms` in its quotient
+    products, and `certificate_ms` on the exact bound.  A window that
+    torus_discrepancy_check settled by the diagonal was never built: its
+    `window_ms` and `solve_ms` are None, its dimension and orbit count
+    are counted (`_half_window_size`, `_orbit_count`), and
+    `certificate_ms` is the time of that test and those counts.
     """
 
     estimate: float
@@ -405,6 +495,9 @@ class NormCertificate:
     ritz_minus_certificate: Optional[float]
     start: Optional[str] = None
     ritz_vector: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    window_ms: Optional[float] = field(default=None, compare=False)
+    solve_ms: Optional[float] = field(default=None, compare=False)
+    certificate_ms: Optional[float] = field(default=None, compare=False)
 
 
 def _exact_dot(y: np.ndarray, v: np.ndarray, bound: int) -> int:
@@ -536,6 +629,7 @@ def norm_certificate(
     # with no image inside the window, C = 0 and Lanczos has nothing to find
     if counts.nnz == 0 or best >= regular_norm(op.q, op.n, op.shape):
         return NormCertificate(_float_at_most(best), best, *dims, 0, None, None)
+    started = time.perf_counter()
     rows, cols = counts.rows(), counts.indices
     scale = 1.0 / np.sqrt(op.orbit_sizes)
     weights = counts.data * (scale[rows] * scale[cols] / op.words_used)
@@ -556,6 +650,8 @@ def norm_certificate(
     ritz, z, steps = solved
     # the certificate hands z to later solves as a start, so none may change it
     z.setflags(write=False)
+    residual = float(np.linalg.norm(quotient(z) - ritz * z))
+    solved_at = time.perf_counter()
     u = np.abs(z) * scale
     y = np.rint(u * ((2 ** 24 - 1) / u.max())).astype(np.int64)
     certified = rayleigh_certificate(op, y)
@@ -565,10 +661,12 @@ def norm_certificate(
         best,
         *dims,
         matvecs=steps + 1,
-        ritz_residual=float(np.linalg.norm(quotient(z) - ritz * z)),
+        ritz_residual=residual,
         ritz_minus_certificate=float(Fraction(ritz) - certified),
         start="seeded" if start is None else "given",
         ritz_vector=z,
+        solve_ms=(solved_at - started) * 1000.0,
+        certificate_ms=(time.perf_counter() - solved_at) * 1000.0,
     )
 
 
@@ -597,32 +695,57 @@ class ConvergenceTable:
 def _window_certificate(
     genset: IntegerGenerators, n: int, shape: str, radius: int, seed: int
 ) -> NormCertificate:
-    """norm_certificate of one window, a ball window started from the sphere's Ritz vector.
+    """norm_certificate of one window, settled by its diagonal when that reaches the closed form.
 
-    The sphere and ball windows of one radius have the same symmetry
-    group, hence the same orbit coordinates, and nearly the same top
-    vector.  The ball's certificate is still an exact Rayleigh quotient of
-    its own window.  It falls back to the seeded start when the sphere
-    window needs no solve or its solve does not converge, so a ball row is
-    the same whether or not the sphere window was certified first; the
-    cache only saves the repeat.
+    The largest diagonal entry of C / words_used is read from the words
+    alone (`_max_diagonal`).  When it reaches the closed form it closes
+    the sandwich, as it would in norm_certificate, and the window is never
+    built: its size and orbit count are counted instead.  Otherwise the
+    window is built and certified, a ball window from the sphere's Ritz
+    vector: the sphere and ball windows of one radius have the same
+    symmetry group, hence the same orbit coordinates, and nearly the same
+    top vector.  The ball's certificate is still an exact Rayleigh
+    quotient of its own window.  It falls back to the seeded start when
+    the sphere window needs no solve or its solve does not converge, so a
+    ball row is the same whether or not the sphere window was certified
+    first; the cache only saves the repeat.
     """
+    started = time.perf_counter()
+    words = _window_words(genset, n, shape, radius)
+    diagonal = Fraction(_max_diagonal(words, radius), len(words))
+    if diagonal >= regular_norm(genset.q, n, shape):
+        group = symmetries(genset)
+        size = _half_window_size(radius)
+        return NormCertificate(
+            _float_at_most(diagonal),
+            diagonal,
+            size,
+            _orbit_count(group, radius, size),
+            len(group),
+            0,
+            None,
+            None,
+            certificate_ms=(time.perf_counter() - started) * 1000.0,
+        )
     start = None
     if shape == "ball":
         try:
             start = _window_certificate(genset, n, "sphere", radius, seed).ritz_vector
         except LanczosConvergenceError:
             pass
-    bound = norm_certificate(window_operator(genset, n, shape, radius), seed=seed, start=start)
+    started = time.perf_counter()
+    op = window_operator(genset, n, shape, radius)
+    window_ms = (time.perf_counter() - started) * 1000.0
+    bound = replace(norm_certificate(op, seed=seed, start=start), window_ms=window_ms)
     return replace(bound, start="sphere") if bound.start == "given" else bound
 
 
 def clear_caches() -> None:
     """Drop the memoised window certificates.
 
-    The cache key leaves out the closed form that norm_certificate's
-    diagonal test reads, so clear it after changing `regular_norm` or the
-    Lanczos settings.
+    The cache key leaves out the closed form that the diagonal test
+    reads, so clear it after changing `regular_norm` or the Lanczos
+    settings.
     """
     _window_certificate.cache_clear()
 

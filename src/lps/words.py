@@ -13,7 +13,8 @@ operators both take their products from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -73,12 +74,33 @@ class Word:
 
 
 @dataclass(frozen=True)
+class WalkDiagnostics:
+    """What verify_freeness walked and sorted, and the milliseconds each took.
+
+    `keys_per_product` is the number of packed keys per product, 1 when
+    one int64 or one object key holds it; `tie_rows` the rows lexsorted
+    because their first key ties another's (0 with one key);
+    `stable_lexsort` whether the stable shortlex sort ran, which it does
+    only when the ball holds a repeat; `walk_ms` the time of the walk and
+    the packing, and `sort_ms` of every sort after it.
+    """
+
+    words_per_level: tuple[int, ...]
+    keys_per_product: int
+    tie_rows: int
+    stable_lexsort: bool
+    walk_ms: float
+    sort_ms: float
+
+
+@dataclass(frozen=True)
 class FreenessReport:
     radius_checked: int
     ball_size_expected: int
     ball_size_found: int
     is_free_to_radius: bool
     first_collision: Optional[tuple[Word, Word]]
+    diagnostics: Optional[WalkDiagnostics] = field(default=None, compare=False)
 
 
 def word_counts(q: int, n: int) -> tuple[int, int]:
@@ -150,12 +172,15 @@ def verify_freeness(
 ) -> FreenessReport:
     """Certify that reduced words of length <= n evaluate to distinct elements.
 
-    Takes the levels of word_levels, scales each to the denominator**n,
-    packs every product into exact sort keys level by level, and counts the
-    distinct keys after one lexicographic sort.  The first collision
-    reported is the earliest word in shortlex order (by length, then
+    Takes the levels of word_levels, scales each to the denominator**n and
+    packs every product into exact sort keys level by level.  Distinctness
+    is decided by numpy's sort of the first key alone (`_all_distinct`),
+    and only the rows whose first key ties another's are lexsorted on the
+    rest.  Only a ball with a repeat pays for the stable lexicographic sort
+    of every row, which counts the distinct products and finds the first
+    collision: the earliest word in shortlex order (by length, then
     lexicographically) whose value an earlier word already took, paired
-    with the first word that took it: a shortest relation, reported alike
+    with the first word that took it, a shortest relation reported alike
     at every radius that contains it.  A ball larger than `budget` raises
     EnumerationBudgetError before any walk rather than silently truncating.
     """
@@ -166,6 +191,7 @@ def verify_freeness(
         raise EnumerationBudgetError(
             f"ball of radius {n} holds {expected} words, over the budget of {budget}"
         )
+    started = time.perf_counter()
     levels = word_levels(genset, n)
     # Each row's entries, offset by the peak |entry| to [0, 2 * peak], are
     # packed `per` to an int64 key of `width`-bit fields, so equal keys mean
@@ -183,30 +209,67 @@ def verify_freeness(
             entries = rows[:, start : start + per]
             chunk.append(entries @ fields[: entries.shape[1]])
     keys = [np.concatenate(chunk) for chunk in keys]
-    # The levels hold the words in shortlex order, and lexsort is stable,
-    # so the words of one value stay in that order.
-    order = np.lexsort(keys)
-    same = np.ones(expected - 1, dtype=bool)
-    for key in keys:
-        same &= key[order[1:]] == key[order[:-1]]
-    repeats = np.flatnonzero(same)
+    walked = time.perf_counter()
+    distinct, tie_rows = _all_distinct(keys)
     first_collision: Optional[tuple[Word, Word]] = None
-    if len(repeats):
-        # The earliest repeat is the second word of its value, so the word
-        # sorted just before it is the first.
-        at = repeats[np.argmin(order[repeats + 1])]
-        first_collision = (
-            _word_at(levels, int(order[at])),
-            _word_at(levels, int(order[at + 1])),
-        )
-    found = expected - len(repeats)
+    repeats = 0
+    if not distinct:
+        # The levels hold the words in shortlex order, and lexsort is
+        # stable, so the words of one value stay in that order.
+        order, same = _lexsorted_repeats(keys)
+        at = np.flatnonzero(same)
+        repeats = len(at)
+        if repeats:
+            # The earliest repeat is the second word of its value, so the
+            # word sorted just before it is the first.
+            at = at[np.argmin(order[at + 1])]
+            first_collision = (
+                _word_at(levels, int(order[at])),
+                _word_at(levels, int(order[at + 1])),
+            )
+    found = expected - repeats
     return FreenessReport(
         radius_checked=n,
         ball_size_expected=expected,
         ball_size_found=found,
         is_free_to_radius=(found == expected),
         first_collision=first_collision,
+        diagnostics=WalkDiagnostics(
+            words_per_level=tuple(len(level[1]) for level in levels),
+            keys_per_product=len(keys),
+            tie_rows=tie_rows,
+            stable_lexsort=not distinct,
+            walk_ms=(walked - started) * 1000.0,
+            sort_ms=(time.perf_counter() - walked) * 1000.0,
+        ),
     )
+
+
+def _all_distinct(keys: list[np.ndarray]) -> tuple[bool, int]:
+    """Whether no two rows of the packed keys are equal, and how many rows were lexsorted.
+
+    The first key is sorted by value alone, with no permutation.  Rows
+    whose first key is unique are distinct from every other row; with more
+    keys, only the rows whose first key ties another's are lexsorted, on
+    every key, and compared with their sorted neighbours.
+    """
+    first = np.sort(keys[0])
+    tied = first[1:][first[1:] == first[:-1]]
+    if len(tied) == 0 or len(keys) == 1:
+        return len(tied) == 0, 0
+    at = np.searchsorted(tied, keys[0]).clip(max=len(tied) - 1)
+    rows = np.flatnonzero(tied[at] == keys[0])
+    _, same = _lexsorted_repeats([key[rows] for key in keys])
+    return not same.any(), len(rows)
+
+
+def _lexsorted_repeats(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexsort order of the rows, and where each sorted row equals the one before."""
+    order = np.lexsort(keys)
+    same = np.ones(len(order) - 1, dtype=bool)
+    for key in keys:
+        same &= key[order[1:]] == key[order[:-1]]
+    return order, same
 
 
 def _word_at(levels, index: int) -> Word:

@@ -224,6 +224,30 @@ def test_verify_freeness_induced_failure(tmp_path, capsys):
     assert env["results"]["first_collision"] is not None
 
 
+def test_freeness_diagnostics_only_with_timings(capsys, tmp_path):
+    commuting = tmp_path / "commuting.json"
+    commuting.write_text(json.dumps([[[1, 1], [0, 1]], [[1, 2], [0, 1]]]))
+    for selector, radius, keys, tie_rows, stable in (
+        (["--prime", "5"], "5", 3, True, False),
+        (["--generators", "sanov"], "4", 1, False, False),
+        (["--generators", str(commuting)], "3", 1, False, True),
+    ):
+        argv = ["verify", "freeness", *selector, "--radius", radius]
+        _, plain, _ = run_cli(capsys, argv)
+        assert "diagnostics" not in parse_envelope(plain)
+        _, timed, _ = run_cli(capsys, argv + ["--timings"])
+        env = parse_envelope(timed)
+        walk = env.pop("diagnostics")
+        env.pop("elapsed_ms")
+        assert stable_dumps(env) + "\n" == plain
+        assert len(walk["words_per_level"]) == int(radius) + 1
+        assert sum(walk["words_per_level"]) == env["results"]["ball_size_expected"]
+        assert walk["keys_per_product"] == keys
+        assert (walk["tie_rows"] > 0) == tie_rows
+        assert walk["stable_lexsort"] == stable
+        assert walk["walk_ms"] >= 0 and walk["sort_ms"] >= 0
+
+
 def test_verify_freeness_budget_exhaustion_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys,
@@ -400,6 +424,8 @@ def test_torus_diagnostics_only_with_timings(capsys):
             assert row["dimension"] / 4 <= row["orbits"] < row["dimension"] / 3
             assert 0 <= row["ritz_residual"] < 1e-6
             assert abs(row["ritz_minus_certificate"]) <= 1e-12
+            # every Sanov window is built and solved
+            assert min(row["window_ms"], row["solve_ms"], row["certificate_ms"]) >= 0
 
 
 def test_ball_solve_warm_starts_from_the_sphere(capsys, cold_torus_cache):
@@ -514,14 +540,22 @@ def test_report_timings_cover_every_envelope(capsys):
     envelopes = [json.loads(line) for line in timed.splitlines() if line]
     assert len(envelopes) == 8
     assert all(isinstance(env.pop("elapsed_ms"), float) for env in envelopes)
-    # the ramanujan and torus envelopes carry diagnostics, the others none
+    # the freeness, ramanujan and torus envelopes carry diagnostics, the others none
     diagnostics = {env["command"]: env.pop("diagnostics", None) for env in envelopes}
     carrying = [command for command, d in diagnostics.items() if d is not None]
-    assert carrying == ["report.ramanujan", "report.torus"]
+    assert carrying == ["report.freeness", "report.ramanujan", "report.torus"]
+    freeness = diagnostics["report.freeness"]
+    assert freeness["p5"]["words_per_level"] == [1, 6, 30, 150]
+    assert freeness["sanov"]["words_per_level"] == [1, 4, 12, 36, 108]
+    assert (freeness["p5"]["keys_per_product"], freeness["sanov"]["keys_per_product"]) == (2, 1)
+    assert not freeness["p5"]["stable_lexsort"] and not freeness["sanov"]["stable_lexsort"]
     torus = diagnostics["report.torus"]
     assert torus["rank_one"]["matvecs"] == 0 and len(torus["tables"]) == 2
     assert torus["rank_one"]["start"] is None
     assert torus["rank_one"]["symmetry_order"] == 2
+    # the diagonal settled the rank-one window before it was built
+    assert torus["rank_one"]["window_ms"] is None and torus["rank_one"]["solve_ms"] is None
+    assert torus["rank_one"]["certificate_ms"] >= 0
     ramanujan = diagnostics["report.ramanujan"]
     assert (ramanujan["symmetry_order"], ramanujan["frontiers"]) == (4, 2)
     assert [d["degree"] for d in ramanujan["per_degree"]] == [1, 2, 3]
@@ -583,6 +617,35 @@ def test_report_rank_one_needs_a_certificate_of_exactly_one(capsys, monkeypatch)
     failed = [(e, c["name"]) for e, env in report.items() for c in env["checks"] if not c["passed"]]
     assert failed == [("report.torus", "rank_one_estimate_near_one")]
     assert report["report.torus"]["results"]["rank_one_estimate"] == 1.0
+
+
+def test_report_rank_one_check_can_fail(capsys, monkeypatch, cold_torus_cache):
+    # The hyperbolic cat map fixes no pair +-m, so its diagonal cannot
+    # settle the window and the solve's certificate stays below 1.
+    code, clean = _report_envelopes(capsys, ["--timings"])
+    assert code == 0
+    assert all(c["passed"] for env in clean.values() for c in env["checks"])
+    monkeypatch.setitem(lps.torus.PRESETS, "rank-one", (((2, 1), (1, 1)),))
+    code, report = _report_envelopes(capsys, ["--timings"])
+    assert code == 1
+    failed = [(e, c["name"]) for e, env in report.items() for c in env["checks"] if not c["passed"]]
+    assert failed == [("report.torus", "rank_one_estimate_near_one")]
+    assert report["report.torus"]["results"]["rank_one_estimate"] < 1.0
+    assert report["report.torus"]["diagnostics"]["rank_one"]["matvecs"] > 0
+
+
+def test_report_regression_floor_can_fail(capsys, monkeypatch):
+    # The floor is checked from l_max 24 on, with no slack: one ulp above
+    # the largest |eigenvalue| it must fail.
+    code, clean = _report_envelopes(capsys, ["--l-max", "24"])
+    assert code == 0
+    assert all(c["passed"] for env in clean.values() for c in env["checks"])
+    top = lps.sphere.verify_ramanujan(5, 24).global_max_abs
+    monkeypatch.setattr(lps.cli, "RAMANUJAN_FLOOR_P5_L24", math.nextafter(top, math.inf))
+    code, report = _report_envelopes(capsys, ["--l-max", "24"])
+    assert code == 1
+    failed = [(e, c["name"]) for e, env in report.items() for c in env["checks"] if not c["passed"]]
+    assert failed == [("report.ramanujan", "spectra_fill_interval_regression_floor")]
 
 
 def _below_theory_fault(monkeypatch, shape):

@@ -25,10 +25,14 @@ from lps.torus import (
     SANOV_MATRICES,
     _exact_dot,
     _float_at_most,
+    _half_window_size,
     _lanczos,
     _lookup,
+    _max_diagonal,
+    _orbit_count,
     _orbits,
     _square_table,
+    _window_words,
     build_torus_genset,
     load_generator_matrices,
     norm_certificate,
@@ -38,9 +42,11 @@ from lps.torus import (
     window_operator,
 )
 from lps.words import word_counts
+from test_words import _generator_lists, _unimodular
 from torus_oracle import (
     LatticeWindow,
     character_image,
+    diagonal_counts,
     full_window_counts,
     half_block,
     orbit_numbers,
@@ -347,6 +353,72 @@ def test_window_operator_rejects_products_past_int64():
     genset = build_torus_genset((((1, 2**40), (0, 1)), ((1, 0), (2**40, 1))))
     with pytest.raises(OverflowError):
         window_operator(genset, 2, "ball", 4)
+
+
+# Sets whose words fix pairs +-m in every way the diagonal rule separates:
+# det -1 matrices (drawn by _unimodular from the swap), the quarter turn,
+# whose square is -I, and commuting pairs that are not free.
+_diagonal_sets = st.one_of(
+    _generator_lists,
+    st.just((_QUARTER,)),
+    _unimodular.map(lambda m: (_QUARTER, m)),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    _diagonal_sets,
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from(["sphere", "ball"]),
+    st.integers(min_value=1, max_value=64),
+)
+# both length-2 words are -I, which fixes every pair
+@example((_QUARTER,), 2, "sphere", 3)
+# -[[1, 1], [0, 1]] maps (0, 1) to -(0, 1), and fixes no pair with sign +
+@example((((-1, -1), (0, -1)),), 1, "sphere", 2)
+# both words fix the pair +-(1, 2) alone, which lies just outside radius 1
+@example((((3, 4), (-1, -1)),), 1, "sphere", 1)
+@example((((3, 4), (-1, -1)),), 1, "sphere", 2)
+def test_max_diagonal_from_the_words_matches_the_oracle(matrices, n, shape, radius):
+    try:
+        genset = build_torus_genset(matrices)
+    except ValueError:
+        assume(False)
+    words = _window_words(genset, n, shape, radius)
+    assert _max_diagonal(words, radius) == diagonal_counts(genset, n, shape, radius).max()
+
+
+@pytest.mark.parametrize(
+    "matrices", ["sanov", "rank-one", (_QUARTER,), (((1, 1), (1, 0)),), (((1, 1), (0, 1)), ((1, 2), (0, 1)))]
+)
+@pytest.mark.parametrize("radius", [1, 2, 4])
+def test_oracle_diagonal_is_the_dense_diagonal(matrices, radius):
+    genset = build_torus_genset(matrices)
+    for n, shape in ((1, "sphere"), (2, "ball")):
+        window, counts, _ = full_window_counts(genset, n, shape, radius)
+        _, block = half_block(window, counts)
+        assert np.array_equal(diagonal_counts(genset, n, shape, radius), block.diagonal())
+
+
+# Every group that `symmetries` can return: the subgroups of the signed
+# permutations modulo +-I.
+_GROUPS = [
+    (_IDENTITY,),
+    (_IDENTITY, _SWAP),
+    (_IDENTITY, _FLIP),
+    (_IDENTITY, _QUARTER),
+    (_IDENTITY, _SWAP, _FLIP, _QUARTER),
+]
+
+
+def test_window_size_and_orbit_count_are_counted_exactly():
+    for radius in range(1, 301):
+        window = HalfWindow(radius)
+        assert _half_window_size(radius) == window.size
+        table = _square_table(window)
+        for group in _GROUPS:
+            _, firsts = _orbits(window, table, group)
+            assert _orbit_count(group, radius, window.size) == len(firsts), (radius, group)
 
 
 @pytest.mark.parametrize(
@@ -847,6 +919,35 @@ def test_ball_window_falls_back_to_the_seeded_start(cold_torus_cache, monkeypatc
     (row,) = torus_discrepancy_check(sanov, 1, "ball", [8]).rows
     assert len(calls) == 2 and row.bound.start == "seeded"
     assert row.bound == norm_certificate(window_operator(sanov, 1, "ball", 8))
+
+
+@pytest.mark.parametrize("shape", ["sphere", "ball"])
+def test_settled_window_is_never_built(cold_torus_cache, monkeypatch, shape):
+    # the rank-one words fix the pair +-(0, 1), so the diagonal is the
+    # closed form 1 at every radius and no table, window or solve is needed
+    genset, radii = build_torus_genset("rank-one"), [1, 8, 64, 256]
+    expected = [norm_certificate(window_operator(genset, 1, shape, r)) for r in radii]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a settled window was built")
+
+    monkeypatch.setattr(lps.torus, "_square_table", refuse)
+    monkeypatch.setattr(lps.torus, "window_operator", refuse)
+    monkeypatch.setattr(lps.torus, "_lanczos", refuse)
+    table = torus_discrepancy_check(genset, 1, shape, radii)
+    assert table.passed
+    # the same certificate, size and orbit count as the built window gives
+    assert [row.bound for row in table.rows] == expected
+    for row in table.rows:
+        assert row.bound.certificate == 1 and row.bound.matvecs == 0
+        assert row.bound.window_ms is None and row.bound.solve_ms is None
+        assert row.bound.certificate_ms >= 0
+
+
+def test_unsettled_window_reports_its_stage_timings(cold_torus_cache):
+    (row,) = torus_discrepancy_check(build_torus_genset("sanov"), 1, "sphere", [16]).rows
+    assert row.bound.matvecs > 0
+    assert min(row.bound.window_ms, row.bound.solve_ms, row.bound.certificate_ms) >= 0
 
 
 def test_clear_caches_preserves_results(cold_torus_cache):

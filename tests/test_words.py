@@ -15,6 +15,7 @@ from lps.torus import build_torus_genset
 from lps.words import (
     EnumerationBudgetError,
     Word,
+    _all_distinct,
     verify_freeness,
     word_counts,
     word_levels,
@@ -139,6 +140,58 @@ def test_freeness_detects_relations():
     w1, w2 = report.first_collision
     assert evaluate_word(genset, w1) == evaluate_word(genset, w2)
     assert w1.letters != w2.letters
+
+
+def _stable_lexsort_only(monkeypatch, genset, radius):
+    """verify_freeness with the first-key sort told that every ball repeats."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lps.words, "_all_distinct", lambda keys: (False, 0))
+        return verify_freeness(genset, radius)
+
+
+@pytest.mark.parametrize(
+    "genset, radius, keys",
+    [
+        (build_generator_set(5), 5, 3),
+        (build_generator_set(5), 6, 3),
+        (build_generator_set(13), 3, 3),
+        (build_torus_genset("sanov"), 8, 1),
+        # commuting, so the ball repeats from radius 2 on
+        (build_torus_genset((((1, 1), (0, 1)), ((1, 2), (0, 1)))), 4, 1),
+        # b = a^2, with Python-int products and object keys
+        (build_torus_genset((((1, 2**61), (0, 1)), ((1, 2**62), (0, 1)))), 3, 1),
+    ],
+    ids=["p5-r5", "p5-r6", "p13-r3", "sanov-r8", "commuting", "object-keys"],
+)
+def test_first_key_sort_agrees_with_the_stable_lexsort(monkeypatch, genset, radius, keys):
+    fast = verify_freeness(genset, radius)
+    stable = _stable_lexsort_only(monkeypatch, genset, radius)
+    assert fast == stable
+    walk = fast.diagnostics
+    assert walk.keys_per_product == keys
+    assert walk.words_per_level == tuple(len(level[1]) for level in word_levels(genset, radius))
+    # the stable lexsort runs exactly when the ball repeats
+    assert walk.stable_lexsort == (not fast.is_free_to_radius)
+    # the rotation balls hold distinct products whose first keys tie, so
+    # the rows of those ties are lexsorted on every key
+    assert (walk.tie_rows > 0) == (keys > 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda k: st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * k), min_size=1, max_size=40
+        )
+    )
+)
+def test_all_distinct_matches_a_set_of_rows(rows):
+    keys = [np.array(column, dtype=np.int64) for column in zip(*rows)]
+    distinct, tie_rows = _all_distinct(keys)
+    assert distinct == (len(set(rows)) == len(rows))
+    first = [row[0] for row in rows]
+    tied = sum(first.count(v) > 1 for v in first)
+    assert tie_rows == (tied if len(keys) > 1 and tied else 0)
 
 
 def test_freeness_budget_guard():

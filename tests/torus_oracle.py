@@ -9,7 +9,8 @@ word's character action letter by letter to each point, unoptimised.
 by the definition B = (A + AJ) restricted there, and `orbit_sums` sums
 that block over the orbits (`orbit_numbers`) of every signed permutation
 that permutes the generating set by conjugation, so the two routes share
-no code.
+no code.  `diagonal_counts` gives the diagonal of that block alone, point
+by point, at radii where the full window would not fit in memory.
 """
 
 from __future__ import annotations
@@ -135,3 +136,36 @@ def orbit_sums(
     sums = np.zeros((orbit.max() + 1,) * 2, dtype=np.int64)
     np.add.at(sums, (orbit[:, None], orbit[None, :]), block)
     return sums, np.bincount(orbit)
+
+
+def diagonal_counts(genset: IntegerGenerators, n: int, shape: str, radius: int) -> np.ndarray:
+    """The diagonal of `half_block` without the full window: one count per primitive half point.
+
+    Each word's character action is composed letter by letter on the unit
+    vectors, and the count of a point m is the number of words mapping it
+    to m or -m.  The points are those of `half_block`, in its order.  The
+    images are int64, which holds them for the short words and small
+    radii the tests draw.
+    """
+    window = LatticeWindow(radius)
+    half = np.array(
+        [
+            (x, y)
+            for x, y in (tuple(int(v) for v in p) for p in window.points)
+            if gcd(x, y) == 1 and (x > 0 or (x == 0 and y > 0))
+        ],
+        dtype=np.int64,
+    )
+    lengths = [n] if shape == "sphere" else range(n + 1)
+    counts = np.zeros(len(half), dtype=np.int64)
+    for k in lengths:
+        for word in enumerate_sphere(genset, k):
+            columns = []
+            for unit in ((1, 0), (0, 1)):
+                image = unit
+                for letter in word.letters:
+                    image = character_image(genset.matrices[letter], image)
+                columns.append(image)
+            images = half @ np.array(columns, dtype=np.int64)
+            counts += ((images == half).all(axis=1) | (images == -half).all(axis=1)).astype(np.int64)
+    return counts
