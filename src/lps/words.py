@@ -192,23 +192,7 @@ def verify_freeness(
             f"ball of radius {n} holds {expected} words, over the budget of {budget}"
         )
     started = time.perf_counter()
-    levels = word_levels(genset, n)
-    # Each row's entries, offset by the peak |entry| to [0, 2 * peak], are
-    # packed `per` to an int64 key of `width`-bit fields, so equal keys mean
-    # equal rows.  Past int64 one object-dtype key holds the whole row.
-    d2 = len(genset.matrices[0]) ** 2
-    scales = [genset.den ** (n - length) for length in range(n + 1)]
-    peak = max(int(np.abs(level[0]).max()) * scale for level, scale in zip(levels, scales))
-    width = (2 * peak).bit_length()
-    per, dtype = (63 // width, np.int64) if width <= 63 else (d2, object)
-    fields = np.array([1 << (width * f) for f in range(per)], dtype=dtype)
-    keys = [[] for _ in range(0, d2, per)]
-    for (products, _, _), scale in zip(levels, scales):
-        rows = products.reshape(len(products), d2).astype(dtype) * scale + peak
-        for chunk, start in zip(keys, range(0, d2, per)):
-            entries = rows[:, start : start + per]
-            chunk.append(entries @ fields[: entries.shape[1]])
-    keys = [np.concatenate(chunk) for chunk in keys]
+    keys, links = _packed_keys(genset, n)
     walked = time.perf_counter()
     distinct, tie_rows = _all_distinct(keys)
     first_collision: Optional[tuple[Word, Word]] = None
@@ -224,8 +208,8 @@ def verify_freeness(
             # word sorted just before it is the first.
             at = at[np.argmin(order[at + 1])]
             first_collision = (
-                _word_at(levels, int(order[at])),
-                _word_at(levels, int(order[at + 1])),
+                _word_at(links, int(order[at])),
+                _word_at(links, int(order[at + 1])),
             )
     found = expected - repeats
     return FreenessReport(
@@ -235,7 +219,7 @@ def verify_freeness(
         is_free_to_radius=(found == expected),
         first_collision=first_collision,
         diagnostics=WalkDiagnostics(
-            words_per_level=tuple(len(level[1]) for level in levels),
+            words_per_level=tuple(len(parent) for parent, _ in links),
             keys_per_product=len(keys),
             tie_rows=tie_rows,
             stable_lexsort=not distinct,
@@ -243,6 +227,34 @@ def verify_freeness(
             sort_ms=(time.perf_counter() - walked) * 1000.0,
         ),
     )
+
+
+def _packed_keys(
+    genset: IntegerGenerators, n: int
+) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+    """The ball's products packed into exact sort keys, and each level's parent links and last letters.
+
+    Each level of word_levels is scaled to the denominator**n.  Each row's
+    entries, offset by the peak |entry| to [0, 2 * peak], are packed `per`
+    to an int64 key of `width`-bit fields, so equal keys mean equal rows.
+    Past int64 one object-dtype key holds the whole row.  Only the keys
+    and the links outlive the call, so the products are freed before any
+    sort.
+    """
+    levels = word_levels(genset, n)
+    d2 = len(genset.matrices[0]) ** 2
+    scales = [genset.den ** (n - length) for length in range(n + 1)]
+    peak = max(int(np.abs(level[0]).max()) * scale for level, scale in zip(levels, scales))
+    width = (2 * peak).bit_length()
+    per, dtype = (63 // width, np.int64) if width <= 63 else (d2, object)
+    fields = np.array([1 << (width * f) for f in range(per)], dtype=dtype)
+    keys = [[] for _ in range(0, d2, per)]
+    for (products, _, _), scale in zip(levels, scales):
+        rows = products.reshape(len(products), d2).astype(dtype) * scale + peak
+        for chunk, start in zip(keys, range(0, d2, per)):
+            entries = rows[:, start : start + per]
+            chunk.append(entries @ fields[: entries.shape[1]])
+    return [np.concatenate(chunk) for chunk in keys], [(p, last) for _, p, last in levels]
 
 
 def _all_distinct(keys: list[np.ndarray]) -> tuple[bool, int]:
@@ -272,14 +284,14 @@ def _lexsorted_repeats(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order, same
 
 
-def _word_at(levels, index: int) -> Word:
-    """The word at position `index` of the concatenated levels, by parent links."""
+def _word_at(links, index: int) -> Word:
+    """The word at position `index` of the concatenated levels, by their (parent, last) links."""
     length = 0
-    while index >= len(levels[length][1]):
-        index -= len(levels[length][1])
+    while index >= len(links[length][0]):
+        index -= len(links[length][0])
         length += 1
     letters = []
-    for _, parent, last in reversed(levels[1 : length + 1]):
+    for parent, last in reversed(links[1 : length + 1]):
         letters.append(int(last[index]))
         index = int(parent[index])
     return Word(tuple(reversed(letters)))
