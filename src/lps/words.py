@@ -232,7 +232,7 @@ def verify_freeness(
 def _packed_keys(
     genset: IntegerGenerators, n: int
 ) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
-    """The ball's products packed into exact sort keys, and each level's parent links and last letters.
+    """The ball's products packed into exact sort keys, and each level's (parent, last) links.
 
     Each level of word_levels is scaled to the denominator**n.  Each row's
     entries, offset by the peak |entry| to [0, 2 * peak], are packed `per`

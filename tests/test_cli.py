@@ -227,7 +227,7 @@ def test_verify_freeness_induced_failure(tmp_path, capsys):
 def test_freeness_diagnostics_only_with_timings(capsys, tmp_path):
     commuting = tmp_path / "commuting.json"
     commuting.write_text(json.dumps([[[1, 1], [0, 1]], [[1, 2], [0, 1]]]))
-    for selector, radius, keys, tie_rows, stable in (
+    for selector, radius, keys, ties, stable in (
         (["--prime", "5"], "5", 3, True, False),
         (["--generators", "sanov"], "4", 1, False, False),
         (["--generators", str(commuting)], "3", 1, False, True),
@@ -243,7 +243,7 @@ def test_freeness_diagnostics_only_with_timings(capsys, tmp_path):
         assert len(walk["words_per_level"]) == int(radius) + 1
         assert sum(walk["words_per_level"]) == env["results"]["ball_size_expected"]
         assert walk["keys_per_product"] == keys
-        assert (walk["tie_rows"] > 0) == tie_rows
+        assert (walk["tie_rows"] > 0) == ties
         assert walk["stable_lexsort"] == stable
         assert walk["walk_ms"] >= 0 and walk["sort_ms"] >= 0
 

@@ -389,7 +389,9 @@ def test_max_diagonal_from_the_words_matches_the_oracle(matrices, n, shape, radi
 
 
 @pytest.mark.parametrize(
-    "matrices", ["sanov", "rank-one", (_QUARTER,), (((1, 1), (1, 0)),), (((1, 1), (0, 1)), ((1, 2), (0, 1)))]
+    "matrices",
+    ["sanov", "rank-one", (_QUARTER,), (((1, 1), (1, 0)),), (((1, 1), (0, 1)), ((1, 2), (0, 1)))],
+    ids=["sanov", "rank-one", "quarter-turn", "det-minus-one", "commuting"],
 )
 @pytest.mark.parametrize("radius", [1, 2, 4])
 def test_oracle_diagonal_is_the_dense_diagonal(matrices, radius):
@@ -942,12 +944,6 @@ def test_settled_window_is_never_built(cold_torus_cache, monkeypatch, shape):
         assert row.bound.certificate == 1 and row.bound.matvecs == 0
         assert row.bound.window_ms is None and row.bound.solve_ms is None
         assert row.bound.certificate_ms >= 0
-
-
-def test_unsettled_window_reports_its_stage_timings(cold_torus_cache):
-    (row,) = torus_discrepancy_check(build_torus_genset("sanov"), 1, "sphere", [16]).rows
-    assert row.bound.matvecs > 0
-    assert min(row.bound.window_ms, row.bound.solve_ms, row.bound.certificate_ms) >= 0
 
 
 def test_clear_caches_preserves_results(cold_torus_cache):

@@ -167,5 +167,5 @@ def diagonal_counts(genset: IntegerGenerators, n: int, shape: str, radius: int) 
                     image = character_image(genset.matrices[letter], image)
                 columns.append(image)
             images = half @ np.array(columns, dtype=np.int64)
-            counts += ((images == half).all(axis=1) | (images == -half).all(axis=1)).astype(np.int64)
+            counts += (images == half).all(axis=1) | (images == -half).all(axis=1)
     return counts
