@@ -18,9 +18,10 @@ are vectors, so every Rayleigh quotient of the quotient is one of the
 window; and the group average of a nonnegative Perron vector is a
 nonnegative invariant Perron vector, so the largest eigenvalue survives.
 It is bounded from below by an exact Rayleigh quotient at a Ritz vector
-of plain three-term Lanczos; the quotient is a small integer CSR matrix,
-so all of this needs numpy alone.  Together with the closed-form upper
-bound this sandwiches the discrepancy from both sides.
+of plain three-term Lanczos; the quotient is held as its nonzero integer
+entries sorted by row, so all of this needs numpy alone.  Together with
+the closed-form upper bound this sandwiches the discrepancy from both
+sides.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -292,42 +293,19 @@ def _lookup(table: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarr
     return inside, table[m1[inside] + r, m2[inside] + r]
 
 
-@dataclass(frozen=True, eq=False)
-class IntegerCSR:
-    """A square int64 matrix in compressed sparse row form.
+class OrbitSums(NamedTuple):
+    """The nonzero entries of a square int64 matrix, sorted by row.
 
-    Row i holds the values data[indptr[i]:indptr[i + 1]] in the columns
-    indices[indptr[i]:indptr[i + 1]].
+    Entry i is data[i] in row rows[i] and column columns[i].
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    rows: np.ndarray
+    columns: np.ndarray
     data: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.indptr) - 1,) * 2
 
     @property
     def nnz(self) -> int:
         return len(self.data)
-
-    def rows(self) -> np.ndarray:
-        """The row of each stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
-    def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        """The product with a vector, each row summed on its own."""
-        products = self.data * np.asarray(y)[self.indices]
-        out = np.zeros(self.shape[0], dtype=products.dtype)
-        filled = np.flatnonzero(np.diff(self.indptr))
-        out[filled] = np.add.reduceat(products, self.indptr[filled])
-        return out
-
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=self.data.dtype)
-        dense[self.rows(), self.indices] = self.data
-        return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,9 +318,10 @@ class WindowOperator:
     at radius R is its primitive block at radius R // d.  So the largest
     eigenvalue of C / words_used is the norm of A.  C also commutes with
     the group of `symmetries`, of order `symmetry_order`, acting on the
-    half-window.  `entries` is K[O, O'], the sum of C over m in O and m'
-    in O' for orbits O, O'; `orbit_sizes` is D, the orbit sizes; and
-    `max_diagonal` is the largest diagonal entry of C itself.
+    half-window.  `entries` holds the nonzero K[O, O'], the sum of C over
+    m in O and m' in O' for orbits O, O', sorted by row O and then column
+    O'; `orbit_sizes` is D, the orbit sizes; and `max_diagonal` is the
+    largest diagonal entry of C itself.
     D^(-1/2) K D^(-1/2) / words_used is C / words_used compressed to
     orbit-constant vectors: each of its Rayleigh quotients is one of A,
     and its largest eigenvalue is that of A, since averaging a
@@ -350,7 +329,7 @@ class WindowOperator:
     """
 
     window: HalfWindow
-    entries: IntegerCSR
+    entries: OrbitSums
     orbit_sizes: np.ndarray
     max_diagonal: int
     symmetry_order: int
@@ -433,14 +412,9 @@ def window_operator(
     # point into O'
     pair, hits_per_pair = np.unique(np.concatenate(pairs), return_counts=True)
     row, column = np.divmod(pair, len(reps))
-    entries = IntegerCSR(
-        indptr=np.searchsorted(row, np.arange(len(reps) + 1)),
-        indices=column,
-        data=hits_per_pair * sizes[row],
-    )
     return WindowOperator(
         window=window,
-        entries=entries,
+        entries=OrbitSums(row, column, hits_per_pair * sizes[row]),
         orbit_sizes=sizes,
         max_diagonal=_max_diagonal(words, radius),
         symmetry_order=len(group),
@@ -514,7 +488,7 @@ def _exact_dot(y: np.ndarray, v: np.ndarray, bound: int) -> int:
     chunk = (2 ** 63 - 1) // (((1 << bits) - 1) * bound)
     starts = np.arange(0, len(y), chunk)
     total = 0
-    for shift in range(0, int(y.max()).bit_length(), bits):
+    for shift in range(0, int(y.max(initial=0)).bit_length(), bits):
         limb = (y >> shift) & ((1 << bits) - 1)
         total += sum(np.add.reduceat(limb * v, starts).tolist()) << shift
     return total
@@ -536,7 +510,11 @@ def rayleigh_certificate(op: WindowOperator, y: np.ndarray) -> Fraction:
     if bound >= 2 ** 63:
         raise OverflowError("certificate vector too large for 64-bit products")
     y = y.astype(np.int64)
-    num = _exact_dot(y, op.entries @ y, bound)
+    rows, columns, data = op.entries
+    # K y summed row by row over the rows that hold an entry
+    starts = np.searchsorted(rows, np.arange(len(op.orbit_sizes) + 1))
+    filled = np.flatnonzero(np.diff(starts))
+    num = _exact_dot(y[filled], np.add.reduceat(data * y[columns], starts[filled]), bound)
     den = _exact_dot(y, op.orbit_sizes * y, bound)
     return Fraction(num, op.words_used * den)
 
@@ -623,16 +601,15 @@ def norm_certificate(
     Lanczos not converging within LANCZOS_MAX_STEPS steps raises
     LanczosConvergenceError with the diagonal bound.
     """
-    counts = op.entries
     best = Fraction(op.max_diagonal, op.words_used)
-    dims = (op.window.size, counts.shape[0], op.symmetry_order)
+    dims = (op.window.size, len(op.orbit_sizes), op.symmetry_order)
     # with no image inside the window, C = 0 and Lanczos has nothing to find
-    if counts.nnz == 0 or best >= regular_norm(op.q, op.n, op.shape):
+    if op.entries.nnz == 0 or best >= regular_norm(op.q, op.n, op.shape):
         return NormCertificate(_float_at_most(best), best, *dims, 0, None, None)
     started = time.perf_counter()
-    rows, cols = counts.rows(), counts.indices
+    rows, cols, data = op.entries
     scale = 1.0 / np.sqrt(op.orbit_sizes)
-    weights = counts.data * (scale[rows] * scale[cols] / op.words_used)
+    weights = data * (scale[rows] * scale[cols] / op.words_used)
 
     def quotient(v: np.ndarray) -> np.ndarray:
         return np.bincount(rows, weights=weights * v[cols], minlength=len(scale))

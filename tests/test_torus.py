@@ -46,6 +46,7 @@ from test_words import _generator_lists, _unimodular
 from torus_oracle import (
     LatticeWindow,
     character_image,
+    dense_orbit_sums,
     diagonal_counts,
     full_window_counts,
     half_block,
@@ -263,7 +264,7 @@ def _assert_matches_oracle(op, genset):
     assert op.words_used == words
     assert [tuple(p) for p in op.window.points] == half
     assert op.window.size == len(half) == sizes.sum()
-    assert np.array_equal(op.entries.toarray(), sums)
+    assert np.array_equal(dense_orbit_sums(op), sums)
     assert np.array_equal(op.orbit_sizes, sizes)
     assert op.max_diagonal == block.diagonal().max()
     assert op.symmetry_order == len(symmetries(genset))
@@ -289,7 +290,7 @@ def test_window_operator_without_symmetry_is_the_half_block(shape):
 def test_window_operator_is_symmetric(shape):
     genset = build_torus_genset("sanov")
     op = window_operator(genset, 1, shape, 6)
-    dense = op.entries.toarray()
+    dense = dense_orbit_sums(op)
     assert np.array_equal(dense, dense.T)
     assert op.shape == shape
     assert op.words_used == word_counts(3, 1)[0 if shape == "sphere" else 1]
@@ -305,8 +306,8 @@ def test_ball_operator_is_affine_in_sphere_operator():
         sphere = window_operator(genset, 1, "sphere", radius)
         ball = window_operator(genset, 1, "ball", radius)
         assert np.array_equal(ball.orbit_sizes, sphere.orbit_sizes)
-        expected = np.diag(sphere.orbit_sizes) + sphere.entries.toarray()
-        assert np.array_equal(ball.entries.toarray(), expected)
+        expected = np.diag(sphere.orbit_sizes) + dense_orbit_sums(sphere)
+        assert np.array_equal(dense_orbit_sums(ball), expected)
         assert (ball.words_used, sphere.words_used) == (5, 4)
         assert ball.max_diagonal == 1 + sphere.max_diagonal
         if radius == 5:
@@ -327,7 +328,7 @@ def test_window_operator_rejects_bad_arguments():
 def test_window_operator_radius_zero_word_is_identity():
     genset = build_torus_genset("sanov")
     op = window_operator(genset, 0, "sphere", 3)
-    assert np.array_equal(op.entries.toarray(), np.diag(op.orbit_sizes))
+    assert np.array_equal(dense_orbit_sums(op), np.diag(op.orbit_sizes))
     assert op.max_diagonal == 1
     _assert_matches_oracle(op, genset)
 
@@ -434,21 +435,37 @@ def test_window_size_and_orbit_count_are_counted_exactly():
     ids=["sanov", "rank-one", "empty"],
 )
 def test_exact_product_matches_the_dense_matrix(matrices, n, shape, radius, empty_rows):
-    counts = window_operator(build_torus_genset(matrices), n, shape, radius).entries
-    dense = counts.toarray()
+    op = window_operator(build_torus_genset(matrices), n, shape, radius)
+    dense = dense_orbit_sums(op)
     assert np.array_equal(dense, dense.T)
     assert np.count_nonzero(~dense.any(axis=1)) == empty_rows
-    assert counts.nnz == np.count_nonzero(dense)
-    y = np.random.default_rng(0).integers(-(2**24), 2**24, counts.shape[0])
-    product = counts @ y
-    assert product.dtype == np.int64
-    assert np.array_equal(product, dense @ y)
+    assert op.entries.nnz == np.count_nonzero(dense)
+    # sorted by row, then column, each entry once
+    keys = op.entries.rows * len(op.orbit_sizes) + op.entries.columns
+    assert np.all(np.diff(keys) > 0)
+    y = np.random.default_rng(0).integers(-(2**24), 2**24, len(op.orbit_sizes))
+    num, den = _python_int_quotient(op, y)
+    assert rayleigh_certificate(op, y) == Fraction(num, op.words_used * den)
+
+
+def _python_int_product(op, y) -> list[int]:
+    """K y from the dense orbit sums, every product and sum in Python ints."""
+    ys = y.tolist()
+    return [sum(k * v for k, v in zip(row, ys)) for row in dense_orbit_sums(op).tolist()]
+
+
+def _python_int_quotient(op, y):
+    """y^T K y and y^T D y, every product and sum in Python ints."""
+    ys = y.tolist()
+    num = sum(v * k for v, k in zip(ys, _python_int_product(op, y)))
+    den = sum(d * v * v for d, v in zip(op.orbit_sizes.tolist(), ys))
+    return num, den
 
 
 def _quotient(op) -> np.ndarray:
     """The dense orbit quotient D^(-1/2) K D^(-1/2) / words_used."""
     scale = 1.0 / np.sqrt(op.orbit_sizes)
-    return scale[:, None] * op.entries.toarray() * scale[None, :] / op.words_used
+    return scale[:, None] * dense_orbit_sums(op) * scale[None, :] / op.words_used
 
 
 def test_norm_estimate_matches_dense_eigenvalues():
@@ -735,18 +752,6 @@ def test_corrupted_certificate_vector_fails():
             rayleigh_certificate(op, bad)
 
 
-def _python_int_quotient(op, y):
-    """y^T K y / (words_used y^T D y), every product and sum in Python ints."""
-    ys = y.tolist()
-    counts = op.entries
-    num = sum(
-        v * ys[i] * ys[j]
-        for i, j, v in zip(counts.rows().tolist(), counts.indices.tolist(), counts.data.tolist())
-    )
-    den = sum(d * v * v for d, v in zip(op.orbit_sizes.tolist(), ys))
-    return num, den
-
-
 @pytest.mark.parametrize("bound", [1, 2**12 - 1, 2**40, 2**62 - 1, 2**63 - 1])
 def test_exact_dot_matches_python_ints(bound):
     rng = np.random.default_rng(bound % 1000)
@@ -766,7 +771,7 @@ def test_certificate_sums_are_exact_past_int64():
     peak = 2**24 - 1
     assert op.words_used * int(op.orbit_sizes.max()) * peak * peak >= 2**63
     rng = np.random.default_rng(3)
-    size = op.entries.shape[0]
+    size = len(op.orbit_sizes)
     for y in (np.full(size, peak), rng.integers(-peak, peak + 1, size)):
         num, den = _python_int_quotient(op, y)
         assert rayleigh_certificate(op, y) == Fraction(num, op.words_used * den)
@@ -782,11 +787,11 @@ def test_certificate_guard_bounds_the_product_with_k():
     # the largest constant vector for which K y stays in int64; its
     # products y[O] (K y)[O] are far past it
     peak = (2**63 - 1) // row_sum
-    y = np.full(op.entries.shape[0], peak)
-    assert peak * int((op.entries @ y).max()) >= 2**63
+    y = np.full(len(op.orbit_sizes), peak)
+    assert peak * max(_python_int_product(op, y)) >= 2**63
     num, den = _python_int_quotient(op, y)
     assert rayleigh_certificate(op, y) == Fraction(num, op.words_used * den)
-    for bad in (y + 1, np.full(op.entries.shape[0], np.iinfo(np.int64).min)):
+    for bad in (y + 1, np.full(len(op.orbit_sizes), np.iinfo(np.int64).min)):
         with pytest.raises(OverflowError):
             rayleigh_certificate(op, bad)
 

@@ -9,8 +9,9 @@ word's character action letter by letter to each point, unoptimised.
 by the definition B = (A + AJ) restricted there, and `orbit_sums` sums
 that block over the orbits (`orbit_numbers`) of every signed permutation
 that permutes the generating set by conjugation, so the two routes share
-no code.  `diagonal_counts` gives the diagonal of that block alone, point
-by point, at radii where the full window would not fit in memory.
+no code; `dense_orbit_sums` spreads the window's K out to compare.
+`diagonal_counts` gives the diagonal of that block alone, point by point,
+at radii where the full window would not fit in memory.
 """
 
 from __future__ import annotations
@@ -136,6 +137,13 @@ def orbit_sums(
     sums = np.zeros((orbit.max() + 1,) * 2, dtype=np.int64)
     np.add.at(sums, (orbit[:, None], orbit[None, :]), block)
     return sums, np.bincount(orbit)
+
+
+def dense_orbit_sums(op) -> np.ndarray:
+    """The orbit sums K of a `lps.torus.WindowOperator` as a dense int64 matrix."""
+    dense = np.zeros((len(op.orbit_sizes),) * 2, dtype=np.int64)
+    dense[op.entries.rows, op.entries.columns] = op.entries.data
+    return dense
 
 
 def diagonal_counts(genset: IntegerGenerators, n: int, shape: str, radius: int) -> np.ndarray:
