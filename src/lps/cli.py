@@ -318,7 +318,14 @@ def _load_genset_argument(selector: str):
     return build_torus_genset(load_generator_matrices(selector)), selector
 
 
+def _require_positive_radius(flag: str, radius: int) -> None:
+    # a ball of radius 0 holds only the empty word, which nothing can collide with
+    if radius < 1:
+        raise ValueError(f"{flag} must be >= 1, got {radius}")
+
+
 def cmd_verify_freeness(args) -> tuple[list[ReportEnvelope], None]:
+    _require_positive_radius("--radius", args.radius)
     if args.generators:
         genset, label = _load_genset_argument(args.generators)
         params = {"generators": label, "radius": args.radius}
@@ -495,6 +502,8 @@ def _report_generators(primes: list[int]) -> ReportEnvelope:
 
 
 def _report_freeness(radius: int, sanov_radius: int) -> ReportEnvelope:
+    _require_positive_radius("--radius", radius)
+    _require_positive_radius("--sanov-radius", sanov_radius)
     free_q = verify_freeness(build_generator_set(5), radius)
     free_s = verify_freeness(build_torus_genset("sanov"), sanov_radius)
     return ReportEnvelope(

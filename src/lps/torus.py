@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .formulas import regular_norm
-from .words import IntegerGenerators, word_levels
+from .words import IntegerGenerators, word_counts, word_levels
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -60,8 +60,9 @@ MONOTONICITY_TOLERANCE = 1e-6
 # Lanczos stops at the first test at which the top Ritz pair has residual
 # estimate at most LANCZOS_TOL times the Ritz value, and gives up after
 # LANCZOS_MAX_STEPS steps.  The benchmark windows need at most 72 from the
-# seeded start; a Sanov ball window started from the sphere window's Ritz
-# vector needs 8 at n = 1 and 24 at n = 2.  Both only steer the solve: the
+# seeded start; a Sanov ball window at n = 2 started from the sphere
+# window's Ritz vector needs 24, and an n = 1 ball window is derived from
+# its sphere window with no solve.  Both only steer the solve: the
 # certificate is an exact Rayleigh quotient of the rounded Ritz vector.
 # The test needs a dense eigendecomposition of the tridiagonal matrix, so
 # it runs only every LANCZOS_CHECK_STEPS steps (see _lanczos).
@@ -445,18 +446,27 @@ class NormCertificate:
     and one for `ritz_residual`, and `start` where the steps started:
     'seeded' for the draw from the seed, 'given' for a caller's vector,
     or 'sphere' for the Ritz vector of the sphere window that
-    torus_discrepancy_check gives a ball window.  `ritz_vector` is the
-    unit Ritz vector in orbit coordinates.  `matvecs` is 0, and the other
-    solve fields None, when the diagonal alone closed the sandwich and no
-    solve ran.
+    torus_discrepancy_check gives a ball window at n >= 2.  `ritz_vector`
+    is the unit Ritz vector in orbit coordinates.  `matvecs` is 0, and
+    the other solve fields None, when the diagonal alone closed the
+    sandwich and no solve ran.
+
+    An n = 1 ball window that torus_discrepancy_check derived from its
+    sphere window (`_ball_from_sphere`) ran no solve either: `matvecs` is
+    0, `start` is 'sphere', or None when the sphere window ran no solve,
+    and `ritz_vector` is the sphere's, which is also the ball's.  Its
+    `ritz_residual` and `ritz_minus_certificate` are the sphere's scaled
+    to the ball, and None where the sphere's are.
 
     The milliseconds spent are kept beside, out of comparisons:
     `window_ms` building the window operator, `solve_ms` in its quotient
     products, and `certificate_ms` on the exact bound.  A window that
-    torus_discrepancy_check settled by the diagonal was never built: its
-    `window_ms` and `solve_ms` are None, its dimension and orbit count
-    are counted (`_half_window_size`, `_orbit_count`), and
-    `certificate_ms` is the time of that test and those counts.
+    torus_discrepancy_check settled by the diagonal or derived from its
+    sphere window was never built: its `window_ms` and `solve_ms` are
+    None.  A settled window's dimension and orbit count are counted
+    (`_half_window_size`, `_orbit_count`), and `certificate_ms` is the
+    time of that test and those counts; a derived window's are the
+    sphere's, and `certificate_ms` is the time of the derivation.
     """
 
     estimate: float
@@ -668,25 +678,65 @@ class ConvergenceTable:
     passed: bool
 
 
+def _ball_from_sphere(sphere: NormCertificate, q: int) -> NormCertificate:
+    """The n = 1 ball window's certificate, read off the sphere window's certificate c.
+
+    The ball's words are the sphere's and the empty word, which fixes
+    every point, so K_ball = D + K_sphere and the ball's largest diagonal
+    entry of C is the sphere's plus one.  With (|S_1|, |B_1|) the word
+    counts, every Rayleigh quotient and the largest diagonal entry of the
+    ball window are f(x) = (1 + |S_1| x) / |B_1| of the sphere window's at
+    the same vector, and so are the closed forms.  f is increasing, so
+    f(c) is the ball's own certificate: its exact Rayleigh quotient at the
+    sphere's rounded Ritz vector, or its own diagonal bound.  The Ritz
+    vectors coincide, and Bz - f(theta) z = (|S_1| / |B_1|)(Az - theta z)
+    rescales the residual and the Ritz value's gap to the certificate.
+    """
+    started = time.perf_counter()
+    spheres, balls = word_counts(q, 1)
+    certificate = (1 + spheres * sphere.certificate) / balls
+
+    def scaled(value: Optional[float]) -> Optional[float]:
+        return None if value is None else value * spheres / balls
+
+    return replace(
+        sphere,
+        estimate=_float_at_most(certificate),
+        certificate=certificate,
+        matvecs=0,
+        ritz_residual=scaled(sphere.ritz_residual),
+        ritz_minus_certificate=scaled(sphere.ritz_minus_certificate),
+        start="sphere" if sphere.start else None,
+        window_ms=None,
+        solve_ms=None,
+        certificate_ms=(time.perf_counter() - started) * 1000.0,
+    )
+
+
 @lru_cache(maxsize=None)
 def _window_certificate(
     genset: IntegerGenerators, n: int, shape: str, radius: int, seed: int
 ) -> NormCertificate:
     """norm_certificate of one window, settled by its diagonal when that reaches the closed form.
 
-    The largest diagonal entry of C / words_used is read from the words
-    alone (`_max_diagonal`).  When it reaches the closed form it closes
-    the sandwich, as it would in norm_certificate, and the window is never
-    built: its size and orbit count are counted instead.  Otherwise the
-    window is built and certified, a ball window from the sphere's Ritz
-    vector: the sphere and ball windows of one radius have the same
-    symmetry group, hence the same orbit coordinates, and nearly the same
-    top vector.  The ball's certificate is still an exact Rayleigh
-    quotient of its own window.  It falls back to the seeded start when
-    the sphere window needs no solve or its solve does not converge, so a
-    ball row is the same whether or not the sphere window was certified
-    first; the cache only saves the repeat.
+    An n = 1 ball window is derived from the sphere window of the same
+    radius and seed (`_ball_from_sphere`), and is neither built nor
+    solved; a sphere solve that does not converge fails the ball too.
+    For any other window, the largest diagonal entry of C / words_used is
+    read from the words alone (`_max_diagonal`).  When it reaches the
+    closed form it closes the sandwich, as it would in norm_certificate,
+    and the window is never built: its size and orbit count are counted
+    instead.  Otherwise the window is built and certified, a ball window
+    from the sphere's Ritz vector: the sphere and ball windows of one
+    radius have the same symmetry group, hence the same orbit
+    coordinates, and nearly the same top vector.  The ball's certificate
+    is still an exact Rayleigh quotient of its own window.  It falls back
+    to the seeded start when the sphere window needs no solve or its
+    solve does not converge, so a ball row is the same whether or not the
+    sphere window was certified first; the cache only saves the repeat.
     """
+    if shape == "ball" and n == 1:
+        return _ball_from_sphere(_window_certificate(genset, 1, "sphere", radius, seed), genset.q)
     started = time.perf_counter()
     words = _window_words(genset, n, shape, radius)
     diagonal = Fraction(_max_diagonal(words, radius), len(words))
@@ -737,12 +787,13 @@ def torus_discrepancy_check(
     """Sandwich the word-average norm between window certificates and the closed form.
 
     Each window is certified by norm_certificate, a sphere window from
-    the Lanczos start drawn from `seed` and a ball window from the Ritz
-    vector of the sphere window with the same radius and seed
-    (`_window_certificate`).  Certificates are memoised per generating
-    set, n, shape, radius and seed, so a ball table after the sphere
-    table reuses the sphere solves; a ball table alone pays for them
-    once.  The exact certificate must stay below
+    the Lanczos start drawn from `seed` and a ball window at n >= 2 from
+    the Ritz vector of the sphere window with the same radius and seed;
+    an n = 1 ball window's certificate is derived exactly from that
+    sphere window's, with no solve (`_window_certificate`).  Certificates
+    are memoised per generating set, n, shape, radius and seed, so a ball
+    table after the sphere table reuses the sphere solves; a ball table
+    alone pays for them once.  The exact certificate must stay below
     theoretical + UPPER_TOLERANCE and its float estimate may not decrease
     by more than MONOTONICITY_TOLERANCE as the window grows.  Violations
     are recorded as failing rows rather than raised, so a full table is

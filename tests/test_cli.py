@@ -321,8 +321,12 @@ def test_verify_identities(capsys):
         ["verify", "identities", "--q-list", ","],
         ["verify", "identities", "--n-max", "0"],
         ["norms", "--q", "3", "--n-max", "-1"],
+        ["verify", "freeness", "--prime", "5", "--radius", "0"],
+        ["verify", "freeness", "--generators", "sanov", "--radius", "0"],
+        ["report", "--radius", "0"],
+        ["report", "--sanov-radius", "0"],
     ],
-    ids=["no-q", "no-n", "no-rows"],
+    ids=["no-q", "no-n", "no-rows", "freeness-r0", "sanov-freeness-r0", "report-r0", "report-sanov-r0"],
 )
 def test_vacuous_verification_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -428,32 +432,46 @@ def test_torus_diagnostics_only_with_timings(capsys):
     assert [t["shape"] for t in tables] == ["sphere", "ball"]
     for table in tables:
         assert [r["radius"] for r in table["rows"]] == [8, 16]
+        # every Sanov sphere window is built and solved; the n = 1 ball
+        # windows are derived from the sphere's Ritz vectors with no solve
+        solved = table["shape"] == "sphere"
         for row in table["rows"]:
-            assert row["dimension"] > 0 and row["matvecs"] > 0
-            # the ball solve starts from the sphere's Ritz vector
+            assert row["dimension"] > 0
             assert row["start"] == {"sphere": "seeded", "ball": "sphere"}[table["shape"]]
-            # no breakdown: the solve stops at the end of a block of tests or,
-            # at R 8, at the dimension of the quotient; one more product
-            # gives the Ritz residual
-            steps = row["matvecs"] - 1
-            assert steps % 8 == 0 or steps == row["orbits"] == 23
+            if solved:
+                # no breakdown: the solve stops at the end of a block of tests
+                # or, at R 8, at the dimension of the quotient; one more
+                # product gives the Ritz residual
+                steps = row["matvecs"] - 1
+                assert steps > 0 and (steps % 8 == 0 or steps == row["orbits"] == 23)
+                assert min(row["window_ms"], row["solve_ms"]) >= 0
+            else:
+                assert row["matvecs"] == 0
+                assert row["window_ms"] is None and row["solve_ms"] is None
+            assert row["certificate_ms"] >= 0
             assert "lanczos_steps_run" not in row and "tridiagonal_solves" not in row
             # Sanov's swap and diag(1, -1) leave a quarter of the rows, and fewer
             assert row["symmetry_order"] == 4
             assert row["dimension"] / 4 <= row["orbits"] < row["dimension"] / 3
             assert 0 <= row["ritz_residual"] < 1e-6
             assert abs(row["ritz_minus_certificate"]) <= 1e-12
-            # every Sanov window is built and solved
-            assert min(row["window_ms"], row["solve_ms"], row["certificate_ms"]) >= 0
 
 
 def test_ball_solve_warm_starts_from_the_sphere(capsys, cold_torus_cache):
-    code, out, _ = run_cli(capsys, ["verify", "torus", "--windows", "64,128,256", "--timings"])
-    assert code == 0
-    tables = parse_envelope(out)["diagnostics"]["tables"]
-    matvecs = {t["shape"]: [r["matvecs"] for r in t["rows"]] for t in tables}
-    # Lanczos steps plus the residual's product
-    assert matvecs == {"sphere": [49, 65, 73], "ball": [9, 9, 9]}
+    # Lanczos steps plus the residual's product: the n = 2 ball solve
+    # starts from the sphere's Ritz vector, and the n = 1 ball rows are
+    # derived from the sphere rows with no solve
+    for n, matvecs in (
+        (2, {"sphere": [33, 41, 49], "ball": [25, 25, 25]}),
+        (1, {"sphere": [49, 65, 73], "ball": [0, 0, 0]}),
+    ):
+        argv = ["verify", "torus", "--n", str(n), "--windows", "64,128,256", "--timings"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        tables = parse_envelope(out)["diagnostics"]["tables"]
+        assert {t["shape"]: [r["matvecs"] for r in t["rows"]] for t in tables} == matvecs
+        starts = {t["shape"]: [r["start"] for r in t["rows"]] for t in tables}
+        assert starts == {"sphere": ["seeded"] * 3, "ball": ["sphere"] * 3}
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -690,21 +708,29 @@ def _below_theory_fault(monkeypatch, shape):
 
 
 def _nondecreasing_fault(monkeypatch, shape):
-    """Set the Sanov R 256 certificate of `shape` just over MONOTONICITY_TOLERANCE below R 128's."""
+    """Set the Sanov R 256 certificate of `shape` just over MONOTONICITY_TOLERANCE below R 128's.
+
+    It is set where _window_certificate returns it: the n = 1 ball row is
+    derived from the sphere's without norm_certificate.  A fallen sphere
+    certificate moves the ball's derived from it by 4/5 as much, within
+    the slack.
+    """
     sanov = lps.torus.build_torus_genset("sanov")
     previous = lps.torus.torus_discrepancy_check(sanov, 1, shape, [128]).rows[0].estimate
     # one ulp past the slack
     fallen = math.nextafter(previous - lps.torus.MONOTONICITY_TOLERANCE, -math.inf)
-    certify = lps.torus.norm_certificate
+    certify = lps.torus._window_certificate
 
-    def fallen_certificate(op, seed=42, start=None):
-        bound = certify(op, seed=seed, start=start)
-        if (op.q, op.shape, op.window.radius) != (3, shape, 256):
+    def fallen_certificate(genset, n, which, radius, seed):
+        bound = certify(genset, n, which, radius, seed)
+        if (genset.q, n, which, radius) != (3, 1, shape, 256):
             return bound
         return dataclasses.replace(bound, estimate=fallen, certificate=Fraction(fallen))
 
+    # clear_caches still empties the memo underneath
+    fallen_certificate.cache_clear = certify.cache_clear
     lps.torus.clear_caches()
-    monkeypatch.setattr(lps.torus, "norm_certificate", fallen_certificate)
+    monkeypatch.setattr(lps.torus, "_window_certificate", fallen_certificate)
 
 
 @pytest.mark.parametrize(
@@ -719,7 +745,7 @@ def _nondecreasing_fault(monkeypatch, shape):
 )
 def test_report_torus_checks_can_fail(capsys, monkeypatch, cold_torus_cache, inject, shape, check):
     # The smallest fault past each check's slack flips that check alone.
-    # The ball rows start from the sphere's Ritz vectors yet fail on their own.
+    # The ball rows are derived from the sphere rows yet fail on their own.
     flags = ["--windows", "64,128,256", "--timings"]
     code, clean = _report_envelopes(capsys, flags)
     assert code == 0

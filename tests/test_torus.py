@@ -898,20 +898,85 @@ def test_ball_window_starts_from_the_sphere_ritz_vector(cold_torus_cache, n):
         assert abs(b_row.bound.certificate - cold.certificate) <= Fraction(1, 10**13)
         # still an exact Rayleigh quotient of the ball window itself, at the
         # Ritz vector rounded as norm_certificate rounds it
-        u = np.abs(b_row.bound.ritz_vector) / np.sqrt(op.orbit_sizes)
-        y = np.rint(u * ((2**24 - 1) / u.max())).astype(np.int64)
+        y = _rounded_ritz_vector(b_row.bound, op)
         assert b_row.bound.certificate == rayleigh_certificate(op, y)
 
 
+def _rounded_ritz_vector(bound, op):
+    """The Ritz vector of `bound` as norm_certificate rounds it for the window `op`."""
+    u = np.abs(bound.ritz_vector) / np.sqrt(op.orbit_sizes)
+    return np.rint(u * ((2**24 - 1) / u.max())).astype(np.int64)
+
+
+# no image of a radius-1 point stays in the window, so C = 0 for the
+# sphere, which needs no solve, while the ball holds the identity word
+FAR = [((5, 2), (2, 1)), ((1, 2), (2, 5))]
+
+
+@pytest.mark.parametrize(
+    "matrices, radius, settled",
+    [("sanov", r, None) for r in (1, 4, 8, 16, 64)]
+    # C = 0 leaves the ball the identity word's 1/5; rank-one's diagonal
+    # settles the sphere window at its closed form 1, and the ball at 1
+    + [(FAR, 1, Fraction(1, 5)), ("rank-one", 1, 1), ("rank-one", 64, 1)],
+    ids=[f"sanov-R{r}" for r in (1, 4, 8, 16, 64)] + ["far-R1", "rank-one-R1", "rank-one-R64"],
+)
+def test_n1_ball_certificate_is_derived_exactly(
+    cold_torus_cache, monkeypatch, matrices, radius, settled
+):
+    # B_1 = (I + (q + 1) A_1) / (q + 2): the ball row is read off the sphere
+    # row with no window built, no solve and no exact product of its own
+    genset = build_torus_genset(matrices)
+    (sphere_row,) = torus_discrepancy_check(genset, 1, "sphere", [radius]).rows
+    sphere = sphere_row.bound
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the n = 1 ball window was built or solved")
+
+    with monkeypatch.context() as patch:
+        for name in ("window_operator", "_lanczos", "rayleigh_certificate"):
+            patch.setattr(lps.torus, name, refuse)
+        (row,) = torus_discrepancy_check(genset, 1, "ball", [radius]).rows
+    bound, op = row.bound, window_operator(genset, 1, "ball", radius)
+    spheres, balls = word_counts(genset.q, 1)
+    assert bound.certificate == (1 + spheres * sphere.certificate) / balls
+    assert bound.estimate == _float_at_most(bound.certificate)
+    if settled is None:
+        # the ball window's own exact Rayleigh quotient at the sphere's
+        # rounded Ritz vector, whose ball residual is the sphere's rescaled
+        assert bound.certificate == rayleigh_certificate(op, _rounded_ritz_vector(sphere, op))
+        assert bound.ritz_vector is sphere.ritz_vector and bound.start == "sphere"
+        assert bound.ritz_residual == sphere.ritz_residual * spheres / balls
+    else:
+        assert bound.certificate == settled
+        assert bound.certificate == Fraction(op.max_diagonal, op.words_used)
+        assert bound.start is None and bound.ritz_residual is None
+    assert (bound.dimension, bound.orbits) == (op.window.size, len(op.orbit_sizes))
+    assert bound.matvecs == 0 and bound.window_ms is None and bound.solve_ms is None
+
+
+def test_unconverged_sphere_solve_fails_the_n1_ball(cold_torus_cache, monkeypatch):
+    # the derived ball row has no solve of its own to fall back on
+    calls = []
+
+    def never_converges(matvec, start):
+        calls.append(start)
+
+    monkeypatch.setattr(lps.torus, "_lanczos", never_converges)
+    with pytest.raises(LanczosConvergenceError):
+        torus_discrepancy_check(build_torus_genset("sanov"), 1, "ball", [8])
+    assert len(calls) == 1
+
+
 def test_ball_window_falls_back_to_the_seeded_start(cold_torus_cache, monkeypatch):
-    # no image of a radius-1 point stays in the window, so C = 0 for the
-    # sphere, which needs no solve, while the ball's identity word needs one
-    far = build_torus_genset([((5, 2), (2, 1)), ((1, 2), (2, 5))])
-    (sphere_row,) = torus_discrepancy_check(far, 1, "sphere", [1]).rows
-    (ball_row,) = torus_discrepancy_check(far, 1, "ball", [1]).rows
+    # the far sphere window has C = 0 at n = 2 too and needs no solve,
+    # while the ball's identity and single-letter words need one
+    far = build_torus_genset(FAR)
+    (sphere_row,) = torus_discrepancy_check(far, 2, "sphere", [1]).rows
+    (ball_row,) = torus_discrepancy_check(far, 2, "ball", [1]).rows
     assert (sphere_row.bound.matvecs, sphere_row.bound.start) == (0, None)
     assert ball_row.bound.start == "seeded"
-    assert ball_row.bound == norm_certificate(window_operator(far, 1, "ball", 1))
+    assert ball_row.bound == norm_certificate(window_operator(far, 2, "ball", 1))
 
     # a sphere solve that does not converge leaves the ball its seeded start
     lps.torus.clear_caches()
@@ -923,9 +988,9 @@ def test_ball_window_falls_back_to_the_seeded_start(cold_torus_cache, monkeypatc
 
     monkeypatch.setattr(lps.torus, "_lanczos", first_fails)
     sanov = build_torus_genset("sanov")
-    (row,) = torus_discrepancy_check(sanov, 1, "ball", [8]).rows
+    (row,) = torus_discrepancy_check(sanov, 2, "ball", [8]).rows
     assert len(calls) == 2 and row.bound.start == "seeded"
-    assert row.bound == norm_certificate(window_operator(sanov, 1, "ball", 8))
+    assert row.bound == norm_certificate(window_operator(sanov, 2, "ball", 8))
 
 
 @pytest.mark.parametrize("shape", ["sphere", "ball"])
