@@ -245,7 +245,6 @@ def _ramanujan_diagnostics(report) -> dict:
         "per_degree": [
             {
                 "degree": r.degree,
-                "symmetry_defect": r.symmetry_defect,
                 "trace_defect": r.trace_defects[0],
                 "square_trace_defect": r.trace_defects[1],
                 "block_ms": r.block_ms,

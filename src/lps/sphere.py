@@ -360,17 +360,14 @@ def check_traces(block: KoopmanBlock, eigenvalues) -> tuple[float, float]:
 class Spectrum(tuple):
     """Eigenvalues of a block, ascending, carrying the float defects they passed.
 
-    `symmetry_defect` is the largest |S - S^T| of the symmetrised block and
-    `trace_defects` the relative misses of tr(T) and tr(T^2) that
+    `trace_defects` are the relative misses of tr(T) and tr(T^2) that
     check_traces measured.
     """
 
-    symmetry_defect: float
     trace_defects: tuple[float, float]
 
-    def __new__(cls, eigenvalues, symmetry_defect: float, trace_defects: tuple[float, float]):
+    def __new__(cls, eigenvalues, trace_defects: tuple[float, float]):
         spectrum = super().__new__(cls, eigenvalues)
-        spectrum.symmetry_defect = symmetry_defect
         spectrum.trace_defects = trace_defects
         return spectrum
 
@@ -379,26 +376,22 @@ class Spectrum(tuple):
 def block_spectrum(block: KoopmanBlock) -> Spectrum:
     """Eigenvalues of a block, ascending, with the defects of their checks.
 
-    Exact self-adjointness for the pairing diag(1/binom(2l, k)) makes
-    S[i][j] = T[i][j] * sqrt(binom(2l, j) / binom(2l, i)) symmetric; in
-    float64 its symmetry defect must stay below 1e-10, and the LAPACK
-    eigenvalues must pass check_traces.
+    Exact self-adjointness for the pairing diag(1/binom(2l, k)), which
+    koopman_block has checked, makes
+    S[i][j] = T[i][j] * sqrt(binom(2l, j) / binom(2l, i)) symmetric up to
+    float rounding; LAPACK reads one triangle of S, and its eigenvalues
+    must pass check_traces.
     """
     weights = np.sqrt([float(math.comb(2 * block.degree, k)) for k in range(block.dimension)])
     scaled = np.array(block.numerators, dtype=object) / block.scale
     sym = scaled.astype(float) * (weights[None, :] / weights[:, None])
-    defect = float(np.max(np.abs(sym - sym.T)))
-    if defect >= 1e-10:
-        raise ConsistencyError(
-            f"symmetrised block has symmetry defect {defect:.3e} at degree {block.degree}"
-        )
     try:
-        eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+        eigs = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise ConsistencyError(
             f"eigenvalues of the degree-{block.degree} block did not converge: {exc}"
         ) from None
-    return Spectrum((float(v) for v in eigs), defect, check_traces(block, eigs))
+    return Spectrum((float(v) for v in eigs), check_traces(block, eigs))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +411,6 @@ class DegreeSpectrum:
     degree: int
     eigenvalues: tuple[float, ...]
     max_abs: float
-    symmetry_defect: float
     trace_defects: tuple[float, float]
     block_ms: float = field(compare=False)
     spectrum_ms: float = field(compare=False)
@@ -465,7 +457,6 @@ def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
                 degree=degree,
                 eigenvalues=tuple(eigs),
                 max_abs=max(abs(e) for e in eigs),
-                symmetry_defect=eigs.symmetry_defect,
                 trace_defects=eigs.trace_defects,
                 block_ms=(built - started) * 1000.0,
                 spectrum_ms=(time.perf_counter() - built) * 1000.0,

@@ -199,39 +199,19 @@ class HalfWindow:
         self.size = len(self.points)
 
 
-def _half_window_size(radius: int) -> int:
-    """HalfWindow(radius).size, counted without the window.
+def _max_diagonal(words: np.ndarray, radius: int) -> int:
+    """The largest diagonal entry of the count matrix C of `words`, from the words alone.
 
-    The (2 radius + 1)^2 - 1 nonzero points of the square are, for each
-    d, d times the primitive points of sup-norm at most radius // d, so
-    Moebius inversion over d counts the primitive ones; half of them are
-    kept, one of each pair +-m.
+    C[m, m] counts the words W with W^T m = +-m: every W equal to +-I,
+    which fixes every pair, and the words that fix the pair +-m itself.
+    For W != +-I and a sign s, W^T - sI is not zero, so its kernel is 0
+    unless its determinant is, and then the line of the primitive v
+    orthogonal to a nonzero row: W fixes at most one pair per sign.  Those
+    pairs are counted where they have sup-norm <= radius, keyed by the v
+    with v1 > 0, or v1 = 0 and v2 > 0.  The arithmetic is exact: int64
+    within word_levels' guard, Python ints past it.
     """
-    mobius, sieved = [1] * (radius + 1), [False] * (radius + 1)
-    for p in range(2, radius + 1):
-        if not sieved[p]:
-            for k in range(p, radius + 1, p):
-                sieved[k] = True
-                mobius[k] = -mobius[k]
-            for k in range(p * p, radius + 1, p * p):
-                mobius[k] = 0
-    square = sum(mobius[d] * ((2 * (radius // d) + 1) ** 2 - 1) for d in range(1, radius + 1))
-    return square // 2
-
-
-def _fixed_pairs(matrices: np.ndarray, radius: int) -> tuple[int, Counter]:
-    """How the maps m -> W^T m of 2x2 integer matrices W fix pairs +-m of sup-norm <= radius.
-
-    Returns how many W are +-I, which fix every pair, and, for each other
-    pair {+-v} with |v|_inf <= radius that some W fixes (W^T v = v or
-    W^T v = -v), how many W fix it, keyed by the v with v1 > 0, or v1 = 0
-    and v2 > 0.  For W != +-I and a sign s, W^T - sI is not zero, so its
-    kernel is 0 unless its determinant is, and then the line of the
-    primitive v orthogonal to a nonzero row: W fixes at most one pair per
-    sign.  The arithmetic is exact: int64 within word_levels' guard,
-    Python ints past it.
-    """
-    a, b, c, d = (matrices[:, i, j] for i in (0, 1) for j in (0, 1))
+    a, b, c, d = (words[:, i, j] for i in (0, 1) for j in (0, 1))
     identities, fixed = 0, Counter()
     for s in (1, -1):
         # W = [[a, b], [c, d]]: the rows of W^T - sI are (a - s, c) and (b, d - s)
@@ -245,30 +225,7 @@ def _fixed_pairs(matrices: np.ndarray, radius: int) -> tuple[int, Counter]:
             g = math.gcd(x, y)
             if max(x, abs(y)) <= radius * g:
                 fixed[x // g, y // g] += 1
-    return identities, fixed
-
-
-def _max_diagonal(words: np.ndarray, radius: int) -> int:
-    """The largest diagonal entry of the count matrix C of `words`, from the words alone.
-
-    C[m, m] counts the words with W^T m = +-m: every word equal to +-I,
-    and the words that fix the pair +-m itself (`_fixed_pairs`).
-    """
-    identities, fixed = _fixed_pairs(words, radius)
     return identities + max(fixed.values(), default=0)
-
-
-def _orbit_count(group: Sequence[Matrix2], radius: int, size: int) -> int:
-    """The number of orbits of `group` on a half-window of `size` points, by Burnside.
-
-    It is the mean over the group of the pairs each element fixes:
-    every pair for the identity, and `_fixed_pairs` for the others.
-    """
-    total = 0
-    for p in group:
-        identities, fixed = _fixed_pairs(np.array([p]), radius)
-        total += size if identities else len(fixed)
-    return total // len(group)
 
 
 def _square_table(window: HalfWindow) -> np.ndarray:
@@ -427,11 +384,7 @@ def window_operator(
 
 
 class LanczosConvergenceError(RuntimeError):
-    """Lanczos did not converge; carries the best exact lower bound found."""
-
-    def __init__(self, message: str, best_bound: float):
-        super().__init__(message)
-        self.best_bound = best_bound
+    """Lanczos did not converge; the message names the best exact lower bound found."""
 
 
 @dataclass(frozen=True)
@@ -439,49 +392,42 @@ class NormCertificate:
     """An exact lower bound on a window norm and how it was found.
 
     `certificate` is a Rayleigh quotient of the window, computed in exact
-    arithmetic, and `estimate` is the largest float not above it.
-    `dimension` is the half-window size and `orbits` the dimension of the
-    quotient that was solved, under a group of order `symmetry_order`.
-    `matvecs` is the number of quotient products, one per Lanczos step
-    and one for `ritz_residual`, and `start` where the steps started:
-    'seeded' for the draw from the seed, 'given' for a caller's vector,
-    or 'sphere' for the Ritz vector of the sphere window that
-    torus_discrepancy_check gives a ball window at n >= 2.  `ritz_vector`
-    is the unit Ritz vector in orbit coordinates.  `matvecs` is 0, and
-    the other solve fields None, when the diagonal alone closed the
-    sandwich and no solve ran.
-
-    An n = 1 ball window that torus_discrepancy_check derived from its
-    sphere window (`_ball_from_sphere`) ran no solve either: `matvecs` is
-    0, `start` is 'sphere', or None when the sphere window ran no solve,
-    and `ritz_vector` is the sphere's, which is also the ball's.  Its
-    `ritz_residual` and `ritz_minus_certificate` are the sphere's scaled
-    to the ball, and None where the sphere's are.
+    arithmetic, and `estimate` the largest float not above it.
+    `dimension` is the half-window size and `orbits` the dimension of its
+    quotient under a group of order `symmetry_order`; all three are None
+    for a window settled before it was built.  `matvecs` is the number of
+    quotient products, one per Lanczos step and one for `ritz_residual`,
+    and `start` where the steps started: 'seeded' for the draw from the
+    seed, 'given' for a caller's vector, or 'sphere' for the Ritz vector of
+    the sphere window that torus_discrepancy_check gives a ball window.
+    `ritz_vector` is the unit Ritz vector in orbit coordinates.  When no
+    solve ran, `matvecs` is 0 and the other solve fields are None.  An
+    n = 1 ball window derived from its sphere window (`_ball_from_sphere`)
+    runs no solve but keeps the sphere's sizes and Ritz vector, which are
+    its own, and the sphere's residuals rescaled to the ball.
 
     The milliseconds spent are kept beside, out of comparisons:
     `window_ms` building the window operator, `solve_ms` in its quotient
-    products, and `certificate_ms` on the exact bound.  A window that
-    torus_discrepancy_check settled by the diagonal or derived from its
-    sphere window was never built: its `window_ms` and `solve_ms` are
-    None.  A settled window's dimension and orbit count are counted
-    (`_half_window_size`, `_orbit_count`), and `certificate_ms` is the
-    time of that test and those counts; a derived window's are the
-    sphere's, and `certificate_ms` is the time of the derivation.
+    products, and `certificate_ms` on the exact bound.  Each is None where
+    that stage did not run.
     """
 
-    estimate: float
     certificate: Fraction
-    dimension: int
-    orbits: int
-    symmetry_order: int
-    matvecs: int
-    ritz_residual: Optional[float]
-    ritz_minus_certificate: Optional[float]
+    dimension: Optional[int] = None
+    orbits: Optional[int] = None
+    symmetry_order: Optional[int] = None
+    matvecs: int = 0
+    ritz_residual: Optional[float] = None
+    ritz_minus_certificate: Optional[float] = None
     start: Optional[str] = None
     ritz_vector: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     window_ms: Optional[float] = field(default=None, compare=False)
     solve_ms: Optional[float] = field(default=None, compare=False)
     certificate_ms: Optional[float] = field(default=None, compare=False)
+
+    @property
+    def estimate(self) -> float:
+        return _float_at_most(self.certificate)
 
 
 def _exact_dot(y: np.ndarray, v: np.ndarray, bound: int) -> int:
@@ -609,13 +555,13 @@ def norm_certificate(
     float32 rounding of the Lanczos basis, about 2^-24 relative, which is
     the precision of y itself; the certificate is exact whatever z is.
     Lanczos not converging within LANCZOS_MAX_STEPS steps raises
-    LanczosConvergenceError with the diagonal bound.
+    LanczosConvergenceError, whose message names the diagonal bound.
     """
     best = Fraction(op.max_diagonal, op.words_used)
     dims = (op.window.size, len(op.orbit_sizes), op.symmetry_order)
     # with no image inside the window, C = 0 and Lanczos has nothing to find
     if op.entries.nnz == 0 or best >= regular_norm(op.q, op.n, op.shape):
-        return NormCertificate(_float_at_most(best), best, *dims, 0, None, None)
+        return NormCertificate(best, *dims)
     started = time.perf_counter()
     rows, cols, data = op.entries
     scale = 1.0 / np.sqrt(op.orbit_sizes)
@@ -631,8 +577,7 @@ def norm_certificate(
     if solved is None:
         raise LanczosConvergenceError(
             f"Lanczos did not converge to relative accuracy {LANCZOS_TOL} within "
-            f"{LANCZOS_MAX_STEPS} steps (best exact bound {float(best)})",
-            best_bound=_float_at_most(best),
+            f"{LANCZOS_MAX_STEPS} steps (best exact bound {float(best)})"
         )
     ritz, z, steps = solved
     # the certificate hands z to later solves as a start, so none may change it
@@ -644,7 +589,6 @@ def norm_certificate(
     certified = rayleigh_certificate(op, y)
     best = max(best, certified)
     return NormCertificate(
-        _float_at_most(best),
         best,
         *dims,
         matvecs=steps + 1,
@@ -701,7 +645,6 @@ def _ball_from_sphere(sphere: NormCertificate, q: int) -> NormCertificate:
 
     return replace(
         sphere,
-        estimate=_float_at_most(certificate),
         certificate=certificate,
         matvecs=0,
         ritz_residual=scaled(sphere.ritz_residual),
@@ -725,8 +668,8 @@ def _window_certificate(
     For any other window, the largest diagonal entry of C / words_used is
     read from the words alone (`_max_diagonal`).  When it reaches the
     closed form it closes the sandwich, as it would in norm_certificate,
-    and the window is never built: its size and orbit count are counted
-    instead.  Otherwise the window is built and certified, a ball window
+    and the window is never built, so its certificate records no size.
+    Otherwise the window is built and certified, a ball window
     from the sphere's Ritz vector: the sphere and ball windows of one
     radius have the same symmetry group, hence the same orbit
     coordinates, and nearly the same top vector.  The ball's certificate
@@ -741,19 +684,7 @@ def _window_certificate(
     words = _window_words(genset, n, shape, radius)
     diagonal = Fraction(_max_diagonal(words, radius), len(words))
     if diagonal >= regular_norm(genset.q, n, shape):
-        group = symmetries(genset)
-        size = _half_window_size(radius)
-        return NormCertificate(
-            _float_at_most(diagonal),
-            diagonal,
-            size,
-            _orbit_count(group, radius, size),
-            len(group),
-            0,
-            None,
-            None,
-            certificate_ms=(time.perf_counter() - started) * 1000.0,
-        )
+        return NormCertificate(diagonal, certificate_ms=(time.perf_counter() - started) * 1000.0)
     start = None
     if shape == "ball":
         try:

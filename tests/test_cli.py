@@ -188,7 +188,6 @@ def test_verify_ramanujan_diagnostics_only_with_timings(capsys):
     assert (diagnostics["symmetry_order"], diagnostics["frontiers"]) == (4, 3)
     assert [d["degree"] for d in diagnostics["per_degree"]] == [1, 2, 3, 4]
     for d in diagnostics["per_degree"]:
-        assert 0 <= d["symmetry_defect"] < 1e-10
         assert 0 <= d["trace_defect"] <= lps.sphere.TRACE_TOLERANCE
         assert 0 <= d["square_trace_defect"] <= lps.sphere.TRACE_TOLERANCE
         # stage timings of each degree's block and spectrum
@@ -223,6 +222,17 @@ def test_verify_freeness_induced_failure(tmp_path, capsys):
     env = parse_envelope(out)
     assert not all(c["passed"] for c in env["checks"])
     assert env["results"]["first_collision"] is not None
+    # Sanov with [[1, 1], [0, 1]] added: that letter squared is Sanov's first
+    sanov_plus = tmp_path / "sanov-plus.json"
+    sanov_plus.write_text(json.dumps([[[1, 2], [0, 1]], [[1, 0], [2, 1]], [[1, 1], [0, 1]]]))
+    code, out, _ = run_cli(
+        capsys,
+        ["verify", "freeness", "--generators", str(sanov_plus), "--radius", "2"],
+    )
+    assert code == 1
+    results = parse_envelope(out)["results"]
+    assert (results["ball_size_found"], results["ball_size_expected"]) == (29, 37)
+    assert results["first_collision"] == [[2], [0, 5]]
 
 
 def test_freeness_diagnostics_only_with_timings(capsys, tmp_path):
@@ -415,6 +425,40 @@ def test_rank_one_ladder_is_nondecreasing(capsys):
     assert all(r["estimate"] == 1.0 for t in env["results"]["tables"] for r in t["rows"])
 
 
+# Two sets that are not free, so the closed form of the free group does
+# not bound their norms: a commuting pair, whose amenable group has norm 1,
+# and Sanov with [[1, 1], [0, 1]] added, whose square is Sanov's first.
+NOT_FREE = {
+    "commuting": [[[1, 1], [0, 1]], [[1, 2], [0, 1]]],
+    "sanov-plus": [[[1, 2], [0, 1]], [[1, 0], [2, 1]], [[1, 1], [0, 1]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FREE))
+def test_verify_torus_fails_on_sets_that_are_not_free(capsys, tmp_path, cold_torus_cache, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(NOT_FREE[name]))
+    argv = ["verify", "torus", "--generators", str(path), "--shape", "sphere"]
+    code, out, _ = run_cli(capsys, argv + ["--windows", "16,64,128", "--timings"])
+    assert code == 1
+    env = parse_envelope(out)
+    below = [c for c in env["checks"] if c["name"].endswith("_below_theory")]
+    ladder = [c for c in env["checks"] if c["name"].endswith("_nondecreasing")]
+    assert [c["name"] for c in below] == [f"sphere_R{r}_below_theory" for r in (16, 64, 128)]
+    # every window lies far above the closed form, yet the ladder climbs
+    assert all(not c["passed"] and c["measured"] - c["bound"] >= 0.09 for c in below)
+    assert len(ladder) == 2 and all(c["passed"] for c in ladder)
+    (table,) = env["diagnostics"]["tables"]
+    for row in table["rows"]:
+        if name == "commuting":
+            # both words fix +-(0, 1), so the diagonal settles every window
+            # at 1 before it is built, and the failing rows have no size
+            assert row["dimension"] is row["orbits"] is row["symmetry_order"] is None
+            assert row["matvecs"] == 0
+        else:
+            assert row["dimension"] > 0 and row["matvecs"] > 0
+
+
 def test_verify_torus_same_seed_is_byte_identical(capsys):
     argv = ["verify", "torus", "--n", "2", "--windows", "8,16", "--seed", "3"]
     assert run_cli(capsys, argv) == run_cli(capsys, argv)
@@ -590,9 +634,10 @@ def test_report_timings_cover_every_envelope(capsys):
     torus = diagnostics["report.torus"]
     assert torus["rank_one"]["matvecs"] == 0 and len(torus["tables"]) == 2
     assert torus["rank_one"]["start"] is None
-    assert torus["rank_one"]["symmetry_order"] == 2
-    # the diagonal settled the rank-one window before it was built
-    assert torus["rank_one"]["window_ms"] is None and torus["rank_one"]["solve_ms"] is None
+    # the diagonal settled the rank-one window before it was built, so it
+    # has no size, orbit count, group order or build and solve times
+    for key in ("dimension", "orbits", "symmetry_order", "window_ms", "solve_ms"):
+        assert torus["rank_one"][key] is None, key
     assert torus["rank_one"]["certificate_ms"] >= 0
     ramanujan = diagnostics["report.ramanujan"]
     assert (ramanujan["symmetry_order"], ramanujan["frontiers"]) == (4, 2)
@@ -638,7 +683,7 @@ def test_report_rank_one_needs_a_certificate_of_exactly_one(capsys, monkeypatch)
     checked = lps.cli.torus_discrepancy_check
 
     def shaved(genset, n, shape, radii, seed):
-        # a rank-one certificate just below 1, whose float estimate still reads 1.0
+        # a rank-one certificate 1e-12 below 1: near one, yet not exactly one
         table = checked(genset, n, shape, radii, seed=seed)
         if genset.q > 1:
             return table
@@ -654,7 +699,8 @@ def test_report_rank_one_needs_a_certificate_of_exactly_one(capsys, monkeypatch)
     assert code == 1
     failed = [(e, c["name"]) for e, env in report.items() for c in env["checks"] if not c["passed"]]
     assert failed == [("report.torus", "rank_one_estimate_near_one")]
-    assert report["report.torus"]["results"]["rank_one_estimate"] == 1.0
+    # the estimate is read from the certificate, and printed rounded down
+    assert report["report.torus"]["results"]["rank_one_estimate"] < 1.0
 
 
 def test_report_rank_one_check_can_fail(capsys, monkeypatch, cold_torus_cache):
@@ -725,7 +771,7 @@ def _nondecreasing_fault(monkeypatch, shape):
         bound = certify(genset, n, which, radius, seed)
         if (genset.q, n, which, radius) != (3, 1, shape, 256):
             return bound
-        return dataclasses.replace(bound, estimate=fallen, certificate=Fraction(fallen))
+        return dataclasses.replace(bound, certificate=Fraction(fallen))
 
     # clear_caches still empties the memo underneath
     fallen_certificate.cache_clear = certify.cache_clear
@@ -772,7 +818,7 @@ def _tempered_fault(monkeypatch):
 
     def past_the_edge(block):
         eigs = spectrum(block)
-        return lps.sphere.Spectrum(eigs[:-1] + (pushed,), eigs.symmetry_defect, eigs.trace_defects)
+        return lps.sphere.Spectrum(eigs[:-1] + (pushed,), eigs.trace_defects)
 
     def verify_past_the_edge(p, l_max):
         with pytest.MonkeyPatch.context() as patch:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -25,11 +26,9 @@ from lps.torus import (
     SANOV_MATRICES,
     _exact_dot,
     _float_at_most,
-    _half_window_size,
     _lanczos,
     _lookup,
     _max_diagonal,
-    _orbit_count,
     _orbits,
     _square_table,
     _window_words,
@@ -403,27 +402,6 @@ def test_oracle_diagonal_is_the_dense_diagonal(matrices, radius):
         assert np.array_equal(diagonal_counts(genset, n, shape, radius), block.diagonal())
 
 
-# Every group that `symmetries` can return: the subgroups of the signed
-# permutations modulo +-I.
-_GROUPS = [
-    (_IDENTITY,),
-    (_IDENTITY, _SWAP),
-    (_IDENTITY, _FLIP),
-    (_IDENTITY, _QUARTER),
-    (_IDENTITY, _SWAP, _FLIP, _QUARTER),
-]
-
-
-def test_window_size_and_orbit_count_are_counted_exactly():
-    for radius in range(1, 301):
-        window = HalfWindow(radius)
-        assert _half_window_size(radius) == window.size
-        table = _square_table(window)
-        for group in _GROUPS:
-            _, firsts = _orbits(window, table, group)
-            assert _orbit_count(group, radius, window.size) == len(firsts), (radius, group)
-
-
 @pytest.mark.parametrize(
     "matrices, n, shape, radius, empty_rows",
     [
@@ -513,9 +491,10 @@ def test_norm_estimate_is_deterministic():
 def test_norm_estimate_raises_without_convergence(monkeypatch):
     monkeypatch.setattr(lps.torus, "LANCZOS_MAX_STEPS", 2)
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", 8)
-    with pytest.raises(LanczosConvergenceError) as err:
+    best = float(Fraction(op.max_diagonal, op.words_used))
+    assert best > 0
+    with pytest.raises(LanczosConvergenceError, match=re.escape(f"(best exact bound {best})")):
         norm_certificate(op)
-    assert err.value.best_bound > 0
 
 
 def _per_step_lanczos(matvec, start):
@@ -951,7 +930,13 @@ def test_n1_ball_certificate_is_derived_exactly(
         assert bound.certificate == settled
         assert bound.certificate == Fraction(op.max_diagonal, op.words_used)
         assert bound.start is None and bound.ritz_residual is None
-    assert (bound.dimension, bound.orbits) == (op.window.size, len(op.orbit_sizes))
+    # the sphere's sizes carry over: None where it was settled unbuilt
+    sizes = (bound.dimension, bound.orbits, bound.symmetry_order)
+    assert sizes == (sphere.dimension, sphere.orbits, sphere.symmetry_order)
+    if matrices == "rank-one":
+        assert sizes == (None, None, None)
+    else:
+        assert sizes == (op.window.size, len(op.orbit_sizes), op.symmetry_order)
     assert bound.matvecs == 0 and bound.window_ms is None and bound.solve_ms is None
 
 
@@ -1008,10 +993,14 @@ def test_settled_window_is_never_built(cold_torus_cache, monkeypatch, shape):
     monkeypatch.setattr(lps.torus, "_lanczos", refuse)
     table = torus_discrepancy_check(genset, 1, shape, radii)
     assert table.passed
-    # the same certificate, size and orbit count as the built window gives
-    assert [row.bound for row in table.rows] == expected
-    for row in table.rows:
+    solve = ("certificate", "matvecs", "start", "ritz_residual", "ritz_minus_certificate")
+    for row, built in zip(table.rows, expected):
+        # the same certificate, and no solve, as the built window gives
+        for name in solve:
+            assert getattr(row.bound, name) == getattr(built, name), name
         assert row.bound.certificate == 1 and row.bound.matvecs == 0
+        # no window, so no size, orbit count or group order
+        assert row.bound.dimension is row.bound.orbits is row.bound.symmetry_order is None
         assert row.bound.window_ms is None and row.bound.solve_ms is None
         assert row.bound.certificate_ms >= 0
 
