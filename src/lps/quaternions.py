@@ -1,21 +1,21 @@
-"""Exact rotation generators built from integer quaternions of prime norm.
+"""Exact rotation generators built from integer quaternions.
 
 For a prime p with p % 4 == 1 the integer quaternions of norm p, taken up
 to sign and filtered to an odd positive real part, fall into p + 1 classes
-that pair off under conjugation.  Conjugation by such a quaternion, cleared
-of denominators, is an integer 3x3 matrix M with M^T M = p^2 I, and M / p
-is a rotation with entries in Z[1/p].  These rotations generate a free
-group of rank (p + 1) / 2.  GeneratorSet keeps them as the numerators M
-over the denominator p, the words module's IntegerGenerators, and checks
-each one once, when it is built.
+that pair off under conjugation.  Conjugation by a quaternion q, cleared
+of denominators, is an integer 3x3 matrix M with M^T M = norm(q)^2 I and
+det M = norm(q)^3, so M / norm(q) is a rotation.  For the norm-p classes
+these rotations, with entries in Z[1/p], generate a free group of rank
+(p + 1) / 2.  GeneratorSet is built from the quaternions alone and derives
+the rest: the numerators M over their common norm, as the words module's
+IntegerGenerators, and the pairing of each quaternion with its conjugate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from math import isqrt
-
-import numpy as np
 
 from .words import ConsistencyError, IntegerGenerators
 
@@ -132,15 +132,6 @@ def enumerate_representatives(p: int) -> list[LipschitzQuaternion]:
     return reps
 
 
-def _det3(m: np.ndarray):
-    """Exact determinant of a 3x3 integer matrix, or of each in a (..., 3, 3) stack."""
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
-
-
 def adjoint_rotation(q: LipschitzQuaternion) -> tuple[tuple[int, ...], ...]:
     """Conjugation action of q on the imaginary units, cleared of denominators.
 
@@ -148,47 +139,59 @@ def adjoint_rotation(q: LipschitzQuaternion) -> tuple[tuple[int, ...], ...]:
     q * e_c * conj(q) for e_c in (i, j, k); the rotation itself is that
     matrix divided by norm(q).
     """
-    n = q.norm()
-    if n == 0:
+    if q.norm() == 0:
         raise ValueError("cannot build a rotation from the zero quaternion")
     units = (
         LipschitzQuaternion(0, 1, 0, 0),
         LipschitzQuaternion(0, 0, 1, 0),
         LipschitzQuaternion(0, 0, 0, 1),
     )
-    cols = []
-    for e in units:
-        img = q * e * q.conjugate()
-        if img.x0 != 0:
-            raise ValueError("conjugation did not preserve the imaginary subspace")
-        cols.append(img.vector_part())
+    # q e conj(q) has real part norm(q) Re(e) = 0, so it stays imaginary
+    cols = [(q * e * q.conjugate()).vector_part() for e in units]
     return tuple(tuple(cols[c][r] for c in range(3)) for r in range(3))
 
 
 @dataclass(frozen=True)
 class GeneratorSet(IntegerGenerators):
-    """The p + 1 conjugation rotations of norm-p representatives, over den = p.
+    """The conjugation rotations of integer quaternions of one common norm.
 
-    matrices[i] / p is the rotation of source_quaternions[i], and
-    inverse_of matches quaternion conjugation.  On top of the pairing the
-    constructor requires each numerator M to be p times a rotation,
-    M^T M = p^2 I and det M = p^3, with not every entry divisible by p.
+    Built from `source_quaternions` alone, a sequence kept as a tuple so
+    that the set hashes: den is their common norm, matrices[i] is
+    adjoint_rotation(source_quaternions[i]), and inverse_of pairs the k-th
+    copy of each quaternion with the k-th copy of its conjugate.  Ad(q)
+    scales lengths by norm(q), keeps orientation and has Ad(q) Ad(conj q)
+    = norm(q)^2 I, so these are rotations and inverse pairs by
+    construction.  The constructor raises ValueError only for what
+    derivation cannot fix: no quaternions or mixed norms, a real quaternion
+    (its own inverse), or a conjugate that appears a different number of
+    times than its quaternion.
     """
 
+    matrices: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False)
+    den: int = field(init=False)
+    inverse_of: tuple[int, ...] = field(init=False)
     source_quaternions: tuple[LipschitzQuaternion, ...]
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        gens, p = np.array(self.matrices, dtype=object), self.den
-        if gens.shape[1:] != (3, 3):
-            raise ValueError("rotation numerators must be 3x3")
-        gram = np.matmul(np.swapaxes(gens, 1, 2), gens)
-        if not (gram == np.eye(3, dtype=object) * p * p).all():
-            raise ValueError(f"a generator's columns are not orthogonal with norm {p}")
-        if not (_det3(gens) == p ** 3).all():
-            raise ValueError(f"a generator does not have determinant {p}^3; not a rotation")
-        if (gens % p == 0).all(axis=(1, 2)).any():
-            raise ValueError(f"a generator's numerator is divisible by {p}")
+        quaternions = tuple(self.source_quaternions)
+        norms = {q.norm() for q in quaternions}
+        if len(norms) != 1:
+            raise ValueError(f"need quaternions of one common norm, got norms {sorted(norms)}")
+        if any(q.vector_part() == (0, 0, 0) for q in quaternions):
+            raise ValueError("a real quaternion is its own inverse")
+        if Counter(q.conjugate() for q in quaternions) != Counter(quaternions):
+            raise ValueError("each quaternion's conjugate must appear as often as it does")
+        copies: dict[LipschitzQuaternion, list[int]] = {}
+        for i, q in enumerate(quaternions):
+            copies.setdefault(q, []).append(i)
+        # the k-th copy of q, met in order, takes the k-th copy of conj(q)
+        partners = {q: iter(indices) for q, indices in copies.items()}
+        object.__setattr__(self, "source_quaternions", quaternions)
+        object.__setattr__(self, "den", norms.pop())
+        object.__setattr__(self, "matrices", tuple(map(adjoint_rotation, quaternions)))
+        object.__setattr__(
+            self, "inverse_of", tuple(next(partners[q.conjugate()]) for q in quaternions)
+        )
 
     @property
     def p(self) -> int:
@@ -197,11 +200,4 @@ class GeneratorSet(IntegerGenerators):
 
 def build_generator_set(p: int) -> GeneratorSet:
     """Construct the rank-(p+1)/2 free rotation set for a prime p = 1 mod 4."""
-    reps = enumerate_representatives(p)
-    index_of = {q: i for i, q in enumerate(reps)}
-    return GeneratorSet(
-        matrices=tuple(adjoint_rotation(q) for q in reps),
-        den=p,
-        inverse_of=tuple(index_of[q.conjugate()] for q in reps),
-        source_quaternions=tuple(reps),
-    )
+    return GeneratorSet(enumerate_representatives(p))

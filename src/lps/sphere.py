@@ -290,9 +290,6 @@ class _SymmetricPowers:
 @lru_cache(maxsize=None)
 def _powers_for(genset: GeneratorSet) -> _SymmetricPowers:
     """The symmetric-power frontiers of a generator set, built once per set."""
-    for q in genset.source_quaternions:
-        if q.norm() != genset.p:
-            raise ValueError(f"generator quaternion {q} does not have norm {genset.p}")
     return _SymmetricPowers(genset.source_quaternions)
 
 

@@ -664,19 +664,20 @@ def _window_certificate(
 
     An n = 1 ball window is derived from the sphere window of the same
     radius and seed (`_ball_from_sphere`), and is neither built nor
-    solved; a sphere solve that does not converge fails the ball too.
-    For any other window, the largest diagonal entry of C / words_used is
-    read from the words alone (`_max_diagonal`).  When it reaches the
-    closed form it closes the sandwich, as it would in norm_certificate,
-    and the window is never built, so its certificate records no size.
+    solved.  For any other window, the largest diagonal entry of
+    C / words_used is read from the words alone (`_max_diagonal`).  When
+    it reaches the closed form it closes the sandwich, as it would in
+    norm_certificate, and the window is never built, so its certificate
+    records no size.
     Otherwise the window is built and certified, a ball window
     from the sphere's Ritz vector: the sphere and ball windows of one
     radius have the same symmetry group, hence the same orbit
     coordinates, and nearly the same top vector.  The ball's certificate
     is still an exact Rayleigh quotient of its own window.  It falls back
-    to the seeded start when the sphere window needs no solve or its
-    solve does not converge, so a ball row is the same whether or not the
-    sphere window was certified first; the cache only saves the repeat.
+    to the seeded start when the sphere window needs no solve, so a ball
+    row is the same whether or not the sphere window was certified first;
+    the cache only saves the repeat.  A sphere solve that does not
+    converge fails the ball window at every n.
     """
     if shape == "ball" and n == 1:
         return _ball_from_sphere(_window_certificate(genset, 1, "sphere", radius, seed), genset.q)
@@ -687,10 +688,7 @@ def _window_certificate(
         return NormCertificate(diagonal, certificate_ms=(time.perf_counter() - started) * 1000.0)
     start = None
     if shape == "ball":
-        try:
-            start = _window_certificate(genset, n, "sphere", radius, seed).ritz_vector
-        except LanczosConvergenceError:
-            pass
+        start = _window_certificate(genset, n, "sphere", radius, seed).ritz_vector
     started = time.perf_counter()
     op = window_operator(genset, n, shape, radius)
     window_ms = (time.perf_counter() - started) * 1000.0
@@ -727,8 +725,9 @@ def torus_discrepancy_check(
     alone pays for them once.  The exact certificate must stay below
     theoretical + UPPER_TOLERANCE and its float estimate may not decrease
     by more than MONOTONICITY_TOLERANCE as the window grows.  Violations
-    are recorded as failing rows rather than raised, so a full table is
-    always returned.
+    are recorded as failing rows rather than raised.  A Lanczos solve
+    that does not converge raises LanczosConvergenceError instead, and a
+    ball window's sphere solve counts as its own at every n.
     """
     radii = list(radii)
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):

@@ -27,6 +27,8 @@ class IntegerGenerators:
     `matrices` holds nested int tuples, so the set hashes.  inverse_of[i]
     is the index of the inverse of element i; the constructor requires a
     fixed-point-free involution with M_i M_inverse_of[i] = den^2 I exactly.
+    GeneratorSet derives all three fields from quaternions, for which the
+    pairing holds by construction, and replaces this check with its own.
     """
 
     matrices: tuple[tuple[tuple[int, ...], ...], ...]

@@ -156,28 +156,6 @@ def test_adjoint_is_multiplicative():
         assert matmul(adjoint_rotation(a), adjoint_rotation(b)) == adjoint_rotation(a * b)
 
 
-def test_exact_rotation_rejects_non_orthogonal():
-    # diag(1, 5, 25) pairs with diag(25, 5, 1) and has determinant 5^3
-    a, b = ((1, 0, 0), (0, 5, 0), (0, 0, 25)), ((25, 0, 0), (0, 5, 0), (0, 0, 1))
-    with pytest.raises(ValueError, match="orthogonal"):
-        GeneratorSet((a, b), 5, (1, 0), ())
-
-
-def test_exact_rotation_rejects_reflection():
-    # negating every numerator keeps the pairing and orthogonality, flips det
-    genset = build_generator_set(5)
-    negated = tuple(tuple(tuple(-v for v in row) for row in m) for m in genset.matrices)
-    with pytest.raises(ValueError, match="determinant"):
-        dataclasses.replace(genset, matrices=negated)
-
-
-def test_exact_rotation_rejects_a_numerator_divisible_by_p():
-    # 5 I pairs with itself, is orthogonal with norm 5 and has determinant 5^3
-    five = ((5, 0, 0), (0, 5, 0), (0, 0, 5))
-    with pytest.raises(ValueError, match="divisible"):
-        GeneratorSet((five, five), 5, (1, 0), ())
-
-
 def test_exact_rotation_inverse_and_identity():
     # Ad(conj q) inverts Ad(q), and as a rotation it is the transpose
     q = LipschitzQuaternion(1, 0, 2, 0)
@@ -200,3 +178,45 @@ def test_generator_set_structure(p):
         assert i != j, "pairing must be fixed-point free"
         assert inv[j] == i
         assert matmul(elements[i], elements[j]) == identity
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29])
+def test_generator_set_is_derived_from_its_quaternions(p):
+    # the fields, assembled directly: one rotation per representative and
+    # each one's inverse at the index of its conjugate
+    reps = enumerate_representatives(p)
+    genset = build_generator_set(p)
+    assert genset.source_quaternions == tuple(reps)
+    assert genset.matrices == tuple(adjoint_rotation(q) for q in reps)
+    assert genset.den == p
+    assert genset.inverse_of == tuple(reps.index(q.conjugate()) for q in reps)
+
+
+def test_generator_set_rejects_what_derivation_cannot_fix():
+    one_plus_2i, one_plus_2j = LipschitzQuaternion(1, 2, 0, 0), LipschitzQuaternion(1, 0, 2, 0)
+    with pytest.raises(ValueError, match="common norm"):
+        GeneratorSet(())
+    mixed = (one_plus_2i, one_plus_2i.conjugate(), LipschitzQuaternion(1, 2, 2, 0))
+    with pytest.raises(ValueError, match="common norm"):
+        GeneratorSet(mixed + (mixed[2].conjugate(),))
+    with pytest.raises(ValueError, match="conjugate"):
+        GeneratorSet((one_plus_2j,))
+    with pytest.raises(ValueError, match="conjugate"):
+        GeneratorSet((one_plus_2j, one_plus_2j, one_plus_2j.conjugate()))
+    # 5 has norm 25 like 3 + 4i, and would be its own inverse
+    three_plus_4i = LipschitzQuaternion(3, 4, 0, 0)
+    with pytest.raises(ValueError, match="real"):
+        GeneratorSet((LipschitzQuaternion(5, 0, 0, 0), three_plus_4i, three_plus_4i.conjugate()))
+
+
+def test_replacing_the_quaternions_derives_the_rest():
+    genset = build_generator_set(5)
+    q = LipschitzQuaternion(1, 2, 2, 0)
+    # two copies of q pair with two copies of its conjugate, in order
+    pair = dataclasses.replace(genset, source_quaternions=(q, q, q.conjugate(), q.conjugate()))
+    assert pair.den == pair.p == 9
+    assert pair.matrices == (adjoint_rotation(q),) * 2 + (adjoint_rotation(q.conjugate()),) * 2
+    assert pair.inverse_of == (2, 3, 0, 1)
+    assert dataclasses.replace(pair, source_quaternions=genset.source_quaternions) == genset
+    # a list is kept as a tuple, so the set still hashes
+    assert hash(GeneratorSet(list(genset.source_quaternions))) == hash(genset)

@@ -26,6 +26,7 @@ from harmonic_oracle import (
 )
 from lps.formulas import ConsistencyError, hecke_polynomial, lps_discrepancy
 from lps.quaternions import (
+    GeneratorSet,
     LipschitzQuaternion,
     adjoint_rotation,
     build_generator_set,
@@ -41,6 +42,7 @@ from lps.sphere import (
     sphere_discrepancy_profile,
     verify_ramanujan,
 )
+from lps.words import verify_freeness
 
 
 def _gmul(a, b):
@@ -337,9 +339,7 @@ ORBIT_CASES = [
 
 @pytest.mark.parametrize("p, quaternions, order, frontiers", ORBIT_CASES)
 def test_orbit_sums_match_generator_sum_at_every_stabiliser_order(p, quaternions, order, frontiers):
-    genset = build_generator_set(p)
-    if quaternions is not None:
-        genset = dataclasses.replace(genset, source_quaternions=quaternions)
+    genset = build_generator_set(p) if quaternions is None else GeneratorSet(quaternions)
     for degree in (1, 2, 3, 4):
         total = _generator_sum(genset.source_quaternions, degree)
         assert [list(row) for row in koopman_block(genset, degree).numerators] == total
@@ -378,17 +378,17 @@ def _closed_multisets(draw):
 def test_orbit_sums_match_generator_sum_on_closed_multisets(case):
     # closed under a subgroup of <c>, sigma and inversion, with repeats:
     # the orbit terms, diagonal ones included, reproduce the generator sum
-    p, quaternions = case
-    genset = dataclasses.replace(build_generator_set(p), source_quaternions=quaternions)
+    _, quaternions = case
+    genset = GeneratorSet(quaternions)
     for degree in range(1, 7):
         total = _generator_sum(quaternions, degree)
         assert [list(row) for row in koopman_block(genset, degree).numerators] == total
 
 
 def test_orbit_sums_require_closure_under_sigma():
-    # the c-orbit of 1 + 2i + 2j + 2k is closed under c but not under sigma
-    orbit = (_q(1, 2, 2, 2), _q(1, 2, -2, 2), _q(1, 2, -2, -2), _q(1, 2, 2, -2))
-    genset = dataclasses.replace(build_generator_set(13), source_quaternions=orbit)
+    # 1 + 2i + 2j + 2k and its conjugate: closed under inversion, but sigma
+    # sends 1 + 2i + 2j + 2k to 1 - 2i + 2j - 2k, which is missing
+    genset = GeneratorSet((_q(1, 2, 2, 2), _q(1, -2, -2, -2)))
     with pytest.raises(ConsistencyError, match="imaginary"):
         koopman_block(genset, 1)
 
@@ -441,27 +441,54 @@ def test_sphere_sum_satisfies_hecke_recursion():
                 assert total[i][j] == square[i][j] - (shift if i == j else 0)
 
 
-def test_block_rejects_generators_not_closed_under_conjugation():
-    genset = build_generator_set(5)
-    # Ad(1 + 2i) alone: its diagonal matrix has complex entries that no
-    # partner cancels
-    complex_only = dataclasses.replace(
-        genset, source_quaternions=(LipschitzQuaternion(1, 2, 0, 0),)
-    )
+def test_block_rejects_generators_not_closed_under_conjugation(monkeypatch):
+    # closed under inversion, not under sigma: the imaginary parts of the
+    # summed powers do not cancel
+    not_sigma_closed = GeneratorSet((_q(1, 2, 2, 2), _q(1, -2, -2, -2)))
     with pytest.raises(ConsistencyError, match="imaginary"):
-        koopman_block(complex_only, 1)
-    # 1 + 2j has a real matrix, but without 1 - 2j the sum is not
-    # self-adjoint
-    real_only = dataclasses.replace(
-        genset, source_quaternions=(LipschitzQuaternion(1, 0, 2, 0),)
-    )
+        koopman_block(not_sigma_closed, 1)
+    # a sum over a set closed under inverses is self-adjoint, so only a
+    # corrupted sum can fail the exact check
+    summed = lps.sphere._SymmetricPowers.summed
+
+    def corrupted(self, degree):
+        total = summed(self, degree)
+        total[0, 1] += 1
+        return total
+
+    clear_caches()
+    monkeypatch.setattr(lps.sphere._SymmetricPowers, "summed", corrupted)
     with pytest.raises(ConsistencyError, match="self-adjoint"):
-        koopman_block(real_only, 1)
-    wrong_norm = dataclasses.replace(
-        genset, source_quaternions=(LipschitzQuaternion(1, 2, 2, 0),)
+        koopman_block(build_generator_set(5), 1)
+    # quaternions of different norms make no generator set
+    with pytest.raises(ValueError, match="common norm"):
+        GeneratorSet((_q(1, 2, 0, 0), _q(1, -2, 0, 0), _q(1, 2, 2, 0), _q(1, -2, -2, 0)))
+
+
+def _primitive_norm_25():
+    """The 30 primitive norm-25 quaternions with odd positive real part."""
+    return tuple(
+        q
+        for q in quaternions_of_norm(25)
+        if q.x0 > 0 and q.x0 % 2 and math.gcd(q.x0, q.x1, q.x2, q.x3) == 1
     )
-    with pytest.raises(ValueError):
-        koopman_block(wrong_norm, 1)
+
+
+def test_norm_25_set_is_not_ramanujan_and_not_free():
+    # Lubotzky-Phillips-Sarnak's 30 norm-25 quaternions: the products of
+    # two norm-5 letters, a set that is not free on 15 generators, whose
+    # blocks leave the tempered interval [-2 sqrt(29), 2 sqrt(29)]
+    genset = GeneratorSet(_primitive_norm_25())
+    assert (genset.den, genset.q) == (25, 29)
+    # every degree passes the exact self-adjointness check and check_traces
+    top = max(
+        max(abs(e) for e in block_spectrum(koopman_block(genset, degree)))
+        for degree in range(1, 25)
+    )
+    assert top >= 2 * math.sqrt(29) + 2
+    report = verify_freeness(genset, 2)
+    assert (report.ball_size_found, report.ball_size_expected) == (781, 901)
+    assert not report.is_free_to_radius
 
 
 @pytest.mark.parametrize("p", [5, 13])

@@ -963,7 +963,7 @@ def test_ball_window_falls_back_to_the_seeded_start(cold_torus_cache, monkeypatc
     assert ball_row.bound.start == "seeded"
     assert ball_row.bound == norm_certificate(window_operator(far, 2, "ball", 1))
 
-    # a sphere solve that does not converge leaves the ball its seeded start
+    # a sphere solve that does not converge fails the n = 2 ball, as at n = 1
     lps.torus.clear_caches()
     calls = []
 
@@ -972,10 +972,9 @@ def test_ball_window_falls_back_to_the_seeded_start(cold_torus_cache, monkeypatc
         return None if len(calls) == 1 else _lanczos(matvec, start)
 
     monkeypatch.setattr(lps.torus, "_lanczos", first_fails)
-    sanov = build_torus_genset("sanov")
-    (row,) = torus_discrepancy_check(sanov, 2, "ball", [8]).rows
-    assert len(calls) == 2 and row.bound.start == "seeded"
-    assert row.bound == norm_certificate(window_operator(sanov, 2, "ball", 8))
+    with pytest.raises(LanczosConvergenceError):
+        torus_discrepancy_check(build_torus_genset("sanov"), 2, "ball", [8])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("shape", ["sphere", "ball"])
