@@ -287,7 +287,10 @@ def test_freeness_radius_zero_is_the_identity():
         assert report.first_collision is None
 
 
-@pytest.mark.parametrize("genset", [build_torus_genset("sanov")])
+@pytest.mark.parametrize(
+    "genset",
+    [build_torus_genset((((2, 1), (1, 1)), ((1, 1), (0, 1)))), build_torus_genset("sanov")],
+)
 def test_construction_rejects_a_wrong_pairing(genset):
     wrong = tuple(i ^ 1 for i in range(len(genset.inverse_of)))  # 0-1, 2-3, ...
     assert wrong != genset.inverse_of
