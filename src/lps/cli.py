@@ -238,7 +238,11 @@ def cmd_norms(args) -> tuple[list[ReportEnvelope], Optional[str]]:
 
 
 def _ramanujan_diagnostics(report) -> dict:
-    """How the blocks were built, and per degree the float defects passed and the time taken."""
+    """How the blocks were built, and per degree the float defects passed and the time taken.
+
+    `pieces` lists the sizes of the residue-class pieces that each degree's
+    exact checks ran on.
+    """
     return {
         "symmetry_order": report.symmetry_order,
         "frontiers": report.frontiers,
@@ -247,6 +251,7 @@ def _ramanujan_diagnostics(report) -> dict:
                 "degree": r.degree,
                 "trace_defect": r.trace_defects[0],
                 "square_trace_defect": r.trace_defects[1],
+                "pieces": list(r.pieces),
                 "block_ms": r.block_ms,
                 "spectrum_ms": r.spectrum_ms,
             }

@@ -17,7 +17,9 @@ Sym^{2l}(c) is diagonal, so the sum over an orbit of a subgroup H of <c>
 is |orbit| times one representative's symmetric power with the entries
 (r, s), r != s mod |H|, set to zero.  H is the largest subgroup that maps
 the generator quaternions onto themselves, found exactly; it has order 4
-for every norm-p set.  The sign flip sigma of (b, d) conjugates the
+for every norm-p set.  So a block is held as its pieces, one integer
+matrix per residue class r mod |H|, and the entries between classes are
+never stored or read.  The sign flip sigma of (b, d) conjugates the
 matrix entrywise, so joining it to H pairs orbits whose sums are complex
 conjugates, and each orbit of the larger group adds its generator count
 times the real part of its representative's masked power.  The fixed
@@ -35,11 +37,12 @@ the square of the image of x.
 
 Every block is checked exactly before any float appears: the generators
 are closed under sigma, checked once, so the imaginary parts cancel by
-construction, and the block is self-adjoint for the invariant pairing,
+construction, and each piece is self-adjoint for the invariant pairing,
 which is diagonal with weights 1/binom(2l, k).  Rescaling by
-sqrt(binom(2l, k)) then gives a symmetric matrix in plain float64, whose
-spectrum LAPACK's symmetric eigensolver computes and which must
-reproduce the exact tr(T) and tr(T^2).
+sqrt(binom(2l, k)) then gives a symmetric matrix in plain float64, filled
+piece by piece, whose spectrum LAPACK's symmetric eigensolver computes in
+one call and which must reproduce the exact tr(T) and tr(T^2), summed
+over the pieces.
 """
 
 from __future__ import annotations
@@ -73,25 +76,40 @@ RAMANUJAN_TOLERANCE = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class KoopmanBlock:
-    """Summed generator action on the degree-`degree` harmonics.
+    """Summed generator action on the degree-`degree` harmonics, held as residue-class pieces.
 
-    `numerators` holds p^degree times the block, as integers; rows and
-    columns follow the monomials x^(2l-k) y^k of Sym^{2l}(C^2), and column
-    k is the image of monomial k.  Blocks compare and hash by identity, so
-    caches keyed by a block never hash its entries.
+    Rows and columns follow the monomials x^(2l-k) y^k of Sym^{2l}(C^2),
+    and column k is the image of monomial k.  Entry (r, s) is zero unless
+    r = s mod |H|, H being the generators' stabiliser in <c>, so the block
+    is held only as the read-only object arrays `pieces`: with m pieces,
+    piece c holds p^degree times the block's entries at the indices c,
+    c + m, c + 2m, ..., as integers (m is |H|, or 2l + 1 when that is
+    smaller).  `numerators`, p^degree times the whole block, and `matrix`,
+    the block as exact rationals, are derived from the pieces on first use.
+    Blocks compare and hash by identity, so caches keyed by a block never
+    hash its entries.
     """
 
     p: int
     degree: int
-    numerators: tuple[tuple[int, ...], ...]
+    pieces: tuple[np.ndarray, ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.numerators)
+        return sum(len(piece) for piece in self.pieces)
 
     @property
     def scale(self) -> int:
         return self.p ** self.degree
+
+    @cached_property
+    def numerators(self) -> tuple[tuple[int, ...], ...]:
+        """p^degree times the block, as integers, zero between residue classes."""
+        dense = np.zeros((self.dimension, self.dimension), dtype=object)
+        step = len(self.pieces)
+        for c, piece in enumerate(self.pieces):
+            dense[c::step, c::step] = piece
+        return tuple(map(tuple, dense.tolist()))
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -194,11 +212,13 @@ class _SymmetricPowers:
     the entries with r = s mod |H|; sigma maps H-orbits to H-orbits (it
     inverts c) and conjugates their sums, so a whole orbit adds
     weight * Re(mask(Sym^k(rep))), weight being its generator count with
-    multiplicity.  A representative with c = d = 0 has the diagonal matrix
-    diag(a+bi, a-bi), whose power is diagonal in closed form
-    (_diagonal_real_parts) and needs no frontier; every other one advances
-    a dense complex frontier.  `symmetry_order` is |H|; with no symmetry it
-    is 1 and the mask keeps every entry.
+    multiplicity.  The mask is never applied: each frontier starts at
+    weight * Sym^2(rep), and the summed powers are read only on the entries
+    r = s mod |H|, where they equal the generator sum.  A representative
+    with c = d = 0 has the diagonal matrix diag(a+bi, a-bi), whose power is
+    diagonal in closed form (_diagonal_real_parts) and needs no frontier;
+    every other one advances a dense complex frontier.  `symmetry_order` is
+    |H|; with no symmetry it is 1 and every entry is read.
 
     A frontier holds only the columns 0..k/2 of Sym^k.  With J = [[0, 1],
     [-1, 0]], J M J^-1 = conj(M) for every quaternion matrix M, and Sym^k(J)
@@ -225,7 +245,7 @@ class _SymmetricPowers:
                 "a - bi + cj - dk, so the imaginary parts of their blocks do not cancel"
             )
         self.symmetry_order = order = _symmetry_order(quaternions)
-        self._diagonals, self._weights, self._squares, self._start, seen = [], [], [], [], set()
+        self._diagonals, self._squares, self._start, seen = [], [], [], set()
         for q in counts:
             if q in seen:
                 continue
@@ -238,12 +258,11 @@ class _SymmetricPowers:
             # Substituting (x, y) -> (x, y) M sends x to X = m00 x + m10 y
             # and y to Y = m01 x + m11 y, which makes Sym^k a homomorphism.
             # Sym^1 is M, and its columns X and Y times X are the columns
-            # X^2 and XY of Sym^2.
+            # X^2 and XY of Sym^2; the frontier carries the orbit's weight.
             m = _quaternion_matrix(q)
             sym1 = np.array(m, dtype=object).reshape(2, 2, 2)
             re, im = _times_form(sym1[..., 0], sym1[..., 1], (m[0], m[2]))
-            self._weights.append(weight)
-            self._start.append((re, im))
+            self._start.append((weight * re, weight * im))
             self._squares.append(tuple(zip(re[:, 0], im[:, 0])))
         self._reset()
 
@@ -257,9 +276,12 @@ class _SymmetricPowers:
         self._mats = list(self._start)
 
     def summed(self, degree: int) -> np.ndarray:
-        """The sum over generators of Sym^degree, real by sigma-closure, as Python ints.
+        """The sum over generators of Sym^degree on the residue classes, as Python ints.
 
-        `degree` must be even and at least 2.
+        The sum is real by sigma-closure.  Only the entries (r, s) with
+        r = s mod symmetry_order equal the generator sum, which is zero on
+        the others; those hold the unmasked orbit terms and must not be
+        read.  `degree` must be even and at least 2.
         """
         if degree < 2 or degree % 2:
             raise ValueError(f"degree must be even and >= 2, got {degree}")
@@ -277,11 +299,10 @@ class _SymmetricPowers:
             self._degree += 2
         half = degree // 2
         total = np.zeros((degree + 1, degree + 1), dtype=object)
-        for weight, (re, _) in zip(self._weights, self._mats):
-            total[:, : half + 1] += weight * re
+        for re, _ in self._mats:
+            total[:, : half + 1] += re
         total[:, half + 1 :] = _flip(total[:, :half], half + 1)
         index = np.arange(degree + 1)
-        total[np.subtract.outer(index, index) % self.symmetry_order != 0] = 0
         for weight, a, b in self._diagonals:
             total[index, index] += [weight * v for v in _diagonal_real_parts(a, b, degree)]
         return total
@@ -306,22 +327,31 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
     Built as the sum of Sym^{2*degree} of the generators' quaternion
     matrices, taken orbit by orbit (see _SymmetricPowers, which raises
     ConsistencyError when the generators are not closed under the
-    conjugation that makes the sum real).  The summed block must pass an
-    exact check, or ConsistencyError is raised: T[i][j] * binom(2l, j) ==
-    T[j][i] * binom(2l, i) for all i, j, i.e. T is self-adjoint for the
-    invariant pairing.
+    conjugation that makes the sum real), and split into one piece per
+    residue class mod the symmetry order (see KoopmanBlock).  Each piece
+    must pass an exact check, or ConsistencyError is raised:
+    T[i][j] * binom(2l, j) == T[j][i] * binom(2l, i) for all i, j of its
+    class, i.e. T is self-adjoint for the invariant pairing (the entries
+    between classes are zero).
     """
     if degree < 1:
         raise ValueError(
             f"degree must be >= 1 (degree 0 carries the constants), got {degree}"
         )
-    total = _powers_for(genset).summed(2 * degree)
+    powers = _powers_for(genset)
+    total = powers.summed(2 * degree)
+    step = min(powers.symmetry_order, 2 * degree + 1)
     weights = [math.comb(2 * degree, k) for k in range(2 * degree + 1)]
-    if not is_weighted_symmetric(total, weights):
-        raise ConsistencyError(
-            f"block at degree {degree} is not self-adjoint for the binomial pairing"
-        )
-    return KoopmanBlock(p=genset.p, degree=degree, numerators=tuple(map(tuple, total.tolist())))
+    pieces = []
+    for c in range(step):
+        piece = total[c::step, c::step].copy()
+        if not is_weighted_symmetric(piece, weights[c::step]):
+            raise ConsistencyError(
+                f"block at degree {degree} is not self-adjoint for the binomial pairing"
+            )
+        piece.setflags(write=False)
+        pieces.append(piece)
+    return KoopmanBlock(p=genset.p, degree=degree, pieces=tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +362,15 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
 def check_traces(block: KoopmanBlock, eigenvalues) -> tuple[float, float]:
     """Require a float spectrum to reproduce the block's exact tr(T) and tr(T^2).
 
-    The traces are computed exactly from the integer numerators, whose
-    moments are p^l and p^{2l} times those of T.  Raises ConsistencyError
+    The traces are computed exactly from the integer pieces, whose moments
+    add up to p^l and p^{2l} times those of T.  Raises ConsistencyError
     when either sum misses by more than TRACE_TOLERANCE relative to
     sum |eig| (respectively sum eig^2); otherwise returns the two relative
     misses.
     """
-    exact_trace, exact_square = trace_moments(block.numerators)
+    moments = [trace_moments(piece) for piece in block.pieces]
+    exact_trace = sum(trace for trace, _ in moments)
+    exact_square = sum(square for _, square in moments)
     s = block.scale
     eigs = np.asarray(eigenvalues, dtype=float)
     defects = []
@@ -369,21 +401,34 @@ class Spectrum(tuple):
         return spectrum
 
 
+def _symmetrised(block: KoopmanBlock) -> np.ndarray:
+    """S[i][j] = T[i][j] * sqrt(binom(2l, j) / binom(2l, i)) in float64, filled piece by piece.
+
+    Each entry is its numerator over p^l, correctly rounded, times the
+    float ratio of the square roots; S is zero between residue classes.
+    """
+    dimension, step = block.dimension, len(block.pieces)
+    weights = np.sqrt([float(math.comb(2 * block.degree, k)) for k in range(dimension)])
+    sym = np.zeros((dimension, dimension))
+    for c, piece in enumerate(block.pieces):
+        root = weights[c::step]
+        scaled = (piece / block.scale).astype(float)
+        sym[c::step, c::step] = scaled * (root[None, :] / root[:, None])
+    return sym
+
+
 @lru_cache(maxsize=None)
 def block_spectrum(block: KoopmanBlock) -> Spectrum:
     """Eigenvalues of a block, ascending, with the defects of their checks.
 
     Exact self-adjointness for the pairing diag(1/binom(2l, k)), which
-    koopman_block has checked, makes
-    S[i][j] = T[i][j] * sqrt(binom(2l, j) / binom(2l, i)) symmetric up to
-    float rounding; LAPACK reads one triangle of S, and its eigenvalues
-    must pass check_traces.
+    koopman_block has checked, makes the rescaled block S (_symmetrised)
+    symmetric up to float rounding.  S is filled from the pieces, but
+    LAPACK reads one triangle of the whole S, and its eigenvalues must pass
+    check_traces.
     """
-    weights = np.sqrt([float(math.comb(2 * block.degree, k)) for k in range(block.dimension)])
-    scaled = np.array(block.numerators, dtype=object) / block.scale
-    sym = scaled.astype(float) * (weights[None, :] / weights[:, None])
     try:
-        eigs = np.linalg.eigvalsh(sym)
+        eigs = np.linalg.eigvalsh(_symmetrised(block))
     except np.linalg.LinAlgError as exc:
         raise ConsistencyError(
             f"eigenvalues of the degree-{block.degree} block did not converge: {exc}"
@@ -400,15 +445,17 @@ def block_spectrum(block: KoopmanBlock) -> Spectrum:
 class DegreeSpectrum:
     """One degree of the tempered check.
 
-    `block_ms` and `spectrum_ms` are the wall-clock milliseconds that
-    koopman_block and block_spectrum took for this degree (near zero on a
-    cache hit); they take no part in equality.
+    `pieces` lists the sizes of the block's residue-class pieces, on which
+    its exact checks ran.  `block_ms` and `spectrum_ms` are the wall-clock
+    milliseconds that koopman_block and block_spectrum took for this degree
+    (near zero on a cache hit); they take no part in equality.
     """
 
     degree: int
     eigenvalues: tuple[float, ...]
     max_abs: float
     trace_defects: tuple[float, float]
+    pieces: tuple[int, ...]
     block_ms: float = field(compare=False)
     spectrum_ms: float = field(compare=False)
 
@@ -455,6 +502,7 @@ def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
                 eigenvalues=tuple(eigs),
                 max_abs=max(abs(e) for e in eigs),
                 trace_defects=eigs.trace_defects,
+                pieces=tuple(len(piece) for piece in block.pieces),
                 block_ms=(built - started) * 1000.0,
                 spectrum_ms=(time.perf_counter() - built) * 1000.0,
             )
@@ -480,12 +528,13 @@ def sphere_discrepancy_profile(p: int, n: int, shape: str, l_max: int) -> tuple[
     summed ball polynomial over |B_n|) over the block spectra of degrees
     1..l.  Every harmonic degree is a genuine invariant subspace of the
     mean-zero space, so at the exact eigenvalues each entry could only
-    underestimate the true norm; one scan of the degrees yields the whole
-    nondecreasing profile.  The eigenvalues are LAPACK's float64 ones,
-    though, and the polynomial is evaluated in floats, so an entry that
-    attains the norm may exceed it by a few ulps: unlike the torus
-    certificates, which are exact Rayleigh quotients, these values are
-    not certified.
+    underestimate the true norm.  The polynomial is evaluated once on the
+    spectra of degrees 1..l_max together, and the running maximum of the
+    per-degree maxima is the whole nondecreasing profile.  The eigenvalues
+    are LAPACK's float64 ones, though, and the polynomial is evaluated in
+    floats, so an entry that attains the norm may exceed it by a few ulps:
+    unlike the torus certificates, which are exact Rayleigh quotients,
+    these values are not certified.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -496,19 +545,17 @@ def sphere_discrepancy_profile(p: int, n: int, shape: str, l_max: int) -> tuple[
     genset = _generator_set(p)
     polys = [hecke_polynomial(p, k) for k in range(n + 1)]
     sphere_count, ball_count = word_counts(p, n)
-    best = 0.0
-    profile = []
-    for degree in range(1, l_max + 1):
-        # Horner on the whole spectrum performs each eigenvalue's float
-        # operations in the scalar order, so the values are bit-identical.
-        eigs = np.array(block_spectrum(koopman_block(genset, degree)))
-        if shape == "sphere":
-            values = abs(polys[n](eigs)) / sphere_count
-        else:
-            values = abs(sum(poly(eigs) for poly in polys)) / ball_count
-        best = max(best, float(values.max()))
-        profile.append(best)
-    return tuple(profile)
+    spectra = [block_spectrum(koopman_block(genset, degree)) for degree in range(1, l_max + 1)]
+    # Horner on all spectra at once performs each eigenvalue's float
+    # operations in the scalar order, so the values are bit-identical.
+    eigs = np.concatenate(spectra)
+    if shape == "sphere":
+        values = abs(polys[n](eigs)) / sphere_count
+    else:
+        values = abs(sum(poly(eigs) for poly in polys)) / ball_count
+    # the 2d + 1 eigenvalues of degree d start at index d^2 - 1
+    starts = np.arange(1, l_max + 1) ** 2 - 1
+    return tuple(np.maximum.accumulate(np.maximum.reduceat(values, starts)).tolist())
 
 
 def sphere_discrepancy_estimate(p: int, n: int, shape: str, l_max: int) -> float:

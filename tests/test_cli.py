@@ -190,6 +190,9 @@ def test_verify_ramanujan_diagnostics_only_with_timings(capsys):
     for d in diagnostics["per_degree"]:
         assert 0 <= d["trace_defect"] <= lps.sphere.TRACE_TOLERANCE
         assert 0 <= d["square_trace_defect"] <= lps.sphere.TRACE_TOLERANCE
+        # the residue classes mod 4 that the exact checks ran on
+        assert len(d["pieces"]) == min(4, 2 * d["degree"] + 1)
+        assert sum(d["pieces"]) == 2 * d["degree"] + 1
         # stage timings of each degree's block and spectrum
         assert isinstance(d["block_ms"], float) and d["block_ms"] >= 0
         assert isinstance(d["spectrum_ms"], float) and d["spectrum_ms"] >= 0
@@ -833,15 +836,16 @@ def _degree1_fault(monkeypatch):
 
     The check is exact, with no slack.  A diagonal change keeps the block
     self-adjoint for the binomial pairing, and the middle monomial is its
-    own image under the flip J.
+    own image under the flip J.  Every degree-1 piece is 1x1, and piece 1
+    holds index 1.
     """
     koopman = lps.cli.koopman_block
 
     def perturbed(genset, degree):
         block = koopman(genset, degree)
-        rows = [list(row) for row in block.numerators]
-        rows[1][1] += 1
-        return dataclasses.replace(block, numerators=tuple(map(tuple, rows)))
+        pieces = list(block.pieces)
+        pieces[1] = pieces[1] + 1
+        return dataclasses.replace(block, pieces=tuple(pieces))
 
     monkeypatch.setattr(lps.cli, "koopman_block", perturbed)
 

@@ -448,18 +448,19 @@ def test_block_rejects_generators_not_closed_under_conjugation(monkeypatch):
     with pytest.raises(ConsistencyError, match="imaginary"):
         koopman_block(not_sigma_closed, 1)
     # a sum over a set closed under inverses is self-adjoint, so only a
-    # corrupted sum can fail the exact check
+    # corrupted sum can fail the exact check; (0, 4) lies in residue class 0
+    # of the degree-2 block, whose pieces are the only entries read
     summed = lps.sphere._SymmetricPowers.summed
 
     def corrupted(self, degree):
         total = summed(self, degree)
-        total[0, 1] += 1
+        total[0, 4] += 1
         return total
 
     clear_caches()
     monkeypatch.setattr(lps.sphere._SymmetricPowers, "summed", corrupted)
     with pytest.raises(ConsistencyError, match="self-adjoint"):
-        koopman_block(build_generator_set(5), 1)
+        koopman_block(build_generator_set(5), 2)
     # quaternions of different norms make no generator set
     with pytest.raises(ValueError, match="common norm"):
         GeneratorSet((_q(1, 2, 0, 0), _q(1, -2, 0, 0), _q(1, 2, 2, 0), _q(1, -2, -2, 0)))
@@ -541,6 +542,21 @@ def test_block_spectrum_matches_jacobi_oracle(p):
         assert np.max(np.abs(ours - reference)) < 1e-12
 
 
+@pytest.mark.parametrize("p", [5, 13])
+def test_block_spectrum_fills_the_dense_float_matrix_bit_for_bit(p):
+    # the piecewise fill performs each entry's float operations as the
+    # dense construction from the numerators does, so the spectra match
+    genset = build_generator_set(p)
+    for degree in range(1, 13):
+        block = koopman_block(genset, degree)
+        assert sum(len(piece) for piece in block.pieces) == 2 * degree + 1
+        assert not any(piece.flags.writeable for piece in block.pieces)
+        weights = np.sqrt([float(math.comb(2 * degree, k)) for k in range(block.dimension)])
+        scaled = np.array(block.numerators, dtype=object) / block.scale
+        dense = scaled.astype(float) * (weights[None, :] / weights[:, None])
+        assert lps.sphere._symmetrised(block).tobytes() == dense.tobytes()
+
+
 def test_block_spectrum_degree_one():
     eigs = block_spectrum(koopman_block(build_generator_set(5), 1))
     assert len(eigs) == 3
@@ -599,22 +615,24 @@ def test_sphere_discrepancy_estimate_certified(shape, n):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("shape", ["sphere", "ball"])
 def test_sphere_discrepancy_profile_matches_per_degree_spectra(p, n, shape):
-    l_max = 8
-    profile = sphere_discrepancy_profile(p, n, shape, l_max)
-    assert len(profile) == l_max
     sphere_size = (p + 1) * p ** (n - 1)
     ball_size = 1 + sum((p + 1) * p ** (k - 1) for k in range(1, n + 1))
-    for l in range(1, l_max + 1):
+    expected = []
+    for l in range(1, 9):
         eigenvalues = [e for d in verify_ramanujan(p, l).per_degree for e in d.eigenvalues]
         if shape == "sphere":
-            expected = max(abs(hecke_polynomial(p, n)(e)) for e in eigenvalues) / sphere_size
+            expected.append(max(abs(hecke_polynomial(p, n)(e)) for e in eigenvalues) / sphere_size)
         else:
-            expected = max(
+            expected.append(max(
                 abs(sum(hecke_polynomial(p, k)(e) for k in range(n + 1))) for e in eigenvalues
-            ) / ball_size
-        assert profile[l - 1] == expected
-    assert all(b >= a for a, b in zip(profile, profile[1:]))
-    assert profile[-1] == sphere_discrepancy_estimate(p, n, shape, l_max)
+            ) / ball_size)
+    assert all(b >= a for a, b in zip(expected, expected[1:]))
+    # the running maximum over spectra of different lengths, ending at
+    # several degrees
+    for l_max in (1, 2, 5, 8):
+        profile = sphere_discrepancy_profile(p, n, shape, l_max)
+        assert profile == tuple(expected[:l_max])
+        assert profile[-1] == sphere_discrepancy_estimate(p, n, shape, l_max)
 
 
 def test_sphere_discrepancy_estimate_rejects_bad_shape():
