@@ -244,7 +244,6 @@ def _ramanujan_diagnostics(report) -> dict:
     exact checks ran on.
     """
     return {
-        "symmetry_order": report.symmetry_order,
         "frontiers": report.frontiers,
         "per_degree": [
             {

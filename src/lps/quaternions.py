@@ -164,13 +164,16 @@ class GeneratorSet(IntegerGenerators):
     construction.  The constructor raises ValueError only for what
     derivation cannot fix: no quaternions or mixed norms, a real quaternion
     (its own inverse), or a conjugate that appears a different number of
-    times than its quaternion.
+    times than its quaternion.  The hash is that of the quaternions,
+    computed once, since every cache keyed by a set looks it up; equality
+    still compares the fields.
     """
 
     matrices: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False)
     den: int = field(init=False)
     inverse_of: tuple[int, ...] = field(init=False)
     source_quaternions: tuple[LipschitzQuaternion, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         quaternions = tuple(self.source_quaternions)
@@ -187,11 +190,15 @@ class GeneratorSet(IntegerGenerators):
         # the k-th copy of q, met in order, takes the k-th copy of conj(q)
         partners = {q: iter(indices) for q, indices in copies.items()}
         object.__setattr__(self, "source_quaternions", quaternions)
+        object.__setattr__(self, "_hash", hash(quaternions))
         object.__setattr__(self, "den", norms.pop())
         object.__setattr__(self, "matrices", tuple(map(adjoint_rotation, quaternions)))
         object.__setattr__(
             self, "inverse_of", tuple(next(partners[q.conjugate()]) for q in quaternions)
         )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def p(self) -> int:

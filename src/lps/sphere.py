@@ -12,20 +12,19 @@ gives lower bounds on averaging discrepancies, exact up to the float
 rounding of the eigenvalues.
 
 The sum runs over orbits rather than generators.  Conjugation by
-c = (1+i)/sqrt(2) sends a + bi + cj + dk to a + bi - dj + ck, and
-Sym^{2l}(c) is diagonal, so the sum over an orbit of a subgroup H of <c>
-is |orbit| times one representative's symmetric power with the entries
-(r, s), r != s mod |H|, set to zero.  H is the largest subgroup that maps
-the generator quaternions onto themselves, found exactly; it has order 4
-for every norm-p set.  So a block is held as its pieces, one integer
-matrix per residue class r mod |H|, and the entries between classes are
-never stored or read.  The sign flip sigma of (b, d) conjugates the
-matrix entrywise, so joining it to H pairs orbits whose sums are complex
-conjugates, and each orbit of the larger group adds its generator count
-times the real part of its representative's masked power.  The fixed
-points x0 +- x1 i of c have diagonal matrices, whose powers are diagonal
-in closed form.  So p = 5 needs one dense frontier and one diagonal term
-for its 6 generators, p = 13 two and one for its 14.
+c = (1+i)/sqrt(2) sends a + bi + cj + dk to a + bi - dj + ck and maps
+every norm-p set onto itself; the blocks require that, checked exactly.
+Sym^{2l}(c) is diagonal, so the sum over an orbit of <c> is |orbit|
+times one representative's symmetric power with the entries (r, s),
+r != s mod 4, set to zero.  So a block is held as its pieces, one integer
+matrix per residue class r mod 4, and the entries between classes are
+never stored or read.  The sign flip sigma of (b, d) conjugates the matrix entrywise,
+so joining it to <c> pairs orbits whose sums are complex conjugates, and
+each orbit of the larger group adds its generator count times the real
+part of its representative's masked power.  The fixed points x0 +- x1 i
+of c have diagonal matrices, whose powers are diagonal in closed form.
+So p = 5 needs one dense frontier and one diagonal term for its 6
+generators, p = 13 two and one for its 14.
 
 A dense frontier keeps only the columns 0..k/2 of Sym^k.  J = [[0, 1],
 [-1, 0]] conjugates every quaternion matrix to its entrywise conjugate, so
@@ -80,11 +79,11 @@ class KoopmanBlock:
 
     Rows and columns follow the monomials x^(2l-k) y^k of Sym^{2l}(C^2),
     and column k is the image of monomial k.  Entry (r, s) is zero unless
-    r = s mod |H|, H being the generators' stabiliser in <c>, so the block
-    is held only as the read-only object arrays `pieces`: with m pieces,
-    piece c holds p^degree times the block's entries at the indices c,
-    c + m, c + 2m, ..., as integers (m is |H|, or 2l + 1 when that is
-    smaller).  `numerators`, p^degree times the whole block, and `matrix`,
+    r = s mod 4, the generators being closed under conjugation by
+    (1 + i)/sqrt(2), so the block is held only as the four read-only object
+    arrays `pieces`: piece c holds p^degree times the block's entries at
+    the indices c, c + 4, c + 8, ..., as integers, and at degree 1 piece 3
+    is empty.  `numerators`, p^degree times the whole block, and `matrix`,
     the block as exact rationals, are derived from the pieces on first use.
     Blocks compare and hash by identity, so caches keyed by a block never
     hash its entries.
@@ -130,23 +129,9 @@ def _rotate(q: LipschitzQuaternion, quarter_turns: int) -> LipschitzQuaternion:
     return q
 
 
-def _conjugate(q: LipschitzQuaternion) -> LipschitzQuaternion:
+def _sigma(q: LipschitzQuaternion) -> LipschitzQuaternion:
     """a - bi + cj - dk, whose matrix is the entrywise conjugate of q's."""
     return LipschitzQuaternion(q.x0, -q.x1, q.x2, -q.x3)
-
-
-def _symmetry_order(quaternions) -> int:
-    """Order of the largest subgroup of <c> that maps the quaternions onto themselves.
-
-    The subgroups of the cyclic <c> are <c>, <c^2> and the trivial one, so
-    the order is 4 when conjugation by c preserves the multiset, else 2 when
-    conjugation by c^2 does, else 1.
-    """
-    counts = Counter(quaternions)
-    for order in (4, 2):
-        if Counter(_rotate(q, 4 // order) for q in quaternions) == counts:
-            return order
-    return 1
 
 
 def _times_form(re: np.ndarray, im: np.ndarray, form):
@@ -198,27 +183,27 @@ def _diagonal_real_parts(a: int, b: int, degree: int) -> list[int]:
 class _SymmetricPowers:
     """Real sums of the even symmetric powers of the quaternion matrices, one term per orbit.
 
-    The orbits are those of the group generated by a subgroup H of <c> and
-    by sigma: a + bi + cj + dk -> a - bi + cj - dk, which conjugates the
-    matrix entrywise.  The generator multiset must be closed under sigma,
-    checked exactly, or ConsistencyError is raised: without it the
-    imaginary parts of the sum cannot cancel.
+    The orbits are those of the group generated by conjugation by c =
+    (1+i)/sqrt(2) and by sigma: a + bi + cj + dk -> a - bi + cj - dk, which
+    conjugates the matrix entrywise.  The generator multiset must be closed
+    under both, checked exactly, or ConsistencyError is raised: without
+    sigma the imaginary parts of the sum cannot cancel, and without c the
+    sum does not vanish between the residue classes mod 4.
 
     Sym^k(c) is diag(zeta^(k-2r)) with zeta = (1+i)/sqrt(2), so conjugating
     a generator by c^t multiplies entry (r, s) of its symmetric power by
-    zeta^(2t(s-r)) = i^(t(s-r)).  Summed over H, those factors cancel
-    unless r = s mod |H|, where they add up to |H|.  An H-orbit's sum is
-    therefore |orbit| times the representative's symmetric power masked to
-    the entries with r = s mod |H|; sigma maps H-orbits to H-orbits (it
-    inverts c) and conjugates their sums, so a whole orbit adds
+    zeta^(2t(s-r)) = i^(t(s-r)).  Summed over t = 0..3, those factors
+    cancel unless r = s mod 4, where they add up to 4.  A <c>-orbit's sum
+    is therefore |orbit| times the representative's symmetric power masked
+    to the entries with r = s mod 4; sigma maps <c>-orbits to <c>-orbits
+    (it inverts c) and conjugates their sums, so a whole orbit adds
     weight * Re(mask(Sym^k(rep))), weight being its generator count with
     multiplicity.  The mask is never applied: each frontier starts at
     weight * Sym^2(rep), and the summed powers are read only on the entries
-    r = s mod |H|, where they equal the generator sum.  A representative
+    r = s mod 4, where they equal the generator sum.  A representative
     with c = d = 0 has the diagonal matrix diag(a+bi, a-bi), whose power is
     diagonal in closed form (_diagonal_real_parts) and needs no frontier;
-    every other one advances a dense complex frontier.  `symmetry_order` is
-    |H|; with no symmetry it is 1 and every entry is read.
+    every other one advances a dense complex frontier.
 
     A frontier holds only the columns 0..k/2 of Sym^k.  With J = [[0, 1],
     [-1, 0]], J M J^-1 = conj(M) for every quaternion matrix M, and Sym^k(J)
@@ -239,17 +224,21 @@ class _SymmetricPowers:
 
     def __init__(self, quaternions):
         counts = Counter(quaternions)
-        if Counter(map(_conjugate, quaternions)) != counts:
+        if Counter(map(_sigma, quaternions)) != counts:
             raise ConsistencyError(
                 "the generator quaternions are not closed under a + bi + cj + dk -> "
                 "a - bi + cj - dk, so the imaginary parts of their blocks do not cancel"
             )
-        self.symmetry_order = order = _symmetry_order(quaternions)
+        if Counter(_rotate(q, 1) for q in quaternions) != counts:
+            raise ConsistencyError(
+                "the generator quaternions are not closed under conjugation by "
+                "(1 + i)/sqrt(2), so their blocks do not vanish between residue classes mod 4"
+            )
         self._diagonals, self._squares, self._start, seen = [], [], [], set()
         for q in counts:
             if q in seen:
                 continue
-            orbit = {_rotate(g, 4 // order * t) for g in (q, _conjugate(q)) for t in range(order)}
+            orbit = {_rotate(g, t) for g in (q, _sigma(q)) for t in range(4)}
             seen |= orbit
             weight = sum(counts[g] for g in orbit)
             if q.x2 == q.x3 == 0:
@@ -279,9 +268,9 @@ class _SymmetricPowers:
         """The sum over generators of Sym^degree on the residue classes, as Python ints.
 
         The sum is real by sigma-closure.  Only the entries (r, s) with
-        r = s mod symmetry_order equal the generator sum, which is zero on
-        the others; those hold the unmasked orbit terms and must not be
-        read.  `degree` must be even and at least 2.
+        r = s mod 4 equal the generator sum, which is zero on the others;
+        those hold the unmasked orbit terms and must not be read.  `degree`
+        must be even and at least 2.
         """
         if degree < 2 or degree % 2:
             raise ValueError(f"degree must be even and >= 2, got {degree}")
@@ -326,26 +315,24 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
 
     Built as the sum of Sym^{2*degree} of the generators' quaternion
     matrices, taken orbit by orbit (see _SymmetricPowers, which raises
-    ConsistencyError when the generators are not closed under the
-    conjugation that makes the sum real), and split into one piece per
-    residue class mod the symmetry order (see KoopmanBlock).  Each piece
-    must pass an exact check, or ConsistencyError is raised:
-    T[i][j] * binom(2l, j) == T[j][i] * binom(2l, i) for all i, j of its
-    class, i.e. T is self-adjoint for the invariant pairing (the entries
-    between classes are zero).
+    ConsistencyError when the generators are not closed under sigma and
+    under conjugation by (1 + i)/sqrt(2)), and split into one piece per
+    residue class mod 4 (see KoopmanBlock).  Each piece must pass an exact
+    check, or ConsistencyError is raised: T[i][j] * binom(2l, j) ==
+    T[j][i] * binom(2l, i) for all i, j of its class, i.e. T is
+    self-adjoint for the invariant pairing (the entries between classes
+    are zero).
     """
     if degree < 1:
         raise ValueError(
             f"degree must be >= 1 (degree 0 carries the constants), got {degree}"
         )
-    powers = _powers_for(genset)
-    total = powers.summed(2 * degree)
-    step = min(powers.symmetry_order, 2 * degree + 1)
+    total = _powers_for(genset).summed(2 * degree)
     weights = [math.comb(2 * degree, k) for k in range(2 * degree + 1)]
     pieces = []
-    for c in range(step):
-        piece = total[c::step, c::step].copy()
-        if not is_weighted_symmetric(piece, weights[c::step]):
+    for c in range(4):
+        piece = total[c::4, c::4].copy()
+        if not is_weighted_symmetric(piece, weights[c::4]):
             raise ConsistencyError(
                 f"block at degree {degree} is not self-adjoint for the binomial pairing"
             )
@@ -464,9 +451,8 @@ class DegreeSpectrum:
 class RamanujanReport:
     """The tempered check over degrees 1..l_max, and how its blocks were built.
 
-    `symmetry_order` is the order of the generators' stabiliser in <c> and
-    `frontiers` the number of orbit terms: dense symmetric-power frontiers
-    plus closed-form diagonals.
+    `frontiers` is the number of orbit terms: dense symmetric-power
+    frontiers plus closed-form diagonals.
     """
 
     p: int
@@ -475,7 +461,6 @@ class RamanujanReport:
     per_degree: tuple[DegreeSpectrum, ...]
     global_max_abs: float
     passed: bool
-    symmetry_order: int
     frontiers: int
 
 
@@ -508,7 +493,6 @@ def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
             )
         )
     global_max = max(r.max_abs for r in records)
-    powers = _powers_for(genset)
     return RamanujanReport(
         p=p,
         l_max=l_max,
@@ -516,8 +500,7 @@ def verify_ramanujan(p: int, l_max: int) -> RamanujanReport:
         per_degree=tuple(records),
         global_max_abs=global_max,
         passed=global_max <= bound + RAMANUJAN_TOLERANCE,
-        symmetry_order=powers.symmetry_order,
-        frontiers=powers.frontiers,
+        frontiers=_powers_for(genset).frontiers,
     )
 
 

@@ -183,15 +183,16 @@ def test_verify_ramanujan_diagnostics_only_with_timings(capsys):
     _, timed, _ = run_cli(capsys, argv + ["--timings"])
     env = parse_envelope(timed)
     diagnostics = env.pop("diagnostics")
-    # one term per orbit of the order-4 symmetry and the conjugation: the two
-    # fixed points in one diagonal term, the three 4-orbits in two frontiers
-    assert (diagnostics["symmetry_order"], diagnostics["frontiers"]) == (4, 3)
+    # one term per orbit of <c> and sigma: the two fixed points in one
+    # diagonal term, the three 4-orbits in two frontiers
+    assert diagnostics["frontiers"] == 3
     assert [d["degree"] for d in diagnostics["per_degree"]] == [1, 2, 3, 4]
     for d in diagnostics["per_degree"]:
         assert 0 <= d["trace_defect"] <= lps.sphere.TRACE_TOLERANCE
         assert 0 <= d["square_trace_defect"] <= lps.sphere.TRACE_TOLERANCE
-        # the residue classes mod 4 that the exact checks ran on
-        assert len(d["pieces"]) == min(4, 2 * d["degree"] + 1)
+        # the residue classes mod 4 that the exact checks ran on; at degree
+        # 1 the fourth is empty
+        assert len(d["pieces"]) == 4
         assert sum(d["pieces"]) == 2 * d["degree"] + 1
         # stage timings of each degree's block and spectrum
         assert isinstance(d["block_ms"], float) and d["block_ms"] >= 0
@@ -643,7 +644,7 @@ def test_report_timings_cover_every_envelope(capsys):
         assert torus["rank_one"][key] is None, key
     assert torus["rank_one"]["certificate_ms"] >= 0
     ramanujan = diagnostics["report.ramanujan"]
-    assert (ramanujan["symmetry_order"], ramanujan["frontiers"]) == (4, 2)
+    assert ramanujan["frontiers"] == 2
     assert [d["degree"] for d in ramanujan["per_degree"]] == [1, 2, 3]
     assert all(d["block_ms"] >= 0 and d["spectrum_ms"] >= 0 for d in ramanujan["per_degree"])
     # without the timings the two runs print the same bytes

@@ -220,3 +220,14 @@ def test_replacing_the_quaternions_derives_the_rest():
     assert dataclasses.replace(pair, source_quaternions=genset.source_quaternions) == genset
     # a list is kept as a tuple, so the set still hashes
     assert hash(GeneratorSet(list(genset.source_quaternions))) == hash(genset)
+
+
+def test_generator_set_hash_is_computed_once_from_its_quaternions():
+    genset = build_generator_set(5)
+    same = GeneratorSet(tuple(enumerate_representatives(5)))
+    assert same == genset and hash(same) == hash(genset)
+    assert genset._hash == hash(genset.source_quaternions)
+    # replacing the quaternions re-derives the hash with the other fields
+    other = dataclasses.replace(genset, source_quaternions=enumerate_representatives(13))
+    assert other == build_generator_set(13) and hash(other) == hash(build_generator_set(13))
+    assert other != genset and hash(other) != hash(genset)

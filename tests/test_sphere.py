@@ -307,77 +307,65 @@ def _q(*coordinates):
     return LipschitzQuaternion(*coordinates)
 
 
-# Each set is closed under conjugation and under the (b, d) sign flip
-# sigma, so its block is real and self-adjoint; c = (1+i)/sqrt(2)
-# conjugates a + bi + cj + dk to a + bi - dj + ck.  One term per orbit of
-# the stabiliser in <c> and sigma together.
+# Each set is closed under conjugation, under the (b, d) sign flip sigma
+# and under c = (1+i)/sqrt(2), which conjugates a + bi + cj + dk to
+# a + bi - dj + ck, so its block is real and self-adjoint.  One term per
+# orbit of <c> and sigma together.
 ORBIT_CASES = [
     # the norm-p sets: x0 +- x1 i are fixed by c and form one diagonal term;
     # the rest fall in 4-orbits, of which sigma pairs the two of 1 +- 2i +-
     # 2j +- 2k for p = 13
-    pytest.param(5, None, 4, 2, id="p5-order4"),
-    pytest.param(13, None, 4, 3, id="p13-order4"),
-    # c^2 swaps 1 + 2j and 1 - 2j, c sends them out of the set
-    pytest.param(5, (_q(1, 0, 2, 0), _q(1, 0, -2, 0)), 2, 1, id="order2"),
-    # c^2 sends 1 + 2i + 2j + 2k to 1 + 2i - 2j - 2k, which is missing;
-    # sigma pairs the four into two orbits
-    pytest.param(
-        13,
-        (_q(1, 2, 2, 2), _q(1, -2, 2, -2), _q(1, -2, -2, -2), _q(1, 2, -2, 2)),
-        1,
-        2,
-        id="order1",
-    ),
+    pytest.param(5, None, 2, id="p5-order4"),
+    pytest.param(13, None, 3, id="p13-order4"),
     # a repeated generator counts twice
     pytest.param(
         5, (_q(1, 2, 0, 0), _q(1, -2, 0, 0)) + tuple(
             _q(1, *v) for v in ((0, 2, 0), (0, -2, 0), (0, 0, 2), (0, 0, -2))
-        ) * 2, 4, 2, id="p5-twice-the-4-orbit"
+        ) * 2, 2, id="p5-twice-the-4-orbit"
     ),
 ]
 
 
-@pytest.mark.parametrize("p, quaternions, order, frontiers", ORBIT_CASES)
-def test_orbit_sums_match_generator_sum_at_every_stabiliser_order(p, quaternions, order, frontiers):
+@pytest.mark.parametrize("p, quaternions, frontiers", ORBIT_CASES)
+def test_orbit_sums_match_generator_sum_at_every_stabiliser_order(p, quaternions, frontiers):
     genset = build_generator_set(p) if quaternions is None else GeneratorSet(quaternions)
     for degree in (1, 2, 3, 4):
         total = _generator_sum(genset.source_quaternions, degree)
         assert [list(row) for row in koopman_block(genset, degree).numerators] == total
-    powers = lps.sphere._powers_for(genset)
-    assert (powers.symmetry_order, powers.frontiers) == (order, frontiers)
+    assert lps.sphere._powers_for(genset).frontiers == frontiers
 
 
-def _closure(q, quarter_turns):
-    """q's orbit under c^quarter_turns, sigma (the (b, d) sign flip) and inversion."""
+def _closure(q):
+    """q's orbit under c, sigma (the (b, d) sign flip) and inversion."""
     orbit = set()
     for x1, x2, x3 in ((q.x1, q.x2, q.x3), (-q.x1, q.x2, -q.x3)):
         turns = ((x2, x3), (-x3, x2), (-x2, -x3), (x3, -x2))
         for sign in (1, -1):
-            orbit |= {
-                _q(q.x0, sign * x1, sign * y2, sign * y3) for y2, y3 in turns[::quarter_turns]
-            }
+            orbit |= {_q(q.x0, sign * x1, sign * y2, sign * y3) for y2, y3 in turns}
     return orbit
 
 
 @st.composite
 def _closed_multisets(draw):
     p = draw(st.sampled_from([5, 13]))
-    quarter_turns = draw(st.sampled_from([1, 2, 4]))
     norm_p = quaternions_of_norm(p)
     seeds = draw(st.lists(st.sampled_from(norm_p), min_size=1, max_size=4))
     quaternions = []
     for q in seeds:
-        orbit = sorted(_closure(q, quarter_turns), key=dataclasses.astuple)
+        orbit = sorted(_closure(q), key=dataclasses.astuple)
         quaternions += orbit * draw(st.integers(1, 2))
     return p, tuple(draw(st.permutations(quaternions)))
 
 
 @settings(deadline=None, max_examples=40)
 @given(_closed_multisets())
-@example((5, (_q(2, 1, 0, 0), _q(2, -1, 0, 0)) * 2 + (_q(1, 0, 2, 0), _q(1, 0, -2, 0))))
+@example(
+    (5, (_q(2, 1, 0, 0), _q(2, -1, 0, 0)) * 2 + (_q(1, 0, 2, 0), _q(1, 0, -2, 0))
+     + (_q(1, 0, 0, 2), _q(1, 0, 0, -2)))
+)
 def test_orbit_sums_match_generator_sum_on_closed_multisets(case):
-    # closed under a subgroup of <c>, sigma and inversion, with repeats:
-    # the orbit terms, diagonal ones included, reproduce the generator sum
+    # closed under <c>, sigma and inversion, with repeats: the orbit terms,
+    # diagonal ones included, reproduce the generator sum
     _, quaternions = case
     genset = GeneratorSet(quaternions)
     for degree in range(1, 7):
@@ -391,6 +379,26 @@ def test_orbit_sums_require_closure_under_sigma():
     genset = GeneratorSet((_q(1, 2, 2, 2), _q(1, -2, -2, -2)))
     with pytest.raises(ConsistencyError, match="imaginary"):
         koopman_block(genset, 1)
+
+
+@pytest.mark.parametrize(
+    "quaternions",
+    [
+        # c^2 swaps 1 + 2j and 1 - 2j, c sends them to 1 +- 2k, which are
+        # missing
+        pytest.param((_q(1, 0, 2, 0), _q(1, 0, -2, 0)), id="order2"),
+        # c^2 sends 1 + 2i + 2j + 2k to 1 + 2i - 2j - 2k, which is missing
+        pytest.param(
+            (_q(1, 2, 2, 2), _q(1, -2, 2, -2), _q(1, -2, -2, -2), _q(1, 2, -2, 2)),
+            id="order1",
+        ),
+    ],
+)
+def test_orbit_sums_require_closure_under_c(quaternions):
+    # closed under inversion and sigma, not under c: the summed powers do
+    # not vanish between the residue classes mod 4
+    with pytest.raises(ConsistencyError, match=r"\(1 \+ i\)/sqrt\(2\)"):
+        koopman_block(GeneratorSet(quaternions), 1)
 
 
 @pytest.mark.parametrize("p", [5, 13])

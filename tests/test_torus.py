@@ -808,6 +808,26 @@ def test_lps_runs_without_scipy():
     assert out.stdout.splitlines() == ["[]", "[0, 0] []"]
 
 
+def test_import_lps_loads_every_traced_layer():
+    # the benchmark's tracer reads these modules from sys.modules after
+    # importing lps alone, so none of them may be folded away or loaded lazily
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    layers = ("exact", "formulas", "quaternions", "sphere", "torus", "words")
+    probe = (
+        "import sys\n"
+        "import lps\n"
+        f"print([layer for layer in {layers!r} if 'lps.' + layer not in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    assert out.stdout.splitlines() == ["[]"]
+
+
 def test_lanczos_basis_is_stored_in_float32(monkeypatch):
     # The Sanov n 1 sphere R 256 solve sets the peak memory of lps report.
     # A float64 basis of `steps` vectors of `orbits` entries alone takes
