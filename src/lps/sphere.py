@@ -24,7 +24,11 @@ each orbit of the larger group adds its generator count times the real
 part of its representative's masked power.  The fixed points x0 +- x1 i
 of c have diagonal matrices, whose powers are diagonal in closed form.
 So p = 5 needs one dense frontier and one diagonal term for its 6
-generators, p = 13 two and one for its 14.
+generators, p = 13 two and one for its 14.  A dense frontier advances in
+int64 residues mod 2^64 plus float64 estimates whose error is bounded
+step by step; the integers are rebuilt from the two exactly while that
+bound is far below 2^63, and a frontier that would pass it moves to
+Python ints (see _SymmetricPowers).
 
 A dense frontier keeps only the columns 0..k/2 of Sym^k.  J = [[0, 1],
 [-1, 0]] conjugates every quaternion matrix to its entrywise conjugate, so
@@ -34,24 +38,27 @@ of its left half.  Blocks read only even degrees, so a frontier starts at
 Sym^2 and advances two degrees per step, multiplying every kept column by
 the square of the image of x.
 
-Every block is checked exactly before any float appears: the generators
-are closed under sigma, checked once, so the imaginary parts cancel by
-construction, and each piece is self-adjoint for the invariant pairing,
-which is diagonal with weights 1/binom(2l, k).  Rescaling by
+Every block is checked exactly before its spectrum is taken: the
+generators are closed under sigma, checked once, so the imaginary parts
+cancel by construction, each piece is self-adjoint for the invariant
+pairing, which is diagonal with weights 1/binom(2l, k), and the exact
+tr(T) and tr(T^2), summed over the pieces, equal the generators' SL_2
+character sums, computed from their real parts alone.  Rescaling by
 sqrt(binom(2l, k)) then gives a symmetric matrix in plain float64, filled
 piece by piece, whose spectrum LAPACK's symmetric eigensolver computes in
-one call and which must reproduce the exact tr(T) and tr(T^2), summed
-over the pieces.
+one call and which must reproduce those exact traces.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,15 +90,17 @@ class KoopmanBlock:
     (1 + i)/sqrt(2), so the block is held only as the four read-only object
     arrays `pieces`: piece c holds p^degree times the block's entries at
     the indices c, c + 4, c + 8, ..., as integers, and at degree 1 piece 3
-    is empty.  `numerators`, p^degree times the whole block, and `matrix`,
-    the block as exact rationals, are derived from the pieces on first use.
-    Blocks compare and hash by identity, so caches keyed by a block never
-    hash its entries.
+    is empty.  `traces` holds p^degree tr(T) and p^(2 degree) tr(T^2), summed
+    exactly over the pieces.  `numerators`, p^degree times the whole block,
+    and `matrix`, the block as exact rationals, are derived from the pieces
+    on first use.  Blocks compare and hash by identity, so caches keyed by a
+    block never hash its entries.
     """
 
     p: int
     degree: int
     pieces: tuple[np.ndarray, ...]
+    traces: tuple[int, int]
 
     @property
     def dimension(self) -> int:
@@ -138,11 +147,14 @@ def _times_form(re: np.ndarray, im: np.ndarray, form):
     """Multiply every column, a form over x^(n-1-i) y^i, by sum_t form[t] x^(m-t) y^t.
 
     `form` lists the m + 1 Gaussian-integer coefficients as (real, imaginary)
-    pairs; coefficient t shifts each column down by t rows.
+    pairs; coefficient t shifts each column down by t rows.  The product has
+    the dtype of `re` and `im`: Python ints, int64 residues (numpy wraps
+    array arithmetic mod 2^64) or float64 estimates, each entry summed from
+    at most 2(m + 1) products.
     """
     rows, cols = re.shape
-    out_re = np.zeros((rows + len(form) - 1, cols), dtype=object)
-    out_im = np.zeros((rows + len(form) - 1, cols), dtype=object)
+    out_re = np.zeros((rows + len(form) - 1, cols), dtype=re.dtype)
+    out_im = np.zeros((rows + len(form) - 1, cols), dtype=re.dtype)
     for shift, (cr, ci) in enumerate(form):
         if cr:
             out_re[shift : shift + rows] += cr * re
@@ -159,10 +171,11 @@ def _flip(columns: np.ndarray, first: int) -> np.ndarray:
     `columns` ends with column k - first, and entry (r, first + j) of the
     result is (-1)^(r + first + j) times entry (k - r, k - first - j).
     """
-    flipped = columns[::-1, ::-1]
-    rows, cols = flipped.shape
-    odd = np.add.outer(np.arange(rows), np.arange(first, first + cols)) % 2 == 1
-    return np.where(odd, -flipped, flipped)
+    flipped = columns[::-1, ::-1].copy()
+    # negate the entries with r + first + j odd, the even columns first
+    flipped[(first + 1) % 2 :: 2, 0::2] *= -1
+    flipped[first % 2 :: 2, 1::2] *= -1
+    return flipped
 
 
 def _diagonal_real_parts(a: int, b: int, degree: int) -> list[int]:
@@ -178,6 +191,88 @@ def _diagonal_real_parts(a: int, b: int, degree: int) -> list[int]:
     return [
         norm ** min(r, degree - r) * real_parts[abs(degree - 2 * r)] for r in range(degree + 1)
     ]
+
+
+# Unit roundoff of float64.
+_U = 2.0**-53
+
+
+def _gamma(n: int) -> float:
+    """n u / (1 - n u), which bounds the relative rounding of a float sum of n terms.
+
+    A recursive sum of n rounded products, or of n rounded terms, errs by at
+    most gamma(n) times the sum of the terms' magnitudes (Higham, Accuracy
+    and Stability of Numerical Algorithms, section 3.1).
+    """
+    return n * _U / (1 - n * _U)
+
+
+def _rebuildable(bound: float, error: float) -> bool:
+    """Whether _rebuild is exact for integers up to `bound` whose estimates err by up to `error`.
+
+    float(lo) rounds |lo| <= 2^63 by at most 2^10, and f - float(lo), of size
+    at most bound + error + 2^63 + 2^10, rounds by u times that, so the
+    quotient by 2^64 is within 1/2 of the true multiple while
+    error + u (bound + error + 2^65) < 2^63.  The rule asks for 2^62: the
+    factor 2 absorbs the float rounding of the bounds themselves, a
+    relative 4u or so per step.
+    """
+    return error + _U * (bound + error + 2.0**65) < 2.0**62
+
+
+def _rebuild(residue: np.ndarray, estimate: np.ndarray) -> np.ndarray:
+    """The integers congruent to the int64 `residue` mod 2^64 nearest the float64 `estimate`.
+
+    Entry lo + 2^64 rint((f - float(lo)) / 2^64), as Python ints: the
+    integer itself when _rebuildable holds for its bound and the estimate's
+    error.
+    """
+    wraps = np.rint((estimate - residue.astype(float)) / 2.0**64).astype(np.int64)
+    return residue.astype(object) + wraps.astype(object) * 2**64
+
+
+def _residue(value: int) -> int:
+    """`value` mod 2^64, in int64's range."""
+    return (value + 2**63) % 2**64 - 2**63
+
+
+def _advance(re: np.ndarray, im: np.ndarray, half: int, square):
+    """Columns 0..half+1 of Sym^(k+2) from columns 0..half of Sym^k, k = 2 half.
+
+    Column half + 1 of Sym^k is the conjugated flip of column half - 1, and
+    every column times `square`, the form X^2, is the same column of
+    Sym^(k+2).
+    """
+    re = np.hstack([re, _flip(re[:, half - 1 : half], half + 1)])
+    im = np.hstack([im, -_flip(im[:, half - 1 : half], half + 1)])
+    return _times_form(re, im, square)
+
+
+class _Frontier(NamedTuple):
+    """One dense frontier: the kept columns of weight * Sym^k(rep).
+
+    While `estimate` holds float64 (real, imaginary) estimates, `re` and
+    `im` are int64 residues mod 2^64, `bound` bounds every entry and
+    `error` every estimate's distance from its entry; once `estimate` is
+    None, `re` and `im` are Python ints.
+    """
+
+    re: np.ndarray
+    im: np.ndarray
+    estimate: tuple[np.ndarray, np.ndarray] | None
+    bound: float
+    error: float
+
+
+def _left_half(halves, diagonals, degree: int, dtype) -> np.ndarray:
+    """Columns 0..degree/2 of the sum: the frontiers' kept columns plus the diagonal terms."""
+    total = np.zeros((degree + 1, degree // 2 + 1), dtype=dtype)
+    for columns in halves:
+        total += columns
+    index = np.arange(degree // 2 + 1)
+    for values in diagonals:
+        total[index, index] += values
+    return total
 
 
 class _SymmetricPowers:
@@ -220,6 +315,17 @@ class _SymmetricPowers:
     the frontier degree is kept; asking for a lower degree restarts the
     recursion from Sym^2, which callers avoid by scanning degrees in
     increasing order.
+
+    A frontier's integers are carried as an int64 residue mod 2^64, exact
+    because numpy wraps array arithmetic, and a float64 estimate, with a
+    bound B on the entries and a bound E on the estimate's error; each
+    step advances both with the same arithmetic (_advance) and updates B
+    and E by the rule stated in `summed`.  While E, plus the rounding of
+    the subtraction below, stays under 2^62 (_rebuildable), every entry is
+    lo + 2^64 rint((f - float(lo)) / 2^64) (_rebuild).  A frontier whose next step could break
+    the rule is rebuilt as Python ints first, exactly, and carries on in
+    them; p = 5 stays on residues through degree 68 (l = 34), p = 13
+    through degree 44 and the norm-25 set through degree 36.
     """
 
     def __init__(self, quaternions):
@@ -234,7 +340,8 @@ class _SymmetricPowers:
                 "the generator quaternions are not closed under conjugation by "
                 "(1 + i)/sqrt(2), so their blocks do not vanish between residue classes mod 4"
             )
-        self._diagonals, self._squares, self._start, seen = [], [], [], set()
+        self._diagonals, self._squares, self._gains, self._start = [], [], [], []
+        seen = set()
         for q in counts:
             if q in seen:
                 continue
@@ -251,8 +358,15 @@ class _SymmetricPowers:
             m = _quaternion_matrix(q)
             sym1 = np.array(m, dtype=object).reshape(2, 2, 2)
             re, im = _times_form(sym1[..., 0], sym1[..., 1], (m[0], m[2]))
-            self._start.append((weight * re, weight * im))
-            self._squares.append(tuple(zip(re[:, 0], im[:, 0])))
+            square = tuple(zip(re[:, 0], im[:, 0]))
+            self._squares.append(square)
+            self._gains.append(sum(abs(cr) + abs(ci) for cr, ci in square))
+            re, im = weight * re, weight * im
+            bound = float(max(map(abs, [*re.flat, *im.flat])))
+            estimate = (re.astype(float), im.astype(float))
+            self._start.append(
+                _Frontier(re.astype(np.int64), im.astype(np.int64), estimate, bound, 0.0)
+            )
         self._reset()
 
     @property
@@ -265,12 +379,17 @@ class _SymmetricPowers:
         self._mats = list(self._start)
 
     def summed(self, degree: int) -> np.ndarray:
-        """The sum over generators of Sym^degree on the residue classes, as Python ints.
+        """The sum over generators of Sym^degree, as Python ints.
 
-        The sum is real by sigma-closure.  Only the entries (r, s) with
-        r = s mod 4 equal the generator sum, which is zero on the others;
-        those hold the unmasked orbit terms and must not be read.  `degree`
-        must be even and at least 2.
+        The sum is real by sigma-closure and zero between residue classes
+        mod 4.  Only the entries r = s mod 4 of the columns 0..degree/2 are
+        assembled, and the right half is their signed flip; every other
+        entry is that zero.  While every frontier is on residues and the
+        summed estimate keeps the rule of _rebuildable, those entries are
+        summed as an int64 residue and a float64 estimate and then
+        rebuilt; otherwise the frontiers still on residues are rebuilt and
+        the sum is formed in Python ints.  `degree` must be even and at
+        least 2.
         """
         if degree < 2 or degree % 2:
             raise ValueError(f"degree must be even and >= 2, got {degree}")
@@ -279,28 +398,125 @@ class _SymmetricPowers:
         while self._degree < degree:
             half = self._degree // 2
             advanced = []
-            for (re, im), square in zip(self._mats, self._squares):
-                # column half + 1 is the conjugated flip of column half - 1
-                re = np.hstack([re, _flip(re[:, half - 1 : half], half + 1)])
-                im = np.hstack([im, -_flip(im[:, half - 1 : half], half + 1)])
-                advanced.append(_times_form(re, im, square))
+            for (re, im, estimate, bound, error), square, gain in zip(
+                self._mats, self._squares, self._gains
+            ):
+                if estimate is not None:
+                    # An entry of the step sums at most six rounded products
+                    # of a part of a coefficient of X^2 and an estimate
+                    # within E = error of an integer of size at most
+                    # B = bound, and those parts add up to at most
+                    # G = gain = sum |Re c| + |Im c|: the step maps (B, E)
+                    # to (G B, G E + gamma_6 G (B + E)).
+                    next_error = gain * error + _gamma(2 * len(square)) * gain * (bound + error)
+                    if not _rebuildable(gain * bound, next_error):
+                        re, im = _rebuild(re, estimate[0]), _rebuild(im, estimate[1])
+                        estimate = None
+                re, im = _advance(re, im, half, square)
+                if estimate is not None:
+                    estimate = _advance(*estimate, half, square)
+                    error = next_error
+                    peak = max(float(np.abs(part).max()) for part in estimate)
+                    bound = min(gain * bound, peak + error)
+                advanced.append(_Frontier(re, im, estimate, bound, error))
             self._mats = advanced
             self._degree += 2
         half = degree // 2
-        total = np.zeros((degree + 1, degree + 1), dtype=object)
-        for re, _ in self._mats:
-            total[:, : half + 1] += re
-        total[:, half + 1 :] = _flip(total[:, :half], half + 1)
-        index = np.arange(degree + 1)
-        for weight, a, b in self._diagonals:
-            total[index, index] += [weight * v for v in _diagonal_real_parts(a, b, degree)]
-        return total
+        # the diagonal terms on the columns 0..half; the flip gives the rest
+        diagonals = [
+            [weight * v for v in _diagonal_real_parts(a, b, degree)[: half + 1]]
+            for weight, a, b in self._diagonals
+        ]
+        fast = all(frontier.estimate is not None for frontier in self._mats)
+        if fast:
+            # The float sum of n terms, the frontiers' estimates and the
+            # rounded diagonals, errs by at most the frontiers' errors plus
+            # gamma_n times the terms' sizes.  (Sizes past 2^128 have long
+            # failed the rule, so they are capped to stay in float range.)
+            sizes = [frontier.bound + frontier.error for frontier in self._mats]
+            sizes += [float(min(max(map(abs, values)), 2**128)) for values in diagonals]
+            error = sum(frontier.error for frontier in self._mats)
+            error += _gamma(len(sizes)) * sum(sizes)
+            fast = _rebuildable(sum(sizes), error)
+        if fast:
+            residue = _left_half(
+                [frontier.re for frontier in self._mats],
+                [np.array([_residue(v) for v in values], dtype=np.int64) for values in diagonals],
+                degree,
+                np.int64,
+            )
+            estimate = _left_half(
+                [frontier.estimate[0] for frontier in self._mats],
+                [np.array(values, dtype=float) for values in diagonals],
+                degree,
+                float,
+            )
+            left = [_rebuild(residue[c::4, c::4], estimate[c::4, c::4]) for c in range(4)]
+        else:
+            # every frontier still on the residue path obeys the rule, so
+            # its rebuilt integers are exact
+            halves = [
+                frontier.re if frontier.estimate is None
+                else _rebuild(frontier.re, frontier.estimate[0])
+                for frontier in self._mats
+            ]
+            total = _left_half(halves, diagonals, degree, object)
+            left = [total[c::4, c::4] for c in range(4)]
+        out = np.zeros((degree + 1, degree + 1), dtype=object)
+        for c, piece in enumerate(left):
+            out[c::4, c : half + 1 : 4] = piece
+        out[:, half + 1 :] = _flip(out[:, :half], half + 1)
+        return out
+
+
+class _Characters:
+    """Exact tr(N) and tr(N^2) of N = sum_g Sym^k(g), from the generators' real parts alone.
+
+    A 2x2 matrix with trace t and determinant d has tr Sym^k = h_k(t, d),
+    where h_0 = 1, h_1 = t and h_(k+1) = t h_k - d h_(k-1), the characters
+    of SL_2 (Fulton and Harris, Representation Theory, section 11.1).  The
+    matrix of a quaternion g of norm n has trace 2 x0(g) and determinant n,
+    and Sym^k(g) Sym^k(h) = Sym^k(gh), so tr(N) = sum_g h_k(2 x0(g), n) and
+    tr(N^2) = sum_(g,h) h_k(2 x0(gh), n^2).  Both sums are grouped by the
+    real part, and each sequence h is extended once, as degrees are asked
+    for.  Nothing here shares the frontiers' arithmetic.
+    """
+
+    def __init__(self, genset: GeneratorSet):
+        n = genset.den
+        coords = np.array(list(map(dataclasses.astuple, genset.source_quaternions)), dtype=object)
+        # x0(gh) = x0(g) x0(h) - x1(g) x1(h) - x2(g) x2(h) - x3(g) x3(h)
+        products = coords @ (coords * np.array([1, -1, -1, -1], dtype=object)).T
+        self._sums = (
+            (Counter(2 * coords[:, 0]), n),
+            (Counter((2 * products).flat), n * n),
+        )
+        self._sequences: dict[tuple[int, int], list[int]] = {}
+
+    def traces(self, k: int) -> tuple[int, int]:
+        """tr(N) and tr(N^2) for N the generator sum of Sym^k."""
+        return tuple(
+            sum(count * self._character(t, d, k) for t, count in counts.items())
+            for counts, d in self._sums
+        )
+
+    def _character(self, t: int, d: int, k: int) -> int:
+        h = self._sequences.setdefault((t, d), [1, t])
+        while len(h) <= k:
+            h.append(t * h[-1] - d * h[-2])
+        return h[k]
 
 
 @lru_cache(maxsize=None)
 def _powers_for(genset: GeneratorSet) -> _SymmetricPowers:
     """The symmetric-power frontiers of a generator set, built once per set."""
     return _SymmetricPowers(genset.source_quaternions)
+
+
+@lru_cache(maxsize=None)
+def _characters_for(genset: GeneratorSet) -> _Characters:
+    """The trace characters of a generator set, built once per set."""
+    return _Characters(genset)
 
 
 @lru_cache(maxsize=None)
@@ -321,7 +537,9 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
     check, or ConsistencyError is raised: T[i][j] * binom(2l, j) ==
     T[j][i] * binom(2l, i) for all i, j of its class, i.e. T is
     self-adjoint for the invariant pairing (the entries between classes
-    are zero).
+    are zero).  The exact tr(T) and tr(T^2), summed over the pieces, must
+    then equal the character sums of _Characters, a route that shares none
+    of the block's construction, or ConsistencyError is raised.
     """
     if degree < 1:
         raise ValueError(
@@ -338,7 +556,14 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
             )
         piece.setflags(write=False)
         pieces.append(piece)
-    return KoopmanBlock(p=genset.p, degree=degree, pieces=tuple(pieces))
+    traces = tuple(sum(moment) for moment in zip(*map(trace_moments, pieces)))
+    expected = _characters_for(genset).traces(2 * degree)
+    if traces != expected:
+        raise ConsistencyError(
+            f"block at degree {degree} has p^l tr(T), p^2l tr(T^2) = {traces}, but the "
+            f"generators' characters give {expected}"
+        )
+    return KoopmanBlock(p=genset.p, degree=degree, pieces=tuple(pieces), traces=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +574,14 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
 def check_traces(block: KoopmanBlock, eigenvalues) -> tuple[float, float]:
     """Require a float spectrum to reproduce the block's exact tr(T) and tr(T^2).
 
-    The traces are computed exactly from the integer pieces, whose moments
-    add up to p^l and p^{2l} times those of T.  Raises ConsistencyError
+    The exact traces are the block's `traces`, p^l and p^{2l} times those
+    of T, which koopman_block summed over the pieces and checked against
+    the generators' characters.  Raises ConsistencyError
     when either sum misses by more than TRACE_TOLERANCE relative to
     sum |eig| (respectively sum eig^2); otherwise returns the two relative
     misses.
     """
-    moments = [trace_moments(piece) for piece in block.pieces]
-    exact_trace = sum(trace for trace, _ in moments)
-    exact_square = sum(square for _, square in moments)
+    exact_trace, exact_square = block.traces
     s = block.scale
     eigs = np.asarray(eigenvalues, dtype=float)
     defects = []
@@ -554,5 +778,6 @@ def clear_caches() -> None:
     """Drop all memoised generator sets, blocks, spectra, and symmetric-power frontiers."""
     _generator_set.cache_clear()
     _powers_for.cache_clear()
+    _characters_for.cache_clear()
     koopman_block.cache_clear()
     block_spectrum.cache_clear()

@@ -24,6 +24,7 @@ from harmonic_oracle import (
     object_matmul,
     rotation_block,
 )
+from lps.cli import main
 from lps.formulas import ConsistencyError, hecke_polynomial, lps_discrepancy
 from lps.quaternions import (
     GeneratorSet,
@@ -307,6 +308,122 @@ def _q(*coordinates):
     return LipschitzQuaternion(*coordinates)
 
 
+def test_rebuild_recovers_integers_from_residue_and_estimate():
+    rebuild, rebuildable = lps.sphere._rebuild, lps.sphere._rebuildable
+    # negative values, the residues -2^63 and 2^63 - 1, and entries past 2^100
+    exact = [-(2**100) + 7, -5 * 2**64 - 2**63, 3 * 2**64 + 2**63 - 1, -1, 0, 2**63, 2**101 - 3]
+    residue = np.array([lps.sphere._residue(x) for x in exact], dtype=np.int64)
+    assert residue[1] == -(2**63) and residue[2] == 2**63 - 1
+    bound = float(2**101)
+    # the largest error the rule admits at this bound, less a margin for the
+    # rounding of the estimates themselves (2^48 at 2^101)
+    error = 2.0**62 - 2.0**-53 * (bound + 2.0**62 + 2.0**65) - 2.0**50
+    assert rebuildable(bound, error) and not rebuildable(bound, 2.0**62)
+    for sign in (1, -1):
+        estimate = np.array([float(x + sign * int(error)) for x in exact])
+        assert np.abs(estimate - np.array(exact, dtype=float)).max() <= error + 2.0**49
+        assert rebuild(residue, estimate).tolist() == exact
+    # an error of 2^63 and more picks the wrong multiple of 2^64
+    estimate = np.array([float(x + 2**63 + 2**52) for x in exact])
+    assert all(a != b for a, b in zip(rebuild(residue, estimate).tolist(), exact))
+
+
+@pytest.mark.parametrize(
+    "quaternions, degree, fast, rebuilt_at_read",
+    [
+        # the norm-25 set: every frontier on int64 residues and float
+        # estimates, the sum read in that form
+        pytest.param("norm-25", 18, [True] * 4, 0, id="norm25-l18"),
+        # three frontiers switched to Python ints: the fourth is rebuilt at
+        # the read, which assembles in Python ints
+        pytest.param("norm-25", 19, [False] * 3 + [True], 1, id="norm25-l19"),
+        pytest.param("norm-25", 20, [False] * 4, 0, id="norm25-l20"),
+        # every frontier within the rule, their sum not: assembled in Python
+        # ints from the rebuilt frontiers
+        pytest.param(None, 15, [True] * 8, 8, id="p61-l15"),
+    ],
+)
+def test_summed_powers_match_generator_sum_across_the_switch(
+    monkeypatch, quaternions, degree, fast, rebuilt_at_read
+):
+    genset = GeneratorSet(_primitive_norm_25()) if quaternions else build_generator_set(61)
+    powers = lps.sphere._SymmetricPowers(genset.source_quaternions)
+    shapes = []
+    rebuild = lps.sphere._rebuild
+
+    def recording(residue, estimate):
+        shapes.append(residue.shape)
+        return rebuild(residue, estimate)
+
+    monkeypatch.setattr(lps.sphere, "_rebuild", recording)
+    summed = powers.summed(2 * degree)
+    assert [frontier.estimate is not None for frontier in powers._mats] == fast
+    # a whole frontier at this degree is rebuilt only when the read falls
+    # back to Python ints
+    assert shapes.count((2 * degree + 1, degree + 1)) == rebuilt_at_read
+    # the exact generator sum everywhere, zero between residue classes
+    assert summed.tolist() == _generator_sum(genset.source_quaternions, degree)
+
+
+@pytest.mark.parametrize(
+    "q", [_q(1, 2, 0, 0), _q(3, 2, 0, 0), _q(1, 2, 2, 2), _q(-3, 1, 1, 4), _q(0, 0, 3, -1)]
+)
+def test_symmetric_power_trace_is_the_sl2_character(q):
+    # tr Sym^k(M) = h_k(tr M, det M), h_0 = 1, h_1 = t, h_(k+1) = t h_k - d h_(k-1)
+    t, d = 2 * q.x0, q.norm()
+    h = [1, t]
+    for k in range(13):
+        power = _symmetric_power(_quaternion_matrix(q), k)
+        assert sum(power[i][i][0] for i in range(k + 1)) == h[k]
+        assert sum(power[i][i][1] for i in range(k + 1)) == 0
+        h.append(t * h[-1] - d * h[-2])
+
+
+def _corrupt_summed(monkeypatch, change):
+    """Make _SymmetricPowers.summed apply `change(total, degree)` to every sum it returns."""
+    summed = lps.sphere._SymmetricPowers.summed
+
+    def corrupted(self, degree):
+        total = summed(self, degree)
+        change(total, degree)
+        return total
+
+    clear_caches()
+    monkeypatch.setattr(lps.sphere._SymmetricPowers, "summed", corrupted)
+
+
+def test_block_traces_must_match_the_generators_characters(monkeypatch):
+    def diagonal(total, degree):
+        # numerator (2, 2) from degree 2 on: self-adjointness cannot see it
+        if degree >= 4:
+            total[2, 2] += 1
+
+    _corrupt_summed(monkeypatch, diagonal)
+    assert koopman_block(build_generator_set(5), 1).traces == (-6, 12)
+    with pytest.raises(ConsistencyError, match="characters"):
+        koopman_block(build_generator_set(5), 2)
+    small = ["--l-max", "3", "--windows", "4,8", "--radius", "3", "--sanov-radius", "4"]
+    assert main(["report", "--seed", "42", *small]) == 1
+    monkeypatch.undo()
+    clear_caches()
+    assert main(["report", "--seed", "42", *small]) == 0
+
+
+def test_block_square_trace_must_match_the_generators_characters(monkeypatch):
+    def symmetric_pair(total, degree):
+        # (0, 4) and (4, 0) of the degree-2 block, class 0, with weights
+        # C(4, 0) = C(4, 4) = 1: still self-adjoint, same trace, new tr(T^2)
+        if degree == 4:
+            total[0, 4] += 1
+            total[4, 0] += 1
+
+    _corrupt_summed(monkeypatch, symmetric_pair)
+    with pytest.raises(ConsistencyError, match=r"characters give \(-114, "):
+        koopman_block(build_generator_set(5), 2)
+    monkeypatch.undo()
+    clear_caches()
+
+
 # Each set is closed under conjugation, under the (b, d) sign flip sigma
 # and under c = (1+i)/sqrt(2), which conjugates a + bi + cj + dk to
 # a + bi - dj + ck, so its block is real and self-adjoint.  One term per
@@ -315,8 +432,8 @@ ORBIT_CASES = [
     # the norm-p sets: x0 +- x1 i are fixed by c and form one diagonal term;
     # the rest fall in 4-orbits, of which sigma pairs the two of 1 +- 2i +-
     # 2j +- 2k for p = 13
-    pytest.param(5, None, 2, id="p5-order4"),
-    pytest.param(13, None, 3, id="p13-order4"),
+    pytest.param(5, None, 2, id="p5"),
+    pytest.param(13, None, 3, id="p13"),
     # a repeated generator counts twice
     pytest.param(
         5, (_q(1, 2, 0, 0), _q(1, -2, 0, 0)) + tuple(
@@ -327,7 +444,7 @@ ORBIT_CASES = [
 
 
 @pytest.mark.parametrize("p, quaternions, frontiers", ORBIT_CASES)
-def test_orbit_sums_match_generator_sum_at_every_stabiliser_order(p, quaternions, frontiers):
+def test_orbit_sums_match_generator_sum(p, quaternions, frontiers):
     genset = build_generator_set(p) if quaternions is None else GeneratorSet(quaternions)
     for degree in (1, 2, 3, 4):
         total = _generator_sum(genset.source_quaternions, degree)
@@ -458,15 +575,10 @@ def test_block_rejects_generators_not_closed_under_conjugation(monkeypatch):
     # a sum over a set closed under inverses is self-adjoint, so only a
     # corrupted sum can fail the exact check; (0, 4) lies in residue class 0
     # of the degree-2 block, whose pieces are the only entries read
-    summed = lps.sphere._SymmetricPowers.summed
-
-    def corrupted(self, degree):
-        total = summed(self, degree)
+    def off_diagonal(total, degree):
         total[0, 4] += 1
-        return total
 
-    clear_caches()
-    monkeypatch.setattr(lps.sphere._SymmetricPowers, "summed", corrupted)
+    _corrupt_summed(monkeypatch, off_diagonal)
     with pytest.raises(ConsistencyError, match="self-adjoint"):
         koopman_block(build_generator_set(5), 2)
     # quaternions of different norms make no generator set
