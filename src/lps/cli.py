@@ -397,7 +397,9 @@ def _torus_diagnostics(row) -> dict:
     """What the certificate of one window cost and how tight it is.
 
     `window_ms` is None for a window that the diagonal settled before it
-    was built, and `solve_ms` for one that needed no solve.
+    was built, and `solve_ms` for one that needed no solve.  `blocks`
+    lists [orbits, Lanczos steps] for each class mod 2 of the window (0
+    steps in a derived n = 1 ball row), and is None where no solve ran.
     """
     bound = row.bound
     return {
@@ -405,6 +407,7 @@ def _torus_diagnostics(row) -> dict:
         "dimension": bound.dimension,
         "orbits": bound.orbits,
         "symmetry_order": bound.symmetry_order,
+        "blocks": bound.blocks,
         "matvecs": bound.matvecs,
         "start": bound.start,
         "ritz_residual": bound.ritz_residual,

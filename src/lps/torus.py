@@ -18,10 +18,11 @@ are vectors, so every Rayleigh quotient of the quotient is one of the
 window; and the group average of a nonnegative Perron vector is a
 nonnegative invariant Perron vector, so the largest eigenvalue survives.
 It is bounded from below by an exact Rayleigh quotient at a Ritz vector
-of plain three-term Lanczos; the quotient is held as its nonzero integer
-entries sorted by row, so all of this needs numpy alone.  Together with
-the closed-form upper bound this sandwiches the discrepancy from both
-sides.
+of plain three-term Lanczos, run on each class of orbits mod 2 apart,
+since no word moves m between classes; the quotient is held as its
+nonzero integer entries sorted by row, so all of this needs numpy alone.
+Together with the closed-form upper bound this sandwiches the
+discrepancy from both sides.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ MONOTONICITY_TOLERANCE = 1e-6
 
 # Lanczos stops at the first test at which the top Ritz pair has residual
 # estimate at most LANCZOS_TOL times the Ritz value, and gives up after
-# LANCZOS_MAX_STEPS steps.  The benchmark windows need at most 72 from the
-# seeded start; a Sanov ball window at n = 2 started from the sphere
-# window's Ritz vector needs 24, and an n = 1 ball window is derived from
-# its sphere window with no solve.  Both only steer the solve: the
-# certificate is an exact Rayleigh quotient of the rounded Ritz vector.
+# LANCZOS_MAX_STEPS steps.  The benchmark windows need at most 56 per
+# class mod 2 from the seeded start; a Sanov ball window at n = 2 started
+# from the sphere window's Ritz vector needs 24, and an n = 1 ball window is
+# derived from its sphere window with no solve.  Both only steer the
+# solve: the certificate is an exact Rayleigh quotient of the rounded Ritz
+# vector.
 # The test needs a dense eigendecomposition of the tridiagonal matrix, so
 # it runs only every LANCZOS_CHECK_STEPS steps (see _lanczos).
 LANCZOS_TOL = 1e-7
@@ -284,11 +286,14 @@ class WindowOperator:
     orbit-constant vectors: each of its Rayleigh quotients is one of A,
     and its largest eigenvalue is that of A, since averaging a
     nonnegative Perron vector over the group keeps it a Perron vector.
+    Orbits are numbered class by class mod 2 (`_residue_classes`), and
+    K has no entry between classes: block_starts[b] is class b's first.
     """
 
     window: HalfWindow
     entries: OrbitSums
     orbit_sizes: np.ndarray
+    block_starts: tuple[int, ...]
     max_diagonal: int
     symmetry_order: int
     n: int
@@ -297,15 +302,32 @@ class WindowOperator:
     q: int
 
 
+def _residue_classes(genset: IntegerGenerators, group: Sequence[Matrix2]) -> np.ndarray:
+    """The class of each nonzero residue m mod 2, at index 2 (m1 mod 2) + (m2 mod 2) - 1.
+
+    W^T m mod 2 depends only on W and m mod 2, and so does m P, so no word
+    leaves an orbit of the residues under the generators and the group.
+    Those orbits are the classes, numbered by their smallest index.  Sanov,
+    I mod 2, has two: {(0, 1), (1, 0)} and {(1, 1)}; [[2, 1], [1, 1]] one.
+    """
+    moves = np.eye(3, dtype=bool)
+    for (a, b), (c, d) in genset.matrices + tuple(group):
+        for m1, m2 in ((0, 1), (1, 0), (1, 1)):
+            moves[2 * m1 + m2 - 1, 2 * ((a * m1 + c * m2) % 2) + (b * m1 + d * m2) % 2 - 1] = True
+    # every move is invertible, and two moves reach the whole orbit of three
+    return np.unique(np.argmax(moves @ moves, axis=1), return_inverse=True)[1]
+
+
 def _orbits(
-    window: HalfWindow, table: np.ndarray, group: Sequence[Matrix2]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The orbit number of each half-window point and the first point of each orbit.
+    window: HalfWindow, table: np.ndarray, group: Sequence[Matrix2], classes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The orbit number of each half-window point, each orbit's first point, and the block starts.
 
     A point's orbit is labelled by the smallest index over its images
-    under the group, and orbits are numbered in the order of those labels.
-    A signed permutation only swaps and negates coordinates, so the table
-    read at the images of all points is the table transposed and flipped.
+    under the group, and orbits are numbered by class in `classes`, then
+    by label.  A signed permutation only swaps and negates coordinates, so
+    the table read at the images of all points is the table transposed
+    and flipped.
     """
     r = window.radius
     label = table[r:]
@@ -315,8 +337,13 @@ def _orbits(
         label = np.minimum(label, image[:: a + b, :: c + d][r:])
     x, y = window.points.T
     label = label[x, y + r]
-    first = label == np.arange(window.size)
-    return (np.cumsum(first, dtype=np.int32) - 1)[label], np.flatnonzero(first)
+    first = np.flatnonzero(label == np.arange(window.size))
+    block = classes[2 * (x[first] % 2) + y[first] % 2 - 1]
+    order = np.argsort(block, kind="stable")
+    number = np.empty(window.size, dtype=np.int32)
+    number[first[order]] = np.arange(len(first), dtype=np.int32)
+    starts = np.searchsorted(block[order], np.arange(classes.max() + 2))
+    return number[label], first[order], tuple(starts.tolist())
 
 
 def _window_words(genset: IntegerGenerators, n: int, shape: str, radius: int) -> np.ndarray:
@@ -342,7 +369,7 @@ def _window_words(genset: IntegerGenerators, n: int, shape: str, radius: int) ->
 
 
 def window_operator(
-    genset: IntegerGenerators, n: int, shape: str, radius: int
+    genset: IntegerGenerators, n: int, shape: str, radius: int, words=None, max_diagonal=None
 ) -> WindowOperator:
     """Count, for each pair of orbits, the words taking one's points to +-the other's.
 
@@ -350,14 +377,17 @@ def window_operator(
     group, so K[O', O] is |O| times the number of words taking that point
     into O'.  `max_diagonal` is read from the words alone
     (`_max_diagonal`), by the rule that also settles windows before any is
-    built.  All arithmetic is exact integer arithmetic.  The word set is
+    built; a caller that has both, as `_window_certificate` has, passes
+    them in.  All arithmetic is exact integer arithmetic.  The word set is
     closed under inversion, so K is symmetric.
     """
-    words = _window_words(genset, n, shape, radius)
+    if words is None:
+        words = _window_words(genset, n, shape, radius)
+        max_diagonal = _max_diagonal(words, radius)
     window = HalfWindow(radius)
     group = symmetries(genset)
     table = _square_table(window)
-    orbit, reps = _orbits(window, table, group)
+    orbit, reps, block_starts = _orbits(window, table, group, _residue_classes(genset, group))
     sizes = np.bincount(orbit)
     m1, m2 = window.points[reps].T
     # pairs O * len(reps) + O' for each word taking the first point of O into O'
@@ -374,7 +404,8 @@ def window_operator(
         window=window,
         entries=OrbitSums(row, column, hits_per_pair * sizes[row]),
         orbit_sizes=sizes,
-        max_diagonal=_max_diagonal(words, radius),
+        block_starts=block_starts,
+        max_diagonal=max_diagonal,
         symmetry_order=len(group),
         n=n,
         shape=shape,
@@ -395,16 +426,18 @@ class NormCertificate:
     arithmetic, and `estimate` the largest float not above it.
     `dimension` is the half-window size and `orbits` the dimension of its
     quotient under a group of order `symmetry_order`; all three are None
-    for a window settled before it was built.  `matvecs` is the number of
-    quotient products, one per Lanczos step and one for `ritz_residual`,
-    and `start` where the steps started: 'seeded' for the draw from the
+    for a window settled before it was built.  `blocks` lists the
+    (orbits, Lanczos steps) of each class mod 2, and `matvecs` counts the
+    products, one per step and one per Ritz residual of each block;
+    `start` is where the steps started: 'seeded' for the draw from the
     seed, 'given' for a caller's vector, or 'sphere' for the Ritz vector of
     the sphere window that torus_discrepancy_check gives a ball window.
-    `ritz_vector` is the unit Ritz vector in orbit coordinates.  When no
+    `ritz_vector` holds each block's unit Ritz vector in orbit
+    coordinates, and the residuals are the top block's.  When no
     solve ran, `matvecs` is 0 and the other solve fields are None.  An
     n = 1 ball window derived from its sphere window (`_ball_from_sphere`)
     runs no solve but keeps the sphere's sizes and Ritz vector, which are
-    its own, and the sphere's residuals rescaled to the ball.
+    its own, its blocks with 0 steps, and its residuals rescaled.
 
     The milliseconds spent are kept beside, out of comparisons:
     `window_ms` building the window operator, `solve_ms` in its quotient
@@ -420,6 +453,7 @@ class NormCertificate:
     ritz_residual: Optional[float] = None
     ritz_minus_certificate: Optional[float] = None
     start: Optional[str] = None
+    blocks: Optional[tuple[tuple[int, int], ...]] = None
     ritz_vector: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     window_ms: Optional[float] = field(default=None, compare=False)
     solve_ms: Optional[float] = field(default=None, compare=False)
@@ -470,7 +504,9 @@ def rayleigh_certificate(op: WindowOperator, y: np.ndarray) -> Fraction:
     # K y summed row by row over the rows that hold an entry
     starts = np.searchsorted(rows, np.arange(len(op.orbit_sizes) + 1))
     filled = np.flatnonzero(np.diff(starts))
-    num = _exact_dot(y[filled], np.add.reduceat(data * y[columns], starts[filled]), bound)
+    products = y[columns]
+    products *= data
+    num = _exact_dot(y[filled], np.add.reduceat(products, starts[filled]), bound)
     den = _exact_dot(y, op.orbit_sizes * y, bound)
     return Fraction(num, op.words_used * den)
 
@@ -484,12 +520,13 @@ def _float_at_most(value: Fraction) -> float:
 def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int]]:
     """Top Ritz value, unit Ritz vector and steps run; None past the step limit.
 
-    Three-term Lanczos without reorthogonalisation, stopped at the first
-    test where |beta_k s_k| <= LANCZOS_TOL |theta| (ARPACK's test), with
-    theta the largest eigenvalue of the tridiagonal T_k and s its unit
-    eigenvector.  Orthogonality is lost only along Ritz vectors that have
-    already converged (Paige), so the solve stops before a ghost copy of
-    theta can appear.  The test needs a dense eigendecomposition of T_k,
+    Three-term Lanczos without reorthogonalisation on one block of the
+    orbit quotient (norm_certificate), stopped at the first test where
+    |beta_k s_k| <= LANCZOS_TOL |theta| (ARPACK's test), with theta the
+    largest eigenvalue of the tridiagonal T_k and s its unit eigenvector.
+    Orthogonality is lost only along Ritz vectors that have already
+    converged (Paige), so the solve stops before a ghost copy of theta can
+    appear.  The test needs a dense eigendecomposition of T_k,
     so it runs every LANCZOS_CHECK_STEPS steps, at a breakdown (beta = 0),
     at step len(start) and at the step limit, and the Ritz pair of the
     first test that passes is returned.  By step len(start) the Krylov
@@ -499,34 +536,37 @@ def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int
     vectors can cancel in the basis.  None when no test passes within
     LANCZOS_MAX_STEPS steps.
 
-    The recurrence, T_k and every test run in float64; only the stored
-    basis is float32, which halves the solve's largest allocation.  The
-    Ritz vector z = sum_i s_i q_i is summed in float64 one basis vector at
-    a time, never from a float64 copy of the whole basis.  Each entry of z
-    then carries a relative error of about 2^-24, the precision at which
-    norm_certificate rounds it.  The stopping test bounds the residual of
-    the float64 Ritz pair, not of the returned z: the residual
-    ||M z - theta z|| of z cannot fall much below 2^-24 theta, and that
-    floor, which grows with the steps summed, lies just under
-    LANCZOS_TOL theta.
+    The recurrence, T_k (two lists, made a matrix only at a test) and every
+    test run in float64; only the stored basis is float32, which halves
+    the solve's largest allocation.  The Ritz vector z = sum_i s_i q_i is
+    summed in float64 one basis vector at a time, never from a float64
+    copy of the whole basis.  Each entry of z then carries a relative
+    error of about 2^-24, the precision at which norm_certificate rounds
+    it.  The stopping test bounds the residual of the float64 Ritz pair,
+    not of the returned z: the residual ||M z - theta z|| of z cannot fall
+    much below 2^-24 theta, and that floor, which grows with the steps
+    summed, lies just under LANCZOS_TOL theta.
     """
     q, previous, b = start / np.linalg.norm(start), 0.0, 0.0
     basis: list[np.ndarray] = []
-    tri = np.zeros((LANCZOS_MAX_STEPS + 1,) * 2)
+    alphas: list[float] = []  # T_k's diagonal, and betas[:k] its off-diagonal
+    betas: list[float] = []
     for k in range(LANCZOS_MAX_STEPS):
         basis.append(q.astype(np.float32))
         w = matvec(q) - b * previous
-        tri[k, k] = q @ w
-        w -= tri[k, k] * q
+        alphas.append(q @ w)
+        w -= alphas[k] * q
         b = float(np.linalg.norm(w))
-        tri[k + 1, k] = tri[k, k + 1] = b
+        betas.append(b)
         if (
             b == 0
             or k + 1 == len(q)
             or (k + 1) % LANCZOS_CHECK_STEPS == 0
             or k + 1 == LANCZOS_MAX_STEPS
         ):
-            theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
+            tri, i = np.diag(alphas), np.arange(k)
+            tri[i + 1, i] = tri[i, i + 1] = betas[:k]
+            theta, s = np.linalg.eigh(tri)
             if abs(b * s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
                 z = np.zeros(len(q))
                 for c, v in zip(s[:, -1], basis):
@@ -545,15 +585,18 @@ def norm_certificate(
     Rayleigh quotient of a unit vector.  When it reaches the closed form
     the sandwich is closed and no solve runs; on rank-one it is exactly 1.
     Nor does a solve run when C is zero.  Otherwise Lanczos (`_lanczos`)
-    finds the top Ritz vector z of the orbit quotient
-    D^(-1/2) K D^(-1/2) / words_used, from `start` in orbit coordinates
-    when given, else from the strictly positive 1 + uniform[0, 1) drawn
-    from `seed`; the start only steers the solve.  The absolute values
-    of z / sqrt(D), which for a nonnegative matrix give a Rayleigh quotient
-    no smaller, are rounded to 24-bit integers y, and
-    y^T K y / (words_used y^T D y) is evaluated exactly.  z carries the
-    float32 rounding of the Lanczos basis, about 2^-24 relative, which is
-    the precision of y itself; the certificate is exact whatever z is.
+    finds the top Ritz vector of each block, one per class mod 2, of the
+    orbit quotient D^(-1/2) K D^(-1/2) / words_used, from that block of
+    `start` in orbit coordinates when given, else of the strictly positive
+    1 + uniform[0, 1) drawn from `seed`; the start only steers the solve,
+    but may not vanish on a block.  K has no entry between blocks, so the
+    top block holds the top eigenvalue; let z be its Ritz vector, and 0
+    elsewhere.  The absolute values of z / sqrt(D), which for a
+    nonnegative matrix give a Rayleigh quotient no smaller, are rounded to
+    24-bit integers y, and y^T K y / (words_used y^T D y) is evaluated
+    exactly on all of K.  z carries the float32 rounding of the Lanczos
+    basis, about 2^-24 relative, which is the precision of y itself; the
+    certificate is exact whatever z is.
     Lanczos not converging within LANCZOS_MAX_STEPS steps raises
     LanczosConvergenceError, whose message names the diagonal bound.
     """
@@ -566,36 +609,53 @@ def norm_certificate(
     rows, cols, data = op.entries
     scale = 1.0 / np.sqrt(op.orbit_sizes)
     weights = data * (scale[rows] * scale[cols] / op.words_used)
+    given = start is not None
+    if not given:
+        start = 1.0 + np.random.default_rng(seed).random(len(scale))
+    z = np.zeros(len(scale))
+    blocks, solves = [], []
+    starts, cuts = op.block_starts, np.searchsorted(rows, op.block_starts).tolist()
+    for first, last, lo, hi in zip(starts, starts[1:], cuts, cuts[1:]):
+        # the block's entries in its own rows and columns (K's own for the first)
+        block_rows, block_cols, block_weights = rows[lo:hi], cols[lo:hi], weights[lo:hi]
+        if first:
+            block_rows, block_cols = block_rows - first, block_cols - first
 
-    def quotient(v: np.ndarray) -> np.ndarray:
-        return np.bincount(rows, weights=weights * v[cols], minlength=len(scale))
+        def quotient(v: np.ndarray) -> np.ndarray:
+            products = v[block_cols]
+            products *= block_weights
+            return np.bincount(block_rows, weights=products, minlength=len(v))
 
-    if start is None:
-        solved = _lanczos(quotient, 1.0 + np.random.default_rng(seed).random(len(scale)))
-    else:
-        solved = _lanczos(quotient, start)
-    if solved is None:
-        raise LanczosConvergenceError(
-            f"Lanczos did not converge to relative accuracy {LANCZOS_TOL} within "
-            f"{LANCZOS_MAX_STEPS} steps (best exact bound {float(best)})"
-        )
-    ritz, z, steps = solved
+        if not start[first:last].any():
+            raise ValueError("the start vanishes on a block of K")
+        solved = _lanczos(quotient, start[first:last])
+        if solved is None:
+            raise LanczosConvergenceError(
+                f"Lanczos did not converge to relative accuracy {LANCZOS_TOL} within "
+                f"{LANCZOS_MAX_STEPS} steps (best exact bound {float(best)})"
+            )
+        ritz, z[first:last], steps = solved
+        residual = float(np.linalg.norm(quotient(z[first:last]) - ritz * z[first:last]))
+        blocks.append((last - first, steps))
+        solves.append((ritz, first, last, residual))
+    ritz, first, last, residual = max(solves, key=lambda solve: solve[0])
     # the certificate hands z to later solves as a start, so none may change it
     z.setflags(write=False)
-    residual = float(np.linalg.norm(quotient(z) - ritz * z))
     solved_at = time.perf_counter()
-    u = np.abs(z) * scale
-    y = np.rint(u * ((2 ** 24 - 1) / u.max())).astype(np.int64)
+    u = np.abs(z[first:last]) * scale[first:last]
+    y = np.zeros(len(scale), dtype=np.int64)
+    y[first:last] = np.rint(u * ((2 ** 24 - 1) / u.max()))
     certified = rayleigh_certificate(op, y)
     best = max(best, certified)
     return NormCertificate(
         best,
         *dims,
-        matvecs=steps + 1,
+        matvecs=sum(steps + 1 for _, steps in blocks),
         ritz_residual=residual,
         ritz_minus_certificate=float(Fraction(ritz) - certified),
-        start="seeded" if start is None else "given",
+        start="given" if given else "seeded",
         ritz_vector=z,
+        blocks=tuple(blocks),
         solve_ms=(solved_at - started) * 1000.0,
         certificate_ms=(time.perf_counter() - solved_at) * 1000.0,
     )
@@ -647,6 +707,7 @@ def _ball_from_sphere(sphere: NormCertificate, q: int) -> NormCertificate:
         sphere,
         certificate=certificate,
         matvecs=0,
+        blocks=sphere.blocks and tuple((orbits, 0) for orbits, _ in sphere.blocks),
         ritz_residual=scaled(sphere.ritz_residual),
         ritz_minus_certificate=scaled(sphere.ritz_minus_certificate),
         start="sphere" if sphere.start else None,
@@ -671,7 +732,7 @@ def _window_certificate(
     records no size.
     Otherwise the window is built and certified, a ball window
     from the sphere's Ritz vector: the sphere and ball windows of one
-    radius have the same symmetry group, hence the same orbit
+    radius have the same symmetry group and classes, hence the same orbit
     coordinates, and nearly the same top vector.  The ball's certificate
     is still an exact Rayleigh quotient of its own window.  It falls back
     to the seeded start when the sphere window needs no solve, so a ball
@@ -683,14 +744,15 @@ def _window_certificate(
         return _ball_from_sphere(_window_certificate(genset, 1, "sphere", radius, seed), genset.q)
     started = time.perf_counter()
     words = _window_words(genset, n, shape, radius)
-    diagonal = Fraction(_max_diagonal(words, radius), len(words))
+    max_diagonal = _max_diagonal(words, radius)
+    diagonal = Fraction(max_diagonal, len(words))
     if diagonal >= regular_norm(genset.q, n, shape):
         return NormCertificate(diagonal, certificate_ms=(time.perf_counter() - started) * 1000.0)
     start = None
     if shape == "ball":
         start = _window_certificate(genset, n, "sphere", radius, seed).ritz_vector
     started = time.perf_counter()
-    op = window_operator(genset, n, shape, radius)
+    op = window_operator(genset, n, shape, radius, words, max_diagonal)
     window_ms = (time.perf_counter() - started) * 1000.0
     bound = replace(norm_certificate(op, seed=seed, start=start), window_ms=window_ms)
     return replace(bound, start="sphere") if bound.start == "given" else bound

@@ -486,15 +486,20 @@ def test_torus_diagnostics_only_with_timings(capsys):
         for row in table["rows"]:
             assert row["dimension"] > 0
             assert row["start"] == {"sphere": "seeded", "ball": "sphere"}[table["shape"]]
+            # one [orbits, steps] pair per class mod 2: Sanov has two
+            assert len(row["blocks"]) == 2
+            assert sum(orbits for orbits, _ in row["blocks"]) == row["orbits"]
             if solved:
-                # no breakdown: the solve stops at the end of a block of tests
-                # or, at R 8, at the dimension of the quotient; one more
-                # product gives the Ritz residual
-                steps = row["matvecs"] - 1
-                assert steps > 0 and (steps % 8 == 0 or steps == row["orbits"] == 23)
+                # no breakdown: each block's solve stops at the end of a block
+                # of tests or, at R 8, at the dimension of its block; one
+                # more product per block gives its Ritz residual
+                for orbits, steps in row["blocks"]:
+                    assert steps > 0 and (steps % 8 == 0 or steps == orbits <= 16)
+                assert row["matvecs"] == sum(steps + 1 for _, steps in row["blocks"])
                 assert min(row["window_ms"], row["solve_ms"]) >= 0
             else:
                 assert row["matvecs"] == 0
+                assert [steps for _, steps in row["blocks"]] == [0, 0]
                 assert row["window_ms"] is None and row["solve_ms"] is None
             assert row["certificate_ms"] >= 0
             assert "lanczos_steps_run" not in row and "tridiagonal_solves" not in row
@@ -506,18 +511,24 @@ def test_torus_diagnostics_only_with_timings(capsys):
 
 
 def test_ball_solve_warm_starts_from_the_sphere(capsys, cold_torus_cache):
-    # Lanczos steps plus the residual's product: the n = 2 ball solve
-    # starts from the sphere's Ritz vector, and the n = 1 ball rows are
+    # Lanczos steps plus the residual's product, summed over the two
+    # classes mod 2: each block of the n = 2 ball solve starts from the
+    # sphere's Ritz vector on that block, and the n = 1 ball rows are
     # derived from the sphere rows with no solve
     for n, matvecs in (
-        (2, {"sphere": [33, 41, 49], "ball": [25, 25, 25]}),
-        (1, {"sphere": [49, 65, 73], "ball": [0, 0, 0]}),
+        (2, {"sphere": [58, 66, 74], "ball": [42, 50, 50]}),
+        (1, {"sphere": [82, 98, 114], "ball": [0, 0, 0]}),
     ):
         argv = ["verify", "torus", "--n", str(n), "--windows", "64,128,256", "--timings"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         tables = parse_envelope(out)["diagnostics"]["tables"]
         assert {t["shape"]: [r["matvecs"] for r in t["rows"]] for t in tables} == matvecs
+        # no block of the warm-started ball takes more steps than the
+        # sphere's block
+        sphere, ball = ([r["blocks"] for r in t["rows"]] for t in tables)
+        for s_blocks, b_blocks in zip(sphere, ball):
+            assert all(b[1] <= s[1] for s, b in zip(s_blocks, b_blocks))
         starts = {t["shape"]: [r["start"] for r in t["rows"]] for t in tables}
         assert starts == {"sphere": ["seeded"] * 3, "ball": ["sphere"] * 3}
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -30,6 +31,7 @@ from lps.torus import (
     _lookup,
     _max_diagonal,
     _orbits,
+    _residue_classes,
     _square_table,
     _window_words,
     build_torus_genset,
@@ -51,6 +53,8 @@ from torus_oracle import (
     half_block,
     orbit_numbers,
     orbit_sums,
+    residue_class,
+    residue_classes,
     square_symmetries,
 )
 
@@ -242,19 +246,37 @@ def test_square_table_matches_a_brute_force_fold(radius):
 )
 def test_orbit_labels_match_the_oracle(matrices, radius):
     genset = build_torus_genset(matrices)
-    window = HalfWindow(radius)
-    orbit, firsts = _orbits(window, _square_table(window), symmetries(genset))
+    window, group = HalfWindow(radius), symmetries(genset)
+    orbit, firsts, block_starts = _orbits(
+        window, _square_table(window), group, _residue_classes(genset, group)
+    )
     half = [tuple(m) for m in window.points.tolist()]
-    expected = orbit_numbers(half, square_symmetries(genset.matrices))
+    classes = _oracle_classes(genset)
+    expected = orbit_numbers(half, square_symmetries(genset.matrices), classes)
     assert np.array_equal(orbit, expected)
     assert firsts.tolist() == [expected.tolist().index(k) for k in range(expected.max() + 1)]
+    assert block_starts == _oracle_block_starts(half, expected, classes)
+
+
+def _oracle_classes(genset):
+    """The oracle's class of each residue mod 2, found by walking the residues."""
+    return residue_classes(genset.matrices, square_symmetries(genset.matrices))
+
+
+def _oracle_block_starts(half, orbit, classes):
+    """The first orbit of each class, and the orbit count, from the oracle's numbering."""
+    per_class = np.zeros(max(classes.values()) + 1, dtype=np.int64)
+    for k in range(orbit.max() + 1):
+        per_class[residue_class(classes, half[orbit.tolist().index(k)])] += 1
+    return tuple([0] + np.cumsum(per_class).tolist())
 
 
 def _oracle_operator(genset, n, shape, radius):
     """The oracle's half block, its orbit sums K and sizes D, and the word count."""
     window, counts, words = full_window_counts(genset, n, shape, radius)
     half, block = half_block(window, counts)
-    sums, sizes = orbit_sums(half, block, square_symmetries(genset.matrices))
+    group, classes = square_symmetries(genset.matrices), _oracle_classes(genset)
+    sums, sizes = orbit_sums(half, block, group, classes)
     return half, block, sums, sizes, words
 
 
@@ -267,6 +289,60 @@ def _assert_matches_oracle(op, genset):
     assert np.array_equal(op.orbit_sizes, sizes)
     assert op.max_diagonal == block.diagonal().max()
     assert op.symmetry_order == len(symmetries(genset))
+    classes = _oracle_classes(genset)
+    orbit = orbit_numbers(half, square_symmetries(genset.matrices), classes)
+    assert op.block_starts == _oracle_block_starts(half, orbit, classes)
+    _assert_no_entry_crosses_a_block(op)
+
+
+def _assert_no_entry_crosses_a_block(op):
+    """Every entry of K lies in the block of its row, and the entries run block by block."""
+    block_of = np.repeat(np.arange(len(op.block_starts) - 1), np.diff(op.block_starts))
+    assert op.block_starts[0] == 0 and op.block_starts[-1] == len(op.orbit_sizes)
+    assert np.all(np.diff(op.block_starts) > 0)
+    assert np.array_equal(block_of[op.entries.rows], block_of[op.entries.columns])
+
+
+@pytest.mark.parametrize(
+    "matrices, classes",
+    [
+        ("sanov", 2),
+        ("rank-one", 2),
+        ((((2, 1), (1, 1)),), 1),
+        ((((2, 1), (1, 1)), ((1, 1), (0, 1))), 1),
+        # mod 2 each letter fixes one of (0, 1) and (1, 0) and moves the other to (1, 1)
+        ((((1, 1), (0, 1)), ((1, 0), (1, 1))), 1),
+    ],
+    ids=["sanov", "rank-one", "cat-map", "no-symmetry", "elementary-pair"],
+)
+@pytest.mark.parametrize("n, shape", [(1, "sphere"), (2, "ball")])
+def test_no_entry_of_k_crosses_a_class(matrices, classes, n, shape):
+    # the full window's count matrix, from the oracle alone: no word takes a
+    # point of one class to a point of another, and the orbit sums keep that
+    genset = build_torus_genset(matrices)
+    window, counts, _ = full_window_counts(genset, n, shape, 4)
+    oracle = _oracle_classes(genset)
+    assert len(set(oracle.values())) == classes
+    point_class = np.array([residue_class(oracle, m) for m in window.points])
+    hit = np.nonzero(counts)
+    assert np.array_equal(point_class[hit[0]], point_class[hit[1]])
+    op = window_operator(genset, n, shape, 4)
+    assert len(op.block_starts) == classes + 1
+    assert _residue_classes(genset, symmetries(genset)).tolist() == [
+        oracle[r] for r in ((0, 1), (1, 0), (1, 1))
+    ]
+    _assert_matches_oracle(op, genset)
+
+
+def test_mislabelled_orbit_fails_the_block_check():
+    # moving the first orbit of the second class into the first puts an
+    # entry of K across the boundary, which the check must see
+    op = window_operator(build_torus_genset("sanov"), 1, "sphere", 4)
+    _assert_no_entry_crosses_a_block(op)
+    first, split, last = op.block_starts
+    for starts in ((first, split + 1, last), (first, split - 1, last)):
+        with pytest.raises(AssertionError):
+            _assert_no_entry_crosses_a_block(replace(op, block_starts=starts))
 
 
 @pytest.mark.parametrize("radius", [1, 3])
@@ -523,7 +599,8 @@ def _per_step_lanczos(matvec, start):
 def _certify_with(monkeypatch, lanczos, op, start=None):
     """norm_certificate run with `lanczos` in place of `_lanczos`, and what that returned.
 
-    The second item is None when no solve ran.
+    The second item lists what each block's solve returned, in block
+    order; it is empty when no solve ran.
     """
     returned = []
 
@@ -532,33 +609,43 @@ def _certify_with(monkeypatch, lanczos, op, start=None):
         return returned[-1]
 
     monkeypatch.setattr(lps.torus, "_lanczos", recorded)
-    return norm_certificate(op, start=start), (returned or [None])[0]
+    return norm_certificate(op, start=start), returned
 
 
 def _assert_blocked_agrees_with_per_step(monkeypatch, op, start=None):
     bound, blocked = _certify_with(monkeypatch, _lanczos, op, start)
     reference, per_step = _certify_with(monkeypatch, _per_step_lanczos, op, start)
-    if blocked is None:
-        assert per_step is None
+    if not blocked:
+        assert not per_step
         assert bound.certificate == reference.certificate
         return bound
-    (ritz, _, steps), (ref_ritz, _, ref_steps) = blocked, per_step
-    # one product per step and one for the Ritz residual
-    assert steps + 1 == bound.matvecs
-    # the blocked solve stops at the first check at or after the per-step
-    # stop: the end of a block, a breakdown or the step equal to the number
-    # of orbits (both only once the Krylov space of the orbit quotient is
-    # exhausted) or the step limit
-    assert ref_steps <= steps
-    assert (
-        steps % LANCZOS_CHECK_STEPS == 0
-        or steps <= bound.orbits
-        or steps == lps.torus.LANCZOS_MAX_STEPS
-    )
-    assert abs(ritz - ref_ritz) <= 1e-10 * abs(ref_ritz)
+    # one solve per block, each with one product per step and one for its
+    # Ritz residual
+    assert len(blocked) == len(per_step) == len(bound.blocks) == len(op.block_starts) - 1
+    assert [(orbits, steps) for orbits, steps in bound.blocks] == [
+        (last - first, solved[2])
+        for first, last, solved in zip(op.block_starts, op.block_starts[1:], blocked)
+    ]
+    assert bound.matvecs == sum(steps + 1 for _, steps in bound.blocks)
+    for (orbits, steps), (ritz, _, _), (ref_ritz, _, ref_steps) in zip(
+        bound.blocks, blocked, per_step
+    ):
+        # each block's solve stops at the first check at or after the
+        # per-step stop: the end of a block of tests, a breakdown or the step
+        # equal to the block's orbits (both only once the Krylov space of
+        # the block is exhausted) or the step limit
+        assert ref_steps <= steps
+        assert (
+            steps % LANCZOS_CHECK_STEPS == 0
+            or steps <= orbits
+            or steps == lps.torus.LANCZOS_MAX_STEPS
+        )
+        assert abs(ritz - ref_ritz) <= 1e-10 * abs(ref_ritz)
     assert abs(bound.certificate - reference.certificate) <= Fraction(1, 10**12)
-    # the pair returned is the one that passed the test, not an earlier one
-    assert bound.ritz_residual <= 2 * LANCZOS_TOL * abs(ritz)
+    # the pair returned is the top block's, and the one that passed the test
+    top = max(ritz for ritz, _, _ in blocked)
+    assert float(bound.certificate) + bound.ritz_minus_certificate == pytest.approx(top, abs=1e-15)
+    assert bound.ritz_residual <= 2 * LANCZOS_TOL * abs(top)
     return bound
 
 
@@ -568,19 +655,23 @@ def _assert_blocked_agrees_with_per_step(monkeypatch, op, start=None):
 def test_blocked_stopping_test_matches_per_step_lanczos(monkeypatch, n, shape, radius):
     op = window_operator(build_torus_genset("sanov"), n, shape, radius)
     bound = _assert_blocked_agrees_with_per_step(monkeypatch, op)
-    # no breakdown: the solve ran to the end of a block, or at R 8 (23
-    # orbits) to the dimension, where the Krylov space is exhausted
-    steps = bound.matvecs - 1
-    assert steps % LANCZOS_CHECK_STEPS == 0 or steps == bound.orbits == 23
+    # no breakdown: each block's solve ran to the end of a block of tests,
+    # or at R 8 (blocks of 16 and 7 orbits) to the block's dimension, where
+    # the Krylov space is exhausted
+    assert len(bound.blocks) == 2
+    for orbits, steps in bound.blocks:
+        assert steps % LANCZOS_CHECK_STEPS == 0 or steps == orbits <= 16
 
 
 def test_blocked_lanczos_stops_at_the_check_after_a_mid_block_pass(monkeypatch):
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", 16)
     bound = _assert_blocked_agrees_with_per_step(monkeypatch, op)
     _, per_step = _certify_with(monkeypatch, _per_step_lanczos, op)
-    # per-step testing passes inside a block; the blocked solve runs to its end
-    assert per_step[2] % LANCZOS_CHECK_STEPS != 0
-    assert bound.matvecs == -(-per_step[2] // LANCZOS_CHECK_STEPS) * LANCZOS_CHECK_STEPS + 1
+    # per-step testing passes inside a block of tests in every block of K;
+    # the blocked solve runs to the end of that block of tests
+    for (_, steps), (_, _, ref_steps) in zip(bound.blocks, per_step):
+        assert ref_steps % LANCZOS_CHECK_STEPS != 0
+        assert steps == -(-ref_steps // LANCZOS_CHECK_STEPS) * LANCZOS_CHECK_STEPS
 
 
 def _path_adjacency(v: np.ndarray) -> np.ndarray:
@@ -601,11 +692,12 @@ def test_blocked_lanczos_checks_at_a_breakdown(monkeypatch):
     assert ritz == pytest.approx(math.sqrt(2), abs=1e-15)
     # the basis vectors e_i are exact in float32
     assert np.allclose(z, [0.5, math.sqrt(0.5), 0.5], rtol=0, atol=1e-15)
-    # Sanov n 2 ball R 1 has two orbits and the diagonal quotient (5/17) I,
-    # so from an orbit's indicator beta is exactly 0 at step 1
+    # Sanov n 2 ball R 1 has two orbits, one in each class mod 2, and the
+    # diagonal quotient (5/17) I, so each block's beta is exactly 0 at step 1
     op = window_operator(build_torus_genset("sanov"), 2, "ball", 1)
-    bound = _assert_blocked_agrees_with_per_step(monkeypatch, op, start=np.array([1.0, 0.0]))
-    assert (bound.orbits, bound.matvecs, bound.certificate) == (2, 2, Fraction(5, 17))
+    bound = _assert_blocked_agrees_with_per_step(monkeypatch, op, start=np.array([1.0, 0.5]))
+    assert (bound.orbits, bound.blocks) == (2, ((1, 1), (1, 1)))
+    assert (bound.matvecs, bound.certificate) == (4, Fraction(5, 17))
     # a multiple of the identity breaks down at once, on the step that passes
     ritz, z, steps = _lanczos(lambda v: 2.0 * v, np.ones(4))
     assert (ritz, steps) == (2.0, 1)
@@ -669,13 +761,24 @@ _windows = st.tuples(
 
 
 def _oracle_case(matrices, n, shape, radius):
-    """The operator and the dense full-window matrix A of one drawn case."""
+    """The operator and the dense full-window matrix A of one drawn case.
+
+    On the way it checks, against the oracle, that no word takes a point
+    of one class mod 2 to a point of another, and that K keeps its blocks.
+    """
     try:
         genset = build_torus_genset(matrices)
     except ValueError:
         assume(False)
-    _, counts, words = full_window_counts(genset, n, shape, radius)
-    return window_operator(genset, n, shape, radius), counts / words
+    window, counts, words = full_window_counts(genset, n, shape, radius)
+    classes = _oracle_classes(genset)
+    point_class = np.array([residue_class(classes, m) for m in window.points])
+    hit = np.nonzero(counts)
+    assert np.array_equal(point_class[hit[0]], point_class[hit[1]])
+    op = window_operator(genset, n, shape, radius)
+    _assert_no_entry_crosses_a_block(op)
+    assert len(op.block_starts) == len(set(classes.values())) + 1
+    return op, counts / words
 
 
 @settings(deadline=None, max_examples=40)
@@ -712,6 +815,57 @@ def test_certificate_never_exceeds_the_dense_norm(case):
     bound = norm_certificate(op)
     assert Fraction(bound.estimate) <= bound.certificate
     assert bound.certificate <= np.linalg.eigvalsh(full)[-1] + 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, shape, radius", [(1, "sphere", 8), (1, "sphere", 32), (2, "sphere", 32), (2, "ball", 16)]
+)
+def test_certificate_is_the_rayleigh_quotient_at_the_rounded_top_block(n, shape, radius):
+    op = window_operator(build_torus_genset("sanov"), n, shape, radius)
+    bound, quotient = norm_certificate(op), _quotient(op)
+    spans = list(zip(op.block_starts, op.block_starts[1:]))
+    tops = [np.linalg.eigvalsh(quotient[a:b, a:b])[-1] for a, b in spans]
+    # K is zero between blocks, so the largest of the blocks' top
+    # eigenvalues is the window's
+    assert max(tops) == pytest.approx(np.linalg.eigvalsh(quotient)[-1], abs=1e-12)
+    first, last = spans[int(np.argmax(tops))]
+    assert _top_block(bound, op) == (first, last)
+    # every block's unit Ritz vector sits in place
+    for a, b in spans:
+        assert np.linalg.norm(bound.ritz_vector[a:b]) == pytest.approx(1.0, abs=1e-12)
+    u = np.abs(bound.ritz_vector[first:last]) / np.sqrt(op.orbit_sizes[first:last])
+    y = np.zeros(len(op.orbit_sizes), dtype=np.int64)
+    y[first:last] = np.rint(u * ((2**24 - 1) / u.max()))
+    assert bound.certificate == rayleigh_certificate(op, y)
+    assert bound.certificate <= Fraction(max(tops)) + Fraction(1, 10**12)
+
+
+def _whole_window_certificate(op, seed=42):
+    """The certificate of one Lanczos run on the whole window, every entry rounded."""
+    ritz, z, steps, residual = _whole_window_solve(op, seed)
+    u = np.abs(z) / np.sqrt(op.orbit_sizes)
+    y = np.rint(u * ((2**24 - 1) / u.max())).astype(np.int64)
+    return rayleigh_certificate(op, y), ritz, z, steps, residual
+
+
+@pytest.mark.parametrize("radius", [4, 16, 64, 256])
+@pytest.mark.parametrize(
+    "matrices",
+    [(((2, 1), (1, 1)),), (((2, 1), (1, 1)), ((1, 1), (0, 1)))],
+    ids=["cat-map", "no-symmetry"],
+)
+def test_one_class_set_solves_the_whole_window_bit_for_bit(matrices, radius):
+    # [[2, 1], [1, 1]] permutes the nonzero residues mod 2, so K is one block
+    # and the certificate is the whole-window solve's, bit for bit
+    op = window_operator(build_torus_genset(matrices), 1, "sphere", radius)
+    assert op.block_starts == (0, len(op.orbit_sizes))
+    certificate, ritz, z, steps, residual = _whole_window_certificate(op)
+    bound = norm_certificate(op)
+    assert bound.certificate == max(certificate, Fraction(op.max_diagonal, op.words_used))
+    assert (bound.matvecs, bound.blocks) == (steps + 1, ((len(op.orbit_sizes), steps),))
+    assert bound.ritz_residual == residual
+    assert bound.ritz_minus_certificate == float(Fraction(ritz) - certificate)
+    assert bound.ritz_vector.tobytes() == z.tobytes()
 
 
 def test_corrupted_certificate_vector_fails():
@@ -788,15 +942,21 @@ def test_public_names_resolve_once_in_sorted_order():
 
 def test_lps_runs_without_scipy():
     # importing lps and running the full report and verify torus loads no
-    # scipy module
+    # scipy module, nor numpy.ma, which numpy imports lazily on some calls
+    # (np.unique without a return_* flag among them) at a cost of about 5 ms
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = (
         "import contextlib, io, sys\n"
         "import lps, lps.cli\n"
-        "print([m for m in sys.modules if m.startswith('scipy')])\n"
+        "lazy = lambda: [m for m in sys.modules\n"
+        "                if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']]\n"
+        "print(lazy())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [lps.cli.main(['report', '--seed', '42']), lps.cli.main(['verify', 'torus'])]\n"
-        "print(codes, [m for m in sys.modules if m.startswith('scipy')])\n"
+        "print(codes, lazy())\n"
+        "import numpy\n"
+        "numpy.unique(numpy.arange(3))\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -805,7 +965,8 @@ def test_lps_runs_without_scipy():
         env=dict(os.environ, PYTHONPATH=src),
         check=True,
     )
-    assert out.stdout.splitlines() == ["[]", "[0, 0] []"]
+    # the last line is the control: the probe does see numpy.ma load
+    assert out.stdout.splitlines() == ["[]", "[0, 0] []", "True"]
 
 
 def test_import_lps_loads_every_traced_layer():
@@ -829,12 +990,12 @@ def test_import_lps_loads_every_traced_layer():
 
 
 def test_lanczos_basis_is_stored_in_float32(monkeypatch):
-    # The Sanov n 1 sphere R 256 solve sets the peak memory of lps report.
+    # The Sanov n 1 sphere R 256 solves set the peak memory of lps report.
     # A float64 basis of `steps` vectors of `orbits` entries alone takes
-    # steps * orbits * 8 bytes (72 * 19,949 * 8 = 11.5 MB), so no solve that
-    # keeps one can peak below that; a float32 basis takes half of it, and
-    # T_k (0.7 MB), the matvec's temporaries and z fit in the other half.
-    # Measured: 7.5 MB with a float32 basis, 12.9 MB with a float64 one.
+    # steps * orbits * 8 bytes (56 * 13,333 * 8 = 6.0 MB for the larger
+    # block), so no solve that keeps one can peak below that; a float32
+    # basis takes half of it, and T_k, the matvec's temporaries and z fit in
+    # the other half.  Each block's solve holds only its own basis.
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", 256)
     measured = []
 
@@ -842,30 +1003,50 @@ def test_lanczos_basis_is_stored_in_float32(monkeypatch):
         tracemalloc.start()
         try:
             solved = _lanczos(matvec, start)
-            measured.append((tracemalloc.get_traced_memory()[1], solved[2]))
+            measured.append((tracemalloc.get_traced_memory()[1], solved[2], len(start)))
         finally:
             tracemalloc.stop()
         return solved
 
     monkeypatch.setattr(lps.torus, "_lanczos", traced)
-    orbits = norm_certificate(op).orbits
-    ((peak, steps),) = measured
-    assert (steps, orbits) == (72, 19949)
-    assert peak < steps * orbits * 8
+    bound = norm_certificate(op)
+    assert [(steps, orbits) for _, steps, orbits in measured] == [(56, 13333), (56, 6616)]
+    assert bound.blocks == ((13333, 56), (6616, 56)) and bound.orbits == 19949
+    for peak, steps, orbits in measured:
+        assert peak < steps * orbits * 8
+
+
+def _whole_window_solve(op, seed=42):
+    """One `_lanczos` run on the whole orbit quotient from the seeded start, and its residual."""
+    rows, cols, data = op.entries
+    scale = 1.0 / np.sqrt(op.orbit_sizes)
+    weights = data * (scale[rows] * scale[cols] / op.words_used)
+
+    def quotient(v):
+        return np.bincount(rows, weights=weights * v[cols], minlength=len(scale))
+
+    ritz, z, steps = _lanczos(quotient, 1.0 + np.random.default_rng(seed).random(len(scale)))
+    return ritz, z, steps, float(np.linalg.norm(quotient(z) - ritz * z))
 
 
 @pytest.mark.parametrize("radius, steps", [(256, 72), (512, 88)])
 def test_float32_basis_keeps_the_residual_of_long_solves(radius, steps):
     # The float32 basis puts a floor of about 2^-24 theta under the residual
     # of the returned z, and its rounding error grows with the steps summed.
-    # Sanov n 1 sphere R 256 is the longest solve at the CLI's default
-    # windows and R 512 a longer one past them; both keep the converged
-    # residual bound.
+    # Sanov n 1 sphere R 256 is the largest window at the CLI's default
+    # windows and R 512 a larger one past them.  Solved whole, they take
+    # `steps` steps, the longest solves here; both keep the converged
+    # residual bound.  Solved block by block, as norm_certificate solves
+    # them, each block takes fewer steps and keeps the bound too.
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", radius)
+    ritz, _, whole_steps, residual = _whole_window_solve(op)
+    assert whole_steps == steps
+    assert residual <= 2 * LANCZOS_TOL * ritz
     bound = norm_certificate(op)
-    assert bound.matvecs == steps + 1
-    ritz = float(bound.certificate) + bound.ritz_minus_certificate
-    assert bound.ritz_residual <= 2 * LANCZOS_TOL * ritz
+    assert all(block_steps < steps for _, block_steps in bound.blocks)
+    top = float(bound.certificate) + bound.ritz_minus_certificate
+    assert top == pytest.approx(ritz, rel=1e-12)
+    assert bound.ritz_residual <= 2 * LANCZOS_TOL * top
 
 
 def test_discrepancy_check_sanov_small_windows():
@@ -901,10 +1082,31 @@ def test_ball_window_starts_from_the_sphere_ritz_vector(cold_torus_cache, n):
         assert b_row.bound.certificate == rayleigh_certificate(op, y)
 
 
+def _top_block(bound, op):
+    """The orbits (first, last) of the block of `op` where `bound`'s Ritz value is largest.
+
+    Each block's Ritz value is the float Rayleigh quotient of its unit
+    Ritz vector in the dense orbit quotient of `op`.
+    """
+    quotient, z = _quotient(op), bound.ritz_vector
+
+    def ritz(span):
+        first, last = span
+        return z[first:last] @ quotient[first:last, first:last] @ z[first:last]
+
+    return max(zip(op.block_starts, op.block_starts[1:]), key=ritz)
+
+
 def _rounded_ritz_vector(bound, op):
-    """The Ritz vector of `bound` as norm_certificate rounds it for the window `op`."""
-    u = np.abs(bound.ritz_vector) / np.sqrt(op.orbit_sizes)
-    return np.rint(u * ((2**24 - 1) / u.max())).astype(np.int64)
+    """The Ritz vector of `bound` as norm_certificate rounds it for the window `op`.
+
+    Only the top block (`_top_block`) is rounded; every other entry is 0.
+    """
+    first, last = _top_block(bound, op)
+    u = np.abs(bound.ritz_vector[first:last]) / np.sqrt(op.orbit_sizes[first:last])
+    y = np.zeros(len(op.orbit_sizes), dtype=np.int64)
+    y[first:last] = np.rint(u * ((2**24 - 1) / u.max()))
+    return y
 
 
 # no image of a radius-1 point stays in the window, so C = 0 for the
@@ -995,6 +1197,26 @@ def test_ball_window_falls_back_to_the_seeded_start(cold_torus_cache, monkeypatc
     with pytest.raises(LanczosConvergenceError):
         torus_discrepancy_check(build_torus_genset("sanov"), 2, "ball", [8])
     assert len(calls) == 1
+
+
+def test_block_with_no_entries_keeps_its_start(cold_torus_cache):
+    # the far n = 2 sphere window at R 2 has entries in its first class
+    # mod 2 alone: the second block is zero, so its solve stops at step 1
+    # with its start as Ritz vector, from which the ball's block starts
+    far = build_torus_genset(FAR)
+    op = window_operator(far, 2, "sphere", 2)
+    assert op.block_starts == (0, 2, 3) and op.entries.rows.max() < 2
+    (sphere_row,) = torus_discrepancy_check(far, 2, "sphere", [2]).rows
+    assert sphere_row.bound.blocks == ((2, 2), (1, 1))
+    assert sphere_row.bound.ritz_vector[2:].tolist() == [1.0]
+    (ball_row,) = torus_discrepancy_check(far, 2, "ball", [2]).rows
+    ball = window_operator(far, 2, "ball", 2)
+    assert ball_row.bound.start == "sphere"
+    y = _rounded_ritz_vector(ball_row.bound, ball)
+    assert ball_row.bound.certificate == rayleigh_certificate(ball, y)
+    # a start that vanishes on a block is refused
+    with pytest.raises(ValueError, match="vanishes on a block"):
+        norm_certificate(ball, start=np.array([1.0, 1.0, 0.0]))
 
 
 @pytest.mark.parametrize("shape", ["sphere", "ball"])

@@ -10,6 +10,9 @@ by the definition B = (A + AJ) restricted there, and `orbit_sums` sums
 that block over the orbits (`orbit_numbers`) of every signed permutation
 that permutes the generating set by conjugation, so the two routes share
 no code; `dense_orbit_sums` spreads the window's K out to compare.
+Orbits are numbered class by class, the classes being the orbits of the
+residues mod 2 under the letters and the group, found by walking them
+(`residue_classes`).
 `diagonal_counts` gives the diagonal of that block alone, point by point,
 at radii where the full window would not fit in memory.
 """
@@ -110,30 +113,68 @@ def square_symmetries(matrices) -> list[np.ndarray]:
     return found
 
 
-def orbit_numbers(half: list[tuple[int, int]], group: list[np.ndarray]) -> np.ndarray:
+def residue_classes(matrices, group: list[np.ndarray]) -> dict[tuple[int, int], int]:
+    """The class of each nonzero residue mod 2: its orbit under the letters and `group`.
+
+    Each residue is moved by every letter's character action and every
+    element of `group` until no new residue appears.  Classes are numbered
+    in the order of their smallest residue, with (0, 1) < (1, 0) < (1, 1).
+    """
+    residues = [(0, 1), (1, 0), (1, 1)]
+    moves = [lambda m, g=g: character_image(g, m) for g in matrices]
+    moves += [lambda m, p=p: tuple((p @ np.array(m)).tolist()) for p in group]
+    classes: dict[tuple[int, int], int] = {}
+    for residue in residues:
+        if residue in classes:
+            continue
+        number, seen, todo = len(set(classes.values())), {residue}, [residue]
+        while todo:
+            m = todo.pop()
+            for move in moves:
+                image = tuple(v % 2 for v in move(m))
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+        classes.update((r, number) for r in seen)
+    return classes
+
+
+def residue_class(classes: dict[tuple[int, int], int], m) -> int:
+    """The class of the point m by its residue mod 2; -1 for m = 0 mod 2, never primitive."""
+    return classes.get(tuple(int(v) % 2 for v in m), -1)
+
+
+def orbit_numbers(
+    half: list[tuple[int, int]], group: list[np.ndarray], classes: dict[tuple[int, int], int]
+) -> np.ndarray:
     """The orbit of each point of `half` under `group` acting on pairs +-m.
 
-    Orbits are numbered by their first point in `half`.
+    Orbits are numbered by the class of their points (`residue_classes`),
+    then by their first point in `half`.
     """
     position = {m: i for i, m in enumerate(half)}
 
-    def class_of(m):
+    def pair_of(m):
         x, y = (int(v) for v in m)
         return position[(x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)]
 
-    first = [min(class_of(p @ np.array(m)) for p in group) for m in half]
-    numbers = {f: k for k, f in enumerate(sorted(set(first)))}
+    first = [min(pair_of(p @ np.array(m)) for p in group) for m in half]
+    order = sorted(set(first), key=lambda f: (residue_class(classes, half[f]), f))
+    numbers = {f: k for k, f in enumerate(order)}
     return np.array([numbers[f] for f in first])
 
 
 def orbit_sums(
-    half: list[tuple[int, int]], block: np.ndarray, group: list[np.ndarray]
+    half: list[tuple[int, int]],
+    block: np.ndarray,
+    group: list[np.ndarray],
+    classes: dict[tuple[int, int], int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """`block` summed over the orbits of `group` on pairs +-m, and the orbit sizes.
 
-    Orbits are numbered by their first point in `half`.
+    Orbits are numbered as `orbit_numbers` numbers them.
     """
-    orbit = orbit_numbers(half, group)
+    orbit = orbit_numbers(half, group, classes)
     sums = np.zeros((orbit.max() + 1,) * 2, dtype=np.int64)
     np.add.at(sums, (orbit[:, None], orbit[None, :]), block)
     return sums, np.bincount(orbit)
