@@ -615,6 +615,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+def _seed(text: str) -> int:
+    # checked here, not at the first solve, which may come late or never
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lps",
@@ -673,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_torus.add_argument("--n", type=int, default=1)
     p_torus.add_argument("--shape", choices=("sphere", "ball", "both"), default="both")
     p_torus.add_argument("--windows", type=_int_list, default=[64, 128, 256])
-    p_torus.add_argument("--seed", type=int, default=42)
+    p_torus.add_argument("--seed", type=_seed, default=42)
     common(p_torus, cmd_verify_torus)
 
     p_disc = sub.add_parser(
@@ -690,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--windows", type=_int_list, default=[64, 128, 256])
     p_rep.add_argument("--radius", type=int, default=5)
     p_rep.add_argument("--sanov-radius", type=int, default=8)
-    p_rep.add_argument("--seed", type=int, default=42)
+    p_rep.add_argument("--seed", type=_seed, default=42)
     common(p_rep, cmd_report)
 
     return parser

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -429,9 +430,10 @@ class NormCertificate:
     for a window settled before it was built.  `blocks` lists the
     (orbits, Lanczos steps) of each class mod 2, and `matvecs` counts the
     products, one per step and one per Ritz residual of each block;
-    `start` is where the steps started: 'seeded' for the draw from the
-    seed, 'given' for a caller's vector, or 'sphere' for the Ritz vector of
-    the sphere window that torus_discrepancy_check gives a ball window.
+    `start` is where the steps started: 'seeded' for the SplitMix64 draw
+    from the seed (`_seeded_start`, no numpy.random), 'given' for a
+    caller's vector, or 'sphere' for the Ritz vector of the sphere window
+    that torus_discrepancy_check gives a ball window.
     `ritz_vector` holds each block's unit Ritz vector in orbit
     coordinates, and the residuals are the top block's.  When no
     solve ran, `matvecs` is 0 and the other solve fields are None.  An
@@ -517,6 +519,37 @@ def _float_at_most(value: Fraction) -> float:
     return math.nextafter(f, -math.inf) if Fraction(f) > value else f
 
 
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = 2 ** 64 - 1
+
+
+def _mix64(z):
+    """SplitMix64's output function, on a Python int below 2^64 or a uint64 array."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _seeded_start(seed: int, size: int) -> np.ndarray:
+    """The float 1 + u in [1, 2) for each of the first `size` outputs of SplitMix64 from `seed`.
+
+    u is an output's top 53 bits over 2^53.  SplitMix64 (Steele, Lea and
+    Flood, OOPSLA 2014) outputs mix(seed + i gamma mod 2^64) for i = 1, 2,
+    and so on; it needs no numpy.random, which numpy 2 imports lazily at a
+    cost of about 6 ms.  A seed of 2^64 or more is folded to 64 bits limb
+    by limb, low limb first, in Python ints: numpy warns on an overflowing
+    uint64 scalar, but wraps uint64 arrays silently.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    state, rest = seed & _MASK64, seed >> 64
+    while rest:
+        state, rest = _mix64((state + _GOLDEN_GAMMA) & _MASK64) ^ (rest & _MASK64), rest >> 64
+    z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GOLDEN_GAMMA) + np.uint64(state)
+    return 1.0 + (_mix64(z) >> 11) * 2.0 ** -53
+
+
 def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int]]:
     """Top Ritz value, unit Ritz vector and steps run; None past the step limit.
 
@@ -547,16 +580,17 @@ def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int
     much below 2^-24 theta, and that floor, which grows with the steps
     summed, lies just under LANCZOS_TOL theta.
     """
-    q, previous, b = start / np.linalg.norm(start), 0.0, 0.0
+    q, previous, b = start / math.sqrt(start @ start), 0.0, 0.0
     basis: list[np.ndarray] = []
     alphas: list[float] = []  # T_k's diagonal, and betas[:k] its off-diagonal
     betas: list[float] = []
     for k in range(LANCZOS_MAX_STEPS):
         basis.append(q.astype(np.float32))
-        w = matvec(q) - b * previous
+        w = matvec(q)
+        w -= b * previous
         alphas.append(q @ w)
         w -= alphas[k] * q
-        b = float(np.linalg.norm(w))
+        b = math.sqrt(w @ w)
         betas.append(b)
         if (
             b == 0
@@ -570,9 +604,12 @@ def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int
             if abs(b * s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
                 z = np.zeros(len(q))
                 for c, v in zip(s[:, -1], basis):
-                    z += c * v.astype(np.float64)
-                return float(theta[-1]), z / np.linalg.norm(z), k + 1
-        previous, q = q, w / b
+                    # dtype: numpy 1's value-based casting would multiply in float32
+                    z += np.multiply(c, v, dtype=np.float64)
+                z /= math.sqrt(z @ z)
+                return float(theta[-1]), z, k + 1
+        w /= b
+        previous, q = q, w
     return None
 
 
@@ -588,8 +625,9 @@ def norm_certificate(
     finds the top Ritz vector of each block, one per class mod 2, of the
     orbit quotient D^(-1/2) K D^(-1/2) / words_used, from that block of
     `start` in orbit coordinates when given, else of the strictly positive
-    1 + uniform[0, 1) drawn from `seed`; the start only steers the solve,
-    but may not vanish on a block.  K has no entry between blocks, so the
+    1 + u drawn from a SplitMix64 stream seeded by `seed` (`_seeded_start`,
+    whose values lie in [1, 2)); the start only steers the solve, but may
+    not vanish on a block.  K has no entry between blocks, so the
     top block holds the top eigenvalue; let z be its Ritz vector, and 0
     elsewhere.  The absolute values of z / sqrt(D), which for a
     nonnegative matrix give a Rayleigh quotient no smaller, are rounded to
@@ -611,7 +649,7 @@ def norm_certificate(
     weights = data * (scale[rows] * scale[cols] / op.words_used)
     given = start is not None
     if not given:
-        start = 1.0 + np.random.default_rng(seed).random(len(scale))
+        start = _seeded_start(seed, len(scale))
     z = np.zeros(len(scale))
     blocks, solves = [], []
     starts, cuts = op.block_starts, np.searchsorted(rows, op.block_starts).tolist()
@@ -624,7 +662,10 @@ def norm_certificate(
         def quotient(v: np.ndarray) -> np.ndarray:
             products = v[block_cols]
             products *= block_weights
-            return np.bincount(block_rows, weights=products, minlength=len(v))
+            # a block with no entries gets int zeros from bincount, and _lanczos
+            # updates the product in place
+            kv = np.bincount(block_rows, weights=products, minlength=len(v))
+            return kv.astype(np.float64, copy=False)
 
         if not start[first:last].any():
             raise ValueError("the start vanishes on a block of K")

@@ -349,6 +349,33 @@ def test_vacuous_verification_is_usage_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--seed", "-1"],
+        # rank-one settles every window by its diagonal, so no solve would
+        # ever read the seed
+        ["verify", "torus", "--generators", "rank-one", "--seed", "-1"],
+    ],
+    ids=["report", "verify-torus"],
+)
+def test_negative_seed_is_refused_when_parsed(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert "argument --seed: not a non-negative integer: '-1'" in err
+
+
+def test_seed_past_64_bits_reaches_the_solve(capsys):
+    def residuals(seed):
+        argv = ["verify", "torus", "--windows", "8", "--seed", str(seed), "--timings"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        tables = parse_envelope(out)["diagnostics"]["tables"]
+        return [row["ritz_residual"] for table in tables for row in table["rows"]]
+
+    assert residuals(5) != residuals(2**64 + 5)
+
+
 def test_verify_identities_reaches_n_30(capsys):
     # the edge value of P_n used to come from float Horner, which failed at q=3, n=24
     code, out, err = run_cli(capsys, ["verify", "identities", "--n-max", "30"])

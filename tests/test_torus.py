@@ -32,6 +32,7 @@ from lps.torus import (
     _max_diagonal,
     _orbits,
     _residue_classes,
+    _seeded_start,
     _square_table,
     _window_words,
     build_torus_genset,
@@ -564,6 +565,35 @@ def test_norm_estimate_is_deterministic():
     assert abs(a - c) < 1e-5, "different seeds converge to the same norm"
 
 
+def test_seeded_start_is_splitmix64():
+    # the first outputs of SplitMix64 from seeds 0 and 1234567 in its
+    # reference implementation, as 1 + their top 53 bits / 2^53 rounded to
+    # a float
+    for seed, outputs in [
+        (0, [0xE220A8397B1DCDAF]),
+        (1234567, [6457827717110365317, 3203168211198807973, 9817491932198370423]),
+    ]:
+        expected = [float(1 + Fraction(x >> 11, 2**53)) for x in outputs]
+        assert _seeded_start(seed, len(outputs)).tolist() == expected
+
+
+def test_seeded_start_is_deterministic_and_in_one_to_two():
+    big = 2**64 + 1
+    for seed in (0, 1, 2, 42, 2**64 - 1, big, 2**64 * 3 + 7, 2**200):
+        start = _seeded_start(seed, 1000)
+        assert start.dtype == np.float64 and start.shape == (1000,)
+        assert np.array_equal(start, _seeded_start(seed, 1000))
+        assert (1.0 <= start).all() and (start < 2.0).all()
+        # a prefix of a longer draw
+        assert np.array_equal(start[:10], _seeded_start(seed, 10))
+    assert _seeded_start(7, 0).shape == (0,)
+    # every 64-bit limb of the seed is mixed in
+    for a, b in [(1, 2), (1, big), (0, 2**64), (5, 2**128 + 5)]:
+        assert not np.array_equal(_seeded_start(a, 16), _seeded_start(b, 16))
+    with pytest.raises(ValueError, match="non-negative"):
+        _seeded_start(-1, 4)
+
+
 def test_norm_estimate_raises_without_convergence(monkeypatch):
     monkeypatch.setattr(lps.torus, "LANCZOS_MAX_STEPS", 2)
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", 8)
@@ -943,13 +973,17 @@ def test_public_names_resolve_once_in_sorted_order():
 def test_lps_runs_without_scipy():
     # importing lps and running the full report and verify torus loads no
     # scipy module, nor numpy.ma, which numpy imports lazily on some calls
-    # (np.unique without a return_* flag among them) at a cost of about 5 ms
+    # (np.unique without a return_* flag among them) at a cost of about 5 ms,
+    # nor numpy.random, which numpy 2 imports lazily with its bit generators
+    # at a cost of about 6 ms (numpy 1 imports it with numpy itself)
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = (
         "import contextlib, io, sys\n"
         "import lps, lps.cli\n"
+        "loaded = set(sys.modules)\n"
         "lazy = lambda: [m for m in sys.modules\n"
-        "                if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']]\n"
+        "                if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']\n"
+        "                or m.split('.')[:2] == ['numpy', 'random'] and m not in loaded]\n"
         "print(lazy())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [lps.cli.main(['report', '--seed', '42']), lps.cli.main(['verify', 'torus'])]\n"
@@ -957,6 +991,8 @@ def test_lps_runs_without_scipy():
         "import numpy\n"
         "numpy.unique(numpy.arange(3))\n"
         "print('numpy.ma' in sys.modules)\n"
+        "numpy.random.default_rng(0)\n"
+        "print('numpy.random' in loaded or 'numpy.random' in lazy())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -965,8 +1001,9 @@ def test_lps_runs_without_scipy():
         env=dict(os.environ, PYTHONPATH=src),
         check=True,
     )
-    # the last line is the control: the probe does see numpy.ma load
-    assert out.stdout.splitlines() == ["[]", "[0, 0] []", "True"]
+    # the last two lines are the controls: the probe does see numpy.ma and,
+    # on numpy 2, numpy.random load (on numpy 1 `loaded` already holds it)
+    assert out.stdout.splitlines() == ["[]", "[0, 0] []", "True", "True"]
 
 
 def test_import_lps_loads_every_traced_layer():
@@ -1025,7 +1062,7 @@ def _whole_window_solve(op, seed=42):
     def quotient(v):
         return np.bincount(rows, weights=weights * v[cols], minlength=len(scale))
 
-    ritz, z, steps = _lanczos(quotient, 1.0 + np.random.default_rng(seed).random(len(scale)))
+    ritz, z, steps = _lanczos(quotient, _seeded_start(seed, len(scale)))
     return ritz, z, steps, float(np.linalg.norm(quotient(z) - ritz * z))
 
 
