@@ -178,19 +178,23 @@ def _flip(columns: np.ndarray, first: int) -> np.ndarray:
     return flipped
 
 
-def _diagonal_real_parts(a: int, b: int, degree: int) -> list[int]:
-    """Re((a+bi)^(degree-r) (a-bi)^r) for r = 0..degree.
+def _diagonal_real_parts(powers: list[tuple[int, int]], degree: int) -> list[int]:
+    """Re((a+bi)^(degree-r) (a-bi)^r) for r = 0..degree/2, from the powers of z = a + bi.
 
-    With z = a + bi that is |z|^(2 min(r, degree-r)) Re(z^|degree-2r|), since
-    z and its conjugate have the same real parts.
+    With r <= degree/2 that is |z|^(2r) Re(z^(degree-2r)).  `powers` holds
+    z^j as (real, imaginary) pairs for j = 0, 1, ..., starting at [(1, 0),
+    (a, b)]; it is extended in place to j = degree, so a scan over
+    increasing degrees multiplies each power once.
     """
-    norm, real_parts, power = a * a + b * b, [], (1, 0)
-    for _ in range(degree + 1):
-        real_parts.append(power[0])
-        power = (power[0] * a - power[1] * b, power[0] * b + power[1] * a)
-    return [
-        norm ** min(r, degree - r) * real_parts[abs(degree - 2 * r)] for r in range(degree + 1)
-    ]
+    a, b = powers[1]
+    while len(powers) <= degree:
+        re, im = powers[-1]
+        powers.append((re * a - im * b, re * b + im * a))
+    norm, scale, parts = a * a + b * b, 1, []
+    for j in range(degree, -1, -2):
+        parts.append(scale * powers[j][0])
+        scale *= norm
+    return parts
 
 
 # Unit roundoff of float64.
@@ -297,8 +301,9 @@ class _SymmetricPowers:
     weight * Sym^2(rep), and the summed powers are read only on the entries
     r = s mod 4, where they equal the generator sum.  A representative
     with c = d = 0 has the diagonal matrix diag(a+bi, a-bi), whose power is
-    diagonal in closed form (_diagonal_real_parts) and needs no frontier;
-    every other one advances a dense complex frontier.
+    diagonal in closed form (_diagonal_real_parts) and needs no frontier,
+    only the powers of a + bi, extended as degrees grow; every other one
+    advances a dense complex frontier.
 
     A frontier holds only the columns 0..k/2 of Sym^k.  With J = [[0, 1],
     [-1, 0]], J M J^-1 = conj(M) for every quaternion matrix M, and Sym^k(J)
@@ -349,7 +354,7 @@ class _SymmetricPowers:
             seen |= orbit
             weight = sum(counts[g] for g in orbit)
             if q.x2 == q.x3 == 0:
-                self._diagonals.append((weight, q.x0, q.x1))
+                self._diagonals.append((weight, [(1, 0), (q.x0, q.x1)]))
                 continue
             # Substituting (x, y) -> (x, y) M sends x to X = m00 x + m10 y
             # and y to Y = m01 x + m11 y, which makes Sym^k a homomorphism.
@@ -424,8 +429,8 @@ class _SymmetricPowers:
         half = degree // 2
         # the diagonal terms on the columns 0..half; the flip gives the rest
         diagonals = [
-            [weight * v for v in _diagonal_real_parts(a, b, degree)[: half + 1]]
-            for weight, a, b in self._diagonals
+            [weight * v for v in _diagonal_real_parts(powers, degree)]
+            for weight, powers in self._diagonals
         ]
         fast = all(frontier.estimate is not None for frontier in self._mats)
         if fast:

@@ -179,7 +179,10 @@ class HalfWindow:
     """Primitive frequencies of sup-norm at most `radius`, one of each pair +-m.
 
     The points are the primitive m with m1 > 0, or m1 = 0 and m2 > 0, in
-    lexicographic order.
+    lexicographic order.  Only their sieve is held: `mask[m1, m2 + radius]`
+    marks the points of the half grid 0 <= m1 <= radius, |m2| <= radius,
+    and `points`, the (size, 2) array of their coordinates, is derived
+    from it on each read.
     """
 
     def __init__(self, radius: int):
@@ -195,11 +198,14 @@ class HalfWindow:
                 coprime[::d, ::d] = False
         # the half grid 0 <= m1 <= r, |m2| <= r; in its column m1 = 0,
         # gcd(0, m2) = |m2| leaves (0, +-1), of which (0, 1) is kept
-        keep = np.concatenate([coprime[:, :0:-1], coprime], axis=1)
-        keep[0, :r] = False
-        x, y = np.nonzero(keep)
-        self.points = np.column_stack([x, y - r])
-        self.size = len(self.points)
+        self.mask = np.concatenate([coprime[:, :0:-1], coprime], axis=1)
+        self.mask[0, :r] = False
+        self.size = int(np.count_nonzero(self.mask))
+
+    @property
+    def points(self) -> np.ndarray:
+        x, y = np.nonzero(self.mask)
+        return np.column_stack([x, y - self.radius])
 
 
 def _max_diagonal(words: np.ndarray, radius: int) -> int:
@@ -235,12 +241,17 @@ def _square_table(window: HalfWindow) -> np.ndarray:
     """One int32 table of the window over the full square [-radius, radius]^2.
 
     Its entry at (m1 + radius, m2 + radius) is the position of whichever
-    of +-m is a point of the window, and -1 where m is not primitive.
+    of +-m is a point of the window, and -1 where m is not primitive.  The
+    rows m1 >= 0 number the window's mask by a running count; the rows
+    m1 <= 0 are those turned about the centre, and both hold the row m1 = 0.
     """
     r = window.radius
+    half = np.cumsum(window.mask, dtype=np.int32).reshape(window.mask.shape)
+    half -= 1
+    half[~window.mask] = -1
     table = np.full((2 * r + 1,) * 2, -1, dtype=np.int32)
-    x, y = window.points.T
-    table[x + r, y + r] = table[r - x, r - y] = np.arange(window.size, dtype=np.int32)
+    table[r:] = half
+    np.maximum(table[: r + 1], half[::-1, ::-1], out=table[: r + 1])
     return table
 
 
@@ -324,27 +335,30 @@ def _orbits(
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """The orbit number of each half-window point, each orbit's first point, and the block starts.
 
-    A point's orbit is labelled by the smallest index over its images
+    A point's orbit is labelled by the smallest position over its images
     under the group, and orbits are numbered by class in `classes`, then
     by label.  A signed permutation only swaps and negates coordinates, so
     the table read at the images of all points is the table transposed
-    and flipped.
+    and flipped.  The labels stay on the half grid of the window's mask:
+    an orbit's first point is where a point's label is its own position,
+    and the first points come back as an (orbits, 2) array of coordinates
+    in orbit order.
     """
     r = window.radius
-    label = table[r:]
+    own = table[r:]
+    label = own
     for (a, b), (c, d) in group[1:]:
         # m P = (a m1 + c m2, b m1 + d m2), with one nonzero term in each
         image = table if a else table.T
         label = np.minimum(label, image[:: a + b, :: c + d][r:])
-    x, y = window.points.T
-    label = label[x, y + r]
-    first = np.flatnonzero(label == np.arange(window.size))
-    block = classes[2 * (x[first] % 2) + y[first] % 2 - 1]
+    x, y = np.nonzero(window.mask & (label == own))
+    block = classes[2 * (x % 2) + (y - r) % 2 - 1]
     order = np.argsort(block, kind="stable")
+    x, y = x[order], y[order]
     number = np.empty(window.size, dtype=np.int32)
-    number[first[order]] = np.arange(len(first), dtype=np.int32)
+    number[own[x, y]] = np.arange(len(order), dtype=np.int32)
     starts = np.searchsorted(block[order], np.arange(classes.max() + 2))
-    return number[label], first[order], tuple(starts.tolist())
+    return number[label[window.mask]], np.column_stack([x, y - r]), tuple(starts.tolist())
 
 
 def _window_words(genset: IntegerGenerators, n: int, shape: str, radius: int) -> np.ndarray:
@@ -369,6 +383,41 @@ def _window_words(genset: IntegerGenerators, n: int, shape: str, radius: int) ->
     return words
 
 
+def _orbit_pairs(
+    words: np.ndarray, table: np.ndarray, orbit: np.ndarray, reps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each orbit pair (O, O') with a word taking O's first point into O', and how many words do.
+
+    The pairs come back as int64 rows O, columns O' and word counts, in
+    increasing order of O and then O'.  They are keyed O * len(reps) + O'
+    in one buffer, int32 while the largest key fits, which is sorted in
+    place and counted by its runs; the buffer is dropped as soon as its
+    distinct keys are read off.
+    """
+    m1, m2 = reps.T
+    count = len(reps)
+    pairs = np.empty(len(words) * count, dtype=np.int32 if count ** 2 < 2 ** 31 else np.int64)
+    filled = 0
+    for (a, b), (c, d) in words.tolist():
+        # unimodular words keep frequencies primitive, so every hit is >= 0
+        inside, hit = _lookup(table, a * m1 + c * m2, b * m1 + d * m2)
+        pairs[filled : filled + len(inside)] = inside * count + orbit[hit]
+        filled += len(inside)
+    pairs = pairs[:filled]
+    pairs.sort()
+    run = np.ones(filled, dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=run[1:])
+    run = np.flatnonzero(run)
+    pairs = pairs[run]
+    hits = np.diff(run, append=filled)
+    # freed before the int64 rows and columns are allocated: 0.5 MB of the
+    # Sanov n 2 ball window's traced peak at R 256
+    del run
+    row, column = np.empty(len(pairs), dtype=np.int64), np.empty(len(pairs), dtype=np.int64)
+    np.divmod(pairs, count, out=(row, column))
+    return row, column, hits
+
+
 def window_operator(
     genset: IntegerGenerators, n: int, shape: str, radius: int, words=None, max_diagonal=None
 ) -> WindowOperator:
@@ -376,11 +425,13 @@ def window_operator(
 
     Only the first point of each orbit is mapped: C commutes with the
     group, so K[O', O] is |O| times the number of words taking that point
-    into O'.  `max_diagonal` is read from the words alone
-    (`_max_diagonal`), by the rule that also settles windows before any is
-    built; a caller that has both, as `_window_certificate` has, passes
-    them in.  All arithmetic is exact integer arithmetic.  The word set is
-    closed under inversion, so K is symmetric.
+    into O' (`_orbit_pairs`).  The window is held as its sieve, and the
+    points are numbered and labelled on the square table alone, so no
+    array of all points is built.  `max_diagonal` is read from the words
+    alone (`_max_diagonal`), by the rule that also settles windows before
+    any is built; a caller that has both, as `_window_certificate` has,
+    passes them in.  All arithmetic is exact integer arithmetic.  The word
+    set is closed under inversion, so K is symmetric.
     """
     if words is None:
         words = _window_words(genset, n, shape, radius)
@@ -390,20 +441,13 @@ def window_operator(
     table = _square_table(window)
     orbit, reps, block_starts = _orbits(window, table, group, _residue_classes(genset, group))
     sizes = np.bincount(orbit)
-    m1, m2 = window.points[reps].T
-    # pairs O * len(reps) + O' for each word taking the first point of O into O'
-    pairs: list[np.ndarray] = []
-    for (a, b), (c, d) in words.tolist():
-        # unimodular words keep frequencies primitive, so every hit is >= 0
-        inside, hit = _lookup(table, a * m1 + c * m2, b * m1 + d * m2)
-        pairs.append(inside * len(reps) + orbit[hit])
+    row, column, data = _orbit_pairs(words, table, orbit, reps)
     # K[O, O'] = K[O', O] is |O| times the number of words taking O's first
     # point into O'
-    pair, hits_per_pair = np.unique(np.concatenate(pairs), return_counts=True)
-    row, column = np.divmod(pair, len(reps))
+    data *= sizes[row]
     return WindowOperator(
         window=window,
-        entries=OrbitSums(row, column, hits_per_pair * sizes[row]),
+        entries=OrbitSums(row, column, data),
         orbit_sizes=sizes,
         block_starts=block_starts,
         max_diagonal=max_diagonal,
@@ -646,7 +690,11 @@ def norm_certificate(
     started = time.perf_counter()
     rows, cols, data = op.entries
     scale = 1.0 / np.sqrt(op.orbit_sizes)
-    weights = data * (scale[rows] * scale[cols] / op.words_used)
+    # data * (scale[rows] * scale[cols] / words_used), built in place
+    weights = scale[rows]
+    weights *= scale[cols]
+    weights /= op.words_used
+    weights *= data
     given = start is not None
     if not given:
         start = _seeded_start(seed, len(scale))

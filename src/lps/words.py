@@ -133,11 +133,14 @@ def word_levels(
     Level k is (products, parent, last): the (N_k, d, d) numerators of the
     length-k products over the generators' common denominator**k, in
     lexicographic order of the words; each word's parent index in level
-    k - 1; and its last letter.  Level 0 holds the empty word, whose last
-    letter is the sentinel len(inverse_of).  Children come from one
-    broadcast matrix product per level, with each parent's inverse letter
-    masked out.  The arithmetic is exact, so every product is a group
-    element because the generators are: no level needs checking.
+    k - 1; and its last letter, both int32.  Level 0 holds the empty word,
+    whose last letter is the sentinel len(inverse_of).  Each level is
+    filled letter by letter: the parents that may take letter a are
+    multiplied by it, and the child lands at offset(i) + a - [ban(i) < a],
+    where offset(i) counts the children of the parents before i and ban(i)
+    is the letter parent i bans.  So no level is built k-fold and masked.
+    The arithmetic is exact, so every product is a group element because
+    the generators are: no level needs checking.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -155,16 +158,25 @@ def word_levels(
     if math.factorial(d) * bound ** (d * n) < 2 ** 63:
         gens = gens.astype(np.int64)
     # The letter each letter bans next; the sentinel k bans nothing.
-    bans = np.array(genset.inverse_of + (k,))
-    letters = np.arange(k)
+    bans = np.array(genset.inverse_of + (k,), dtype=np.int32)
     products = np.eye(d, dtype=gens.dtype)[None]
-    last = np.array([k])
-    levels = [(products, np.array([-1]), last)]
+    last = np.array([k], dtype=np.int32)
+    levels = [(products, np.array([-1], dtype=np.int32), last)]
     for _ in range(n):
-        keep = (letters[None, :] != bans[last][:, None]).ravel()
-        parent = np.repeat(np.arange(len(products)), k)[keep]
-        last = np.tile(letters, len(products))[keep]
-        products = np.matmul(products[:, None], gens[None]).reshape(-1, d, d)[keep]
+        ban = bans[last]
+        # the root has k children, every other word k - 1
+        per = k - 1 if len(levels) > 1 else k
+        size = len(products) * per
+        children = np.empty((size, d, d), dtype=gens.dtype)
+        parent = np.empty(size, dtype=np.int32)
+        last = np.empty(size, dtype=np.int32)
+        for a in range(k):
+            rows = np.flatnonzero(ban != a)
+            at = rows * per + a - (ban[rows] < a)
+            children[at] = np.matmul(products[rows], gens[a])
+            parent[at] = rows
+            last[at] = a
+        products = children
         levels.append((products, parent, last))
     return levels
 
@@ -239,24 +251,32 @@ def _packed_keys(
     Each level of word_levels is scaled to the denominator**n.  Each row's
     entries, offset by the peak |entry| to [0, 2 * peak], are packed `per`
     to an int64 key of `width`-bit fields, so equal keys mean equal rows.
-    Past int64 one object-dtype key holds the whole row.  Only the keys
-    and the links outlive the call, so the products are freed before any
-    sort.
+    Past int64 one object-dtype key holds the whole row.  The scaling and
+    the offset run in place on the level's own products, which are dropped
+    as soon as the level is packed: only the keys and the links outlive
+    the call.
     """
     levels = word_levels(genset, n)
+    links = [(parent, last) for _, parent, last in levels]
     d2 = len(genset.matrices[0]) ** 2
     scales = [genset.den ** (n - length) for length in range(n + 1)]
-    peak = max(int(np.abs(level[0]).max()) * scale for level, scale in zip(levels, scales))
+    peak = max(
+        max(int(products.max()), -int(products.min())) * scale
+        for (products, _, _), scale in zip(levels, scales)
+    )
     width = (2 * peak).bit_length()
     per, dtype = (63 // width, np.int64) if width <= 63 else (d2, object)
     fields = np.array([1 << (width * f) for f in range(per)], dtype=dtype)
     keys = [[] for _ in range(0, d2, per)]
-    for (products, _, _), scale in zip(levels, scales):
-        rows = products.reshape(len(products), d2).astype(dtype) * scale + peak
+    for length, scale in enumerate(scales):
+        rows = levels[length][0].reshape(-1, d2).astype(dtype, copy=False)
+        levels[length] = None
+        if scale != 1:
+            rows *= scale
+        rows += peak
         for chunk, start in zip(keys, range(0, d2, per)):
-            entries = rows[:, start : start + per]
-            chunk.append(entries @ fields[: entries.shape[1]])
-    return [np.concatenate(chunk) for chunk in keys], [(p, last) for _, p, last in levels]
+            chunk.append(rows[:, start : start + per] @ fields[: d2 - start])
+    return [np.concatenate(chunk) for chunk in keys], links
 
 
 def _all_distinct(keys: list[np.ndarray]) -> tuple[bool, int]:

@@ -248,14 +248,17 @@ def test_square_table_matches_a_brute_force_fold(radius):
 def test_orbit_labels_match_the_oracle(matrices, radius):
     genset = build_torus_genset(matrices)
     window, group = HalfWindow(radius), symmetries(genset)
-    orbit, firsts, block_starts = _orbits(
+    orbit, reps, block_starts = _orbits(
         window, _square_table(window), group, _residue_classes(genset, group)
     )
     half = [tuple(m) for m in window.points.tolist()]
     classes = _oracle_classes(genset)
     expected = orbit_numbers(half, square_symmetries(genset.matrices), classes)
     assert np.array_equal(orbit, expected)
-    assert firsts.tolist() == [expected.tolist().index(k) for k in range(expected.max() + 1)]
+    # each orbit's representative is its first point in the half-window's order
+    assert [tuple(m) for m in reps.tolist()] == [
+        half[expected.tolist().index(k)] for k in range(expected.max() + 1)
+    ]
     assert block_starts == _oracle_block_starts(half, expected, classes)
 
 
@@ -1024,6 +1027,29 @@ def test_import_lps_loads_every_traced_layer():
         check=True,
     )
     assert out.stdout.splitlines() == ["[]"]
+
+
+def test_half_window_holds_only_its_sieve():
+    # 257 x 513 mask bytes; its 79,792 points as int64 pairs would take 1.2 MB
+    window = HalfWindow(256)
+    held = [value for value in vars(window).values() if isinstance(value, np.ndarray)]
+    assert sum(array.nbytes for array in held) < 0.2 * 2**20
+    assert window.points.shape == (window.size, 2)
+
+
+def test_window_operator_keeps_only_its_entries():
+    # The Sanov n 2 ball window at R 256 has 122,337 entries, 2.8 MB as int64
+    # triples.  Building it with a 79,792-row point array, a list of
+    # per-word int64 keys and np.unique of their concatenation peaked at 8.9 MB.
+    genset = build_torus_genset("sanov")
+    tracemalloc.start()
+    try:
+        op = window_operator(genset, 2, "ball", 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.entries.nnz == 122337
+    assert peak < 8 * 2**20
 
 
 def test_lanczos_basis_is_stored_in_float32(monkeypatch):

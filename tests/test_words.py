@@ -1,6 +1,7 @@
 """Unit tests for reduced-word enumeration and freeness verification."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -98,7 +99,13 @@ def test_empty_word_is_identity():
 
 @pytest.mark.parametrize(
     "genset, radius",
-    [(build_generator_set(5), 3), (build_torus_genset("sanov"), 4), (build_torus_genset("rank-one"), 3)],
+    [
+        (build_generator_set(5), 3),
+        (build_torus_genset("sanov"), 4),
+        (build_torus_genset("rank-one"), 3),
+        # 14 letters: the root takes every letter, each later word all but one
+        (build_generator_set(13), 2),
+    ],
 )
 def test_word_levels_match_recursive_enumeration(genset, radius):
     levels = word_levels(genset, radius)
@@ -106,6 +113,7 @@ def test_word_levels_match_recursive_enumeration(genset, radius):
     for length, (products, parent, last) in enumerate(levels):
         words = list(enumerate_sphere(genset, length))
         assert len(products) == len(parent) == len(last) == len(words)
+        assert parent.dtype == last.dtype == np.int32
         for word, product, up, letter in zip(words, products, parent, last):
             value = tuple(tuple(Fraction(int(v), genset.den ** length) for v in r) for r in product)
             assert value == evaluate_word(genset, word)
@@ -113,6 +121,23 @@ def test_word_levels_match_recursive_enumeration(genset, radius):
                 assert int(letter) == word.letters[-1]
                 assert previous[int(up)] == word.letters[:-1]
         previous = [w.letters for w in words]
+
+
+def test_freeness_walk_keeps_only_what_it_packs():
+    # The Sanov radius-10 ball holds 118,097 words.  Its keys take 0.9 MB,
+    # the int32 links 0.9 MB and the last level's products 2.4 MB; a walk
+    # that built each level as all k children of every parent and masked
+    # out the banned ones, and held every level until the sort, peaked at
+    # 9.6 MB.
+    genset = build_torus_genset("sanov")
+    tracemalloc.start()
+    try:
+        report = verify_freeness(genset, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_free_to_radius and report.ball_size_found == 118097
+    assert peak < 8 * 2**20
 
 
 def test_freeness_small_rotation_ball():
