@@ -397,7 +397,8 @@ def _torus_diagnostics(row) -> dict:
     """What the certificate of one window cost and how tight it is.
 
     `window_ms` is None for a window that the diagonal settled before it
-    was built, and `solve_ms` for one that needed no solve.  `blocks`
+    was built, and `solve_ms` for one that needed no solve.  `entries`
+    counts K's stored entries, None where K was not built.  `blocks`
     lists [orbits, Lanczos steps] for each class mod 2 of the window (0
     steps in a derived n = 1 ball row), and is None where no solve ran.
     """
@@ -406,6 +407,7 @@ def _torus_diagnostics(row) -> dict:
         "radius": row.radius,
         "dimension": bound.dimension,
         "orbits": bound.orbits,
+        "entries": bound.entries,
         "symmetry_order": bound.symmetry_order,
         "blocks": bound.blocks,
         "matvecs": bound.matvecs,

@@ -19,8 +19,9 @@ window; and the group average of a nonnegative Perron vector is a
 nonnegative invariant Perron vector, so the largest eigenvalue survives.
 It is bounded from below by an exact Rayleigh quotient at a Ritz vector
 of plain three-term Lanczos, run on each class of orbits mod 2 apart,
-since no word moves m between classes; the quotient is held as its
-nonzero integer entries sorted by row, so all of this needs numpy alone.
+since no word moves m between classes; the quotient is symmetric and held
+as its nonzero integer entries on and above the diagonal, sorted by row
+and multiplied both ways, so all of this needs numpy alone.
 Together with the closed-form upper bound this sandwiches the
 discrepancy from both sides.
 """
@@ -266,9 +267,9 @@ def _lookup(table: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarr
 
 
 class OrbitSums(NamedTuple):
-    """The nonzero entries of a square int64 matrix, sorted by row.
+    """The nonzero entries of a symmetric int64 matrix on and above its diagonal, sorted by row.
 
-    Entry i is data[i] in row rows[i] and column columns[i].
+    Entry i is data[i] in row rows[i] and column columns[i] >= rows[i], and at their mirror.
     """
 
     rows: np.ndarray
@@ -290,10 +291,10 @@ class WindowOperator:
     at radius R is its primitive block at radius R // d.  So the largest
     eigenvalue of C / words_used is the norm of A.  C also commutes with
     the group of `symmetries`, of order `symmetry_order`, acting on the
-    half-window.  `entries` holds the nonzero K[O, O'], the sum of C over
-    m in O and m' in O' for orbits O, O', sorted by row O and then column
-    O'; `orbit_sizes` is D, the orbit sizes; and `max_diagonal` is the
-    largest diagonal entry of C itself.
+    half-window.  `entries` holds the nonzero K[O, O'] with O <= O', the
+    sum of C over m in O and m' in O' for orbits O, O', sorted by row O and
+    then column O'; `orbit_sizes` is D, the orbit sizes; and `max_diagonal`
+    is the largest diagonal entry of C itself.
     D^(-1/2) K D^(-1/2) / words_used is C / words_used compressed to
     orbit-constant vectors: each of its Rayleigh quotients is one of A,
     and its largest eigenvalue is that of A, since averaging a
@@ -386,13 +387,13 @@ def _window_words(genset: IntegerGenerators, n: int, shape: str, radius: int) ->
 def _orbit_pairs(
     words: np.ndarray, table: np.ndarray, orbit: np.ndarray, reps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each orbit pair (O, O') with a word taking O's first point into O', and how many words do.
+    """Each orbit pair O <= O' with a word taking O's first point into O', and how many words do.
 
     The pairs come back as int64 rows O, columns O' and word counts, in
-    increasing order of O and then O'.  They are keyed O * len(reps) + O'
-    in one buffer, int32 while the largest key fits, which is sorted in
-    place and counted by its runs; the buffer is dropped as soon as its
-    distinct keys are read off.
+    increasing order of O and then O' (K is symmetric, so O > O' is dropped
+    as found).  They are keyed O * len(reps) + O' in one buffer, int32
+    while the largest key fits, which is sorted in place and counted by its
+    runs; the buffer is dropped as soon as its distinct keys are read off.
     """
     m1, m2 = reps.T
     count = len(reps)
@@ -401,8 +402,10 @@ def _orbit_pairs(
     for (a, b), (c, d) in words.tolist():
         # unimodular words keep frequencies primitive, so every hit is >= 0
         inside, hit = _lookup(table, a * m1 + c * m2, b * m1 + d * m2)
-        pairs[filled : filled + len(inside)] = inside * count + orbit[hit]
-        filled += len(inside)
+        target = orbit[hit]
+        keys = (inside * count + target)[target >= inside]
+        pairs[filled : filled + len(keys)] = keys
+        filled += len(keys)
     pairs = pairs[:filled]
     pairs.sort()
     run = np.ones(filled, dtype=bool)
@@ -431,7 +434,7 @@ def window_operator(
     alone (`_max_diagonal`), by the rule that also settles windows before
     any is built; a caller that has both, as `_window_certificate` has,
     passes them in.  All arithmetic is exact integer arithmetic.  The word
-    set is closed under inversion, so K is symmetric.
+    set is closed under inversion, so K is symmetric: its upper triangle is kept.
     """
     if words is None:
         words = _window_words(genset, n, shape, radius)
@@ -469,9 +472,10 @@ class NormCertificate:
 
     `certificate` is a Rayleigh quotient of the window, computed in exact
     arithmetic, and `estimate` the largest float not above it.
-    `dimension` is the half-window size and `orbits` the dimension of its
-    quotient under a group of order `symmetry_order`; all three are None
-    for a window settled before it was built.  `blocks` lists the
+    `dimension` is the half-window size, `orbits` the dimension of its
+    quotient under a group of order `symmetry_order`, and `entries` the
+    count of K's stored entries; all four are None for a window settled
+    before it was built.  `blocks` lists the
     (orbits, Lanczos steps) of each class mod 2, and `matvecs` counts the
     products, one per step and one per Ritz residual of each block;
     `start` is where the steps started: 'seeded' for the SplitMix64 draw
@@ -483,7 +487,7 @@ class NormCertificate:
     solve ran, `matvecs` is 0 and the other solve fields are None.  An
     n = 1 ball window derived from its sphere window (`_ball_from_sphere`)
     runs no solve but keeps the sphere's sizes and Ritz vector, which are
-    its own, its blocks with 0 steps, and its residuals rescaled.
+    its own, its blocks with 0 steps, and its residuals rescaled, but no `entries`.
 
     The milliseconds spent are kept beside, out of comparisons:
     `window_ms` building the window operator, `solve_ms` in its quotient
@@ -494,6 +498,7 @@ class NormCertificate:
     certificate: Fraction
     dimension: Optional[int] = None
     orbits: Optional[int] = None
+    entries: Optional[int] = None
     symmetry_order: Optional[int] = None
     matvecs: int = 0
     ritz_residual: Optional[float] = None
@@ -534,7 +539,9 @@ def rayleigh_certificate(op: WindowOperator, y: np.ndarray) -> Fraction:
     """The exact Rayleigh quotient y^T K y / (words_used y^T D y) of an integer orbit vector.
 
     It is the Rayleigh quotient of C / words_used at the vector equal to
-    y[O] on every point of orbit O.  Both sums are exact (`_exact_dot`).
+    y[O] on every point of orbit O.  Of K's stored upper triangle, y^T K y
+    is 2 y . (strict triangle y) plus sum K[O, O] y[O]^2, each part summed
+    exactly (`_exact_dot`) and the first doubled as a Python int.
     """
     y = np.asarray(y)
     if y.dtype.kind not in "iu" or not y.any():
@@ -547,12 +554,15 @@ def rayleigh_certificate(op: WindowOperator, y: np.ndarray) -> Fraction:
         raise OverflowError("certificate vector too large for 64-bit products")
     y = y.astype(np.int64)
     rows, columns, data = op.entries
-    # K y summed row by row over the rows that hold an entry
-    starts = np.searchsorted(rows, np.arange(len(op.orbit_sizes) + 1))
-    filled = np.flatnonzero(np.diff(starts))
     products = y[columns]
     products *= data
-    num = _exact_dot(y[filled], np.add.reduceat(products, starts[filled]), bound)
+    diagonal = rows == columns
+    square = _exact_dot(y[rows[diagonal]], products[diagonal], bound)
+    products[diagonal] = 0
+    # the strict triangle times y, summed row by row over the rows that hold an entry
+    starts = np.searchsorted(rows, np.arange(len(op.orbit_sizes) + 1))
+    filled = np.flatnonzero(np.diff(starts))
+    num = 2 * _exact_dot(y[filled], np.add.reduceat(products, starts[filled]), bound) + square
     den = _exact_dot(y, op.orbit_sizes * y, bound)
     return Fraction(num, op.words_used * den)
 
@@ -671,7 +681,8 @@ def norm_certificate(
     `start` in orbit coordinates when given, else of the strictly positive
     1 + u drawn from a SplitMix64 stream seeded by `seed` (`_seeded_start`,
     whose values lie in [1, 2)); the start only steers the solve, but may
-    not vanish on a block.  K has no entry between blocks, so the
+    not vanish on a block.  Each product reads the block's stored upper
+    triangle of K both ways.  K has no entry between blocks, so the
     top block holds the top eigenvalue; let z be its Ritz vector, and 0
     elsewhere.  The absolute values of z / sqrt(D), which for a
     nonnegative matrix give a Rayleigh quotient no smaller, are rounded to
@@ -683,7 +694,7 @@ def norm_certificate(
     LanczosConvergenceError, whose message names the diagonal bound.
     """
     best = Fraction(op.max_diagonal, op.words_used)
-    dims = (op.window.size, len(op.orbit_sizes), op.symmetry_order)
+    dims = (op.window.size, len(op.orbit_sizes), op.entries.nnz, op.symmetry_order)
     # with no image inside the window, C = 0 and Lanczos has nothing to find
     if op.entries.nnz == 0 or best >= regular_norm(op.q, op.n, op.shape):
         return NormCertificate(best, *dims)
@@ -695,6 +706,7 @@ def norm_certificate(
     weights *= scale[cols]
     weights /= op.words_used
     weights *= data
+    weights[rows == cols] *= 0.5  # exact; quotient sums the diagonal both ways
     given = start is not None
     if not given:
         start = _seeded_start(seed, len(scale))
@@ -708,11 +720,10 @@ def norm_certificate(
             block_rows, block_cols = block_rows - first, block_cols - first
 
         def quotient(v: np.ndarray) -> np.ndarray:
-            products = v[block_cols]
-            products *= block_weights
-            # a block with no entries gets int zeros from bincount, and _lanczos
-            # updates the product in place
-            kv = np.bincount(block_rows, weights=products, minlength=len(v))
+            # the stored triangle times v, plus its transpose times v; a block with
+            # no entries gets int zeros, and _lanczos updates the product in place
+            kv = np.bincount(block_rows, weights=block_weights * v[block_cols], minlength=len(v))
+            kv += np.bincount(block_cols, weights=block_weights * v[block_rows], minlength=len(v))
             return kv.astype(np.float64, copy=False)
 
         if not start[first:last].any():
@@ -795,6 +806,7 @@ def _ball_from_sphere(sphere: NormCertificate, q: int) -> NormCertificate:
     return replace(
         sphere,
         certificate=certificate,
+        entries=None,
         matvecs=0,
         blocks=sphere.blocks and tuple((orbits, 0) for orbits, _ in sphere.blocks),
         ritz_residual=scaled(sphere.ritz_residual),

@@ -485,6 +485,7 @@ def test_verify_torus_fails_on_sets_that_are_not_free(capsys, tmp_path, cold_tor
             # both words fix +-(0, 1), so the diagonal settles every window
             # at 1 before it is built, and the failing rows have no size
             assert row["dimension"] is row["orbits"] is row["symmetry_order"] is None
+            assert row["entries"] is None
             assert row["matvecs"] == 0
         else:
             assert row["dimension"] > 0 and row["matvecs"] > 0
@@ -524,8 +525,12 @@ def test_torus_diagnostics_only_with_timings(capsys):
                     assert steps > 0 and (steps % 8 == 0 or steps == orbits <= 16)
                 assert row["matvecs"] == sum(steps + 1 for _, steps in row["blocks"])
                 assert min(row["window_ms"], row["solve_ms"]) >= 0
+                # K's entries on and above the diagonal, within the blocks
+                assert 0 < row["entries"] <= sum(o * (o + 1) // 2 for o, _ in row["blocks"])
             else:
                 assert row["matvecs"] == 0
+                # the derived ball's K is never built
+                assert row["entries"] is None
                 assert [steps for _, steps in row["blocks"]] == [0, 0]
                 assert row["window_ms"] is None and row["solve_ms"] is None
             assert row["certificate_ms"] >= 0
@@ -677,8 +682,8 @@ def test_report_timings_cover_every_envelope(capsys):
     assert torus["rank_one"]["matvecs"] == 0 and len(torus["tables"]) == 2
     assert torus["rank_one"]["start"] is None
     # the diagonal settled the rank-one window before it was built, so it
-    # has no size, orbit count, group order or build and solve times
-    for key in ("dimension", "orbits", "symmetry_order", "window_ms", "solve_ms"):
+    # has no size, orbit or entry count, group order or build and solve times
+    for key in ("dimension", "orbits", "entries", "symmetry_order", "window_ms", "solve_ms"):
         assert torus["rank_one"][key] is None, key
     assert torus["rank_one"]["certificate_ms"] >= 0
     ramanujan = diagnostics["report.ramanujan"]

@@ -367,10 +367,14 @@ def test_window_operator_without_symmetry_is_the_half_block(shape):
 
 @pytest.mark.parametrize("shape", ["sphere", "ball"])
 def test_window_operator_is_symmetric(shape):
+    # the operator stores K's upper triangle, so its dense form is symmetric
+    # by construction; the oracle's brute-force orbit sums fill both
+    # triangles, and are symmetric only if K is.  _assert_matches_oracle
+    # then compares the two
     genset = build_torus_genset("sanov")
     op = window_operator(genset, 1, shape, 6)
-    dense = dense_orbit_sums(op)
-    assert np.array_equal(dense, dense.T)
+    sums = _oracle_operator(genset, 1, shape, 6)[2]
+    assert np.array_equal(sums, sums.T)
     assert op.shape == shape
     assert op.words_used == word_counts(3, 1)[0 if shape == "sphere" else 1]
     _assert_matches_oracle(op, genset)
@@ -402,6 +406,27 @@ def test_window_operator_rejects_bad_arguments():
         window_operator(genset, 1, "disk", 4)
     with pytest.raises(ValueError):
         window_operator(genset, 1, "sphere", 0)
+
+
+def test_entry_stored_below_the_diagonal_fails_the_oracle(monkeypatch):
+    # control: a build that stores one entry at its mirror below the
+    # diagonal, between orbits of one size so that its value stays K's,
+    # and in sorted order, holds the same symmetric K and must still fail
+    genset = build_torus_genset("sanov")
+    build = lps.torus._orbit_pairs
+
+    def one_lower(words, table, orbit, reps):
+        row, column, hits = build(words, table, orbit, reps)
+        sizes = np.bincount(orbit)
+        i = np.flatnonzero((row < column) & (sizes[row] == sizes[column]))[0]
+        row[i], column[i] = column[i], row[i]
+        order = np.argsort(row * len(reps) + column)
+        return row[order], column[order], hits[order]
+
+    _assert_matches_oracle(window_operator(genset, 1, "sphere", 6), genset)
+    monkeypatch.setattr(lps.torus, "_orbit_pairs", one_lower)
+    with pytest.raises(AssertionError, match="below the diagonal"):
+        _assert_matches_oracle(window_operator(genset, 1, "sphere", 6), genset)
 
 
 def test_window_operator_radius_zero_word_is_identity():
@@ -495,9 +520,10 @@ def test_oracle_diagonal_is_the_dense_diagonal(matrices, radius):
 def test_exact_product_matches_the_dense_matrix(matrices, n, shape, radius, empty_rows):
     op = window_operator(build_torus_genset(matrices), n, shape, radius)
     dense = dense_orbit_sums(op)
-    assert np.array_equal(dense, dense.T)
     assert np.count_nonzero(~dense.any(axis=1)) == empty_rows
-    assert op.entries.nnz == np.count_nonzero(dense)
+    # K is stored as its upper triangle, diagonal included
+    assert np.all(op.entries.rows <= op.entries.columns)
+    assert op.entries.nnz == np.count_nonzero(np.triu(dense))
     # sorted by row, then column, each entry once
     keys = op.entries.rows * len(op.orbit_sizes) + op.entries.columns
     assert np.all(np.diff(keys) > 0)
@@ -962,6 +988,23 @@ def test_certificate_guard_bounds_the_product_with_k():
             rayleigh_certificate(op, bad)
 
 
+def test_certificate_guard_bounds_the_product_with_k_on_its_diagonal():
+    # as above, on a window whose every orbit has a diagonal entry (the ball
+    # holds the empty word): the diagonal's products K[O, O] y[O] reach the
+    # bound too, and the strict triangle's part is doubled only in Python ints
+    op = window_operator(build_torus_genset("sanov"), 2, "ball", 8)
+    rows, columns, _ = op.entries
+    assert np.array_equal(rows[rows == columns], np.arange(len(op.orbit_sizes)))
+    peak = (2**63 - 1) // (op.words_used * int(op.orbit_sizes.max()))
+    y = np.full(len(op.orbit_sizes), peak)
+    assert peak * max(_python_int_product(op, y)) >= 2**63
+    num, den = _python_int_quotient(op, y)
+    assert rayleigh_certificate(op, y) == Fraction(num, op.words_used * den)
+    for bad in (y + 1, np.full(len(op.orbit_sizes), np.iinfo(np.int64).min)):
+        with pytest.raises(OverflowError):
+            rayleigh_certificate(op, bad)
+
+
 @pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(2, 3), Fraction(1, 10), Fraction(7, 10)])
 def test_float_bound_never_rounds_up(value):
     f = _float_at_most(value)
@@ -1038,9 +1081,11 @@ def test_half_window_holds_only_its_sieve():
 
 
 def test_window_operator_keeps_only_its_entries():
-    # The Sanov n 2 ball window at R 256 has 122,337 entries, 2.8 MB as int64
-    # triples.  Building it with a 79,792-row point array, a list of
-    # per-word int64 keys and np.unique of their concatenation peaked at 8.9 MB.
+    # The Sanov n 2 ball window at R 256 has 71,143 entries on and above the
+    # diagonal, 1.6 MB as int64 triples.  Building it with a 79,792-row point
+    # array, a list of per-word int64 keys and np.unique of their
+    # concatenation peaked at 8.9 MB; keeping both triangles' 122,337
+    # entries, at 5.6 MB.
     genset = build_torus_genset("sanov")
     tracemalloc.start()
     try:
@@ -1048,8 +1093,22 @@ def test_window_operator_keeps_only_its_entries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert op.entries.nnz == 122337
-    assert peak < 8 * 2**20
+    assert op.entries.nnz == 71143
+    assert peak < 5 * 2**20
+
+
+def test_certificate_keeps_only_the_stored_triangle():
+    # Building the window above and certifying it peaked at 7.6 MB with both
+    # triangles' entries and float weights held through the solve.
+    genset = build_torus_genset("sanov")
+    tracemalloc.start()
+    try:
+        bound = norm_certificate(window_operator(genset, 2, "ball", 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound.entries == 71143 and bound.matvecs > 0
+    assert peak < 6.5 * 2**20
 
 
 def test_lanczos_basis_is_stored_in_float32(monkeypatch):
@@ -1084,9 +1143,13 @@ def _whole_window_solve(op, seed=42):
     rows, cols, data = op.entries
     scale = 1.0 / np.sqrt(op.orbit_sizes)
     weights = data * (scale[rows] * scale[cols] / op.words_used)
+    # K is stored as its upper triangle: each entry is summed both ways, so
+    # the diagonal counts half each time
+    weights[rows == cols] /= 2
 
     def quotient(v):
-        return np.bincount(rows, weights=weights * v[cols], minlength=len(scale))
+        upper = np.bincount(rows, weights=weights * v[cols], minlength=len(scale))
+        return upper + np.bincount(cols, weights=weights * v[rows], minlength=len(scale))
 
     ritz, z, steps = _lanczos(quotient, _seeded_start(seed, len(scale)))
     return ritz, z, steps, float(np.linalg.norm(quotient(z) - ritz * z))

@@ -9,7 +9,8 @@ word's character action letter by letter to each point, unoptimised.
 by the definition B = (A + AJ) restricted there, and `orbit_sums` sums
 that block over the orbits (`orbit_numbers`) of every signed permutation
 that permutes the generating set by conjugation, so the two routes share
-no code; `dense_orbit_sums` spreads the window's K out to compare.
+no code; `dense_orbit_sums` spreads the window's stored triangle of K
+out, mirrored, to compare.
 Orbits are numbered class by class, the classes being the orbits of the
 residues mod 2 under the letters and the group, found by walking them
 (`residue_classes`).
@@ -181,9 +182,18 @@ def orbit_sums(
 
 
 def dense_orbit_sums(op) -> np.ndarray:
-    """The orbit sums K of a `lps.torus.WindowOperator` as a dense int64 matrix."""
+    """The orbit sums K of a `lps.torus.WindowOperator` as a dense int64 matrix.
+
+    The operator stores K on and above its diagonal; each stored entry is
+    written at its place and mirrored below.  An entry stored below the
+    diagonal is refused, so it cannot hide behind its own mirror.
+    """
+    rows, columns, data = op.entries
+    if np.any(rows > columns):
+        raise AssertionError("an entry of K is stored below the diagonal")
     dense = np.zeros((len(op.orbit_sizes),) * 2, dtype=np.int64)
-    dense[op.entries.rows, op.entries.columns] = op.entries.data
+    dense[columns, rows] = data
+    dense[rows, columns] = data
     return dense
 
 
