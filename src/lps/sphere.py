@@ -33,10 +33,13 @@ Python ints (see _SymmetricPowers).
 A dense frontier keeps only the columns 0..k/2 of Sym^k.  J = [[0, 1],
 [-1, 0]] conjugates every quaternion matrix to its entrywise conjugate, so
 entry (k-r, k-s) of Sym^k is (-1)^(r+s) times the conjugate of entry
-(r, s), and the right half of each summed block is the sign-weighted flip
-of its left half.  Blocks read only even degrees, so a frontier starts at
-Sym^2 and advances two degrees per step, multiplying every kept column by
-the square of the image of x.
+(r, s).  Inside a residue class r + s is even, so entry (k-r, k-s) of the
+real summed block equals entry (r, s): the columns s > k/2 of piece c are
+the left columns of piece (k - c) mod 4, reversed in both axes, and the
+pieces go from the frontiers to the block with no dense sum built.
+Blocks read only even degrees, so a frontier starts at Sym^2 and advances
+two degrees per step, multiplying every kept column by the square of the
+image of x.
 
 Every block is checked exactly before its spectrum is taken: the
 generators are closed under sigma, checked once, so the imaginary parts
@@ -90,7 +93,8 @@ class KoopmanBlock:
     (1 + i)/sqrt(2), so the block is held only as the four read-only object
     arrays `pieces`: piece c holds p^degree times the block's entries at
     the indices c, c + 4, c + 8, ..., as integers, and at degree 1 piece 3
-    is empty.  `traces` holds p^degree tr(T) and p^(2 degree) tr(T^2), summed
+    is empty.  They are the pieces _SymmetricPowers.summed returns, and no
+    dense sum is built on the way.  `traces` holds p^degree tr(T) and p^(2 degree) tr(T^2), summed
     exactly over the pieces.  `numerators`, p^degree times the whole block,
     and `matrix`, the block as exact rationals, are derived from the pieces
     on first use.  Blocks compare and hash by identity, so caches keyed by a
@@ -165,19 +169,6 @@ def _times_form(re: np.ndarray, im: np.ndarray, form):
     return out_re, out_im
 
 
-def _flip(columns: np.ndarray, first: int) -> np.ndarray:
-    """Columns first, first + 1, ... of a Sym^k-shaped matrix from the columns they mirror.
-
-    `columns` ends with column k - first, and entry (r, first + j) of the
-    result is (-1)^(r + first + j) times entry (k - r, k - first - j).
-    """
-    flipped = columns[::-1, ::-1].copy()
-    # negate the entries with r + first + j odd, the even columns first
-    flipped[(first + 1) % 2 :: 2, 0::2] *= -1
-    flipped[first % 2 :: 2, 1::2] *= -1
-    return flipped
-
-
 def _diagonal_real_parts(powers: list[tuple[int, int]], degree: int) -> list[int]:
     """Re((a+bi)^(degree-r) (a-bi)^r) for r = 0..degree/2, from the powers of z = a + bi.
 
@@ -243,13 +234,14 @@ def _residue(value: int) -> int:
 def _advance(re: np.ndarray, im: np.ndarray, half: int, square):
     """Columns 0..half+1 of Sym^(k+2) from columns 0..half of Sym^k, k = 2 half.
 
-    Column half + 1 of Sym^k is the conjugated flip of column half - 1, and
-    every column times `square`, the form X^2, is the same column of
-    Sym^(k+2).
+    Column half + 1 of Sym^k mirrors column half - 1: its entry r is
+    (-1)^(r + half + 1) times the conjugate of entry k - r.  Every column
+    times `square`, the form X^2, is the same column of Sym^(k+2).
     """
-    re = np.hstack([re, _flip(re[:, half - 1 : half], half + 1)])
-    im = np.hstack([im, -_flip(im[:, half - 1 : half], half + 1)])
-    return _times_form(re, im, square)
+    mirror_re, mirror_im = re[::-1, half - 1].copy(), -im[::-1, half - 1]
+    mirror_re[half % 2 :: 2] *= -1
+    mirror_im[half % 2 :: 2] *= -1
+    return _times_form(np.column_stack([re, mirror_re]), np.column_stack([im, mirror_im]), square)
 
 
 class _Frontier(NamedTuple):
@@ -308,16 +300,17 @@ class _SymmetricPowers:
     A frontier holds only the columns 0..k/2 of Sym^k.  With J = [[0, 1],
     [-1, 0]], J M J^-1 = conj(M) for every quaternion matrix M, and Sym^k(J)
     is the antidiagonal of signs (-1)^r, so entry (k-r, k-s) of Sym^k(M) is
-    (-1)^(r+s) conj(entry (r, s)): the right half of every power, and of
-    their weighted real sum, is the sign-weighted flip of the left half.
-    Column s is X^(k-s) Y^s with X = alpha x - conj(beta) y and Y = beta x
-    + conj(alpha) y, the images of x and y, so the frontier starts at Sym^2
+    (-1)^(r+s) conj(entry (r, s)).  On the real sum, read only where
+    r = s mod 4 and so r + s is even, that is the unsigned mirror (k-r, k-s)
+    of (r, s), which maps residue class c to class (k - c) mod 4.  Column s
+    is X^(k-s) Y^s with X = alpha x - conj(beta) y and Y = beta x +
+    conj(alpha) y, the images of x and y, so the frontier starts at Sym^2
     (X^2 and XY) and advances two degrees per step: every kept column times
     X^2, a three-term form computed once per representative, gives the same
     column of Sym^(k+2).  The one column that degree k+2 keeps beyond
-    those, k/2 + 1, is appended first as the conjugated flip of column
-    k/2 - 1.  Blocks read only even degrees, so no odd one is built.  Only
-    the frontier degree is kept; asking for a lower degree restarts the
+    those, k/2 + 1, is appended first as the signed conjugated mirror of
+    column k/2 - 1.  Blocks read only even degrees, so no odd one is built.
+    Only the frontier degree is kept; asking for a lower degree restarts the
     recursion from Sym^2, which callers avoid by scanning degrees in
     increasing order.
 
@@ -383,18 +376,19 @@ class _SymmetricPowers:
         self._degree = 2
         self._mats = list(self._start)
 
-    def summed(self, degree: int) -> np.ndarray:
-        """The sum over generators of Sym^degree, as Python ints.
+    def summed(self, degree: int) -> tuple[np.ndarray, ...]:
+        """The sum over generators of Sym^degree, as its four residue-class pieces.
 
         The sum is real by sigma-closure and zero between residue classes
-        mod 4.  Only the entries r = s mod 4 of the columns 0..degree/2 are
-        assembled, and the right half is their signed flip; every other
-        entry is that zero.  While every frontier is on residues and the
-        summed estimate keeps the rule of _rebuildable, those entries are
-        summed as an int64 residue and a float64 estimate and then
-        rebuilt; otherwise the frontiers still on residues are rebuilt and
-        the sum is formed in Python ints.  `degree` must be even and at
-        least 2.
+        mod 4, so it is returned as four fresh object arrays of Python
+        ints: piece c holds the entries (r, s) with r = s = c mod 4.  Only
+        its columns s <= degree/2 are assembled; its columns s > degree/2
+        are the assembled ones of class (degree - c) mod 4, reversed in both
+        axes.  While every frontier is on residues and the summed estimate
+        keeps the rule of _rebuildable, the assembled entries are summed as
+        an int64 residue and a float64 estimate and then rebuilt; otherwise
+        the frontiers still on residues are rebuilt and the sum is formed in
+        Python ints.  `degree` must be even and at least 2.
         """
         if degree < 2 or degree % 2:
             raise ValueError(f"degree must be even and >= 2, got {degree}")
@@ -426,8 +420,7 @@ class _SymmetricPowers:
                 advanced.append(_Frontier(re, im, estimate, bound, error))
             self._mats = advanced
             self._degree += 2
-        half = degree // 2
-        # the diagonal terms on the columns 0..half; the flip gives the rest
+        # the diagonal terms on the columns 0..degree/2; the mirror gives the rest
         diagonals = [
             [weight * v for v in _diagonal_real_parts(powers, degree)]
             for weight, powers in self._diagonals
@@ -467,11 +460,11 @@ class _SymmetricPowers:
             ]
             total = _left_half(halves, diagonals, degree, object)
             left = [total[c::4, c::4] for c in range(4)]
-        out = np.zeros((degree + 1, degree + 1), dtype=object)
-        for c, piece in enumerate(left):
-            out[c::4, c : half + 1 : 4] = piece
-        out[:, half + 1 :] = _flip(out[:, :half], half + 1)
-        return out
+        # piece c's columns past degree/2 mirror the first ones of class degree - c
+        return tuple(
+            np.hstack([piece, np.flip(left[(degree - c) % 4][:, : len(piece) - piece.shape[1]])])
+            for c, piece in enumerate(left)
+        )
 
 
 class _Characters:
@@ -537,8 +530,8 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
     Built as the sum of Sym^{2*degree} of the generators' quaternion
     matrices, taken orbit by orbit (see _SymmetricPowers, which raises
     ConsistencyError when the generators are not closed under sigma and
-    under conjugation by (1 + i)/sqrt(2)), and split into one piece per
-    residue class mod 4 (see KoopmanBlock).  Each piece must pass an exact
+    under conjugation by (1 + i)/sqrt(2)), and returned by it as one piece
+    per residue class mod 4 (see KoopmanBlock).  Each piece must pass an exact
     check, or ConsistencyError is raised: T[i][j] * binom(2l, j) ==
     T[j][i] * binom(2l, i) for all i, j of its class, i.e. T is
     self-adjoint for the invariant pairing (the entries between classes
@@ -550,17 +543,13 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
         raise ValueError(
             f"degree must be >= 1 (degree 0 carries the constants), got {degree}"
         )
-    total = _powers_for(genset).summed(2 * degree)
+    pieces = _powers_for(genset).summed(2 * degree)
     weights = [math.comb(2 * degree, k) for k in range(2 * degree + 1)]
-    pieces = []
-    for c in range(4):
-        piece = total[c::4, c::4].copy()
+    for c, piece in enumerate(pieces):
         if not is_weighted_symmetric(piece, weights[c::4]):
             raise ConsistencyError(
                 f"block at degree {degree} is not self-adjoint for the binomial pairing"
             )
-        piece.setflags(write=False)
-        pieces.append(piece)
     traces = tuple(sum(moment) for moment in zip(*map(trace_moments, pieces)))
     expected = _characters_for(genset).traces(2 * degree)
     if traces != expected:
@@ -568,7 +557,9 @@ def koopman_block(genset: GeneratorSet, degree: int) -> KoopmanBlock:
             f"block at degree {degree} has p^l tr(T), p^2l tr(T^2) = {traces}, but the "
             f"generators' characters give {expected}"
         )
-    return KoopmanBlock(p=genset.p, degree=degree, pieces=tuple(pieces), traces=traces)
+    for piece in pieces:
+        piece.setflags(write=False)
+    return KoopmanBlock(p=genset.p, degree=degree, pieces=pieces, traces=traces)
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ def test_koopman_block_is_generator_sum():
 
 @pytest.mark.parametrize("p", [5, 13])
 def test_koopman_block_is_generator_sum_deep(p):
-    # past the first two-degree steps: every appended flip column and every
+    # past the first two-degree steps: every appended mirror column and every
     # product with X^2 feeds the later degrees
     genset = build_generator_set(p)
     for degree in range(4, 11):
@@ -356,13 +356,37 @@ def test_summed_powers_match_generator_sum_across_the_switch(
         return rebuild(residue, estimate)
 
     monkeypatch.setattr(lps.sphere, "_rebuild", recording)
-    summed = powers.summed(2 * degree)
+    pieces = powers.summed(2 * degree)
     assert [frontier.estimate is not None for frontier in powers._mats] == fast
     # a whole frontier at this degree is rebuilt only when the read falls
     # back to Python ints
     assert shapes.count((2 * degree + 1, degree + 1)) == rebuilt_at_read
-    # the exact generator sum everywhere, zero between residue classes
-    assert summed.tolist() == _generator_sum(genset.source_quaternions, degree)
+    # each piece is the exact generator sum on its residue class, and the
+    # sum is zero between the classes
+    total = np.array(_generator_sum(genset.source_quaternions, degree), dtype=object)
+    assert len(pieces) == 4
+    for c, piece in enumerate(pieces):
+        assert piece.tolist() == total[c::4, c::4].tolist()
+        total[c::4, c::4] = 0
+    assert not total.any()
+
+
+def test_summed_pieces_are_fresh_square_integer_arrays():
+    # koopman_block marks the pieces read-only and the corruption controls
+    # write to them, so no call may share storage with the frontiers or
+    # with an earlier call
+    powers = lps.sphere._SymmetricPowers(build_generator_set(5).source_quaternions)
+    for degree in (2, 4, 6, 8):
+        first = powers.summed(degree)
+        assert [piece.shape for piece in first] == [
+            (len(range(c, degree + 1, 4)),) * 2 for c in range(4)
+        ]
+        assert all(piece.dtype == object for piece in first)
+        assert all(type(x) is int for piece in first for x in piece.flat)
+        kept = [piece.tolist() for piece in first]
+        for piece in first:
+            piece[...] = 0
+        assert [piece.tolist() for piece in powers.summed(degree)] == kept
 
 
 @pytest.mark.parametrize(
@@ -380,23 +404,24 @@ def test_symmetric_power_trace_is_the_sl2_character(q):
 
 
 def _corrupt_summed(monkeypatch, change):
-    """Make _SymmetricPowers.summed apply `change(total, degree)` to every sum it returns."""
+    """Make _SymmetricPowers.summed apply `change(pieces, degree)` to every sum it returns."""
     summed = lps.sphere._SymmetricPowers.summed
 
     def corrupted(self, degree):
-        total = summed(self, degree)
-        change(total, degree)
-        return total
+        pieces = summed(self, degree)
+        change(pieces, degree)
+        return pieces
 
     clear_caches()
     monkeypatch.setattr(lps.sphere._SymmetricPowers, "summed", corrupted)
 
 
 def test_block_traces_must_match_the_generators_characters(monkeypatch):
-    def diagonal(total, degree):
-        # numerator (2, 2) from degree 2 on: self-adjointness cannot see it
+    def diagonal(pieces, degree):
+        # numerator (2, 2), the first entry of piece 2, from degree 2 on:
+        # self-adjointness cannot see it
         if degree >= 4:
-            total[2, 2] += 1
+            pieces[2][0, 0] += 1
 
     _corrupt_summed(monkeypatch, diagonal)
     assert koopman_block(build_generator_set(5), 1).traces == (-6, 12)
@@ -410,12 +435,13 @@ def test_block_traces_must_match_the_generators_characters(monkeypatch):
 
 
 def test_block_square_trace_must_match_the_generators_characters(monkeypatch):
-    def symmetric_pair(total, degree):
-        # (0, 4) and (4, 0) of the degree-2 block, class 0, with weights
-        # C(4, 0) = C(4, 4) = 1: still self-adjoint, same trace, new tr(T^2)
+    def symmetric_pair(pieces, degree):
+        # (0, 4) and (4, 0) of the degree-2 block, entries (0, 1) and (1, 0)
+        # of piece 0, with weights C(4, 0) = C(4, 4) = 1: still self-adjoint,
+        # same trace, new tr(T^2)
         if degree == 4:
-            total[0, 4] += 1
-            total[4, 0] += 1
+            pieces[0][0, 1] += 1
+            pieces[0][1, 0] += 1
 
     _corrupt_summed(monkeypatch, symmetric_pair)
     with pytest.raises(ConsistencyError, match=r"characters give \(-114, "):
@@ -567,16 +593,11 @@ def test_sphere_sum_satisfies_hecke_recursion():
 
 
 def test_block_rejects_generators_not_closed_under_conjugation(monkeypatch):
-    # closed under inversion, not under sigma: the imaginary parts of the
-    # summed powers do not cancel
-    not_sigma_closed = GeneratorSet((_q(1, 2, 2, 2), _q(1, -2, -2, -2)))
-    with pytest.raises(ConsistencyError, match="imaginary"):
-        koopman_block(not_sigma_closed, 1)
     # a sum over a set closed under inverses is self-adjoint, so only a
-    # corrupted sum can fail the exact check; (0, 4) lies in residue class 0
-    # of the degree-2 block, whose pieces are the only entries read
-    def off_diagonal(total, degree):
-        total[0, 4] += 1
+    # corrupted sum can fail the exact check; (0, 4) of the degree-2 block
+    # is entry (0, 1) of piece 0, residue class 0
+    def off_diagonal(pieces, degree):
+        pieces[0][0, 1] += 1
 
     _corrupt_summed(monkeypatch, off_diagonal)
     with pytest.raises(ConsistencyError, match="self-adjoint"):
