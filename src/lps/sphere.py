@@ -260,15 +260,24 @@ class _Frontier(NamedTuple):
     error: float
 
 
-def _left_half(halves, diagonals, degree: int, dtype) -> np.ndarray:
-    """Columns 0..degree/2 of the sum: the frontiers' kept columns plus the diagonal terms."""
-    total = np.zeros((degree + 1, degree // 2 + 1), dtype=dtype)
-    for columns in halves:
-        total += columns
-    index = np.arange(degree // 2 + 1)
-    for values in diagonals:
-        total[index, index] += values
-    return total
+def _left_half(halves, diagonals, degree: int, dtype) -> list[np.ndarray]:
+    """Columns 0..degree/2 of the sum's four residue-class pieces, class c's entries r = s = c mod 4.
+
+    Each piece sums the frontiers' kept columns of its class and the
+    diagonal terms on its diagonal; no entry outside the classes is summed.
+    """
+    pieces = []
+    for c in range(4):
+        width = len(range(c, degree // 2 + 1, 4))
+        piece = np.zeros((len(range(c, degree + 1, 4)), width), dtype)
+        for columns in halves:
+            piece += columns[c::4, c::4]
+        # a view of the piece's entries (i, i), whose row and column are both c + 4i
+        diagonal = piece.reshape(-1)[: width * (width + 1) : width + 1]
+        for values in diagonals:
+            diagonal += values[c::4]
+        pieces.append(piece)
+    return pieces
 
 
 class _SymmetricPowers:
@@ -449,7 +458,7 @@ class _SymmetricPowers:
                 degree,
                 float,
             )
-            left = [_rebuild(residue[c::4, c::4], estimate[c::4, c::4]) for c in range(4)]
+            left = list(map(_rebuild, residue, estimate))
         else:
             # every frontier still on the residue path obeys the rule, so
             # its rebuilt integers are exact
@@ -458,8 +467,7 @@ class _SymmetricPowers:
                 else _rebuild(frontier.re, frontier.estimate[0])
                 for frontier in self._mats
             ]
-            total = _left_half(halves, diagonals, degree, object)
-            left = [total[c::4, c::4] for c in range(4)]
+            left = _left_half(halves, diagonals, degree, object)
         # piece c's columns past degree/2 mirror the first ones of class degree - c
         return tuple(
             np.hstack([piece, np.flip(left[(degree - c) % 4][:, : len(piece) - piece.shape[1]])])

@@ -62,17 +62,19 @@ MONOTONICITY_TOLERANCE = 1e-6
 
 # Lanczos stops at the first test at which the top Ritz pair has residual
 # estimate at most LANCZOS_TOL times the Ritz value, and gives up after
-# LANCZOS_MAX_STEPS steps.  The benchmark windows need at most 56 per
-# class mod 2 from the seeded start; a Sanov ball window at n = 2 started
-# from the sphere window's Ritz vector needs 24, and an n = 1 ball window is
-# derived from its sphere window with no solve.  Both only steer the
-# solve: the certificate is an exact Rayleigh quotient of the rounded Ritz
-# vector.
+# LANCZOS_MAX_STEPS steps, counted over all its cycles.  The benchmark
+# windows need at most 64 per class mod 2 from the seeded start; a Sanov
+# ball window at n = 2 started from the sphere window's Ritz vector needs
+# 24, and an n = 1 ball window is derived from its sphere window with no
+# solve.  Both only steer the solve: the certificate is an exact Rayleigh
+# quotient of the rounded Ritz vector.
 # The test needs a dense eigendecomposition of the tridiagonal matrix, so
-# it runs only every LANCZOS_CHECK_STEPS steps (see _lanczos).
+# it runs only every LANCZOS_CHECK_STEPS steps, and a cycle that has not
+# passed it by LANCZOS_RESTART_STEPS restarts (see _lanczos).
 LANCZOS_TOL = 1e-7
 LANCZOS_MAX_STEPS = 300
 LANCZOS_CHECK_STEPS = 8
+LANCZOS_RESTART_STEPS = 3 * LANCZOS_CHECK_STEPS
 
 
 # The signed permutation matrices modulo +-I: P and -P conjugate alike and
@@ -476,8 +478,9 @@ class NormCertificate:
     quotient under a group of order `symmetry_order`, and `entries` the
     count of K's stored entries; all four are None for a window settled
     before it was built.  `blocks` lists the
-    (orbits, Lanczos steps) of each class mod 2, and `matvecs` counts the
-    products, one per step and one per Ritz residual of each block;
+    (orbits, Lanczos steps) of each class mod 2, the steps summed over
+    every restarted cycle of its solve, and `matvecs` counts the products,
+    one per step of every cycle and one per Ritz residual of each block;
     `start` is where the steps started: 'seeded' for the SplitMix64 draw
     from the seed (`_seeded_start`, no numpy.random), 'given' for a
     caller's vector, or 'sphere' for the Ritz vector of the sphere window
@@ -610,17 +613,23 @@ def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int
     Three-term Lanczos without reorthogonalisation on one block of the
     orbit quotient (norm_certificate), stopped at the first test where
     |beta_k s_k| <= LANCZOS_TOL |theta| (ARPACK's test), with theta the
-    largest eigenvalue of the tridiagonal T_k and s its unit eigenvector.
-    Orthogonality is lost only along Ritz vectors that have already
-    converged (Paige), so the solve stops before a ghost copy of theta can
-    appear.  The test needs a dense eigendecomposition of T_k,
-    so it runs every LANCZOS_CHECK_STEPS steps, at a breakdown (beta = 0),
-    at step len(start) and at the step limit, and the Ritz pair of the
-    first test that passes is returned.  By step len(start) the Krylov
-    space is exhausted in exact arithmetic, though rounding may leave beta
-    a little above 0; the steps after it would be built from rounding
-    noise, and T_k would soon hold ghost copies of theta whose Ritz
-    vectors can cancel in the basis.  None when no test passes within
+    largest eigenvalue of the cycle's tridiagonal T_k and s its unit
+    eigenvector.  Orthogonality is lost only along Ritz vectors that have
+    already converged (Paige), so the solve stops before a ghost copy of
+    theta can appear.  The test needs a dense eigendecomposition of T_k,
+    so it runs every LANCZOS_CHECK_STEPS steps of a cycle, at a breakdown
+    (beta = 0), at the cycle's step len(start) and at the step limit, and
+    the Ritz pair of the first test that passes is returned.  By step
+    len(start) the Krylov space is exhausted in exact arithmetic, though
+    rounding may leave beta a little above 0; the steps after it would be
+    built from rounding noise, and T_k would soon hold ghost copies of
+    theta whose Ritz vectors can cancel in the basis.
+
+    A cycle whose test at step LANCZOS_RESTART_STEPS fails restarts from
+    its Ritz vector and drops its basis and T_k (explicit restart, Saad,
+    Numerical Methods for Large Eigenvalue Problems, 2nd ed., ch. 6), so
+    no solve holds more basis vectors than that.  The steps returned, and
+    LANCZOS_MAX_STEPS, count every cycle; None when no test passes within
     LANCZOS_MAX_STEPS steps.
 
     The recurrence, T_k (two lists, made a matrix only at a test) and every
@@ -635,33 +644,38 @@ def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int
     summed, lies just under LANCZOS_TOL theta.
     """
     q, previous, b = start / math.sqrt(start @ start), 0.0, 0.0
-    basis: list[np.ndarray] = []
-    alphas: list[float] = []  # T_k's diagonal, and betas[:k] its off-diagonal
+    basis: list[np.ndarray] = []  # the cycle's, as are T_k's two lists
+    alphas: list[float] = []  # T_k's diagonal, and betas[:j] its off-diagonal
     betas: list[float] = []
     for k in range(LANCZOS_MAX_STEPS):
+        j = len(basis)  # steps this cycle has run before this one
         basis.append(q.astype(np.float32))
         w = matvec(q)
         w -= b * previous
         alphas.append(q @ w)
-        w -= alphas[k] * q
+        w -= alphas[j] * q
         b = math.sqrt(w @ w)
         betas.append(b)
         if (
             b == 0
-            or k + 1 == len(q)
-            or (k + 1) % LANCZOS_CHECK_STEPS == 0
+            or j + 1 == len(q)
+            or (j + 1) % LANCZOS_CHECK_STEPS == 0
             or k + 1 == LANCZOS_MAX_STEPS
         ):
-            tri, i = np.diag(alphas), np.arange(k)
-            tri[i + 1, i] = tri[i, i + 1] = betas[:k]
+            tri, i = np.diag(alphas), np.arange(j)
+            tri[i + 1, i] = tri[i, i + 1] = betas[:j]
             theta, s = np.linalg.eigh(tri)
-            if abs(b * s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]):
+            passed = abs(b * s[-1, -1]) <= LANCZOS_TOL * abs(theta[-1])
+            if passed or j + 1 == LANCZOS_RESTART_STEPS:
                 z = np.zeros(len(q))
                 for c, v in zip(s[:, -1], basis):
                     # dtype: numpy 1's value-based casting would multiply in float32
                     z += np.multiply(c, v, dtype=np.float64)
                 z /= math.sqrt(z @ z)
-                return float(theta[-1]), z, k + 1
+                if passed:
+                    return float(theta[-1]), z, k + 1
+                q, previous, b, basis, alphas, betas = z, 0.0, 0.0, [], [], []
+                continue
         w /= b
         previous, q = q, w
     return None
@@ -690,8 +704,9 @@ def norm_certificate(
     exactly on all of K.  z carries the float32 rounding of the Lanczos
     basis, about 2^-24 relative, which is the precision of y itself; the
     certificate is exact whatever z is.
-    Lanczos not converging within LANCZOS_MAX_STEPS steps raises
-    LanczosConvergenceError, whose message names the diagonal bound.
+    Lanczos not converging within LANCZOS_MAX_STEPS steps, counted over
+    all of a block's cycles, raises LanczosConvergenceError, whose message
+    names the diagonal bound.
     """
     best = Fraction(op.max_diagonal, op.words_used)
     dims = (op.window.size, len(op.orbit_sizes), op.entries.nnz, op.symmetry_order)

@@ -1,8 +1,20 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
+
+import tracemalloc
 
 import pytest
 
 import lps.torus
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -19,8 +18,10 @@ from hypothesis import strategies as st
 
 import lps
 import lps.torus
+from conftest import traced_peak
 from lps.torus import (
     LANCZOS_CHECK_STEPS,
+    LANCZOS_RESTART_STEPS,
     LANCZOS_TOL,
     HalfWindow,
     LanczosConvergenceError,
@@ -722,6 +723,15 @@ def test_blocked_stopping_test_matches_per_step_lanczos(monkeypatch, n, shape, r
         assert steps % LANCZOS_CHECK_STEPS == 0 or steps == orbits <= 16
 
 
+@pytest.mark.parametrize("radius", [128, 256])
+def test_restarted_lanczos_matches_unrestarted_per_step_lanczos(monkeypatch, radius):
+    # Past R 32 a block's solve runs into restarts; the Ritz values and the
+    # certificate still agree with one unrestarted cycle tested every step
+    op = window_operator(build_torus_genset("sanov"), 1, "sphere", radius)
+    bound = _assert_blocked_agrees_with_per_step(monkeypatch, op)
+    assert all(steps > LANCZOS_RESTART_STEPS for _, steps in bound.blocks)
+
+
 def test_blocked_lanczos_stops_at_the_check_after_a_mid_block_pass(monkeypatch):
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", 16)
     bound = _assert_blocked_agrees_with_per_step(monkeypatch, op)
@@ -1087,12 +1097,7 @@ def test_window_operator_keeps_only_its_entries():
     # concatenation peaked at 8.9 MB; keeping both triangles' 122,337
     # entries, at 5.6 MB.
     genset = build_torus_genset("sanov")
-    tracemalloc.start()
-    try:
-        op = window_operator(genset, 2, "ball", 256)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    op, peak = traced_peak(lambda: window_operator(genset, 2, "ball", 256))
     assert op.entries.nnz == 71143
     assert peak < 5 * 2**20
 
@@ -1101,41 +1106,57 @@ def test_certificate_keeps_only_the_stored_triangle():
     # Building the window above and certifying it peaked at 7.6 MB with both
     # triangles' entries and float weights held through the solve.
     genset = build_torus_genset("sanov")
-    tracemalloc.start()
-    try:
-        bound = norm_certificate(window_operator(genset, 2, "ball", 256))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bound, peak = traced_peak(lambda: norm_certificate(window_operator(genset, 2, "ball", 256)))
     assert bound.entries == 71143 and bound.matvecs > 0
     assert peak < 6.5 * 2**20
 
 
 def test_lanczos_basis_is_stored_in_float32(monkeypatch):
     # The Sanov n 1 sphere R 256 solves set the peak memory of lps report.
-    # A float64 basis of `steps` vectors of `orbits` entries alone takes
-    # steps * orbits * 8 bytes (56 * 13,333 * 8 = 6.0 MB for the larger
-    # block), so no solve that keeps one can peak below that; a float32
-    # basis takes half of it, and T_k, the matvec's temporaries and z fit in
-    # the other half.  Each block's solve holds only its own basis.
+    # Each block takes 64 steps, past two restarts, and holds at most a
+    # cycle's LANCZOS_RESTART_STEPS basis vectors of `orbits` entries.  In
+    # float64 those alone take 24 * orbits * 8 bytes (2.6 MB for the
+    # 13,333-orbit block), so no solve that keeps them can peak below that;
+    # in float32 they take half of it, and the recurrence's float64
+    # vectors and the matvec's temporaries fit in the room of 16 more.
+    # Kept to the end of the solve, all 64 float32 vectors peaked at 3.5 MB.
+    # Each block's solve holds only its own basis.
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", 256)
     measured = []
 
     def traced(matvec, start):
-        tracemalloc.start()
-        try:
-            solved = _lanczos(matvec, start)
-            measured.append((tracemalloc.get_traced_memory()[1], solved[2], len(start)))
-        finally:
-            tracemalloc.stop()
+        solved, peak = traced_peak(lambda: _lanczos(matvec, start))
+        measured.append((peak, solved[2], len(start)))
         return solved
 
     monkeypatch.setattr(lps.torus, "_lanczos", traced)
     bound = norm_certificate(op)
-    assert [(steps, orbits) for _, steps, orbits in measured] == [(56, 13333), (56, 6616)]
-    assert bound.blocks == ((13333, 56), (6616, 56)) and bound.orbits == 19949
-    for peak, steps, orbits in measured:
-        assert peak < steps * orbits * 8
+    assert [(steps, orbits) for _, steps, orbits in measured] == [(64, 13333), (64, 6616)]
+    assert bound.blocks == ((13333, 64), (6616, 64)) and bound.orbits == 19949
+    for peak, _, orbits in measured:
+        assert peak < (LANCZOS_RESTART_STEPS + 16) * orbits * 4
+    assert measured[0][0] < 2 * 2**20
+
+
+def test_step_limit_counts_the_steps_of_every_cycle(monkeypatch):
+    # The top block of Sanov n 1 sphere R 256 passes the test at step 64, so
+    # a limit of 40 stops it in its second cycle: after 40 products in all,
+    # not 40 in each cycle.
+    monkeypatch.setattr(lps.torus, "LANCZOS_MAX_STEPS", 40)
+    op = window_operator(build_torus_genset("sanov"), 1, "sphere", 256)
+    products = []
+
+    def counted(matvec, start):
+        def product(v):
+            products.append(len(v))
+            return matvec(v)
+
+        return _lanczos(product, start)
+
+    monkeypatch.setattr(lps.torus, "_lanczos", counted)
+    with pytest.raises(LanczosConvergenceError, match="within 40 steps"):
+        norm_certificate(op)
+    assert products == [13333] * 40
 
 
 def _whole_window_solve(op, seed=42):
@@ -1155,15 +1176,16 @@ def _whole_window_solve(op, seed=42):
     return ritz, z, steps, float(np.linalg.norm(quotient(z) - ritz * z))
 
 
-@pytest.mark.parametrize("radius, steps", [(256, 72), (512, 88)])
+@pytest.mark.parametrize("radius, steps", [(256, 104), (512, 120)])
 def test_float32_basis_keeps_the_residual_of_long_solves(radius, steps):
     # The float32 basis puts a floor of about 2^-24 theta under the residual
     # of the returned z, and its rounding error grows with the steps summed.
     # Sanov n 1 sphere R 256 is the largest window at the CLI's default
     # windows and R 512 a larger one past them.  Solved whole, they take
-    # `steps` steps, the longest solves here; both keep the converged
-    # residual bound.  Solved block by block, as norm_certificate solves
-    # them, each block takes fewer steps and keeps the bound too.
+    # `steps` steps over cycles of at most LANCZOS_RESTART_STEPS, the
+    # longest solves here; both keep the converged residual bound.  Solved
+    # block by block, as norm_certificate solves them, each block takes
+    # fewer steps and keeps the bound too.
     op = window_operator(build_torus_genset("sanov"), 1, "sphere", radius)
     ritz, _, whole_steps, residual = _whole_window_solve(op)
     assert whole_steps == steps

@@ -1,7 +1,6 @@
 """Unit tests for reduced-word enumeration and freeness verification."""
 
 import dataclasses
-import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import lps.words
+from conftest import traced_peak
 from freeness_oracle import enumerate_sphere, evaluate_word, is_reduced, reference_freeness
 from lps.quaternions import build_generator_set
 from lps.torus import build_torus_genset
@@ -130,12 +130,7 @@ def test_freeness_walk_keeps_only_what_it_packs():
     # out the banned ones, and held every level until the sort, peaked at
     # 9.6 MB.
     genset = build_torus_genset("sanov")
-    tracemalloc.start()
-    try:
-        report = verify_freeness(genset, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: verify_freeness(genset, 10))
     assert report.is_free_to_radius and report.ball_size_found == 118097
     assert peak < 8 * 2**20
 
