@@ -8,7 +8,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 from typing import Optional
@@ -402,21 +402,10 @@ def _torus_diagnostics(row) -> dict:
     lists [orbits, Lanczos steps] for each class mod 2 of the window (0
     steps in a derived n = 1 ball row), and is None where no solve ran.
     """
-    bound = row.bound
-    return {
-        "radius": row.radius,
-        "dimension": bound.dimension,
-        "orbits": bound.orbits,
-        "entries": bound.entries,
-        "symmetry_order": bound.symmetry_order,
-        "blocks": bound.blocks,
-        "matvecs": bound.matvecs,
-        "start": bound.start,
-        "ritz_residual": bound.ritz_residual,
-        "ritz_minus_certificate": bound.ritz_minus_certificate,
-        "window_ms": bound.window_ms,
-        "solve_ms": bound.solve_ms,
-        "certificate_ms": bound.certificate_ms,
+    return {"radius": row.radius} | {
+        f.name: getattr(row.bound, f.name)
+        for f in fields(row.bound)
+        if f.name not in ("certificate", "ritz_vector")
     }
 
 

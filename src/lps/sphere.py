@@ -26,8 +26,9 @@ of c have diagonal matrices, whose powers are diagonal in closed form.
 So p = 5 needs one dense frontier and one diagonal term for its 6
 generators, p = 13 two and one for its 14.  A dense frontier advances in
 int64 residues mod 2^64 plus float64 estimates whose error is bounded
-step by step; the integers are rebuilt from the two exactly while that
-bound is far below 2^63, and a frontier that would pass it moves to
+step by step, and a frontier whose bound would come near 2^63 moves to
+Python ints.  Residues never leave a frontier: the block reads each
+frontier's integers, rebuilt exactly from the two, and sums them in
 Python ints (see _SymmetricPowers).
 
 A dense frontier keeps only the columns 0..k/2 of Sym^k.  J = [[0, 1],
@@ -226,11 +227,6 @@ def _rebuild(residue: np.ndarray, estimate: np.ndarray) -> np.ndarray:
     return residue.astype(object) + wraps.astype(object) * 2**64
 
 
-def _residue(value: int) -> int:
-    """`value` mod 2^64, in int64's range."""
-    return (value + 2**63) % 2**64 - 2**63
-
-
 def _advance(re: np.ndarray, im: np.ndarray, half: int, square):
     """Columns 0..half+1 of Sym^(k+2) from columns 0..half of Sym^k, k = 2 half.
 
@@ -258,26 +254,6 @@ class _Frontier(NamedTuple):
     estimate: tuple[np.ndarray, np.ndarray] | None
     bound: float
     error: float
-
-
-def _left_half(halves, diagonals, degree: int, dtype) -> list[np.ndarray]:
-    """Columns 0..degree/2 of the sum's four residue-class pieces, class c's entries r = s = c mod 4.
-
-    Each piece sums the frontiers' kept columns of its class and the
-    diagonal terms on its diagonal; no entry outside the classes is summed.
-    """
-    pieces = []
-    for c in range(4):
-        width = len(range(c, degree // 2 + 1, 4))
-        piece = np.zeros((len(range(c, degree + 1, 4)), width), dtype)
-        for columns in halves:
-            piece += columns[c::4, c::4]
-        # a view of the piece's entries (i, i), whose row and column are both c + 4i
-        diagonal = piece.reshape(-1)[: width * (width + 1) : width + 1]
-        for values in diagonals:
-            diagonal += values[c::4]
-        pieces.append(piece)
-    return pieces
 
 
 class _SymmetricPowers:
@@ -332,7 +308,9 @@ class _SymmetricPowers:
     lo + 2^64 rint((f - float(lo)) / 2^64) (_rebuild).  A frontier whose next step could break
     the rule is rebuilt as Python ints first, exactly, and carries on in
     them; p = 5 stays on residues through degree 68 (l = 34), p = 13
-    through degree 44 and the norm-25 set through degree 36.
+    through degree 44 and the norm-25 set through degree 36.  Residues
+    never leave a frontier: every sum of frontiers is formed in Python
+    ints, from the rebuilt entries of the class slices that it reads.
     """
 
     def __init__(self, quaternions):
@@ -393,11 +371,10 @@ class _SymmetricPowers:
         ints: piece c holds the entries (r, s) with r = s = c mod 4.  Only
         its columns s <= degree/2 are assembled; its columns s > degree/2
         are the assembled ones of class (degree - c) mod 4, reversed in both
-        axes.  While every frontier is on residues and the summed estimate
-        keeps the rule of _rebuildable, the assembled entries are summed as
-        an int64 residue and a float64 estimate and then rebuilt; otherwise
-        the frontiers still on residues are rebuilt and the sum is formed in
-        Python ints.  `degree` must be even and at least 2.
+        axes.  Piece c is assembled in Python ints: each frontier adds its
+        kept columns' class-c entries, rebuilt exactly from the residue and
+        estimate while it is on residues, and the diagonal terms are added
+        to its diagonal.  `degree` must be even and at least 2.
         """
         if degree < 2 or degree % 2:
             raise ValueError(f"degree must be even and >= 2, got {degree}")
@@ -434,40 +411,20 @@ class _SymmetricPowers:
             [weight * v for v in _diagonal_real_parts(powers, degree)]
             for weight, powers in self._diagonals
         ]
-        fast = all(frontier.estimate is not None for frontier in self._mats)
-        if fast:
-            # The float sum of n terms, the frontiers' estimates and the
-            # rounded diagonals, errs by at most the frontiers' errors plus
-            # gamma_n times the terms' sizes.  (Sizes past 2^128 have long
-            # failed the rule, so they are capped to stay in float range.)
-            sizes = [frontier.bound + frontier.error for frontier in self._mats]
-            sizes += [float(min(max(map(abs, values)), 2**128)) for values in diagonals]
-            error = sum(frontier.error for frontier in self._mats)
-            error += _gamma(len(sizes)) * sum(sizes)
-            fast = _rebuildable(sum(sizes), error)
-        if fast:
-            residue = _left_half(
-                [frontier.re for frontier in self._mats],
-                [np.array([_residue(v) for v in values], dtype=np.int64) for values in diagonals],
-                degree,
-                np.int64,
-            )
-            estimate = _left_half(
-                [frontier.estimate[0] for frontier in self._mats],
-                [np.array(values, dtype=float) for values in diagonals],
-                degree,
-                float,
-            )
-            left = list(map(_rebuild, residue, estimate))
-        else:
-            # every frontier still on the residue path obeys the rule, so
-            # its rebuilt integers are exact
-            halves = [
-                frontier.re if frontier.estimate is None
-                else _rebuild(frontier.re, frontier.estimate[0])
-                for frontier in self._mats
-            ]
-            left = _left_half(halves, diagonals, degree, object)
+        left = []
+        for c in range(4):
+            width = len(range(c, degree // 2 + 1, 4))
+            piece = np.zeros((len(range(c, degree + 1, 4)), width), dtype=object)
+            for re, _, estimate, _, _ in self._mats:
+                # a frontier still on residues obeys the rule, so its
+                # rebuilt integers are exact
+                part = re[c::4, c::4]
+                piece += part if estimate is None else _rebuild(part, estimate[0][c::4, c::4])
+            # a view of the piece's entries (i, i), whose row and column are both c + 4i
+            diagonal = piece.reshape(-1)[: width * (width + 1) : width + 1]
+            for values in diagonals:
+                diagonal += values[c::4]
+            left.append(piece)
         # piece c's columns past degree/2 mirror the first ones of class degree - c
         return tuple(
             np.hstack([piece, np.flip(left[(degree - c) % 4][:, : len(piece) - piece.shape[1]])])

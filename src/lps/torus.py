@@ -393,22 +393,24 @@ def _orbit_pairs(
 
     The pairs come back as int64 rows O, columns O' and word counts, in
     increasing order of O and then O' (K is symmetric, so O > O' is dropped
-    as found).  They are keyed O * len(reps) + O' in one buffer, int32
-    while the largest key fits, which is sorted in place and counted by its
-    runs; the buffer is dropped as soon as its distinct keys are read off.
+    as found).  They are keyed O * len(reps) + O', int32 while the largest
+    key fits.  Each word's kept keys are listed and joined once, so no slot
+    is reserved for a pair that is dropped; the joined keys are sorted in
+    place and counted by their runs, and dropped as soon as their distinct
+    keys are read off.
     """
     m1, m2 = reps.T
     count = len(reps)
-    pairs = np.empty(len(words) * count, dtype=np.int32 if count ** 2 < 2 ** 31 else np.int64)
-    filled = 0
+    dtype = np.int32 if count ** 2 < 2 ** 31 else np.int64
+    kept = []
     for (a, b), (c, d) in words.tolist():
         # unimodular words keep frequencies primitive, so every hit is >= 0
         inside, hit = _lookup(table, a * m1 + c * m2, b * m1 + d * m2)
         target = orbit[hit]
-        keys = (inside * count + target)[target >= inside]
-        pairs[filled : filled + len(keys)] = keys
-        filled += len(keys)
-    pairs = pairs[:filled]
+        kept.append((inside * count + target)[target >= inside].astype(dtype, copy=False))
+    pairs = np.concatenate(kept)
+    del kept
+    filled = len(pairs)
     pairs.sort()
     run = np.ones(filled, dtype=bool)
     np.not_equal(pairs[1:], pairs[:-1], out=run[1:])

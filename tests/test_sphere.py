@@ -312,7 +312,7 @@ def test_rebuild_recovers_integers_from_residue_and_estimate():
     rebuild, rebuildable = lps.sphere._rebuild, lps.sphere._rebuildable
     # negative values, the residues -2^63 and 2^63 - 1, and entries past 2^100
     exact = [-(2**100) + 7, -5 * 2**64 - 2**63, 3 * 2**64 + 2**63 - 1, -1, 0, 2**63, 2**101 - 3]
-    residue = np.array([lps.sphere._residue(x) for x in exact], dtype=np.int64)
+    residue = np.array([(x + 2**63) % 2**64 - 2**63 for x in exact], dtype=np.int64)
     assert residue[1] == -(2**63) and residue[2] == 2**63 - 1
     bound = float(2**101)
     # the largest error the rule admits at this bound, less a margin for the
@@ -329,25 +329,25 @@ def test_rebuild_recovers_integers_from_residue_and_estimate():
 
 
 @pytest.mark.parametrize(
-    "quaternions, degree, fast, rebuilt_at_read",
+    "quaternions, degree, fast",
     [
         # the norm-25 set: every frontier on int64 residues and float
-        # estimates, the sum read in that form
-        pytest.param("norm-25", 18, [True] * 4, 0, id="norm25-l18"),
-        # three frontiers switched to Python ints: the fourth is rebuilt at
-        # the read, which assembles in Python ints
-        pytest.param("norm-25", 19, [False] * 3 + [True], 1, id="norm25-l19"),
-        pytest.param("norm-25", 20, [False] * 4, 0, id="norm25-l20"),
-        # every frontier within the rule, their sum not: assembled in Python
-        # ints from the rebuilt frontiers
-        pytest.param(None, 15, [True] * 8, 8, id="p61-l15"),
+        # estimates
+        pytest.param("norm-25", 18, [True] * 4, id="norm25-l18"),
+        # three frontiers switched to Python ints, the fourth on residues
+        pytest.param("norm-25", 19, [False] * 3 + [True], id="norm25-l19"),
+        pytest.param("norm-25", 20, [False] * 4, id="norm25-l20"),
+        # eight frontiers on residues, whose sum is far past 2^64
+        pytest.param(None, 15, [True] * 8, id="p61-l15"),
     ],
 )
 def test_summed_powers_match_generator_sum_across_the_switch(
-    monkeypatch, quaternions, degree, fast, rebuilt_at_read
+    monkeypatch, quaternions, degree, fast
 ):
     genset = GeneratorSet(_primitive_norm_25()) if quaternions else build_generator_set(61)
     powers = lps.sphere._SymmetricPowers(genset.source_quaternions)
+    powers.summed(2 * degree)
+    assert [frontier.estimate is not None for frontier in powers._mats] == fast
     shapes = []
     rebuild = lps.sphere._rebuild
 
@@ -356,11 +356,15 @@ def test_summed_powers_match_generator_sum_across_the_switch(
         return rebuild(residue, estimate)
 
     monkeypatch.setattr(lps.sphere, "_rebuild", recording)
+    # the frontiers are at this degree, so this call only reads them: each
+    # frontier on residues is rebuilt on the four class slices, one per
+    # piece, and one on Python ints not at all
     pieces = powers.summed(2 * degree)
-    assert [frontier.estimate is not None for frontier in powers._mats] == fast
-    # a whole frontier at this degree is rebuilt only when the read falls
-    # back to Python ints
-    assert shapes.count((2 * degree + 1, degree + 1)) == rebuilt_at_read
+    assert shapes == [
+        (len(range(c, 2 * degree + 1, 4)), len(range(c, degree + 1, 4)))
+        for c in range(4)
+        for _ in range(sum(fast))
+    ]
     # each piece is the exact generator sum on its residue class, and the
     # sum is zero between the classes
     total = np.array(_generator_sum(genset.source_quaternions, degree), dtype=object)
@@ -369,6 +373,41 @@ def test_summed_powers_match_generator_sum_across_the_switch(
         assert piece.tolist() == total[c::4, c::4].tolist()
         total[c::4, c::4] = 0
     assert not total.any()
+
+
+def test_summed_powers_are_exact_at_the_largest_error_the_rule_admits():
+    # p = 5 is on residues through degree 68, where its one dense
+    # frontier's recorded error is about 2^61.9
+    powers = lps.sphere._SymmetricPowers(build_generator_set(5).source_quaternions)
+    exact = [piece.tolist() for piece in powers.summed(68)]
+    (frontier,) = powers._mats
+    assert frontier.estimate is not None and frontier.error > 2.0**61.5
+    integers = list(map(lps.sphere._rebuild, frontier[:2], frontier.estimate))
+
+    def read(estimate):
+        powers._mats = [frontier._replace(estimate=estimate)]
+        return [piece.tolist() for piece in powers.summed(68)]
+
+    # every estimate set off its integer by the recorded error, less a
+    # margin for its own rounding, in either sign
+    shift = int(frontier.error - 2.0**-53 * (frontier.bound + frontier.error)) - 2**50
+    for sign in (1, -1):
+        estimate = tuple(
+            np.array([float(x + sign * shift) for x in part.flat]).reshape(part.shape)
+            for part in integers
+        )
+        offsets = [
+            abs(int(f) - x) for part, guess in zip(integers, estimate)
+            for f, x in zip(guess.flat, part.flat)
+        ]
+        assert max(offsets) <= frontier.error
+        assert read(estimate) == exact
+    # an estimate off by 2^64 rebuilds the neighbouring integer
+    assert read(tuple(guess + 2.0**64 for guess in frontier.estimate)) != exact
+    # and the next step moves the frontier to Python ints
+    powers._mats = [frontier]
+    powers.summed(70)
+    assert powers._mats[0].estimate is None
 
 
 def test_summed_pieces_are_fresh_square_integer_arrays():
