@@ -371,10 +371,11 @@ class _SymmetricPowers:
         ints: piece c holds the entries (r, s) with r = s = c mod 4.  Only
         its columns s <= degree/2 are assembled; its columns s > degree/2
         are the assembled ones of class (degree - c) mod 4, reversed in both
-        axes.  Piece c is assembled in Python ints: each frontier adds its
-        kept columns' class-c entries, rebuilt exactly from the residue and
-        estimate while it is on residues, and the diagonal terms are added
-        to its diagonal.  `degree` must be even and at least 2.
+        axes.  The pieces are assembled in Python ints: each frontier adds
+        its kept columns' entries of all four classes, gathered into one
+        array and rebuilt exactly from the residue and estimate in one call
+        while it is on residues, and the diagonal terms are added to each
+        piece's diagonal.  `degree` must be even and at least 2.
         """
         if degree < 2 or degree % 2:
             raise ValueError(f"degree must be even and >= 2, got {degree}")
@@ -411,15 +412,24 @@ class _SymmetricPowers:
             [weight * v for v in _diagonal_real_parts(powers, degree)]
             for weight, powers in self._diagonals
         ]
-        left = []
-        for c in range(4):
-            width = len(range(c, degree // 2 + 1, 4))
-            piece = np.zeros((len(range(c, degree + 1, 4)), width), dtype=object)
-            for re, _, estimate, _, _ in self._mats:
-                # a frontier still on residues obeys the rule, so its
-                # rebuilt integers are exact
-                part = re[c::4, c::4]
-                piece += part if estimate is None else _rebuild(part, estimate[0][c::4, c::4])
+
+        def gathered(part: np.ndarray) -> np.ndarray:
+            # the entries of the four class slices, class by class and row by row
+            return np.concatenate([part[c::4, c::4].ravel() for c in range(4)])
+
+        shapes = [
+            (len(range(c, degree + 1, 4)), len(range(c, degree // 2 + 1, 4))) for c in range(4)
+        ]
+        read = np.zeros(sum(height * width for height, width in shapes), dtype=object)
+        for re, _, estimate, _, _ in self._mats:
+            # a frontier still on residues obeys the rule, so its rebuilt
+            # integers are exact
+            part = gathered(re)
+            read += part if estimate is None else _rebuild(part, gathered(estimate[0]))
+        left, end = [], 0
+        for c, (height, width) in enumerate(shapes):
+            piece = read[end : end + height * width].reshape(height, width)
+            end += height * width
             # a view of the piece's entries (i, i), whose row and column are both c + 4i
             diagonal = piece.reshape(-1)[: width * (width + 1) : width + 1]
             for values in diagonals:

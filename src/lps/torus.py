@@ -269,9 +269,12 @@ def _lookup(table: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarr
 
 
 class OrbitSums(NamedTuple):
-    """The nonzero entries of a symmetric int64 matrix on and above its diagonal, sorted by row.
+    """The nonzero entries of a symmetric integer matrix on and above its diagonal, sorted by row.
 
-    Entry i is data[i] in row rows[i] and column columns[i] >= rows[i], and at their mirror.
+    Entry i is data[i] in row rows[i] and column columns[i] >= rows[i], and
+    at their mirror.  Rows and columns are int64.  Of K's orbit sums, data
+    is int32 when words_used * max|O| < 2^31, a bound on every entry
+    (a row's sum), and int64 otherwise (`_int_dtype`).
     """
 
     rows: np.ndarray
@@ -303,6 +306,9 @@ class WindowOperator:
     nonnegative Perron vector over the group keeps it a Perron vector.
     Orbits are numbered class by class mod 2 (`_residue_classes`), and
     K has no entry between classes: block_starts[b] is class b's first.
+    It holds only the window's sieve, K's stored entries, int32 or int64
+    by OrbitSums' rule, and D: the build's square table, orbit labels and
+    keys are gone once it exists (`window_operator`).
     """
 
     window: HalfWindow
@@ -386,28 +392,51 @@ def _window_words(genset: IntegerGenerators, n: int, shape: str, radius: int) ->
     return words
 
 
-def _orbit_pairs(
-    words: np.ndarray, table: np.ndarray, orbit: np.ndarray, reps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each orbit pair O <= O' with a word taking O's first point into O', and how many words do.
+def _int_dtype(peak: int) -> type:
+    """int32 when every value to be held is at most `peak` < 2^31, else int64."""
+    return np.int32 if peak < 2 ** 31 else np.int64
 
-    The pairs come back as int64 rows O, columns O' and word counts, in
-    increasing order of O and then O' (K is symmetric, so O > O' is dropped
-    as found).  They are keyed O * len(reps) + O', int32 while the largest
-    key fits.  Each word's kept keys are listed and joined once, so no slot
-    is reserved for a pair that is dropped; the joined keys are sorted in
-    place and counted by their runs, and dropped as soon as their distinct
-    keys are read off.
+
+def _kept_keys(
+    words: np.ndarray, window: HalfWindow, group: Sequence[Matrix2], classes: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray, tuple[int, ...]]:
+    """Each word's keys of the pairs O <= O' it takes O's first point into, D and the block starts.
+
+    A pair is keyed O * |orbits| + O', int32 while the largest key fits,
+    and K is symmetric, so O > O' is dropped as found.  The square table,
+    the orbit labels and the first points are read here alone, and are
+    freed when this returns, before the keys are joined.
     """
+    table = _square_table(window)
+    orbit, reps, block_starts = _orbits(window, table, group, classes)
+    sizes = np.bincount(orbit)
     m1, m2 = reps.T
     count = len(reps)
-    dtype = np.int32 if count ** 2 < 2 ** 31 else np.int64
+    dtype = _int_dtype(count ** 2)
     kept = []
     for (a, b), (c, d) in words.tolist():
         # unimodular words keep frequencies primitive, so every hit is >= 0
         inside, hit = _lookup(table, a * m1 + c * m2, b * m1 + d * m2)
         target = orbit[hit]
         kept.append((inside * count + target)[target >= inside].astype(dtype, copy=False))
+    return kept, sizes, block_starts
+
+
+def _orbit_pairs(
+    words: np.ndarray, window: HalfWindow, group: Sequence[Matrix2], classes: np.ndarray
+) -> tuple[OrbitSums, np.ndarray, tuple[int, ...]]:
+    """K's entries on and above the diagonal, the orbit sizes D and the block starts.
+
+    Each word's kept keys (`_kept_keys`) are joined once, so no slot is
+    reserved for a pair that is dropped; the joined keys are sorted in
+    place and counted by their runs, and dropped as soon as their distinct
+    keys are read off.  A run's length is the number of words taking O's
+    first point into O', and K[O, O'] = K[O', O] is |O| times it.  Every
+    entry is at most a row sum of K, words_used |O|, which picks the int32
+    or int64 dtype of the entries (`_int_dtype`); rows and columns are int64.
+    """
+    kept, sizes, block_starts = _kept_keys(words, window, group, classes)
+    count = len(sizes)
     pairs = np.concatenate(kept)
     del kept
     filled = len(pairs)
@@ -416,13 +445,15 @@ def _orbit_pairs(
     np.not_equal(pairs[1:], pairs[:-1], out=run[1:])
     run = np.flatnonzero(run)
     pairs = pairs[run]
-    hits = np.diff(run, append=filled)
+    data = np.diff(run, append=filled).astype(_int_dtype(len(words) * int(sizes.max())))
     # freed before the int64 rows and columns are allocated: 0.5 MB of the
     # Sanov n 2 ball window's traced peak at R 256
     del run
     row, column = np.empty(len(pairs), dtype=np.int64), np.empty(len(pairs), dtype=np.int64)
     np.divmod(pairs, count, out=(row, column))
-    return row, column, hits
+    del pairs
+    data *= sizes[row]
+    return OrbitSums(row, column, data), sizes, block_starts
 
 
 def window_operator(
@@ -432,29 +463,28 @@ def window_operator(
 
     Only the first point of each orbit is mapped: C commutes with the
     group, so K[O', O] is |O| times the number of words taking that point
-    into O' (`_orbit_pairs`).  The window is held as its sieve, and the
-    points are numbered and labelled on the square table alone, so no
-    array of all points is built.  `max_diagonal` is read from the words
-    alone (`_max_diagonal`), by the rule that also settles windows before
-    any is built; a caller that has both, as `_window_certificate` has,
-    passes them in.  All arithmetic is exact integer arithmetic.  The word
-    set is closed under inversion, so K is symmetric: its upper triangle is kept.
+    into O'.  The build runs in two phases, each holding only its own
+    arrays: `_kept_keys` numbers and labels the points on the square table
+    alone, so no array of all points is built, and lists each word's kept
+    pair keys; `_orbit_pairs` then joins, sorts and counts those keys with
+    the table, the labels and the first points already freed.  The window
+    is held as its sieve.  `max_diagonal` is read from the words alone
+    (`_max_diagonal`), by the rule that also settles windows before any is
+    built; a caller that has both, as `_window_certificate` has, passes
+    them in.  All arithmetic is exact integer arithmetic.  The word set is
+    closed under inversion, so K is symmetric: its upper triangle is kept.
     """
     if words is None:
         words = _window_words(genset, n, shape, radius)
         max_diagonal = _max_diagonal(words, radius)
     window = HalfWindow(radius)
     group = symmetries(genset)
-    table = _square_table(window)
-    orbit, reps, block_starts = _orbits(window, table, group, _residue_classes(genset, group))
-    sizes = np.bincount(orbit)
-    row, column, data = _orbit_pairs(words, table, orbit, reps)
-    # K[O, O'] = K[O', O] is |O| times the number of words taking O's first
-    # point into O'
-    data *= sizes[row]
+    entries, sizes, block_starts = _orbit_pairs(
+        words, window, group, _residue_classes(genset, group)
+    )
     return WindowOperator(
         window=window,
-        entries=OrbitSums(row, column, data),
+        entries=entries,
         orbit_sizes=sizes,
         block_starts=block_starts,
         max_diagonal=max_diagonal,
@@ -683,39 +713,16 @@ def _lanczos(matvec, start: np.ndarray) -> Optional[tuple[float, np.ndarray, int
     return None
 
 
-def norm_certificate(
-    op: WindowOperator, seed: int = 42, start: Optional[np.ndarray] = None
-) -> NormCertificate:
-    """The better of two exact lower bounds on the window norm.
+def _solve_blocks(
+    op: WindowOperator, start: np.ndarray, best: Fraction
+) -> tuple[np.ndarray, list[tuple[int, int]], tuple[float, int, int, float]]:
+    """Lanczos on each block of the orbit quotient, from that block of `start`.
 
-    The first is the largest diagonal entry of C / words_used, the
-    Rayleigh quotient of a unit vector.  When it reaches the closed form
-    the sandwich is closed and no solve runs; on rank-one it is exactly 1.
-    Nor does a solve run when C is zero.  Otherwise Lanczos (`_lanczos`)
-    finds the top Ritz vector of each block, one per class mod 2, of the
-    orbit quotient D^(-1/2) K D^(-1/2) / words_used, from that block of
-    `start` in orbit coordinates when given, else of the strictly positive
-    1 + u drawn from a SplitMix64 stream seeded by `seed` (`_seeded_start`,
-    whose values lie in [1, 2)); the start only steers the solve, but may
-    not vanish on a block.  Each product reads the block's stored upper
-    triangle of K both ways.  K has no entry between blocks, so the
-    top block holds the top eigenvalue; let z be its Ritz vector, and 0
-    elsewhere.  The absolute values of z / sqrt(D), which for a
-    nonnegative matrix give a Rayleigh quotient no smaller, are rounded to
-    24-bit integers y, and y^T K y / (words_used y^T D y) is evaluated
-    exactly on all of K.  z carries the float32 rounding of the Lanczos
-    basis, about 2^-24 relative, which is the precision of y itself; the
-    certificate is exact whatever z is.
-    Lanczos not converging within LANCZOS_MAX_STEPS steps, counted over
-    all of a block's cycles, raises LanczosConvergenceError, whose message
-    names the diagonal bound.
+    Returns z, every block's unit Ritz vector in orbit coordinates; each
+    block's (orbits, steps); and the top block's (Ritz value, first orbit,
+    end, residual).  The float weights, the blocks' shifted indices and
+    their products are this phase's own, freed when it returns.
     """
-    best = Fraction(op.max_diagonal, op.words_used)
-    dims = (op.window.size, len(op.orbit_sizes), op.entries.nnz, op.symmetry_order)
-    # with no image inside the window, C = 0 and Lanczos has nothing to find
-    if op.entries.nnz == 0 or best >= regular_norm(op.q, op.n, op.shape):
-        return NormCertificate(best, *dims)
-    started = time.perf_counter()
     rows, cols, data = op.entries
     scale = 1.0 / np.sqrt(op.orbit_sizes)
     # data * (scale[rows] * scale[cols] / words_used), built in place
@@ -724,9 +731,6 @@ def norm_certificate(
     weights /= op.words_used
     weights *= data
     weights[rows == cols] *= 0.5  # exact; quotient sums the diagonal both ways
-    given = start is not None
-    if not given:
-        start = _seeded_start(seed, len(scale))
     z = np.zeros(len(scale))
     blocks, solves = [], []
     starts, cuts = op.block_starts, np.searchsorted(rows, op.block_starts).tolist()
@@ -755,13 +759,58 @@ def norm_certificate(
         residual = float(np.linalg.norm(quotient(z[first:last]) - ritz * z[first:last]))
         blocks.append((last - first, steps))
         solves.append((ritz, first, last, residual))
-    ritz, first, last, residual = max(solves, key=lambda solve: solve[0])
+    return z, blocks, max(solves, key=lambda solve: solve[0])
+
+
+def norm_certificate(
+    op: WindowOperator, seed: int = 42, start: Optional[np.ndarray] = None
+) -> NormCertificate:
+    """The better of two exact lower bounds on the window norm.
+
+    The first is the largest diagonal entry of C / words_used, the
+    Rayleigh quotient of a unit vector.  When it reaches the closed form
+    the sandwich is closed and no solve runs; on rank-one it is exactly 1.
+    Nor does a solve run when C is zero.  Otherwise Lanczos (`_lanczos`)
+    finds the top Ritz vector of each block, one per class mod 2, of the
+    orbit quotient D^(-1/2) K D^(-1/2) / words_used, from that block of
+    `start` in orbit coordinates when given, else of the strictly positive
+    1 + u drawn from a SplitMix64 stream seeded by `seed` (`_seeded_start`,
+    whose values lie in [1, 2)); the start only steers the solve, but may
+    not vanish on a block.  Each product reads the block's stored upper
+    triangle of K both ways.  K has no entry between blocks, so the
+    top block holds the top eigenvalue; let z be its Ritz vector, and 0
+    elsewhere.  The absolute values of z / sqrt(D), which for a
+    nonnegative matrix give a Rayleigh quotient no smaller, are rounded to
+    24-bit integers y, and y^T K y / (words_used y^T D y) is evaluated
+    exactly on all of K.  z carries the float32 rounding of the Lanczos
+    basis, about 2^-24 relative, which is the precision of y itself; the
+    certificate is exact whatever z is.
+    The solve and the certificate are phases that hold only their own
+    arrays: the solve runs in `_solve_blocks`, whose float weights and
+    block products are freed before the certificate starts with K, D, z
+    and y alone.
+    Lanczos not converging within LANCZOS_MAX_STEPS steps, counted over
+    all of a block's cycles, raises LanczosConvergenceError, whose message
+    names the diagonal bound.
+    """
+    best = Fraction(op.max_diagonal, op.words_used)
+    dims = (op.window.size, len(op.orbit_sizes), op.entries.nnz, op.symmetry_order)
+    # with no image inside the window, C = 0 and Lanczos has nothing to find
+    if op.entries.nnz == 0 or best >= regular_norm(op.q, op.n, op.shape):
+        return NormCertificate(best, *dims)
+    started = time.perf_counter()
+    given = start is not None
+    if not given:
+        start = _seeded_start(seed, len(op.orbit_sizes))
+    z, blocks, (ritz, first, last, residual) = _solve_blocks(op, start, best)
+    del start
     # the certificate hands z to later solves as a start, so none may change it
     z.setflags(write=False)
     solved_at = time.perf_counter()
-    u = np.abs(z[first:last]) * scale[first:last]
-    y = np.zeros(len(scale), dtype=np.int64)
+    u = np.abs(z[first:last]) * (1.0 / np.sqrt(op.orbit_sizes[first:last]))
+    y = np.zeros(len(z), dtype=np.int64)
     y[first:last] = np.rint(u * ((2 ** 24 - 1) / u.max()))
+    del u
     certified = rayleigh_certificate(op, y)
     best = max(best, certified)
     return NormCertificate(

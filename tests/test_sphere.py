@@ -357,14 +357,11 @@ def test_summed_powers_match_generator_sum_across_the_switch(
 
     monkeypatch.setattr(lps.sphere, "_rebuild", recording)
     # the frontiers are at this degree, so this call only reads them: each
-    # frontier on residues is rebuilt on the four class slices, one per
-    # piece, and one on Python ints not at all
+    # frontier on residues is rebuilt once, on the entries of all four class
+    # slices gathered together, and one on Python ints not at all
     pieces = powers.summed(2 * degree)
-    assert shapes == [
-        (len(range(c, 2 * degree + 1, 4)), len(range(c, degree + 1, 4)))
-        for c in range(4)
-        for _ in range(sum(fast))
-    ]
+    read = sum(len(range(c, 2 * degree + 1, 4)) * len(range(c, degree + 1, 4)) for c in range(4))
+    assert shapes == [(read,)] * sum(fast)
     # each piece is the exact generator sum on its residue class, and the
     # sum is zero between the classes
     total = np.array(_generator_sum(genset.source_quaternions, degree), dtype=object)

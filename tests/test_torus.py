@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -25,9 +26,11 @@ from lps.torus import (
     LANCZOS_TOL,
     HalfWindow,
     LanczosConvergenceError,
+    OrbitSums,
     SANOV_MATRICES,
     _exact_dot,
     _float_at_most,
+    _int_dtype,
     _lanczos,
     _lookup,
     _max_diagonal,
@@ -416,13 +419,12 @@ def test_entry_stored_below_the_diagonal_fails_the_oracle(monkeypatch):
     genset = build_torus_genset("sanov")
     build = lps.torus._orbit_pairs
 
-    def one_lower(words, table, orbit, reps):
-        row, column, hits = build(words, table, orbit, reps)
-        sizes = np.bincount(orbit)
+    def one_lower(*args):
+        (row, column, data), sizes, block_starts = build(*args)
         i = np.flatnonzero((row < column) & (sizes[row] == sizes[column]))[0]
         row[i], column[i] = column[i], row[i]
-        order = np.argsort(row * len(reps) + column)
-        return row[order], column[order], hits[order]
+        order = np.argsort(row * len(sizes) + column)
+        return OrbitSums(row[order], column[order], data[order]), sizes, block_starts
 
     _assert_matches_oracle(window_operator(genset, 1, "sphere", 6), genset)
     monkeypatch.setattr(lps.torus, "_orbit_pairs", one_lower)
@@ -1097,20 +1099,71 @@ def test_window_operator_keeps_only_its_entries():
     # concatenation peaked at 8.9 MB; keeping both triangles' 122,337
     # entries, at 5.6 MB; reserving an int32 key slot for each of the
     # 339,133 (word, orbit) pairs, of which 71,165 are kept, at 4.56 MB.
-    # Joining only the kept keys peaks at 4.06 MB.
+    # Joining only the kept keys peaked at 4.07 MB with the square table,
+    # the orbit labels and the first points held through the sort; freed
+    # before it, with int32 entries, the build peaks at 3.32 MB.
     genset = build_torus_genset("sanov")
     op, peak = traced_peak(lambda: window_operator(genset, 2, "ball", 256))
     assert op.entries.nnz == 71143
-    assert peak < 4.3 * 2**20
+    assert peak < 3.5 * 2**20
 
 
 def test_certificate_keeps_only_the_stored_triangle():
     # Building the window above and certifying it peaked at 7.6 MB with both
-    # triangles' entries and float weights held through the solve.
+    # triangles' entries and float weights held through the solve, and at
+    # 5.41 MB in the exact certificate with the solve's arrays held into
+    # it.  Now the solve sets the peak, at 4.64 MB.
     genset = build_torus_genset("sanov")
     bound, peak = traced_peak(lambda: norm_certificate(window_operator(genset, 2, "ball", 256)))
     assert bound.entries == 71143 and bound.matvecs > 0
-    assert peak < 6.5 * 2**20
+    assert peak < 5.0 * 2**20
+
+
+def test_certificate_starts_with_only_k_d_z_and_y(monkeypatch):
+    # The exact certificate reads K, D and y, and the solve hands it z.
+    # Holding the solve's float weights (0.57 MB) and the shifted indices
+    # of the second block (0.38 MB) into it put 3.58 MB in use at its entry.
+    genset = build_torus_genset("sanov")
+    certify, in_use = lps.torus.rayleigh_certificate, []
+
+    def recording(op, y):
+        in_use.append(tracemalloc.get_traced_memory()[0])
+        return certify(op, y)
+
+    monkeypatch.setattr(lps.torus, "rayleigh_certificate", recording)
+    bound, _ = traced_peak(lambda: norm_certificate(window_operator(genset, 2, "ball", 256)))
+    op = window_operator(genset, 2, "ball", 256)
+    held = sum(array.nbytes for array in (*op.entries, op.orbit_sizes, op.window.mask))
+    # z in float64 and y in int64, one entry per orbit each
+    held += 2 * 8 * len(op.orbit_sizes)
+    (entry,) = in_use
+    assert entry < held + 0.2 * 2**20
+
+
+def test_entries_are_int32_while_every_entry_fits():
+    # An entry of K is at most its row's sum, words_used |O|
+    assert _int_dtype(2**31 - 1) is np.int32 and _int_dtype(2**31) is np.int64
+    genset = build_torus_genset("sanov")
+    for n, shape in ((1, "sphere"), (2, "sphere"), (2, "ball")):
+        op = window_operator(genset, n, shape, 256)
+        assert op.words_used * int(op.orbit_sizes.max()) < 2**31
+        assert op.entries.data.dtype == np.int32
+
+
+def test_int64_entries_give_the_same_certificate(monkeypatch):
+    genset = build_torus_genset("sanov")
+    narrow = window_operator(genset, 2, "ball", 64)
+    monkeypatch.setattr(lps.torus, "_int_dtype", lambda peak: np.int64)
+    wide = window_operator(genset, 2, "ball", 64)
+    assert (narrow.entries.data.dtype, wide.entries.data.dtype) == (np.int32, np.int64)
+    for stored, other in zip(narrow.entries, wide.entries):
+        assert np.array_equal(stored, other)
+    bound = norm_certificate(narrow)
+    u = np.abs(bound.ritz_vector) / np.sqrt(narrow.orbit_sizes)
+    for y in (np.rint(u * ((2**24 - 1) / u.max())), np.full(len(u), 2**24 - 1)):
+        y = y.astype(np.int64)
+        assert rayleigh_certificate(narrow, y) == rayleigh_certificate(wide, y)
+    assert norm_certificate(wide) == bound
 
 
 def test_lanczos_basis_is_stored_in_float32(monkeypatch):
